@@ -13,8 +13,9 @@ import numpy as np
 from thermwit import (
     ThermalPoint,
     ToySpectrumParams,
-    partition_function_alpha_closed,
-    partition_function_alpha_gamma,
+    exp_or_inf,
+    log_partition_function_alpha_closed,
+    log_partition_function_alpha_gamma,
 )
 
 
@@ -35,8 +36,8 @@ def main() -> None:
               f"{'lin err':>10} {'log err':>10}")
         for kt in kts:
             t = ThermalPoint(float(kt))
-            z = partition_function_alpha_closed(p, t)
-            zg = partition_function_alpha_gamma(p, t)
+            z = exp_or_inf(log_partition_function_alpha_closed(p, t))
+            zg = exp_or_inf(log_partition_function_alpha_gamma(p, t))
             lin = abs(zg - z) / z
             log_err = abs(np.log(zg) - np.log(z)) / abs(np.log(z))
             print(f"{kt:10.3f} {z:16.6f} {zg:16.6f} {lin:10.4%} {log_err:10.4%}")

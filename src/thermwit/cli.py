@@ -48,6 +48,7 @@ from .errors import (
 from .numerics import bisect, hermitian_eigendecompose
 from .systems import (
     DimerParams,
+    Graph,
     PureState,
     Spectrum,
     ToySpectrumParams,
@@ -62,12 +63,12 @@ from .systems import (
 )
 from .thermal import (
     ThermalPoint,
+    exp_or_inf,
     log_partition_function,
     log_partition_function_alpha_closed,
+    log_partition_function_alpha_gamma,
     log_stabilizer_partition_function,
     partition_function,
-    partition_function_alpha_closed,
-    partition_function_alpha_gamma,
     thermal_density_matrix,
 )
 from .witness import (
@@ -131,6 +132,57 @@ def _deliver(text: str, out: str | None) -> None:
             sys.stdout.write(line[3:] + "\n")
 
 
+# --- shared sweep driver --------------------------------------------------------
+
+
+def _sweep(
+    cfg: RunConfig,
+    system: str,
+    params: Sequence[tuple[str, str]],
+    bound: RobustnessBound,
+    extra_columns: Sequence[str],
+    row: Callable[[ThermalPoint], tuple[float, float, bool, Sequence[float]]],
+    summaries: Callable[[], Sequence[tuple[str, str]]],
+    tail: Sequence[tuple[str, str]] = (),
+) -> int:
+    """Sweep the temperature grid and emit the CSV for one model.
+
+    ``row(point)`` returns (Z, p, satisfied, extra cells) at one grid
+    point; ``summaries()`` runs after the sweep and may raise MismatchError.
+    """
+    config_pairs = [
+        ("system", system),
+        *params,
+        ("kB", _fmt(cfg.k_b)),
+        ("grid", cfg.grid.spec_string()),
+        ("seed", str(cfg.seed)),
+        ("oracles", _fb(cfg.oracles)),
+        *tail,
+    ]
+    columns = ["T", "Z", "p", "threshold", "satisfied", "bound_kind", *extra_columns]
+    rows = []
+    for temp in cfg.grid.values():
+        point = ThermalPoint(float(temp), cfg.k_b)
+        z, pop, satisfied, extra = row(point)
+        rows.append([
+            _fmt(temp),
+            _fmt(z),
+            _fmt(pop),
+            _fmt(bound.threshold),
+            _fb(satisfied),
+            bound.kind.value,
+            *(_fmt(x) for x in extra),
+        ])
+    results = [
+        ("one_plus_r", _fmt(bound.one_plus_r)),
+        ("threshold", _fmt(bound.threshold)),
+        ("bound_kind", bound.kind.value),
+        *summaries(),
+    ]
+    _deliver(_emit(config_pairs, columns, rows, results), cfg.out)
+    return EXIT_OK
+
+
 # --- spin dimer ---------------------------------------------------------------
 
 
@@ -146,68 +198,42 @@ def cmd_dimer(cfg: RunConfig) -> int:
     sp = dimer_spectrum(p)
     bound = _dimer_bound(p)
     singlet_phase = p.B < 4.0 * p.J
-    temps = cfg.grid.values()
-
-    config_pairs = [
-        ("system", "dimer"),
-        ("B", _fmt(p.B)),
-        ("J", _fmt(p.J)),
-        ("kB", _fmt(cfg.k_b)),
-        ("grid", cfg.grid.spec_string()),
-        ("seed", str(cfg.seed)),
-        ("oracles", _fb(cfg.oracles)),
-    ]
-    columns = ["T", "Z", "p", "threshold", "satisfied", "bound_kind"]
     if cfg.oracles:
-        columns += ["concurrence", "min_pt_eig"]
         h = build_dimer_hamiltonian(p)
 
-    rows = []
-    for temp in temps:
-        point = ThermalPoint(float(temp), cfg.k_b)
-        z = partition_function(sp, point)
+    def row(point: ThermalPoint):
         verdict = evaluate_condition(sp, point, bound)
-        row = [
-            _fmt(temp),
-            _fmt(z),
-            _fmt(verdict.population),
-            _fmt(verdict.threshold),
-            _fb(verdict.satisfied),
-            bound.kind.value,
-        ]
+        extra = ()
         if cfg.oracles:
             rho = thermal_density_matrix(h, point)
-            row += [
-                _fmt(concurrence_two_qubit(rho)),
-                _fmt(ppt_min_eigenvalue(rho, (2, 2), (0,))),
-            ]
-        rows.append(row)
+            extra = (concurrence_two_qubit(rho), ppt_min_eigenvalue(rho, (2, 2), (0,)))
+        return partition_function(sp, point), verdict.population, verdict.satisfied, extra
 
-    summaries = [
-        ("one_plus_r", _fmt(bound.one_plus_r)),
-        ("threshold", _fmt(bound.threshold)),
-        ("bound_kind", bound.kind.value),
-        ("phase", "singlet-ground" if singlet_phase else "product-ground"),
-    ]
-    tr = transition_temperature(sp, bound, cfg.k_b)
-    summaries.append(("t_trans", _fmt(tr.t_trans) if tr.detected else "none"))
-    if not singlet_phase:
-        singlet_energy = -3.0 * p.J
-        level = int(np.argmin(np.abs(np.array(sp.energies) - singlet_energy)))
-        intervals = satisfying_intervals(sp, singlet_robustness(), temps, level, cfg.k_b)
-        summaries.append(("singlet_level_intervals", repr(intervals)))
-    if cfg.oracles and singlet_phase:
-        t_conc = concurrence_vanishing_temperature(p, k_b=cfg.k_b)
-        summaries.append(("t_concurrence_zero", _fmt(t_conc)))
-        if tr.detected:
-            summaries.append(("t_margin", _fmt(t_conc - tr.t_trans)))
-            if tr.t_trans > t_conc * (1.0 + 1e-9):
-                raise MismatchError(
-                    f"witness crossing {tr.t_trans!r} above concurrence zero {t_conc!r}"
-                )
+    def summaries():
+        out = [("phase", "singlet-ground" if singlet_phase else "product-ground")]
+        tr = transition_temperature(sp, bound, cfg.k_b)
+        out.append(("t_trans", _fmt(tr.t_trans) if tr.detected else "none"))
+        if not singlet_phase:
+            singlet_energy = -3.0 * p.J
+            level = int(np.argmin(np.abs(np.array(sp.energies) - singlet_energy)))
+            intervals = satisfying_intervals(
+                sp, singlet_robustness(), cfg.grid.values(), level, cfg.k_b
+            )
+            out.append(("singlet_level_intervals", repr(intervals)))
+        if cfg.oracles and singlet_phase:
+            t_conc = concurrence_vanishing_temperature(p, k_b=cfg.k_b)
+            out.append(("t_concurrence_zero", _fmt(t_conc)))
+            if tr.detected:
+                out.append(("t_margin", _fmt(t_conc - tr.t_trans)))
+                if tr.t_trans > t_conc * (1.0 + 1e-9):
+                    raise MismatchError(
+                        f"witness crossing {tr.t_trans!r} above concurrence zero {t_conc!r}"
+                    )
+        return out
 
-    _deliver(_emit(config_pairs, columns, rows, summaries), cfg.out)
-    return EXIT_OK
+    columns = ["concurrence", "min_pt_eig"] if cfg.oracles else []
+    params = [("B", _fmt(p.B)), ("J", _fmt(p.J))]
+    return _sweep(cfg, "dimer", params, bound, columns, row, summaries)
 
 
 # --- power-law ladder ---------------------------------------------------------
@@ -254,14 +280,67 @@ def cmd_toy(cfg: RunConfig) -> int:
     if not e_r > 0.0:
         raise ThermwitError(f"entanglement input must be positive, got {e_r}")
     bound = bound_from_relative_entropy(e_r)
-    if cfg.oracles and p.n_levels > ORACLE_LEVEL_CAP:
-        raise ThermwitError(
-            f"--oracles re-sums the spectrum and needs D <= {ORACLE_LEVEL_CAP}"
-        )
+    if cfg.oracles:
+        if p.n_levels > ORACLE_LEVEL_CAP:
+            raise ThermwitError(
+                f"--oracles re-sums the spectrum and needs D <= {ORACLE_LEVEL_CAP}"
+            )
+        sp_oracle = toy_spectrum(p)
 
-    temps = cfg.grid.values()
-    config_pairs = [
-        ("system", "toy"),
+    log_threshold = math.log(bound.threshold)
+    worst_oracle = 0.0
+
+    def row(point: ThermalPoint):
+        nonlocal worst_oracle
+        log_z = log_partition_function_alpha_closed(p, point)
+        z = exp_or_inf(log_z)
+        log_p0 = -p.e0 / point.kt - log_z
+        extra = []
+        if p.alpha > 0.0:
+            zg = exp_or_inf(log_partition_function_alpha_gamma(p, point))
+            extra += [zg, abs(zg - z) / z]
+        if cfg.oracles:
+            z_sp = partition_function(sp_oracle, point)
+            extra.append(z_sp)
+            worst_oracle = max(worst_oracle, abs(z_sp - z) / z)
+        return z, math.exp(log_p0), log_p0 > log_threshold, extra
+
+    def summaries():
+        out = [("min_gap_rule", _fmt(gapping_rule_min_gap(e_r)))]
+        t_star = _toy_transition(p, bound, cfg.k_b)
+        if t_star is None:
+            out.append(("t_trans", "none"))
+        elif math.isinf(t_star):
+            out.append(("t_trans", "inf"))
+            out.append(("t_trans_note", "condition holds at every temperature"))
+        else:
+            out.append(("t_trans", _fmt(t_star)))
+        if p.alpha == 0.0:
+            try:
+                out.append(
+                    ("t0_closed_form", _fmt(toy_t0(p.n_levels, e_r, p.delta) / cfg.k_b))
+                )
+            except ThresholdUnreachable:
+                out.append(("t0_closed_form", "unreachable"))
+            t1 = toy_t1(e_r, p.delta)
+            out.append(("t1_exact", _fmt(t1.exact / cfg.k_b)))
+            out.append(("t1_low_t", _fmt(t1.low_t / cfg.k_b)))
+        if p.alpha > 0.0 and cfg.toy_n is not None:
+            out.append(
+                ("t_alpha_formula", _fmt(toy_t_alpha(p.alpha, cfg.toy_n, p.delta) / cfg.k_b))
+            )
+        if cfg.oracles:
+            out.append(("z_spectrum_max_rel_err", _fmt(worst_oracle)))
+            if worst_oracle > 1e-9:
+                raise MismatchError(
+                    f"spectrum re-sum disagrees with closed form by {worst_oracle:.3e}"
+                )
+        return out
+
+    columns = (["z_gamma", "gamma_rel_err"] if p.alpha > 0.0 else []) + (
+        ["z_spectrum"] if cfg.oracles else []
+    )
+    params = [
         ("E0", _fmt(p.e0)),
         ("delta", _fmt(p.delta)),
         ("alpha", _fmt(p.alpha)),
@@ -269,83 +348,8 @@ def cmd_toy(cfg: RunConfig) -> int:
         ("eR", _fmt(e_r)),
     ]
     if cfg.toy_n is not None:
-        config_pairs.append(("n", str(cfg.toy_n)))
-    config_pairs += [
-        ("kB", _fmt(cfg.k_b)),
-        ("grid", cfg.grid.spec_string()),
-        ("seed", str(cfg.seed)),
-        ("oracles", _fb(cfg.oracles)),
-    ]
-
-    columns = ["T", "Z", "p", "threshold", "satisfied", "bound_kind"]
-    if p.alpha > 0.0:
-        columns += ["z_gamma", "gamma_rel_err"]
-    if cfg.oracles:
-        columns.append("z_spectrum")
-        sp_oracle = toy_spectrum(p)
-
-    log_threshold = math.log(bound.threshold)
-    rows = []
-    worst_oracle = 0.0
-    for temp in temps:
-        kt = float(temp) * cfg.k_b
-        point = ThermalPoint(float(temp), cfg.k_b)
-        z = partition_function_alpha_closed(p, ThermalPoint(kt))
-        log_p0 = _toy_log_p0(p, kt)
-        row = [
-            _fmt(temp),
-            _fmt(z),
-            _fmt(math.exp(log_p0)),
-            _fmt(bound.threshold),
-            _fb(log_p0 > log_threshold),
-            bound.kind.value,
-        ]
-        if p.alpha > 0.0:
-            zg = partition_function_alpha_gamma(p, ThermalPoint(kt))
-            row += [_fmt(zg), _fmt(abs(zg - z) / z)]
-        if cfg.oracles:
-            z_sp = partition_function(sp_oracle, point)
-            row.append(_fmt(z_sp))
-            worst_oracle = max(worst_oracle, abs(z_sp - z) / z)
-        rows.append(row)
-
-    summaries = [
-        ("one_plus_r", _fmt(bound.one_plus_r)),
-        ("threshold", _fmt(bound.threshold)),
-        ("bound_kind", bound.kind.value),
-        ("min_gap_rule", _fmt(gapping_rule_min_gap(e_r))),
-    ]
-    t_star = _toy_transition(p, bound, cfg.k_b)
-    if t_star is None:
-        summaries.append(("t_trans", "none"))
-    elif math.isinf(t_star):
-        summaries.append(("t_trans", "inf"))
-        summaries.append(("t_trans_note", "condition holds at every temperature"))
-    else:
-        summaries.append(("t_trans", _fmt(t_star)))
-    if p.alpha == 0.0:
-        try:
-            summaries.append(
-                ("t0_closed_form", _fmt(toy_t0(p.n_levels, e_r, p.delta) / cfg.k_b))
-            )
-        except ThresholdUnreachable:
-            summaries.append(("t0_closed_form", "unreachable"))
-        t1 = toy_t1(e_r, p.delta)
-        summaries.append(("t1_exact", _fmt(t1.exact / cfg.k_b)))
-        summaries.append(("t1_low_t", _fmt(t1.low_t / cfg.k_b)))
-    if p.alpha > 0.0 and cfg.toy_n is not None:
-        summaries.append(
-            ("t_alpha_formula", _fmt(toy_t_alpha(p.alpha, cfg.toy_n, p.delta) / cfg.k_b))
-        )
-    if cfg.oracles:
-        summaries.append(("z_spectrum_max_rel_err", _fmt(worst_oracle)))
-        if worst_oracle > 1e-9:
-            raise MismatchError(
-                f"spectrum re-sum disagrees with closed form by {worst_oracle:.3e}"
-            )
-
-    _deliver(_emit(config_pairs, columns, rows, summaries), cfg.out)
-    return EXIT_OK
+        params.append(("n", str(cfg.toy_n)))
+    return _sweep(cfg, "toy", params, bound, columns, row, summaries)
 
 
 # --- symmetric (Dicke) bound report -------------------------------------------
@@ -411,6 +415,42 @@ def _graph_log_p0(n: int, b: float, kt: float) -> float:
     return -n * float(np.logaddexp(0.0, -2.0 * b / kt))
 
 
+def _matrix_check(g: Graph, b: float, cfg: RunConfig) -> list[tuple[str, str]]:
+    """Dense diagonalization of the stabilizer Hamiltonian vs the closed forms."""
+    if g.n > 12:
+        raise ThermwitError("--matrix-check builds 2^n matrices and needs n <= 12")
+    h = build_stabilizer_hamiltonian(g, b)
+    eig = hermitian_eigendecompose(h)
+    dense = Spectrum.from_values(eig.eigenvalues)
+    analytic = stabilizer_spectrum(g.n, b)
+    levels_ok = dense.degeneracies == analytic.degeneracies and bool(
+        np.max(np.abs(np.array(dense.energies) - np.array(analytic.energies)))
+        <= 1e-9 * max(1.0, abs(b) * g.n)
+    )
+    psi = graph_state(g)
+    residual = float(
+        np.linalg.norm(h @ psi.amplitudes - analytic.ground_energy * psi.amplitudes)
+    )
+    temps = cfg.grid.values()
+    z_err = 0.0
+    for temp in temps[:: max(1, len(temps) // 8)]:
+        point = ThermalPoint(float(temp), cfg.k_b)
+        log_z_closed = log_stabilizer_partition_function(g.n, b, point)
+        log_z_dense = log_partition_function(dense, point)
+        # Relative error of Z, taken in the log domain so large log Z cannot overflow.
+        z_err = max(z_err, abs(math.expm1(log_z_dense - log_z_closed)))
+    if not levels_ok or residual > 1e-9 or z_err > 1e-9:
+        raise MismatchError(
+            f"dense matrix check failed: levels_ok={levels_ok} "
+            f"residual={residual:.3e} z_err={z_err:.3e}"
+        )
+    return [
+        ("matrix_levels_match", _fb(levels_ok)),
+        ("ground_state_residual", _fmt(residual)),
+        ("z_trace_max_rel_err", _fmt(z_err)),
+    ]
+
+
 def cmd_graph(cfg: RunConfig) -> int:
     if cfg.graph_edges is None:
         raise ThermwitError("graph needs --edges FILE (first line n, then 'u v' rows)")
@@ -429,108 +469,57 @@ def cmd_graph(cfg: RunConfig) -> int:
         )
     bound = bound_from_relative_entropy(e_r)
     log_threshold = -e_r * LN2
+    worst_flip = 0.0
 
-    temps = cfg.grid.values()
-    config_pairs = [
-        ("system", "graph"),
+    def row(point: ThermalPoint):
+        nonlocal worst_flip
+        z = exp_or_inf(log_stabilizer_partition_function(g.n, b, point))
+        log_p0 = _graph_log_p0(g.n, b, point.kt)
+        p0 = math.exp(log_p0)
+        extra = ()
+        if cfg.oracles:
+            p_flip = flip_probability_from_temperature(b, point)
+            p_from_flip = (1.0 - p_flip) ** g.n
+            extra = (p_flip, p_from_flip)
+            worst_flip = max(worst_flip, abs(p_from_flip - p0))
+        return z, p0, log_p0 > log_threshold, extra
+
+    def summaries():
+        t_trans = stabilizer_t_trans(g.n, b, e_r) / cfg.k_b
+        out = [
+            ("t_trans", _fmt(t_trans)),
+            ("p_flip_threshold", _fmt(noise_threshold(e_r, g.n))),
+            (
+                "p_flip_at_t_trans",
+                _fmt(flip_probability_from_temperature(b, ThermalPoint(t_trans, cfg.k_b))),
+            ),
+        ]
+        if cfg.oracles:
+            out.append(("flip_identity_max_err", _fmt(worst_flip)))
+            if worst_flip > 1e-12:
+                raise MismatchError(
+                    f"(1 - p_flip)^n disagrees with ground population by {worst_flip:.3e}"
+                )
+            tr = transition_temperature(stabilizer_spectrum(g.n, b), bound, cfg.k_b)
+            out.append(("t_trans_bisect", _fmt(tr.t_trans) if tr.detected else "none"))
+            if not tr.detected or abs(tr.t_trans - t_trans) > 1e-8 * t_trans:
+                raise MismatchError(
+                    f"bisected crossing {tr.t_trans!r} vs closed form {t_trans!r}"
+                )
+        if cfg.matrix_check:
+            out += _matrix_check(g, b, cfg)
+        return out
+
+    columns = ["p_flip", "p_from_flip"] if cfg.oracles else []
+    params = [
         ("edges", str(cfg.graph_edges)),
         ("n", str(g.n)),
         ("n_edges", str(len(g.edges))),
         ("B", _fmt(b)),
         ("eR_per_site", _fmt(ratio)),
-        ("kB", _fmt(cfg.k_b)),
-        ("grid", cfg.grid.spec_string()),
-        ("seed", str(cfg.seed)),
-        ("oracles", _fb(cfg.oracles)),
-        ("matrix_check", _fb(cfg.matrix_check)),
     ]
-    columns = ["T", "Z", "p", "threshold", "satisfied", "bound_kind"]
-    if cfg.oracles:
-        columns += ["p_flip", "p_from_flip"]
-
-    rows = []
-    worst_flip = 0.0
-    for temp in temps:
-        kt = float(temp) * cfg.k_b
-        point = ThermalPoint(float(temp), cfg.k_b)
-        z = math.exp(log_stabilizer_partition_function(g.n, b, point))
-        log_p0 = _graph_log_p0(g.n, b, kt)
-        row = [
-            _fmt(temp),
-            _fmt(z),
-            _fmt(math.exp(log_p0)),
-            _fmt(bound.threshold),
-            _fb(log_p0 > log_threshold),
-            bound.kind.value,
-        ]
-        if cfg.oracles:
-            p_flip = flip_probability_from_temperature(b, point)
-            p_from_flip = (1.0 - p_flip) ** g.n
-            row += [_fmt(p_flip), _fmt(p_from_flip)]
-            worst_flip = max(worst_flip, abs(p_from_flip - math.exp(log_p0)))
-        rows.append(row)
-
-    t_trans = stabilizer_t_trans(g.n, b, e_r) / cfg.k_b
-    summaries = [
-        ("one_plus_r", _fmt(bound.one_plus_r)),
-        ("threshold", _fmt(bound.threshold)),
-        ("bound_kind", bound.kind.value),
-        ("t_trans", _fmt(t_trans)),
-        ("p_flip_threshold", _fmt(noise_threshold(e_r, g.n))),
-        (
-            "p_flip_at_t_trans",
-            _fmt(flip_probability_from_temperature(b, ThermalPoint(t_trans, cfg.k_b))),
-        ),
-    ]
-    if cfg.oracles:
-        summaries.append(("flip_identity_max_err", _fmt(worst_flip)))
-        if worst_flip > 1e-12:
-            raise MismatchError(
-                f"(1 - p_flip)^n disagrees with ground population by {worst_flip:.3e}"
-            )
-        sp = stabilizer_spectrum(g.n, b)
-        tr = transition_temperature(sp, bound, cfg.k_b)
-        summaries.append(
-            ("t_trans_bisect", _fmt(tr.t_trans) if tr.detected else "none")
-        )
-        if not tr.detected or abs(tr.t_trans - t_trans) > 1e-8 * t_trans:
-            raise MismatchError(
-                f"bisected crossing {tr.t_trans!r} vs closed form {t_trans!r}"
-            )
-    if cfg.matrix_check:
-        if g.n > 12:
-            raise ThermwitError("--matrix-check builds 2^n matrices and needs n <= 12")
-        h = build_stabilizer_hamiltonian(g, b)
-        eig = hermitian_eigendecompose(h)
-        dense = Spectrum.from_values(eig.eigenvalues)
-        analytic = stabilizer_spectrum(g.n, b)
-        levels_ok = dense.degeneracies == analytic.degeneracies and bool(
-            np.max(np.abs(np.array(dense.energies) - np.array(analytic.energies)))
-            <= 1e-9 * max(1.0, abs(b) * g.n)
-        )
-        psi = graph_state(g)
-        residual = float(
-            np.linalg.norm(h @ psi.amplitudes - analytic.ground_energy * psi.amplitudes)
-        )
-        z_err = 0.0
-        for temp in temps[:: max(1, len(temps) // 8)]:
-            point = ThermalPoint(float(temp), cfg.k_b)
-            z_closed = math.exp(log_stabilizer_partition_function(g.n, b, point))
-            z_dense = partition_function(dense, point)
-            z_err = max(z_err, abs(z_dense - z_closed) / z_closed)
-        summaries += [
-            ("matrix_levels_match", _fb(levels_ok)),
-            ("ground_state_residual", _fmt(residual)),
-            ("z_trace_max_rel_err", _fmt(z_err)),
-        ]
-        if not levels_ok or residual > 1e-9 or z_err > 1e-9:
-            raise MismatchError(
-                f"dense matrix check failed: levels_ok={levels_ok} "
-                f"residual={residual:.3e} z_err={z_err:.3e}"
-            )
-
-    _deliver(_emit(config_pairs, columns, rows, summaries), cfg.out)
-    return EXIT_OK
+    tail = [("matrix_check", _fb(cfg.matrix_check))]
+    return _sweep(cfg, "graph", params, bound, columns, row, summaries, tail)
 
 
 # --- verification --------------------------------------------------------------

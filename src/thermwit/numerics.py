@@ -23,23 +23,6 @@ from .errors import (
 DIM_CAP = 4096
 HERMITICITY_TOL = 1e-12
 
-LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Lanczos approximation, g = 7, 9 coefficients. Standard published set;
-# absolute error on log Gamma is far below the 1e-10 budget on [0.1, 50].
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 @dataclass(frozen=True)
 class EigenDecomposition:
@@ -127,23 +110,11 @@ def partial_transpose(
 
 
 def log_gamma(x: float) -> float:
-    """log Gamma(x) for real x > 0 via the Lanczos series (g=7, 9 terms).
-
-    Reflection handles 0 < x < 0.5. Absolute error stays below 1e-10 across
-    [0.1, 50], which is the range the partition-function approximations use.
-    """
+    """log Gamma(x) for real x > 0; DomainError outside that range."""
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma needs x > 0, got {x}")
-    if x < 0.5:
-        # log Gamma(x) = log(pi / sin(pi x)) - log Gamma(1 - x)
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    s = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        s += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(s)
+    return math.lgamma(x)
 
 
 def bisect(

@@ -73,13 +73,17 @@ def log_partition_function(s: Spectrum, t: ThermalPoint) -> float:
     return -s.ground_energy / t.kt + _logsumexp(_shifted_log_terms(s, t.kt))
 
 
-def partition_function(s: Spectrum, t: ThermalPoint) -> float:
-    """Z itself; overflows to inf only when log Z exceeds float range."""
-    log_z = log_partition_function(s, t)
+def exp_or_inf(log_z: float) -> float:
+    """Z from log Z; inf only when log Z exceeds float range."""
     try:
         return math.exp(log_z)
     except OverflowError:
         return math.inf
+
+
+def partition_function(s: Spectrum, t: ThermalPoint) -> float:
+    """Z itself; overflows to inf only when log Z exceeds float range."""
+    return exp_or_inf(log_partition_function(s, t))
 
 
 def population_profile(s: Spectrum, t: ThermalPoint) -> PopulationProfile:
@@ -136,13 +140,6 @@ def log_partition_function_alpha_closed(p: ToySpectrumParams, t: ThermalPoint) -
     return -p.e0 / t.kt + math.log1p(tail)
 
 
-def partition_function_alpha_closed(p: ToySpectrumParams, t: ThermalPoint) -> float:
-    try:
-        return math.exp(log_partition_function_alpha_closed(p, t))
-    except OverflowError:
-        return math.inf
-
-
 def log_partition_function_alpha_gamma(p: ToySpectrumParams, t: ThermalPoint) -> float:
     """Continuum approximation of the ladder sum by a Gamma-function integral.
 
@@ -161,13 +158,6 @@ def log_partition_function_alpha_gamma(p: ToySpectrumParams, t: ThermalPoint) ->
     )
 
 
-def partition_function_alpha_gamma(p: ToySpectrumParams, t: ThermalPoint) -> float:
-    try:
-        return math.exp(log_partition_function_alpha_gamma(p, t))
-    except OverflowError:
-        return math.inf
-
-
 def log_stabilizer_partition_function(n: int, B: float, t: ThermalPoint) -> float:
     """Closed form log Z = n * (log(1 + e^{2B/kT}) - B/kT) for n generators."""
     if n < 1:
@@ -176,10 +166,3 @@ def log_stabilizer_partition_function(n: int, B: float, t: ThermalPoint) -> floa
         raise ThermwitError(f"field B must be positive, got {B}")
     x = 2.0 * B / t.kt
     return n * (float(np.logaddexp(0.0, x)) - 0.5 * x)
-
-
-def stabilizer_partition_function(n: int, B: float, t: ThermalPoint) -> float:
-    try:
-        return math.exp(log_stabilizer_partition_function(n, B, t))
-    except OverflowError:
-        return math.inf

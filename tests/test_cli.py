@@ -233,6 +233,28 @@ class TestGraphCommand:
         code, _, err = run(capsys, "graph", "--edges", str(path), "--matrix-check")
         assert code == 2
 
+    def test_large_ring_overflowing_z_reads_inf(self, capsys, tmp_path):
+        path = tmp_path / "ring400.edges"
+        write_edge_list(Graph.ring(400), path)
+        code, out, err = run(capsys, "graph", "--edges", str(path))
+        assert code == 0 and err == ""
+        rows = [l.split(",") for l in out.splitlines() if l[0].isdigit()]
+        assert len(rows) == 181
+        assert rows[0][1] == "inf"
+        t_exact = -2.0 / math.log(math.sqrt(2.0) - 1.0)
+        assert abs(float(summary_value(out, "t_trans")) - t_exact) <= 1e-12
+
+    def test_matrix_check_at_low_temperature(self, capsys, tmp_path):
+        # log Z reaches ~2000 at kT = 0.005; the trace check must not overflow
+        path = tmp_path / "star10.edges"
+        write_edge_list(Graph.star(10), path)
+        code, out, err = run(
+            capsys, "graph", "--edges", str(path), "--matrix-check",
+            "--grid", "0.005:1:10:lin",
+        )
+        assert code == 0 and err == ""
+        assert float(summary_value(out, "z_trace_max_rel_err")) <= 1e-9
+
     def test_mismatch_exit_code(self, capsys, edges_file, monkeypatch):
         # corrupt the flip-probability map; the identity column must catch it
         monkeypatch.setattr(
@@ -302,6 +324,33 @@ class TestConfigPlumbing:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, params, tail",
+        [
+            (["dimer"], ["B", "J"], []),
+            (["toy"], ["E0", "delta", "alpha", "D", "eR"], []),
+            (
+                ["graph", "--edges", "ring6.edges"],
+                ["edges", "n", "n_edges", "B", "eR_per_site"],
+                ["matrix_check"],
+            ),
+        ],
+        ids=["dimer", "toy", "graph"],
+    )
+    def test_shared_sweep_format(self, capsys, tmp_path, monkeypatch, argv, params, tail):
+        monkeypatch.chdir(tmp_path)
+        write_edge_list(Graph.ring(6), tmp_path / "ring6.edges")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "# thermwit-csv v1"
+        echo = [l[2:].split(" = ", 1)[0] for l in lines[1:] if l.startswith("# ")]
+        assert echo == ["system", *params, "kB", "grid", "seed", "oracles", *tail]
+        header = lines[len(echo) + 1].split(",")
+        assert header[:6] == ["T", "Z", "p", "threshold", "satisfied", "bound_kind"]
+        results = [l[3:].split(" = ", 1)[0] for l in lines if l.startswith("## ")]
+        assert results[:3] == ["one_plus_r", "threshold", "bound_kind"]
 
 
 class TestNumericExitCode:
