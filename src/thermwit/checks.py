@@ -220,9 +220,9 @@ def check_dicke_bound_chain(seed: int = 0) -> CheckResult:
 
 
 def check_ladder_closed_forms(seed: int = 0) -> CheckResult:
-    """Ladder partition identities: bisection vs formula, ordering, Gamma form.
+    """Ladder partition identities: generic solver vs formula, ordering, Gamma form.
 
-    The alpha=0 crossing from generic bisection must match the closed form to
+    The alpha=0 crossing from the generic solver must match the closed form to
     1e-6; the degenerate ladder dominates every alpha > 0 ladder pointwise;
     and the Gamma-integral form tracks the exact alpha=1 sum within 6% in
     log Z for kT >= 5 delta at D = 10^6 (4.9% linear at kT = 10 delta).

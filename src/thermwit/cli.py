@@ -45,7 +45,7 @@ from .errors import (
     ThermwitError,
     ThresholdUnreachable,
 )
-from .numerics import bisect, hermitian_eigendecompose
+from .numerics import hermitian_eigendecompose
 from .systems import (
     DimerParams,
     Graph,
@@ -62,6 +62,7 @@ from .systems import (
     toy_spectrum,
 )
 from .thermal import (
+    LN2,
     ThermalPoint,
     exp_or_inf,
     log_partition_function,
@@ -73,6 +74,7 @@ from .thermal import (
 )
 from .witness import (
     concurrence_vanishing_temperature,
+    crossing_temperature,
     evaluate_condition,
     flip_probability_from_temperature,
     gapping_rule_min_gap,
@@ -91,7 +93,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_MISMATCH = 4
 
-LN2 = math.log(2.0)
 ORACLE_LEVEL_CAP = 10**5
 
 
@@ -239,32 +240,6 @@ def cmd_dimer(cfg: RunConfig) -> int:
 # --- power-law ladder ---------------------------------------------------------
 
 
-def _toy_log_p0(p: ToySpectrumParams, kt: float) -> float:
-    return -p.e0 / kt - log_partition_function_alpha_closed(p, ThermalPoint(kt))
-
-
-def _toy_transition(
-    p: ToySpectrumParams, bound: RobustnessBound, k_b: float
-) -> float | None:
-    """Crossing of the ground condition from the closed-form tail.
-
-    Returns the temperature, None when never satisfied, and +inf when the
-    threshold lies below the infinite-temperature population 1/D.
-    """
-    log_threshold = math.log(bound.threshold)
-
-    def f(kt: float) -> float:
-        return _toy_log_p0(p, kt) - log_threshold
-
-    spread = p.delta * max(1.0, float(p.n_levels - 1) ** p.alpha)
-    lo, hi = 1e-6 * p.delta, 1e4 * spread
-    if f(lo) <= 0.0:
-        return None
-    if f(hi) >= 0.0:
-        return math.inf
-    return bisect(f, lo, hi, tol=1e-10) / k_b
-
-
 def cmd_toy(cfg: RunConfig) -> int:
     p = ToySpectrumParams(
         e0=cfg.toy_e0, delta=cfg.toy_delta, alpha=cfg.toy_alpha, n_levels=cfg.toy_d
@@ -290,11 +265,14 @@ def cmd_toy(cfg: RunConfig) -> int:
     log_threshold = math.log(bound.threshold)
     worst_oracle = 0.0
 
+    def log_p0_at(point: ThermalPoint) -> tuple[float, float]:
+        log_z = log_partition_function_alpha_closed(p, point)
+        return log_z, -p.e0 / point.kt - log_z
+
     def row(point: ThermalPoint):
         nonlocal worst_oracle
-        log_z = log_partition_function_alpha_closed(p, point)
+        log_z, log_p0 = log_p0_at(point)
         z = exp_or_inf(log_z)
-        log_p0 = -p.e0 / point.kt - log_z
         extra = []
         if p.alpha > 0.0:
             zg = exp_or_inf(log_partition_function_alpha_gamma(p, point))
@@ -307,7 +285,13 @@ def cmd_toy(cfg: RunConfig) -> int:
 
     def summaries():
         out = [("min_gap_rule", _fmt(gapping_rule_min_gap(e_r)))]
-        t_star = _toy_transition(p, bound, cfg.k_b)
+        # The closed-form tail margin, searched in reported temperature units.
+        spread = p.delta * max(1.0, float(p.n_levels - 1) ** p.alpha)
+        t_star = crossing_temperature(
+            lambda temp: log_p0_at(ThermalPoint(temp, cfg.k_b))[1] - log_threshold,
+            1e-6 * p.delta / cfg.k_b,
+            1e4 * spread / cfg.k_b,
+        )
         if t_star is None:
             out.append(("t_trans", "none"))
         elif math.isinf(t_star):
@@ -504,7 +488,7 @@ def cmd_graph(cfg: RunConfig) -> int:
             out.append(("t_trans_bisect", _fmt(tr.t_trans) if tr.detected else "none"))
             if not tr.detected or abs(tr.t_trans - t_trans) > 1e-8 * t_trans:
                 raise MismatchError(
-                    f"bisected crossing {tr.t_trans!r} vs closed form {t_trans!r}"
+                    f"generic-solver crossing {tr.t_trans!r} vs closed form {t_trans!r}"
                 )
         if cfg.matrix_check:
             out += _matrix_check(g, b, cfg)
@@ -599,7 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--eR", type=float, default=None, dest="graph_e_r_per_site",
                    help="per-site entanglement input, in (0, 1) bits")
     g.add_argument("--oracles", action="store_const", const=True, default=None,
-                   help="add flip-probability identity columns and a bisection cross-check")
+                   help="add flip-probability identity columns and a generic-solver cross-check")
     g.add_argument("--matrix-check", action="store_const", const=True, default=None,
                    dest="matrix_check", help="diagonalize the dense Hamiltonian (n <= 12)")
 

@@ -22,6 +22,9 @@ from .errors import (
 
 DIM_CAP = 4096
 HERMITICITY_TOL = 1e-12
+# A guard only: the steps meet within a few dozen evaluations on smooth
+# functions, and even plain halving closes any finite bracket in under 2,100.
+ROOT_BRACKET_MAX_STEPS = 2200
 
 
 @dataclass(frozen=True)
@@ -117,41 +120,50 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def bisect(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> float:
-    """Root of f on [lo, hi] by bisection.
+def root_bracket(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """Shrink a sign change of f to two adjacent floats.
 
-    Requires a sign change across the bracket (NoSignChange otherwise); an
-    exact zero at an endpoint returns that endpoint. Terminates once the
-    bracket width drops below ``tol * max(1, |mid|)``. The function is
-    evaluated as given; monotonicity is the caller's contract.
+    Returns ``(inside, outside)`` with ``f(inside) > 0 >= f(outside)``, both
+    values from real evaluations and no float strictly between them, so a
+    caller can report the end where it saw the sign it needs. Exactly one
+    of ``f(a)``, ``f(b)`` must be positive (NoSignChange otherwise); either
+    may be the lower end. Steps are regula falsi with the Illinois halving;
+    where the secant stalls against an end, the probes gallop away from that
+    end, up to the midpoint.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not lo < hi:
-        raise NoSignChange(f"empty bracket [{lo}, {hi}]")
-    fa = f(lo)
-    if fa == 0.0:
-        return lo
-    fb = f(hi)
-    if fb == 0.0:
-        return hi
-    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
-        raise NoSignChange(f"f({lo}) = {fa:.6g} and f({hi}) = {fb:.6g} have the same sign")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) <= tol * max(1.0, abs(mid)):
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if math.copysign(1.0, fm) == math.copysign(1.0, fa):
-            lo, fa = mid, fm
+    x_in, x_out = float(a), float(b)
+    f_in, f_out = f(x_in), f(x_out)
+    if (f_in > 0.0) == (f_out > 0.0):
+        raise NoSignChange(f"f({x_in}) = {f_in:.6g}, f({x_out}) = {f_out:.6g}: need one positive")
+    if not f_in > 0.0:
+        x_in, f_in, x_out, f_out = x_out, f_out, x_in, f_in
+    moved = 0  # +1 after the inside end moved, -1 after the outside end did
+    gallop = 0.0
+    for _ in range(ROOT_BRACKET_MAX_STEPS):
+        if math.nextafter(x_in, x_out) == x_out:
+            break
+        lo, hi = min(x_in, x_out), max(x_in, x_out)
+        # anchored at the end with the smaller value, which sits nearer the root
+        (xa, fa), (xb, fb) = sorted(((x_in, f_in), (x_out, f_out)), key=lambda e: abs(e[1]))
+        x = xa - fa * ((xa - xb) / (fa - fb)) if fa != fb else math.nan
+        if lo < x < hi:
+            gallop = 0.0
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            # The secant stalled on that end (rounding, or a run of zeros):
+            # step one float away from it, doubling while stalls repeat,
+            # never past the midpoint.
+            gallop = 2.0 * gallop if gallop else math.ulp(xa)
+            x = xa + math.copysign(min(gallop, 0.5 * (hi - lo)), xb - xa)
+            x = min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        fx = f(x)
+        if fx > 0.0:
+            x_in, f_in = x, fx
+            if moved == 1:
+                f_out *= 0.5
+            moved = 1
+        else:
+            x_out, f_out = x, fx
+            if moved == -1:
+                f_in *= 0.5
+            moved = -1
+    return x_in, x_out

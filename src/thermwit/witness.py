@@ -6,7 +6,7 @@ lower bound on it). The condition is one-sided: failing it proves nothing.
 
 Everything here works on per-level populations of a Spectrum; the closed
 forms at the bottom specialize the crossing temperature to the example
-systems and are cross-checked against the generic bisection path in tests.
+systems and are cross-checked against the generic root bracket in tests.
 """
 from __future__ import annotations
 
@@ -29,14 +29,12 @@ from .errors import (
     ThermwitError,
     ThresholdUnreachable,
 )
-from .numerics import bisect, log_gamma
+from .numerics import log_gamma, root_bracket
 from .systems import DimerParams, Spectrum, build_dimer_hamiltonian
-from .thermal import LN2, ThermalPoint, population, thermal_density_matrix
+from .thermal import LN2, ThermalPoint, population, population_profile, thermal_density_matrix
 
-TRANSITION_REL_TOL = 1e-10
 BRACKET_GAP_FACTOR = 1e-6
 BRACKET_SPREAD_FACTOR = 1e4
-DEFAULT_GRID_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,8 @@ class TransitionResult:
 
     ``t_trans`` is None when the condition fails at every temperature in the
     bracket (reported as not-detected: the witness is silent, not a proof of
-    separability). When detected, the condition holds strictly below
-    ``t_trans`` and fails strictly above it.
+    separability). When detected, the condition holds at ``t_trans`` and
+    below it, and fails from the next float up.
     """
 
     t_trans: float | None
@@ -92,16 +90,35 @@ def _transition_bracket(s: Spectrum) -> tuple[float, float]:
     return BRACKET_GAP_FACTOR * s.gap, BRACKET_SPREAD_FACTOR * s.spread
 
 
+def crossing_temperature(
+    margin: Callable[[float], float], lo: float, hi: float
+) -> float | None:
+    """Last temperature in [lo, hi] where a margin falling with T is positive.
+
+    Returns the inside end of ``root_bracket``: the margin is positive there
+    and not positive at the next float up. None when the margin is not
+    positive at ``lo`` (never satisfied), inf when it is still positive at
+    ``hi`` (satisfied across the bracket).
+    """
+    try:
+        inside, outside = root_bracket(margin, lo, hi)
+    except NoSignChange:
+        return math.inf if margin(lo) > 0.0 else None
+    # a margin rising across the bracket is not positive at lo
+    return inside if inside < outside else None
+
+
 def transition_temperature(
     s: Spectrum, bound: RobustnessBound, k_b: float = 1.0
 ) -> TransitionResult:
     """Temperature where the ground-level population crosses 1/(1+R).
 
     The ground population decreases monotonically with temperature, so one
-    bisection on [1e-6 * gap, 1e4 * spread] (in kT) settles it. Requires a
-    nondegenerate ground level. A trivial bound (R = 0) or one the spectrum
-    never reaches returns not-detected; a threshold below the infinite-
-    temperature population 1/dim would hold everywhere and raises instead.
+    search on [1e-6 * gap, 1e4 * spread] / k_b settles it; ``t_trans`` is the
+    last float where the condition holds. Requires a nondegenerate ground
+    level. A trivial bound (R = 0) or one the spectrum never reaches returns
+    not-detected; a threshold below the infinite-temperature population
+    1/dim would hold everywhere and raises instead.
     """
     if s.n_levels < 2:
         raise ThermwitError("transition needs at least two levels")
@@ -110,32 +127,18 @@ def transition_temperature(
             f"ground level carries degeneracy {s.degeneracies[0]}; need 1"
         )
     lo, hi = _transition_bracket(s)
-    threshold = bound.threshold
-
-    def f(kt: float) -> float:
-        return population(s, ThermalPoint(kt), 0) - threshold
-
     bracket = (lo / k_b, hi / k_b)
-    if f(lo) <= 0.0:
-        return TransitionResult(t_trans=None, bracket=bracket, bound_kind=bound.kind)
-    if f(hi) >= 0.0:
+
+    def margin(temp: float) -> float:
+        return population(s, ThermalPoint(temp, k_b), 0) - bound.threshold
+
+    t_star = crossing_temperature(margin, *bracket)
+    if t_star == math.inf:
         raise NoSignChange(
             "condition holds across the whole bracket; 1/(1+R) is at or below "
             "the infinite-temperature population"
         )
-    kt_star = bisect(f, lo, hi, tol=TRANSITION_REL_TOL)
-    return TransitionResult(
-        t_trans=kt_star / k_b, bracket=bracket, bound_kind=bound.kind
-    )
-
-
-def default_temperature_grid(
-    s: Spectrum, count: int = DEFAULT_GRID_POINTS, k_b: float = 1.0
-) -> np.ndarray:
-    """Log-spaced temperatures spanning [1e-6, 1e4] spectral spreads."""
-    return np.geomspace(
-        BRACKET_GAP_FACTOR * s.spread / k_b, BRACKET_SPREAD_FACTOR * s.spread / k_b, count
-    )
+    return TransitionResult(t_trans=t_star, bracket=bracket, bound_kind=bound.kind)
 
 
 def satisfying_intervals(
@@ -145,12 +148,13 @@ def satisfying_intervals(
     level_index: int = 0,
     k_b: float = 1.0,
 ) -> list[tuple[float, float]]:
-    """Temperature intervals (within the grid span) where the condition holds.
+    """The temperature interval (within the grid span) where the condition holds.
 
-    The grid provides the scan resolution; each sign change between adjacent
-    grid points is refined by bisection. Excited-level populations rise and
-    fall, so several disjoint intervals can come back (the ground level gives
-    at most one, anchored at the low end).
+    log p_j is concave in beta = 1/kT (its second derivative is -Var E), so
+    the condition holds on at most one interval: at most one list entry comes
+    back. The population peaks where <E>(T) = E_j; from there one root
+    bracket on each side finds the ends, each reported where the condition
+    was evaluated as holding. Only the first and last grid points are used.
     """
     temps = np.asarray(list(grid), dtype=float)
     if temps.size < 2:
@@ -159,27 +163,24 @@ def satisfying_intervals(
         raise ThermwitError("grid temperatures must be strictly ascending")
     if not 0 <= level_index < s.n_levels:
         raise IndexOutOfRange(f"level {level_index} outside 0..{s.n_levels - 1}")
-    threshold = bound.threshold
+    t_lo, t_hi = float(temps[0]), float(temps[-1])
+    energies = s.energy_array()
+    e_j = energies[level_index]
 
-    def h(temp: float) -> float:
-        return population(s, ThermalPoint(temp, k_b), level_index) - threshold
+    def rising(temp: float) -> float:
+        # log p_j rises with T while E_j > <E>
+        return e_j - population_profile(s, ThermalPoint(temp, k_b)).aggregated @ energies
 
-    vals = np.array([h(temp) for temp in temps])
-    sat = vals > 0.0
-    intervals: list[tuple[float, float]] = []
-    open_start = float(temps[0]) if sat[0] else None
-    for i in range(temps.size - 1):
-        if sat[i] == sat[i + 1]:
-            continue
-        crossing = bisect(h, float(temps[i]), float(temps[i + 1]), tol=TRANSITION_REL_TOL)
-        if sat[i]:
-            intervals.append((open_start, crossing))  # type: ignore[arg-type]
-            open_start = None
-        else:
-            open_start = crossing
-    if open_start is not None:
-        intervals.append((open_start, float(temps[-1])))
-    return intervals
+    def margin(temp: float) -> float:
+        return population(s, ThermalPoint(temp, k_b), level_index) - bound.threshold
+
+    peak = crossing_temperature(rising, t_lo, t_hi)
+    peak = t_lo if peak is None else min(peak, t_hi)
+    if not margin(peak) > 0.0:
+        return []
+    start = t_lo if margin(t_lo) > 0.0 else root_bracket(margin, t_lo, peak)[0]
+    end = crossing_temperature(margin, peak, t_hi)  # not None: margin(peak) > 0
+    return [(start, min(end, t_hi))]
 
 
 # --- spin-dimer closed forms -------------------------------------------------
@@ -227,7 +228,7 @@ def concurrence_vanishing_temperature(
     def f(temp: float) -> float:
         return concurrence_signed(thermal_density_matrix(h, ThermalPoint(temp, k_b)))
 
-    return bisect(f, lo, hi, tol=TRANSITION_REL_TOL)
+    return root_bracket(f, lo, hi)[0]
 
 
 # --- power-law ladder closed forms -------------------------------------------

@@ -14,6 +14,7 @@ from thermwit.cli import main
 from thermwit.config import RunConfig, serialize_config
 from thermwit.errors import NoSignChange
 from thermwit.systems import Graph, write_edge_list
+from thermwit.witness import toy_t0
 
 T_ZERO_FIELD = 4.0 / math.log(3.0)
 
@@ -127,6 +128,17 @@ class TestToyCommand:
         assert code == 0
         assert summary_value(out, "t_trans") == "inf"
         assert summary_value(out, "t0_closed_form") == "unreachable"
+
+    def test_million_level_crossing_on_the_safe_side(self, capsys):
+        code, out, _ = run(
+            capsys, "toy", "--alpha", "0", "--D", "1000000", "--eR", "4",
+            "--grid", "0.1:10:50:log",
+        )
+        assert code == 0
+        t_trans = float(summary_value(out, "t_trans"))
+        t0 = toy_t0(10**6, 4.0)
+        assert t_trans <= t0
+        assert t0 - t_trans <= 4 * math.ulp(t0)
 
     def test_oracle_resum_agrees(self, capsys):
         code, out, _ = run(

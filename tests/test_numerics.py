@@ -15,11 +15,11 @@ from thermwit.errors import (
 )
 from thermwit.numerics import (
     DIM_CAP,
-    bisect,
     hermitian_eigendecompose,
     kron,
     log_gamma,
     partial_transpose,
+    root_bracket,
 )
 
 
@@ -113,24 +113,29 @@ class TestLogGamma:
         )
 
 
-class TestBisect:
+class TestRootBracket:
     def test_cubic_root(self):
         # real root of x^3 - x - 2, cross-checked with scipy.optimize.brentq
-        root = bisect(lambda x: x**3 - x - 2.0, 1.0, 2.0)
-        assert root == pytest.approx(1.5213797068045676, abs=1e-9)
+        inside, outside = root_bracket(lambda x: x**3 - x - 2.0, 2.0, 1.0)
+        assert inside == pytest.approx(1.5213797068045676, abs=1e-9)
+        assert math.nextafter(inside, outside) == outside
 
-    def test_endpoint_zero_returned(self):
-        assert bisect(lambda x: x - 1.0, 1.0, 2.0) == 1.0
-        assert bisect(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+    def test_endpoint_zero_counts_as_outside(self):
+        # f = 0 is not positive, so the bracket closes on the positive side
+        assert root_bracket(lambda x: x - 1.0, 1.0, 2.0) == (math.nextafter(1.0, 2.0), 1.0)
+        assert root_bracket(lambda x: 2.0 - x, 1.0, 2.0) == (math.nextafter(2.0, 1.0), 2.0)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NoSignChange):
-            bisect(lambda x: 1.0 + x * x, -1.0, 1.0)
+            root_bracket(lambda x: 1.0 + x * x, -1.0, 1.0)
+        with pytest.raises(NoSignChange):
+            root_bracket(lambda x: -x * x, -1.0, 1.0)
 
     def test_sign_orientation_irrelevant(self):
-        up = bisect(lambda x: x - 0.25, 0.0, 1.0)
-        down = bisect(lambda x: 0.25 - x, 0.0, 1.0)
-        assert up == pytest.approx(down, abs=1e-12)
+        up = root_bracket(lambda x: x - 0.25, 0.0, 1.0)
+        down = root_bracket(lambda x: 0.25 - x, 0.0, 1.0)
+        assert up == (math.nextafter(0.25, 1.0), 0.25)
+        assert down == (math.nextafter(0.25, 0.0), 0.25)
 
     @given(
         st.floats(min_value=-50.0, max_value=50.0),
@@ -139,8 +144,10 @@ class TestBisect:
     @settings(max_examples=200, deadline=None)
     def test_finds_planted_root(self, root, halfwidth):
         f = lambda x: math.tanh(x - root)
-        found = bisect(f, root - halfwidth, root + halfwidth, tol=1e-12)
-        assert found == pytest.approx(root, abs=1e-9 * max(1.0, abs(root)))
+        inside, outside = root_bracket(f, root + halfwidth, root - halfwidth)
+        assert f(inside) > 0.0 >= f(outside)
+        assert math.nextafter(inside, outside) == outside
+        assert inside == pytest.approx(root, abs=1e-9 * max(1.0, abs(root)))
 
 
 class TestKron:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,17 +118,23 @@ class TestTransitionTemperature:
     @given(
         st.floats(min_value=0.05, max_value=3.5),
         st.floats(min_value=0.1, max_value=2.0),
+        st.floats(min_value=-3.0, max_value=3.0),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_detected_iff_condition_holds_below(self, b, j):
+    @settings(max_examples=200, deadline=None)
+    def test_detected_iff_condition_holds_below(self, b, j, log_k_b):
+        # safe side to the last ulp: the condition holds at t_trans itself
+        # and fails at the next float up, in the reported unit
         if b >= 3.99 * j:
             return
+        k_b = 10.0**log_k_b
         s = dimer_spectrum(DimerParams(b, j))
-        tr = transition_temperature(s, singlet_robustness())
+        tr = transition_temperature(s, singlet_robustness(), k_b)
         assert tr.detected
-        below = evaluate_condition(s, ThermalPoint(tr.t_trans * 0.99), singlet_robustness())
-        above = evaluate_condition(s, ThermalPoint(tr.t_trans * 1.01), singlet_robustness())
-        assert below.satisfied and not above.satisfied
+        at = evaluate_condition(s, ThermalPoint(tr.t_trans, k_b), singlet_robustness())
+        above = evaluate_condition(
+            s, ThermalPoint(math.nextafter(tr.t_trans, math.inf), k_b), singlet_robustness()
+        )
+        assert at.satisfied and not above.satisfied
 
 
 class TestSatisfyingIntervals:
@@ -165,6 +172,40 @@ class TestSatisfyingIntervals:
         s = dimer_spectrum(DimerParams(0.0, 1.0))
         with pytest.raises(EmptyGrid):
             satisfying_intervals(s, singlet_robustness(), [1.0])
+
+    @given(
+        st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=2, max_size=5),
+        st.lists(st.integers(min_value=1, max_value=10), min_size=6, max_size=6),
+        st.integers(min_value=0, max_value=5),
+        st.floats(min_value=0.05, max_value=6.0),
+        st.floats(min_value=-3.0, max_value=0.0),
+        st.floats(min_value=0.5, max_value=2.5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_single_interval_matches_dense_scan(self, gaps, degs, level, e_r, log_lo, log_hi):
+        energies = np.concatenate([[0.0], np.cumsum(gaps)])
+        level %= energies.size
+        degs = degs[: energies.size]
+        degs[level] = 1
+        s = Spectrum(tuple(float(e) for e in energies), tuple(degs))
+        bound = bound_from_relative_entropy(e_r)
+        lo, hi = 10.0**log_lo, 10.0**log_hi
+        ivs = satisfying_intervals(s, bound, [lo, hi], level)
+        assert len(ivs) <= 1
+        for end in (e for iv in ivs for e in iv):
+            assert lo <= end <= hi
+            assert population(s, ThermalPoint(end), level) > bound.threshold
+        # independent dense scan: per-state populations by a direct log-sum
+        temps = np.geomspace(lo, hi, 2000)
+        x = -(energies[None, :] - energies[0]) / temps[:, None]
+        log_p = x[:, level] - scipy.special.logsumexp(x, axis=1, b=np.array(degs))
+        holds = log_p > math.log(bound.threshold)
+        inside = np.zeros(temps.size, dtype=bool)
+        near_end = np.zeros(temps.size, dtype=bool)
+        for iv in ivs:
+            inside = (temps >= iv[0]) & (temps <= iv[1])
+            near_end = np.any([np.abs(temps - e) <= 1e-9 * e for e in iv], axis=0)
+        assert np.array_equal(holds[~near_end], inside[~near_end])
 
 
 class TestDimerClosedForm:
