@@ -19,13 +19,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .checks import run_all
-from .config import GridSpec, RunConfig, apply_overrides, load_config
+from .config import SETTINGS, GridSpec, RunConfig, load_config
 from .entanglement import (
     Partition,
     RobustnessBound,
@@ -184,6 +185,15 @@ def _sweep(
     return EXIT_OK
 
 
+def _crossing_lines(t_star: float | None) -> list[tuple[str, str]]:
+    """The ``t_trans`` summary of a crossing_temperature result."""
+    if t_star is None:
+        return [("t_trans", "none")]
+    if math.isinf(t_star):
+        return [("t_trans", "inf"), ("t_trans_note", "condition holds at every temperature")]
+    return [("t_trans", _fmt(t_star))]
+
+
 # --- spin dimer ---------------------------------------------------------------
 
 
@@ -292,13 +302,7 @@ def cmd_toy(cfg: RunConfig) -> int:
             1e-6 * p.delta / cfg.k_b,
             1e4 * spread / cfg.k_b,
         )
-        if t_star is None:
-            out.append(("t_trans", "none"))
-        elif math.isinf(t_star):
-            out.append(("t_trans", "inf"))
-            out.append(("t_trans_note", "condition holds at every temperature"))
-        else:
-            out.append(("t_trans", _fmt(t_star)))
+        out += _crossing_lines(t_star)
         if p.alpha == 0.0:
             try:
                 out.append(
@@ -469,14 +473,18 @@ def cmd_graph(cfg: RunConfig) -> int:
         return z, p0, log_p0 > log_threshold, extra
 
     def summaries():
-        t_trans = stabilizer_t_trans(g.n, b, e_r) / cfg.k_b
+        # The rows' own margin, searched in reported temperature units; the
+        # crossing kT = -2B/ln(2^ratio - 1) lies below 3B/(1 - ratio).
+        t_trans = crossing_temperature(
+            lambda temp: _graph_log_p0(g.n, b, ThermalPoint(temp, cfg.k_b).kt) - log_threshold,
+            1e-6 * 2.0 * b / cfg.k_b,
+            1e4 * 2.0 * g.n * b / ((1.0 - ratio) * cfg.k_b),
+        )
+        p_flip = flip_probability_from_temperature(b, ThermalPoint(t_trans, cfg.k_b))
         out = [
-            ("t_trans", _fmt(t_trans)),
+            *_crossing_lines(t_trans),
             ("p_flip_threshold", _fmt(noise_threshold(e_r, g.n))),
-            (
-                "p_flip_at_t_trans",
-                _fmt(flip_probability_from_temperature(b, ThermalPoint(t_trans, cfg.k_b))),
-            ),
+            ("p_flip_at_t_trans", _fmt(p_flip)),
         ]
         if cfg.oracles:
             out.append(("flip_identity_max_err", _fmt(worst_flip)))
@@ -484,11 +492,12 @@ def cmd_graph(cfg: RunConfig) -> int:
                 raise MismatchError(
                     f"(1 - p_flip)^n disagrees with ground population by {worst_flip:.3e}"
                 )
+            t_closed = stabilizer_t_trans(g.n, b, e_r) / cfg.k_b
             tr = transition_temperature(stabilizer_spectrum(g.n, b), bound, cfg.k_b)
             out.append(("t_trans_bisect", _fmt(tr.t_trans) if tr.detected else "none"))
-            if not tr.detected or abs(tr.t_trans - t_trans) > 1e-8 * t_trans:
+            if not tr.detected or abs(tr.t_trans - t_closed) > 1e-8 * t_closed:
                 raise MismatchError(
-                    f"generic-solver crossing {tr.t_trans!r} vs closed form {t_trans!r}"
+                    f"generic-solver crossing {tr.t_trans!r} vs closed form {t_closed!r}"
                 )
         if cfg.matrix_check:
             out += _matrix_check(g, b, cfg)
@@ -528,15 +537,18 @@ def cmd_verify(cfg: RunConfig) -> int:
 # --- argument plumbing ----------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, grid: bool = True) -> None:
-    sub.add_argument("--config", metavar="FILE", help="load settings from a config file")
-    sub.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-    sub.add_argument("--out", metavar="FILE", default=None, help="write output here")
-    if grid:
-        sub.add_argument("--kB", type=float, default=None, dest="k_b",
-                         help="Boltzmann constant (sets temperature units)")
-        sub.add_argument("--grid", type=GridSpec.parse, default=None, metavar="LO:HI:N:lin|log",
-                         help="temperature grid")
+# Model subcommands: (subcommand help, --oracles help). Each takes the common
+# flags, then one --key flag per setting declared in its config section.
+_MODELS = {
+    "dimer": ("two-qubit exchange dimer in a field",
+              "add concurrence and partial-transpose columns"),
+    "toy": ("power-law ladder above an entangled ground state",
+            "re-sum the spectrum as a partition-function cross-check"),
+    "dicke": ("closed-form bound for symmetric states",
+              "cross-check the bound with an alternating product search"),
+    "graph": ("stabilizer Hamiltonian of a graph state",
+              "add flip-probability identity columns and a generic-solver cross-check"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -545,47 +557,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certify thermal-state entanglement from ground-state weight.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    d = subs.add_parser("dimer", help="two-qubit exchange dimer in a field")
-    _add_common(d)
-    d.add_argument("--B", type=float, default=None, dest="dimer_b", help="field strength")
-    d.add_argument("--J", type=float, default=None, dest="dimer_j", help="exchange coupling")
-    d.add_argument("--oracles", action="store_const", const=True, default=None,
-                   help="add concurrence and partial-transpose columns")
-
-    t = subs.add_parser("toy", help="power-law ladder above an entangled ground state")
-    _add_common(t)
-    t.add_argument("--E0", type=float, default=None, dest="toy_e0", help="ground energy")
-    t.add_argument("--delta", type=float, default=None, dest="toy_delta", help="gap scale")
-    t.add_argument("--alpha", type=float, default=None, dest="toy_alpha",
-                   help="spacing exponent in [0, 1]")
-    t.add_argument("--D", type=int, default=None, dest="toy_d", help="number of levels")
-    t.add_argument("--eR", type=float, default=None, dest="toy_e_r",
-                   help="relative entropy of entanglement of the ground state (bits)")
-    t.add_argument("--n", type=int, default=None, dest="toy_n",
-                   help="derive eR from the half-filled symmetric state on n sites")
-    t.add_argument("--oracles", action="store_const", const=True, default=None,
-                   help="re-sum the spectrum as a partition-function cross-check")
-
-    k = subs.add_parser("dicke", help="closed-form bound for symmetric states")
-    _add_common(k, grid=False)
-    k.add_argument("--n", type=int, default=None, dest="dicke_n", help="number of sites")
-    k.add_argument("--k", type=int, default=None, dest="dicke_k",
-                   help="excitation number (default n // 2)")
-    k.add_argument("--oracles", action="store_const", const=True, default=None,
-                   help="cross-check the bound with an alternating product search")
-
-    g = subs.add_parser("graph", help="stabilizer Hamiltonian of a graph state")
-    _add_common(g)
-    g.add_argument("--edges", metavar="FILE", default=None, dest="graph_edges",
-                   help="edge list: first line n, then one 'u v' pair per line")
-    g.add_argument("--B", type=float, default=None, dest="graph_b", help="stabilizer coupling")
-    g.add_argument("--eR", type=float, default=None, dest="graph_e_r_per_site",
-                   help="per-site entanglement input, in (0, 1) bits")
-    g.add_argument("--oracles", action="store_const", const=True, default=None,
-                   help="add flip-probability identity columns and a generic-solver cross-check")
-    g.add_argument("--matrix-check", action="store_const", const=True, default=None,
-                   dest="matrix_check", help="diagonalize the dense Hamiltonian (n <= 12)")
+    for model, (about, oracles_help) in _MODELS.items():
+        sub = subs.add_parser(model, help=about)
+        sub.add_argument("--config", metavar="FILE", help="load settings from a config file")
+        sub.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
+        sub.add_argument("--out", metavar="FILE", default=None, help="write output here")
+        if model != "dicke":
+            sub.add_argument("--kB", type=float, default=None, dest="k_b",
+                             help="Boltzmann constant (sets temperature units)")
+            sub.add_argument("--grid", type=GridSpec.parse, default=None,
+                             metavar="LO:HI:N:lin|log", help="temperature grid")
+        for s in SETTINGS:
+            if s.section == model:
+                sub.add_argument(f"--{s.key}", type=s.kind, default=None, dest=s.name,
+                                 help=s.help, metavar=s.metavar)
+        sub.add_argument("--oracles", action="store_const", const=True, default=None,
+                         help=oracles_help)
+        if model == "graph":
+            sub.add_argument("--matrix-check", action="store_const", const=True, default=None,
+                             dest="matrix_check",
+                             help="diagonalize the dense Hamiltonian (n <= 12)")
 
     v = subs.add_parser("verify", help="run the built-in cross-check suite")
     v.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
@@ -604,19 +595,13 @@ _COMMANDS: dict[str, Callable[[RunConfig], int]] = {
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    base = (
-        load_config(args.config)
-        if getattr(args, "config", None) is not None
-        else RunConfig()
-    )
-    overrides = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("command", "config") and value is not None
-    }
-    if args.command in _COMMANDS and args.command != "verify":
-        overrides["system"] = args.command
-    return apply_overrides(base, **overrides)
+    values = dict(vars(args))
+    command, path = values.pop("command"), values.pop("config", None)
+    base = load_config(path) if path is not None else RunConfig()
+    overrides = {key: value for key, value in values.items() if value is not None}
+    if command != "verify":
+        overrides["system"] = command
+    return replace(base, **overrides)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

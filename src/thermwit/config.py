@@ -1,15 +1,16 @@
-"""Run configuration: CLI defaults, config-file parsing, serialization.
+"""Run configuration: one declaration per setting, as a RunConfig field.
 
-The file format is flat ``key = value`` pairs under one section per
-subsystem (INI syntax), so configs stay trivially parseable from any
-language. Command-line flags override file values, which override defaults.
+Config files are flat ``key = value`` pairs under one section per subsystem
+(INI syntax); the model subcommands take one ``--key`` flag per setting of
+their section. Command-line flags override file values, which override defaults.
 """
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -64,133 +65,123 @@ DEFAULT_GRID = GridSpec(lo=0.1, hi=10.0, count=181, spacing="lin")
 _SYSTEMS = ("dimer", "toy", "dicke", "graph")
 
 
+def _setting(
+    default, section: str, key: str, help: str | None = None, metavar: str | None = None
+):
+    """A field stored as ``[section] key``; in a model's section, also its ``--key`` flag."""
+    meta = dict(section=section, key=key, help=help, metavar=metavar)
+    return field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Full parameter set for one CLI invocation."""
+    """Full parameter set for one CLI invocation, declared in config-file order.
 
-    system: str = "dimer"
-    seed: int = 0
-    k_b: float = 1.0
-    grid: GridSpec = DEFAULT_GRID
-    out: str | None = None
-    oracles: bool = False
-    matrix_check: bool = False
-    dimer_b: float = 0.0
-    dimer_j: float = 1.0
-    toy_e0: float = 0.0
-    toy_delta: float = 1.0
-    toy_alpha: float = 0.0
-    toy_d: int = 4
-    toy_e_r: float | None = 1.0
-    toy_n: int | None = None
-    dicke_n: int = 4
-    dicke_k: int | None = None
-    graph_edges: str | None = None
-    graph_b: float = 1.0
-    graph_e_r_per_site: float = 0.5
+    A field's annotation is its value type; ``T | None`` marks one that may
+    be unset, written as an empty value where the default is set.
+    """
+
+    system: str = _setting("dimer", "run", "system")
+    seed: int = _setting(0, "run", "seed")
+    k_b: float = _setting(1.0, "run", "kB")
+    grid: GridSpec = _setting(DEFAULT_GRID, "grid", "")
+    dimer_b: float = _setting(0.0, "dimer", "B", "field strength")
+    dimer_j: float = _setting(1.0, "dimer", "J", "exchange coupling")
+    toy_e0: float = _setting(0.0, "toy", "E0", "ground energy")
+    toy_delta: float = _setting(1.0, "toy", "delta", "gap scale")
+    toy_alpha: float = _setting(0.0, "toy", "alpha", "spacing exponent in [0, 1]")
+    toy_d: int = _setting(4, "toy", "D", "number of levels")
+    toy_e_r: float | None = _setting(
+        1.0, "toy", "eR", "relative entropy of entanglement of the ground state (bits)"
+    )
+    toy_n: int | None = _setting(
+        None, "toy", "n", "derive eR from the half-filled symmetric state on n sites"
+    )
+    dicke_n: int = _setting(4, "dicke", "n", "number of sites")
+    dicke_k: int | None = _setting(None, "dicke", "k", "excitation number (default n // 2)")
+    graph_b: float = _setting(1.0, "graph", "B", "stabilizer coupling")
+    graph_e_r_per_site: float = _setting(
+        0.5, "graph", "eR", "per-site entanglement input, in (0, 1) bits"
+    )
+    graph_edges: str | None = _setting(
+        None, "graph", "edges", "edge list: first line n, then one 'u v' pair per line", "FILE"
+    )
+    oracles: bool = _setting(False, "output", "oracles")
+    matrix_check: bool = _setting(False, "output", "matrix_check")
+    out: str | None = _setting(None, "output", "path")
 
     def __post_init__(self) -> None:
         if self.system not in _SYSTEMS:
             raise ThermwitError(f"unknown system {self.system!r}; pick one of {_SYSTEMS}")
 
 
-def _put(section: dict[str, str], key: str, value) -> None:
-    if value is not None:
-        section[key] = str(value)
+class Setting(NamedTuple):
+    """One RunConfig field as declared: ``kind`` is float, int, str, bool or GridSpec."""
+
+    name: str
+    kind: type
+    optional: bool
+    default: object
+    section: str
+    key: str
+    help: str | None
+    metavar: str | None
+
+
+def _declared():
+    hints = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        kinds = get_args(hints[f.name]) or (hints[f.name],)
+        yield Setting(f.name, kinds[0], type(None) in kinds, f.default, **f.metadata)
+
+
+SETTINGS = tuple(_declared())
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Render a config as sectioned key = value text. Inverse of load_config."""
-    parser = configparser.ConfigParser()
-    parser["run"] = {}
-    _put(parser["run"], "system", cfg.system)
-    _put(parser["run"], "seed", cfg.seed)
-    _put(parser["run"], "kB", repr(cfg.k_b))
-    parser["grid"] = {
-        "lo": repr(cfg.grid.lo),
-        "hi": repr(cfg.grid.hi),
-        "count": str(cfg.grid.count),
-        "spacing": cfg.grid.spacing,
-    }
-    parser["dimer"] = {"B": repr(cfg.dimer_b), "J": repr(cfg.dimer_j)}
-    parser["toy"] = {
-        "E0": repr(cfg.toy_e0),
-        "delta": repr(cfg.toy_delta),
-        "alpha": repr(cfg.toy_alpha),
-        "D": str(cfg.toy_d),
-    }
-    _put(parser["toy"], "eR", None if cfg.toy_e_r is None else repr(cfg.toy_e_r))
-    _put(parser["toy"], "n", cfg.toy_n)
-    parser["dicke"] = {"n": str(cfg.dicke_n)}
-    _put(parser["dicke"], "k", cfg.dicke_k)
-    parser["graph"] = {
-        "B": repr(cfg.graph_b),
-        "eR": repr(cfg.graph_e_r_per_site),
-    }
-    _put(parser["graph"], "edges", cfg.graph_edges)
-    parser["output"] = {
-        "oracles": str(cfg.oracles).lower(),
-        "matrix_check": str(cfg.matrix_check).lower(),
-    }
-    _put(parser["output"], "path", cfg.out)
+    """Render a config as sectioned key = value text. Inverse of parse_config_text."""
+    parser = configparser.ConfigParser(interpolation=None)
+    for s in SETTINGS:
+        value = getattr(cfg, s.name)
+        if not parser.has_section(s.section):
+            parser.add_section(s.section)
+        if s.kind is GridSpec:
+            parser[s.section].update({key: str(v) for key, v in asdict(value).items()})
+        elif value is not None or s.default is not None:
+            text = "" if value is None else str(value)
+            parser[s.section][s.key] = text.lower() if s.kind is bool else text
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
 
 
 def parse_config_text(text: str) -> RunConfig:
-    parser = configparser.ConfigParser()
+    """Read config text: a missing key keeps its default, an empty optional one is None."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ThermwitError(f"bad config: {exc}") from exc
 
-    def get(section: str, key: str, conv, default):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                return conv(raw)
-            except ValueError as exc:
-                raise ThermwitError(f"bad value for [{section}] {key}: {raw!r}") from exc
-        return default
+    def get(section: str, key: str, kind: type, default, optional: bool = False):
+        if not parser.has_option(section, key):
+            return default
+        raw = parser.get(section, key)
+        if optional and raw == "":
+            return None
+        try:
+            return parser.BOOLEAN_STATES[raw.lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError) as exc:
+            raise ThermwitError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
-    def get_bool(section: str, key: str, default: bool) -> bool:
-        if parser.has_option(section, key):
-            try:
-                return parser.getboolean(section, key)
-            except ValueError as exc:
-                raise ThermwitError(f"bad boolean for [{section}] {key}") from exc
-        return default
-
-    base = RunConfig()
-    grid = GridSpec(
-        lo=get("grid", "lo", float, base.grid.lo),
-        hi=get("grid", "hi", float, base.grid.hi),
-        count=get("grid", "count", int, base.grid.count),
-        spacing=get("grid", "spacing", str, base.grid.spacing),
-    )
-    return RunConfig(
-        system=get("run", "system", str, base.system),
-        seed=get("run", "seed", int, base.seed),
-        k_b=get("run", "kB", float, base.k_b),
-        grid=grid,
-        out=get("output", "path", str, base.out),
-        oracles=get_bool("output", "oracles", base.oracles),
-        matrix_check=get_bool("output", "matrix_check", base.matrix_check),
-        dimer_b=get("dimer", "B", float, base.dimer_b),
-        dimer_j=get("dimer", "J", float, base.dimer_j),
-        toy_e0=get("toy", "E0", float, base.toy_e0),
-        toy_delta=get("toy", "delta", float, base.toy_delta),
-        toy_alpha=get("toy", "alpha", float, base.toy_alpha),
-        toy_d=get("toy", "D", int, base.toy_d),
-        toy_e_r=get("toy", "eR", float, base.toy_e_r),
-        toy_n=get("toy", "n", int, base.toy_n),
-        dicke_n=get("dicke", "n", int, base.dicke_n),
-        dicke_k=get("dicke", "k", int, base.dicke_k),
-        graph_edges=get("graph", "edges", str, base.graph_edges),
-        graph_b=get("graph", "B", float, base.graph_b),
-        graph_e_r_per_site=get("graph", "eR", float, base.graph_e_r_per_site),
-    )
+    values = {}
+    for s in SETTINGS:
+        if s.kind is GridSpec:  # the one composite value: each key parses like its default
+            grid = asdict(s.default).items()
+            values[s.name] = GridSpec(**{k: get(s.section, k, type(v), v) for k, v in grid})
+        else:
+            values[s.name] = get(s.section, s.key, s.kind, s.default, s.optional)
+    return RunConfig(**values)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -198,15 +189,3 @@ def load_config(path: str | Path) -> RunConfig:
     if not p.is_file():
         raise ThermwitError(f"config file not found: {p}")
     return parse_config_text(p.read_text())
-
-
-def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    """Replace fields whose override value is not None."""
-    updates = {}
-    valid = {f.name for f in fields(RunConfig)}
-    for key, value in overrides.items():
-        if key not in valid:
-            raise ThermwitError(f"unknown config field {key!r}")
-        if value is not None:
-            updates[key] = value
-    return replace(cfg, **updates) if updates else cfg

@@ -162,7 +162,8 @@ def dicke_robustness(n: int, k: int) -> RobustnessBound:
     """Closed-form 1 + R for the symmetric state with k excitations on n sites.
 
     1 + R = (1/C(n,k)) (n/k)^k (n/(n-k))^{n-k}. Small n goes through exact
-    integer arithmetic; large n switches to log-Gamma evaluation.
+    integer arithmetic and returns the largest float not above the exact
+    value; large n switches to log-Gamma evaluation.
     """
     if n < 2:
         raise ThermwitError(f"need n >= 2 sites, got {n}")
@@ -171,7 +172,10 @@ def dicke_robustness(n: int, k: int) -> RobustnessBound:
     if k == 0 or k == n:
         raise SeparableCase("product state: robustness 0 is not a witness input")
     if n <= _EXACT_DICKE_CUTOFF:
-        value = float(Fraction(n**n, math.comb(n, k) * k**k * (n - k) ** (n - k)))
+        exact = Fraction(n**n, math.comb(n, k) * k**k * (n - k) ** (n - k))
+        value = float(exact)
+        if Fraction(value) > exact:
+            value = math.nextafter(value, 0.0)
     else:
         log_c = log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0)
         value = math.exp(

@@ -53,10 +53,6 @@ class PopulationProfile:
     per_state: np.ndarray
     aggregated: np.ndarray
 
-    @property
-    def ground_population(self) -> float:
-        return float(self.per_state[0])
-
 
 def _logsumexp(a: np.ndarray) -> float:
     m = float(np.max(a))

@@ -10,10 +10,11 @@ import sys
 import pytest
 
 import thermwit.entanglement
-from thermwit.cli import main
+from thermwit.cli import _graph_log_p0, main
 from thermwit.config import RunConfig, serialize_config
 from thermwit.errors import NoSignChange
 from thermwit.systems import Graph, write_edge_list
+from thermwit.thermal import LN2, ThermalPoint
 from thermwit.witness import toy_t0
 
 T_ZERO_FIELD = 4.0 / math.log(3.0)
@@ -221,9 +222,30 @@ class TestGraphCommand:
         assert summary_value(out, "matrix_levels_match") == "true"
         assert float(summary_value(out, "ground_state_residual")) < 1e-9
         assert float(summary_value(out, "flip_identity_max_err")) < 1e-12
-        t_closed = float(summary_value(out, "t_trans"))
+        t_trans = float(summary_value(out, "t_trans"))
         t_bisect = float(summary_value(out, "t_trans_bisect"))
-        assert t_bisect == pytest.approx(t_closed, rel=1e-8)
+        assert t_bisect == pytest.approx(t_trans, rel=1e-8)
+
+    @pytest.mark.parametrize("k_b", [1.0, 3.0])
+    @pytest.mark.parametrize("ratio", [0.2, 0.5, 0.8, 0.99999])
+    @pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("n", [6, 10, 12, 50, 400])
+    def test_crossing_on_the_certified_side(self, capsys, tmp_path, n, b, ratio, k_b):
+        path = tmp_path / "ring.edges"
+        write_edge_list(Graph.ring(n), path)
+        code, out, _ = run(
+            capsys, "graph", "--edges", str(path), "--B", repr(b), "--eR", repr(ratio),
+            "--kB", repr(k_b), "--grid", "1:2:2:lin",
+        )
+        assert code == 0
+        t_trans = float(summary_value(out, "t_trans"))
+        log_threshold = -(ratio * n) * LN2
+
+        def holds(temp):
+            return _graph_log_p0(n, b, ThermalPoint(temp, k_b).kt) > log_threshold
+
+        assert holds(t_trans)
+        assert not holds(math.nextafter(t_trans, math.inf))
 
     def test_missing_edges_flag(self, capsys):
         code, _, err = run(capsys, "graph")

@@ -127,6 +127,14 @@ class TestRobustnessBounds:
                 float(frac), rel=1e-15
             )
 
+    def test_exact_dicke_never_rounds_up(self):
+        # the largest float not above n^n / (C(n,k) k^k (n-k)^(n-k))
+        for n in range(2, 61):
+            for k in range(1, n):
+                exact = Fraction(n**n, math.comb(n, k) * k**k * (n - k) ** (n - k))
+                value = dicke_robustness(n, k).one_plus_r
+                assert Fraction(value) <= exact < Fraction(math.nextafter(value, math.inf))
+
     def test_large_n_value(self):
         assert dicke_robustness(100, 50).one_plus_r == pytest.approx(
             12.5645129018549, rel=1e-12
