@@ -27,7 +27,7 @@ from .entanglement import (
     ppt_min_eigenvalue,
     singlet_robustness,
 )
-from .numerics import hermitian_eigendecompose
+from .numerics import hermitian_eigendecompose, hermitian_eigenvalues
 from .systems import (
     DimerParams,
     Graph,
@@ -274,8 +274,7 @@ def check_stabilizer_closed_forms(seed: int = 0) -> CheckResult:
     graphs += [Graph.complete(n) for n in range(2, 9)]
     for g in graphs:
         h = build_stabilizer_hamiltonian(g, 1.0)
-        eig = hermitian_eigendecompose(h)
-        merged = Spectrum.from_values(eig.eigenvalues)
+        merged = Spectrum.from_values(hermitian_eigenvalues(h))
         analytic = stabilizer_spectrum(g.n, 1.0)
         if merged.degeneracies != analytic.degeneracies or np.max(
             np.abs(np.array(merged.energies) - np.array(analytic.energies))

@@ -46,7 +46,7 @@ from .errors import (
     ThermwitError,
     ThresholdUnreachable,
 )
-from .numerics import hermitian_eigendecompose
+from .numerics import hermitian_eigenvalues
 from .systems import (
     DimerParams,
     Graph,
@@ -295,12 +295,15 @@ def cmd_toy(cfg: RunConfig) -> int:
 
     def summaries():
         out = [("min_gap_rule", _fmt(gapping_rule_min_gap(e_r)))]
-        # The closed-form tail margin, searched in reported temperature units.
+        # The closed-form tail margin, searched in reported temperature units;
+        # it ends non-positive when the infinite-temperature population 1/D
+        # is at or below the threshold.
         spread = p.delta * max(1.0, float(p.n_levels - 1) ** p.alpha)
         t_star = crossing_temperature(
             lambda temp: log_p0_at(ThermalPoint(temp, cfg.k_b))[1] - log_threshold,
             1e-6 * p.delta / cfg.k_b,
             1e4 * spread / cfg.k_b,
+            settles=1 / p.n_levels <= bound.threshold,
         )
         out += _crossing_lines(t_star)
         if p.alpha == 0.0:
@@ -408,8 +411,7 @@ def _matrix_check(g: Graph, b: float, cfg: RunConfig) -> list[tuple[str, str]]:
     if g.n > 12:
         raise ThermwitError("--matrix-check builds 2^n matrices and needs n <= 12")
     h = build_stabilizer_hamiltonian(g, b)
-    eig = hermitian_eigendecompose(h)
-    dense = Spectrum.from_values(eig.eigenvalues)
+    dense = Spectrum.from_values(hermitian_eigenvalues(h))
     analytic = stabilizer_spectrum(g.n, b)
     levels_ok = dense.degeneracies == analytic.degeneracies and bool(
         np.max(np.abs(np.array(dense.energies) - np.array(analytic.energies)))
@@ -473,12 +475,13 @@ def cmd_graph(cfg: RunConfig) -> int:
         return z, p0, log_p0 > log_threshold, extra
 
     def summaries():
-        # The rows' own margin, searched in reported temperature units; the
-        # crossing kT = -2B/ln(2^ratio - 1) lies below 3B/(1 - ratio).
+        # The rows' own margin, searched in reported temperature units; it
+        # ends non-positive because 1/2^n is below the threshold 2^-eR.
         t_trans = crossing_temperature(
             lambda temp: _graph_log_p0(g.n, b, ThermalPoint(temp, cfg.k_b).kt) - log_threshold,
             1e-6 * 2.0 * b / cfg.k_b,
-            1e4 * 2.0 * g.n * b / ((1.0 - ratio) * cfg.k_b),
+            1e4 * 2.0 * g.n * b / cfg.k_b,
+            settles=True,
         )
         p_flip = flip_probability_from_temperature(b, ThermalPoint(t_trans, cfg.k_b))
         out = [

@@ -155,13 +155,34 @@ def serialize_config(cfg: RunConfig) -> str:
     return buf.getvalue()
 
 
+def _reject_unknown(parser: configparser.ConfigParser) -> None:
+    """A section or key no setting declares is a bad config (a misspelling, say)."""
+    known: dict[str, set[str]] = {}
+    for s in SETTINGS:
+        keys = asdict(s.default) if s.kind is GridSpec else (s.key,)
+        known.setdefault(s.section, set()).update(parser.optionxform(k) for k in keys)
+    if parser.defaults():
+        raise ThermwitError(f"bad config: unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in known:
+            raise ThermwitError(f"bad config: unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in known[section]:
+                raise ThermwitError(f"bad config: unknown key [{section}] {key}")
+
+
 def parse_config_text(text: str) -> RunConfig:
-    """Read config text: a missing key keeps its default, an empty optional one is None."""
+    """Read config text: a missing key keeps its default, an empty optional one is None.
+
+    An unknown section or key raises, so a misspelled setting cannot fall
+    back to its default unnoticed.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ThermwitError(f"bad config: {exc}") from exc
+    _reject_unknown(parser)
 
     def get(section: str, key: str, kind: type, default, optional: bool = False):
         if not parser.has_option(section, key):

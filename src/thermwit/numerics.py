@@ -1,8 +1,10 @@
 """Dense linear-algebra and scalar primitives used by the rest of the package.
 
-All matrices are plain complex numpy arrays. Dimensions are capped at
-``DIM_CAP`` (12 qubit sites) because everything here is meant for small
-exact diagonalisation, not for large-scale simulation.
+Matrices are plain numpy arrays: real symmetric input stays real (the
+Hamiltonians built in ``systems`` are real), complex input stays complex.
+Dimensions are capped at ``DIM_CAP`` (12 qubit sites) because everything
+here is meant for small exact diagonalisation, not for large-scale
+simulation.
 """
 from __future__ import annotations
 
@@ -45,6 +47,18 @@ def _as_square_matrix(m: np.ndarray) -> np.ndarray:
     return a
 
 
+def _checked_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
+    """The square matrix ``m``, unconverted, once its size and symmetry pass."""
+    a = _as_square_matrix(m)
+    if a.shape[0] > DIM_CAP:
+        raise DimensionTooLarge(f"dimension {a.shape[0]} exceeds cap {DIM_CAP}")
+    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
+    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    if dev > tol * scale:
+        raise NotHermitian(f"max |m - m^dagger| = {dev:.3e} above {tol * scale:.3e}")
+    return a
+
+
 def hermitian_eigendecompose(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
     """Full eigensystem of a Hermitian matrix.
 
@@ -52,16 +66,18 @@ def hermitian_eigendecompose(m: np.ndarray, tol: float = HERMITICITY_TOL) -> Eig
     and DimensionTooLarge above DIM_CAP. Eigenvalues come back ascending with
     orthonormal columns of eigenvectors.
     """
-    a = _as_square_matrix(m)
-    if a.shape[0] > DIM_CAP:
-        raise DimensionTooLarge(f"dimension {a.shape[0]} exceeds cap {DIM_CAP}")
-    a = a.astype(complex)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > tol * scale:
-        raise NotHermitian(f"max |m - m^dagger| = {dev:.3e} above {tol * scale:.3e}")
+    a = _checked_hermitian(m, tol).astype(complex)
     w, v = np.linalg.eigh(a)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
+
+    Same checks as ``hermitian_eigendecompose``; a real symmetric matrix is
+    solved in real arithmetic, not promoted to complex.
+    """
+    return np.linalg.eigvalsh(_checked_hermitian(m, tol))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

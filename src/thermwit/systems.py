@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadExcitationCount, GraphTooLarge, ThermwitError
+from .errors import BadExcitationCount, GraphTooLarge, IndexOutOfRange, ThermwitError
 from .numerics import kron
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -266,10 +266,11 @@ def dicke_state(n: int, k: int) -> PureState:
         raise ThermwitError(f"site count {n} outside 1..{DICKE_SITE_CAP}")
     if not 0 <= k <= n:
         raise BadExcitationCount(f"excitation count {k} outside 0..{n}")
-    amps = np.zeros(2**n, dtype=complex)
-    for b in range(2**n):
-        if bin(b).count("1") == k:
-            amps[b] = 1.0
+    idx = np.arange(2**n)
+    weight = np.zeros(2**n, dtype=np.int64)
+    for bit in range(n):
+        weight += (idx >> bit) & 1
+    amps = (weight == k).astype(complex)
     amps /= math.sqrt(math.comb(n, k))
     return PureState(n_sites=n, amplitudes=amps)
 
@@ -288,30 +289,49 @@ def graph_state(g: Graph) -> PureState:
     return PureState(n_sites=g.n, amplitudes=amps)
 
 
-def _site_operator(n: int, factors: dict[int, np.ndarray]) -> np.ndarray:
-    op = np.array([[1.0 + 0.0j]])
-    for site in range(n):
-        op = kron(op, factors.get(site, IDENTITY_2))
-    return op
+def _stabilizer_action(g: Graph, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """K_i as ``(rows, sign)``: K_i|b> = sign[b] |rows[b]> for every basis index b.
+
+    X on vertex i flips its bit, so rows = b xor e_i; Z on each neighbour j
+    contributes (-1)^(bit j of b). Vertex v is bit ``n - 1 - v`` of b.
+    """
+    if not 0 <= i < g.n:
+        raise IndexOutOfRange(f"vertex {i} outside 0..{g.n - 1}")
+    idx = np.arange(2**g.n)
+    parity = np.zeros(2**g.n, dtype=np.int64)
+    for j in g.neighbors(i):
+        parity ^= (idx >> (g.n - 1 - j)) & 1
+    return idx ^ (1 << (g.n - 1 - i)), 1.0 - 2.0 * parity
 
 
 def stabilizer_operator(g: Graph, i: int) -> np.ndarray:
-    """Generator K_i = X on vertex i, Z on each neighbor of i."""
-    factors = {i: SIGMA_X}
-    for j in g.neighbors(i):
-        factors[j] = SIGMA_Z
-    return _site_operator(g.n, factors)
+    """Generator K_i = X on vertex i, Z on each neighbor of i, as a real matrix."""
+    if g.n > MATRIX_SITE_CAP:
+        raise GraphTooLarge(f"graph on {g.n} vertices exceeds cap {MATRIX_SITE_CAP}")
+    rows, sign = _stabilizer_action(g, i)
+    op = np.zeros((rows.size, rows.size))
+    op[rows, np.arange(rows.size)] = sign
+    return op
+
 
 def build_stabilizer_hamiltonian(g: Graph, B: float) -> np.ndarray:
-    """H = -B * sum_i K_i; the graph state is its ground state at -nB."""
+    """H = -B * sum_i K_i; the graph state is its ground state at -nB.
+
+    Returns a real float64 matrix of dimension 2^n, indexed like the state
+    vectors (vertex 0 is the most significant bit of a basis index). Each
+    generator fills one entry per column, ``H[b xor e_i, b] = -B * (-1)^(parity
+    of b on the neighbours of i)``, so no Kronecker products are formed.
+    """
     if g.n > MATRIX_SITE_CAP:
         raise GraphTooLarge(f"graph on {g.n} vertices exceeds cap {MATRIX_SITE_CAP}")
     if not B > 0:
         raise ThermwitError(f"field B must be positive, got {B}")
     dim = 2**g.n
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim))
+    cols = np.arange(dim)
     for i in range(g.n):
-        h -= B * stabilizer_operator(g, i)
+        rows, sign = _stabilizer_action(g, i)
+        h[rows, cols] -= B * sign
     return h
 
 
@@ -327,7 +347,9 @@ def stabilizer_spectrum(n: int, B: float) -> Spectrum:
     if not B > 0:
         raise ThermwitError(f"field B must be positive, got {B}")
     energies = [B * (-n + 2 * i) for i in range(n + 1)]
-    degs = [math.comb(n, i) for i in range(n + 1)]
+    degs = [1]
+    for i in range(n):  # C(n, i+1) = C(n, i) (n - i) / (i + 1), exact in integers
+        degs.append(degs[-1] * (n - i) // (i + 1))
     return Spectrum(energies=tuple(energies), degeneracies=tuple(degs))
 
 

@@ -60,7 +60,7 @@ class TransitionResult:
     """
 
     t_trans: float | None
-    bracket: tuple[float, float]
+    bracket: tuple[float, float]  # where the search started
     bound_kind: BoundKind
 
     @property
@@ -91,19 +91,29 @@ def _transition_bracket(s: Spectrum) -> tuple[float, float]:
 
 
 def crossing_temperature(
-    margin: Callable[[float], float], lo: float, hi: float
+    margin: Callable[[float], float], lo: float, hi: float, settles: bool = False
 ) -> float | None:
     """Last temperature in [lo, hi] where a margin falling with T is positive.
 
     Returns the inside end of ``root_bracket``: the margin is positive there
     and not positive at the next float up. None when the margin is not
     positive at ``lo`` (never satisfied), inf when it is still positive at
-    ``hi`` (satisfied across the bracket).
+    ``hi`` (satisfied across the bracket). With ``settles``, the caller knows
+    the margin ends non-positive as T grows (the infinite-temperature
+    population is at or below the threshold), so an upper end where it is
+    still positive is doubled until it is not; inf then comes back only if
+    no finite float gets there.
     """
     try:
         inside, outside = root_bracket(margin, lo, hi)
     except NoSignChange:
-        return math.inf if margin(lo) > 0.0 else None
+        if not margin(lo) > 0.0:
+            return None
+        while settles and math.isfinite(2.0 * hi):
+            lo, hi = hi, 2.0 * hi
+            if not margin(hi) > 0.0:
+                return root_bracket(margin, lo, hi)[0]
+        return math.inf
     # a margin rising across the bracket is not positive at lo
     return inside if inside < outside else None
 
@@ -114,11 +124,13 @@ def transition_temperature(
     """Temperature where the ground-level population crosses 1/(1+R).
 
     The ground population decreases monotonically with temperature, so one
-    search on [1e-6 * gap, 1e4 * spread] / k_b settles it; ``t_trans`` is the
-    last float where the condition holds. Requires a nondegenerate ground
-    level. A trivial bound (R = 0) or one the spectrum never reaches returns
-    not-detected; a threshold below the infinite-temperature population
-    1/dim would hold everywhere and raises instead.
+    search starting on [1e-6 * gap, 1e4 * spread] / k_b settles it; while
+    the condition still holds at the upper end and the infinite-temperature
+    population 1/dim is at or below the threshold, that end is doubled.
+    ``t_trans`` is the last float where the condition holds. Requires a
+    nondegenerate ground level. A trivial bound (R = 0) or one the spectrum
+    never reaches returns not-detected; a threshold below 1/dim would hold
+    everywhere and raises instead.
     """
     if s.n_levels < 2:
         raise ThermwitError("transition needs at least two levels")
@@ -132,10 +144,10 @@ def transition_temperature(
     def margin(temp: float) -> float:
         return population(s, ThermalPoint(temp, k_b), 0) - bound.threshold
 
-    t_star = crossing_temperature(margin, *bracket)
+    t_star = crossing_temperature(margin, *bracket, settles=1 / s.dimension <= bound.threshold)
     if t_star == math.inf:
         raise NoSignChange(
-            "condition holds across the whole bracket; 1/(1+R) is at or below "
+            "condition holds at every temperature; 1/(1+R) is at or below "
             "the infinite-temperature population"
         )
     return TransitionResult(t_trans=t_star, bracket=bracket, bound_kind=bound.kind)

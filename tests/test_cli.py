@@ -13,8 +13,8 @@ import thermwit.entanglement
 from thermwit.cli import _graph_log_p0, main
 from thermwit.config import RunConfig, serialize_config
 from thermwit.errors import NoSignChange
-from thermwit.systems import Graph, write_edge_list
-from thermwit.thermal import LN2, ThermalPoint
+from thermwit.systems import Graph, ToySpectrumParams, write_edge_list
+from thermwit.thermal import LN2, ThermalPoint, log_partition_function_alpha_closed
 from thermwit.witness import toy_t0
 
 T_ZERO_FIELD = 4.0 / math.log(3.0)
@@ -141,6 +141,23 @@ class TestToyCommand:
         assert t_trans <= t0
         assert t0 - t_trans <= 4 * math.ulp(t0)
 
+    def test_crossing_beyond_the_initial_bracket(self, capsys):
+        # 1/(1+R) sits just above 1/D = 1/4, so the crossing (~1.08e5) lies
+        # far above the initial end 1e4 * spread of the search
+        code, out, _ = run(capsys, "toy", "--eR", "1.99999")
+        assert code == 0
+        t_trans = float(summary_value(out, "t_trans"))
+        t0 = float(summary_value(out, "t0_closed_form"))
+        assert t_trans == pytest.approx(t0, rel=1e-9)
+        p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=4)
+        log_threshold = math.log(float(summary_value(out, "threshold")))
+
+        def holds(temp):
+            return -log_partition_function_alpha_closed(p, ThermalPoint(temp)) > log_threshold
+
+        assert holds(t_trans)
+        assert not holds(math.nextafter(t_trans, math.inf))
+
     def test_oracle_resum_agrees(self, capsys):
         code, out, _ = run(
             capsys, "toy", "--alpha", "0.5", "--D", "2000", "--eR", "1.5", "--oracles"
@@ -225,6 +242,13 @@ class TestGraphCommand:
         t_trans = float(summary_value(out, "t_trans"))
         t_bisect = float(summary_value(out, "t_trans_bisect"))
         assert t_bisect == pytest.approx(t_trans, rel=1e-8)
+
+    def test_oracles_crossing_beyond_the_initial_bracket(self, capsys, edges_file):
+        # the generic solver's crossing ~1.44e5 lies above its initial end 1e4 * spread
+        code, out, _ = run(capsys, "graph", "--edges", edges_file, "--eR", "0.99999", "--oracles")
+        assert code == 0
+        t_trans = float(summary_value(out, "t_trans"))
+        assert float(summary_value(out, "t_trans_bisect")) == pytest.approx(t_trans, rel=1e-8)
 
     @pytest.mark.parametrize("k_b", [1.0, 3.0])
     @pytest.mark.parametrize("ratio", [0.2, 0.5, 0.8, 0.99999])

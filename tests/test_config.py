@@ -149,3 +149,37 @@ class TestBadValues:
         path.write_text("[dimer]\nB =\n")
         assert main(["dimer", "--config", str(path)]) == 2
         assert "[dimer] B" in capsys.readouterr().err
+
+
+# One misspelled key per section, and sections no setting declares.
+_UNKNOWN_KEYS = [
+    ("run", "sed"),
+    ("grid", "points"),
+    ("dimer", "JJ"),
+    ("toy", "alpah"),
+    ("dicke", "kk"),
+    ("graph", "edge"),
+    ("output", "oracle"),
+]
+
+
+class TestUnknownSettings:
+    def test_every_section_is_covered(self):
+        assert {section for section, _ in _UNKNOWN_KEYS} == {s.section for s in SETTINGS}
+
+    @pytest.mark.parametrize("section, key", _UNKNOWN_KEYS)
+    def test_unknown_key_exits_2_and_names_it(self, capsys, tmp_path, section, key):
+        path = tmp_path / "typo.cfg"
+        path.write_text(f"[{section}]\n{key} = 0.5\n")
+        assert main(["toy", "--config", str(path)]) == 2
+        assert f"unknown key [{section}] {key.lower()}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["tyo", "Toy", "DEFAULT"])
+    def test_unknown_section_exits_2_and_names_it(self, capsys, tmp_path, section):
+        path = tmp_path / "typo.cfg"
+        path.write_text(f"[{section}]\nalpha = 0.5\n")
+        assert main(["toy", "--config", str(path)]) == 2
+        assert f"unknown section [{section}]" in capsys.readouterr().err
+
+    def test_key_case_is_still_ignored(self):
+        assert parse_config_text("[toy]\nALPHA = 0.5\n").toy_alpha == 0.5

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermwit.errors import (
+    BadDimensionFactorization,
     DimensionTooLarge,
     DomainError,
     NoSignChange,
@@ -16,6 +17,7 @@ from thermwit.errors import (
 from thermwit.numerics import (
     DIM_CAP,
     hermitian_eigendecompose,
+    hermitian_eigenvalues,
     kron,
     log_gamma,
     partial_transpose,
@@ -57,6 +59,44 @@ class TestEigendecompose:
     def test_rejects_nonsquare(self):
         with pytest.raises(ThermwitError):
             hermitian_eigendecompose(np.zeros((2, 3)))
+
+
+class TestEigenvalues:
+    def test_matches_the_full_eigensystem(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            dim = int(rng.integers(1, 33))
+            h = random_hermitian(rng, dim)
+            for m in (h, h.real):
+                w = hermitian_eigenvalues(m)
+                assert np.all(np.diff(w) >= 0)
+                assert np.allclose(w, hermitian_eigendecompose(m).eigenvalues, atol=1e-12 * dim)
+
+    def test_real_input_stays_real(self):
+        assert hermitian_eigenvalues(np.array([[1.0, 2.0], [2.0, -1.0]])).dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "m, tol, error",
+        [
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-12, NotHermitian),
+            (np.array([[0.0, 1j], [1j, 0.0]]), 1e-12, NotHermitian),
+            (np.array([[1.0, 1e-13], [0.0, 1.0]]), 1e-12, None),
+            (np.array([[1.0, 1e-13], [0.0, 1.0]]), 1e-14, NotHermitian),
+            (np.array([[1.0, 2.0], [2.0 + 1e-9, 1.0]]), 1e-8, None),
+            (np.zeros((DIM_CAP + 1, DIM_CAP + 1)), 1e-12, DimensionTooLarge),
+            (np.zeros((2, 3)), 1e-12, BadDimensionFactorization),
+            (np.zeros(4), 1e-12, BadDimensionFactorization),
+            (np.zeros((2, 2, 2)), 1e-12, BadDimensionFactorization),
+            (np.zeros((0, 0)), 1e-12, None),
+        ],
+    )
+    def test_raises_where_eigendecompose_does(self, m, tol, error):
+        for solve in (hermitian_eigendecompose, hermitian_eigenvalues):
+            if error is None:
+                solve(m, tol=tol)
+            else:
+                with pytest.raises(error):
+                    solve(m, tol=tol)
 
 
 class TestPartialTranspose:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermwit.errors import BadExcitationCount, GraphTooLarge, ThermwitError
+from thermwit.errors import BadExcitationCount, GraphTooLarge, IndexOutOfRange, ThermwitError
 from thermwit.numerics import hermitian_eigendecompose
 from thermwit.systems import (
     DimerParams,
@@ -205,6 +205,83 @@ class TestGraphStates:
             Graph.from_edges(3, [(0, 0)])
         with pytest.raises(ThermwitError):
             Graph(3, frozenset({(0, 3)}))
+
+
+_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_I = np.eye(2, dtype=complex)
+
+
+def _kron_generator(g, i):
+    """K_i as the chained Kronecker product over sites, site 0 leftmost."""
+    nbrs = {v for u, v in g.edges if u == i} | {u for u, v in g.edges if v == i}
+    op = np.ones((1, 1), dtype=complex)
+    for site in range(g.n):
+        op = np.kron(op, _X if site == i else _Z if site in nbrs else _I)
+    return op
+
+
+def _exactness_graphs():
+    graphs = [Graph.path(n) for n in range(1, 9)]
+    graphs += [Graph.ring(n) for n in range(3, 9)]
+    graphs += [Graph.star(n) for n in range(2, 9)]
+    graphs += [Graph.complete(n) for n in range(2, 9)]
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = rng.random(len(pairs)) < rng.random()
+        graphs.append(Graph.from_edges(n, [p for p, k in zip(pairs, keep) if k]))
+    return graphs
+
+
+class TestExactConstructions:
+    """The bit-operation builders against independent references, bit for bit."""
+
+    @pytest.mark.parametrize("b", [1.0, 0.37, 2.5])
+    def test_hamiltonian_equals_kron_chain(self, b):
+        for g in _exactness_graphs():
+            reference = np.zeros((2**g.n, 2**g.n), dtype=complex)
+            for i in range(g.n):
+                reference -= b * _kron_generator(g, i)
+            h = build_stabilizer_hamiltonian(g, b)
+            assert h.dtype == np.float64
+            assert np.array_equal(h, reference), (g.n, sorted(g.edges))
+
+    def test_generators_equal_kron_chain(self):
+        for g in _exactness_graphs():
+            for i in range(g.n):
+                assert np.array_equal(stabilizer_operator(g, i), _kron_generator(g, i))
+
+    def test_generator_checks_vertex_and_size(self):
+        with pytest.raises(IndexOutOfRange):
+            stabilizer_operator(Graph.ring(4), 4)
+        with pytest.raises(GraphTooLarge):
+            stabilizer_operator(Graph.path(13), 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 999])
+    def test_spectrum_degeneracies_equal_math_comb(self, n):
+        s = stabilizer_spectrum(n, 1.0)
+        assert s.degeneracies == tuple(math.comb(n, i) for i in range(n + 1))
+
+    def test_spectrum_degeneracies_at_the_site_cap(self):
+        # math.comb over the whole row takes ~13 s at n = 10^4, so it checks
+        # every 37th entry, both ends and the middle; the row sum is exact.
+        n = 10**4
+        degs = stabilizer_spectrum(n, 1.0).degeneracies
+        assert len(degs) == n + 1 and sum(degs) == 2**n
+        for i in sorted({*range(0, n + 1, 37), 1, n // 2, n - 1, n}):
+            assert degs[i] == math.comb(n, i), i
+
+    def test_dicke_state_equals_popcount_reference(self):
+        for n in range(1, 11):
+            for k in range(n + 1):
+                reference = np.zeros(2**n, dtype=complex)
+                for b in range(2**n):
+                    if bin(b).count("1") == k:
+                        reference[b] = 1.0
+                reference /= math.sqrt(math.comb(n, k))
+                assert np.array_equal(dicke_state(n, k).amplitudes, reference), (n, k)
 
 
 class TestEdgeList:

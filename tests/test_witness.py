@@ -26,6 +26,7 @@ from thermwit.systems import DimerParams, Spectrum, ToySpectrumParams, dimer_spe
 from thermwit.thermal import ThermalPoint, population
 from thermwit.witness import (
     concurrence_vanishing_temperature,
+    crossing_temperature,
     dimer_condition,
     dimer_condition_margin,
     evaluate_condition,
@@ -110,6 +111,17 @@ class TestTransitionTemperature:
         with pytest.raises(NoSignChange):
             transition_temperature(s, bound_from_relative_entropy(5.0))
 
+    def test_crossing_beyond_the_initial_bracket(self):
+        # threshold just above the infinite-temperature population 1/2: the
+        # crossing kT ~ 7.2e4 lies above the initial end 1e4 * spread
+        s = Spectrum((0.0, 1.0), (1, 1))
+        bound = bound_from_relative_entropy(0.99999)
+        tr = transition_temperature(s, bound)
+        assert tr.detected and tr.t_trans > tr.bracket[1]
+        assert population(s, ThermalPoint(tr.t_trans), 0) > bound.threshold
+        above = ThermalPoint(math.nextafter(tr.t_trans, math.inf))
+        assert not population(s, above, 0) > bound.threshold
+
     def test_degenerate_ground_rejected(self):
         s = Spectrum((0.0, 1.0), (2, 1))
         with pytest.raises(DegenerateGround):
@@ -135,6 +147,21 @@ class TestTransitionTemperature:
             s, ThermalPoint(math.nextafter(tr.t_trans, math.inf), k_b), singlet_robustness()
         )
         assert at.satisfied and not above.satisfied
+
+
+class TestCrossingTemperature:
+    def test_reports_inf_without_settles(self):
+        assert crossing_temperature(lambda t: 1e6 - t, 1.0, 10.0) == math.inf
+
+    def test_settles_extends_the_upper_end(self):
+        t = crossing_temperature(lambda t: 1e6 - t, 1.0, 10.0, settles=True)
+        assert t == math.nextafter(1e6, 0.0)
+
+    def test_settles_gives_inf_when_no_float_gets_there(self):
+        assert crossing_temperature(lambda t: 1.0, 1.0, 10.0, settles=True) == math.inf
+
+    def test_never_satisfied_is_none(self):
+        assert crossing_temperature(lambda t: -1.0, 1.0, 10.0, settles=True) is None
 
 
 class TestSatisfyingIntervals:
