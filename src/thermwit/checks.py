@@ -47,7 +47,6 @@ from .thermal import (
     exp_or_inf,
     log_partition_function_alpha_closed,
     log_partition_function_alpha_gamma,
-    population,
     relative_entropy_ground_to_thermal,
     thermal_density_matrix,
 )

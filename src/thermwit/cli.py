@@ -63,22 +63,20 @@ from .systems import (
     toy_spectrum,
 )
 from .thermal import (
-    LN2,
     ThermalPoint,
     exp_or_inf,
     log_partition_function,
     log_partition_function_alpha_closed,
     log_partition_function_alpha_gamma,
+    log_population,
     log_stabilizer_partition_function,
-    partition_function,
     thermal_density_matrix,
 )
 from .witness import (
     concurrence_vanishing_temperature,
-    crossing_temperature,
-    evaluate_condition,
     flip_probability_from_temperature,
     gapping_rule_min_gap,
+    ground_crossing,
     noise_threshold,
     satisfying_intervals,
     stabilizer_t_trans,
@@ -143,14 +141,15 @@ def _sweep(
     params: Sequence[tuple[str, str]],
     bound: RobustnessBound,
     extra_columns: Sequence[str],
-    row: Callable[[ThermalPoint], tuple[float, float, bool, Sequence[float]]],
+    row: Callable[[ThermalPoint], tuple[float, float, Sequence[float]]],
     summaries: Callable[[], Sequence[tuple[str, str]]],
     tail: Sequence[tuple[str, str]] = (),
 ) -> int:
     """Sweep the temperature grid and emit the CSV for one model.
 
-    ``row(point)`` returns (Z, p, satisfied, extra cells) at one grid
-    point; ``summaries()`` runs after the sweep and may raise MismatchError.
+    ``row(point)`` returns (log Z, log p0, extra cells) at one grid point;
+    Z, p and the verdict log p0 > log threshold are derived here alone.
+    ``summaries()`` runs after the sweep and may raise MismatchError.
     """
     config_pairs = [
         ("system", system),
@@ -165,13 +164,13 @@ def _sweep(
     rows = []
     for temp in cfg.grid.values():
         point = ThermalPoint(float(temp), cfg.k_b)
-        z, pop, satisfied, extra = row(point)
+        log_z, log_p0, extra = row(point)
         rows.append([
             _fmt(temp),
-            _fmt(z),
-            _fmt(pop),
+            _fmt(exp_or_inf(log_z)),
+            _fmt(math.exp(log_p0)),
             _fmt(bound.threshold),
-            _fb(satisfied),
+            _fb(log_p0 > bound.log_threshold),
             bound.kind.value,
             *(_fmt(x) for x in extra),
         ])
@@ -186,7 +185,7 @@ def _sweep(
 
 
 def _crossing_lines(t_star: float | None) -> list[tuple[str, str]]:
-    """The ``t_trans`` summary of a crossing_temperature result."""
+    """The ``t_trans`` summary of a ground_crossing result."""
     if t_star is None:
         return [("t_trans", "none")]
     if math.isinf(t_star):
@@ -213,12 +212,11 @@ def cmd_dimer(cfg: RunConfig) -> int:
         h = build_dimer_hamiltonian(p)
 
     def row(point: ThermalPoint):
-        verdict = evaluate_condition(sp, point, bound)
         extra = ()
         if cfg.oracles:
             rho = thermal_density_matrix(h, point)
             extra = (concurrence_two_qubit(rho), ppt_min_eigenvalue(rho, (2, 2), (0,)))
-        return partition_function(sp, point), verdict.population, verdict.satisfied, extra
+        return log_partition_function(sp, point), log_population(sp, point, 0), extra
 
     def summaries():
         out = [("phase", "singlet-ground" if singlet_phase else "product-ground")]
@@ -272,7 +270,6 @@ def cmd_toy(cfg: RunConfig) -> int:
             )
         sp_oracle = toy_spectrum(p)
 
-    log_threshold = math.log(bound.threshold)
     worst_oracle = 0.0
 
     def log_p0_at(point: ThermalPoint) -> tuple[float, float]:
@@ -288,24 +285,18 @@ def cmd_toy(cfg: RunConfig) -> int:
             zg = exp_or_inf(log_partition_function_alpha_gamma(p, point))
             extra += [zg, abs(zg - z) / z]
         if cfg.oracles:
-            z_sp = partition_function(sp_oracle, point)
+            z_sp = exp_or_inf(log_partition_function(sp_oracle, point))
             extra.append(z_sp)
             worst_oracle = max(worst_oracle, abs(z_sp - z) / z)
-        return z, math.exp(log_p0), log_p0 > log_threshold, extra
+        return log_z, log_p0, extra
 
     def summaries():
         out = [("min_gap_rule", _fmt(gapping_rule_min_gap(e_r)))]
-        # The closed-form tail margin, searched in reported temperature units;
-        # it ends non-positive when the infinite-temperature population 1/D
-        # is at or below the threshold.
-        spread = p.delta * max(1.0, float(p.n_levels - 1) ** p.alpha)
-        t_star = crossing_temperature(
-            lambda temp: log_p0_at(ThermalPoint(temp, cfg.k_b))[1] - log_threshold,
-            1e-6 * p.delta / cfg.k_b,
-            1e4 * spread / cfg.k_b,
-            settles=1 / p.n_levels <= bound.threshold,
+        spread = p.delta * float(p.n_levels - 1) ** p.alpha
+        tr = ground_crossing(
+            lambda point: log_p0_at(point)[1], bound, p.delta, spread, p.n_levels, cfg.k_b
         )
-        out += _crossing_lines(t_star)
+        out += _crossing_lines(tr.t_trans)
         if p.alpha == 0.0:
             try:
                 out.append(
@@ -458,31 +449,24 @@ def cmd_graph(cfg: RunConfig) -> int:
             "for very large graphs call stabilizer_t_trans / noise_threshold directly"
         )
     bound = bound_from_relative_entropy(e_r)
-    log_threshold = -e_r * LN2
     worst_flip = 0.0
 
     def row(point: ThermalPoint):
         nonlocal worst_flip
-        z = exp_or_inf(log_stabilizer_partition_function(g.n, b, point))
         log_p0 = _graph_log_p0(g.n, b, point.kt)
-        p0 = math.exp(log_p0)
         extra = ()
         if cfg.oracles:
             p_flip = flip_probability_from_temperature(b, point)
             p_from_flip = (1.0 - p_flip) ** g.n
             extra = (p_flip, p_from_flip)
-            worst_flip = max(worst_flip, abs(p_from_flip - p0))
-        return z, p0, log_p0 > log_threshold, extra
+            worst_flip = max(worst_flip, abs(p_from_flip - math.exp(log_p0)))
+        return log_stabilizer_partition_function(g.n, b, point), log_p0, extra
 
     def summaries():
-        # The rows' own margin, searched in reported temperature units; it
-        # ends non-positive because 1/2^n is below the threshold 2^-eR.
-        t_trans = crossing_temperature(
-            lambda temp: _graph_log_p0(g.n, b, ThermalPoint(temp, cfg.k_b).kt) - log_threshold,
-            1e-6 * 2.0 * b / cfg.k_b,
-            1e4 * 2.0 * g.n * b / cfg.k_b,
-            settles=True,
-        )
+        t_trans = ground_crossing(
+            lambda point: _graph_log_p0(g.n, b, point.kt),
+            bound, 2.0 * b, 2.0 * g.n * b, 2**g.n, cfg.k_b,
+        ).t_trans
         p_flip = flip_probability_from_temperature(b, ThermalPoint(t_trans, cfg.k_b))
         out = [
             *_crossing_lines(t_trans),

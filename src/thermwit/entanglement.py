@@ -79,6 +79,11 @@ class RobustnessBound:
         return 1.0 / self.one_plus_r
 
     @property
+    def log_threshold(self) -> float:
+        """log of ``threshold``: the witness holds where log p0 exceeds it."""
+        return math.log(self.threshold)
+
+    @property
     def relative_entropy_bits(self) -> float:
         return math.log2(self.one_plus_r)
 
@@ -244,14 +249,18 @@ _YY = kron(SIGMA_Y, SIGMA_Y)
 def concurrence_signed(rho: np.ndarray) -> float:
     """mu1 - mu2 - mu3 - mu4 from the spin-flip spectrum of a two-qubit state.
 
-    The concurrence is the positive part of this; the signed value is handy
-    for root finding because it crosses zero where entanglement vanishes.
+    The mu_i are the eigenvalues, descending, of the Hermitian matrix
+    sqrt(sqrt(rho) rho~ sqrt(rho)) with rho~ = (Y x Y) rho* (Y x Y)
+    (Wootters, PRL 80, 2245, 1998), so a Hermitian solver gives them without
+    the imaginary noise of a non-Hermitian product. The concurrence is the
+    positive part of this; the signed value is handy for root finding because
+    it crosses zero where entanglement vanishes.
     """
     a = _validate_density_matrix(rho, dim=4)
-    flipped = a @ _YY @ a.conj() @ _YY
-    ev = np.linalg.eigvals(flipped)
-    mu = np.sqrt(np.clip(ev.real, 0.0, None))
-    mu = np.sort(mu)[::-1]
+    w, v = np.linalg.eigh(a)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    ev = np.linalg.eigvalsh(root @ _YY @ a.conj() @ _YY @ root)
+    mu = np.sqrt(np.clip(ev, 0.0, None))[::-1]
     return float(mu[0] - mu[1] - mu[2] - mu[3])
 
 

@@ -45,12 +45,10 @@ class ThermalPoint:
 class PopulationProfile:
     """Per-level Boltzmann weights of a spectrum at one temperature.
 
-    ``per_state[j]`` is the population of a single state in level j;
-    ``aggregated[j]`` multiplies in the degeneracy and sums to one.
+    ``aggregated[j]`` is the population of level j with its degeneracy
+    multiplied in; the entries sum to one.
     """
 
-    log_z: float
-    per_state: np.ndarray
     aggregated: np.ndarray
 
 
@@ -77,29 +75,22 @@ def exp_or_inf(log_z: float) -> float:
         return math.inf
 
 
-def partition_function(s: Spectrum, t: ThermalPoint) -> float:
-    """Z itself; overflows to inf only when log Z exceeds float range."""
-    return exp_or_inf(log_partition_function(s, t))
-
-
 def population_profile(s: Spectrum, t: ThermalPoint) -> PopulationProfile:
     terms = _shifted_log_terms(s, t.kt)
-    log_z0 = _logsumexp(terms)
-    e = s.energy_array()
-    per_state = np.exp(-(e - e[0]) / t.kt - log_z0)
-    aggregated = np.exp(terms - log_z0)
-    return PopulationProfile(
-        log_z=log_z0 - s.ground_energy / t.kt,
-        per_state=per_state,
-        aggregated=aggregated,
-    )
+    return PopulationProfile(aggregated=np.exp(terms - _logsumexp(terms)))
+
+
+def log_population(s: Spectrum, t: ThermalPoint, level_index: int = 0) -> float:
+    """log e^{-E_j/kT} / Z of one state in level j: the one spectrum kernel."""
+    if not 0 <= level_index < s.n_levels:
+        raise IndexOutOfRange(f"level {level_index} outside 0..{s.n_levels - 1}")
+    shift = (s.energies[level_index] - s.ground_energy) / t.kt
+    return -shift - _logsumexp(_shifted_log_terms(s, t.kt))
 
 
 def population(s: Spectrum, t: ThermalPoint, level_index: int = 0) -> float:
     """Population e^{-E_j/kT} / Z of a single state in level ``level_index``."""
-    if not 0 <= level_index < s.n_levels:
-        raise IndexOutOfRange(f"level {level_index} outside 0..{s.n_levels - 1}")
-    return float(population_profile(s, t).per_state[level_index])
+    return math.exp(log_population(s, t, level_index))
 
 
 def thermal_density_matrix(h: np.ndarray, t: ThermalPoint) -> np.ndarray:
@@ -121,8 +112,7 @@ def relative_entropy_ground_to_thermal(s: Spectrum, t: ThermalPoint) -> float:
         raise DegenerateGround(
             f"ground level carries degeneracy {s.degeneracies[0]}; need 1"
         )
-    log_z0 = _logsumexp(_shifted_log_terms(s, t.kt))
-    return log_z0 / LN2
+    return -log_population(s, t, 0) / LN2
 
 
 def log_partition_function_alpha_closed(p: ToySpectrumParams, t: ThermalPoint) -> float:

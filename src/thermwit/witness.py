@@ -31,7 +31,7 @@ from .errors import (
 )
 from .numerics import log_gamma, root_bracket
 from .systems import DimerParams, Spectrum, build_dimer_hamiltonian
-from .thermal import LN2, ThermalPoint, population, population_profile, thermal_density_matrix
+from .thermal import LN2, ThermalPoint, log_population, population_profile, thermal_density_matrix
 
 BRACKET_GAP_FACTOR = 1e-6
 BRACKET_SPREAD_FACTOR = 1e4
@@ -55,8 +55,9 @@ class TransitionResult:
 
     ``t_trans`` is None when the condition fails at every temperature in the
     bracket (reported as not-detected: the witness is silent, not a proof of
-    separability). When detected, the condition holds at ``t_trans`` and
-    below it, and fails from the next float up.
+    separability), and inf when it holds at every temperature. Otherwise the
+    condition holds at ``t_trans`` and below it, and fails from the next
+    float up.
     """
 
     t_trans: float | None
@@ -74,20 +75,16 @@ def evaluate_condition(
     bound: RobustnessBound,
     level_index: int = 0,
 ) -> WitnessVerdict:
-    """Compare the per-state population of one level against 1/(1+R)."""
-    p = population(s, t, level_index)
+    """Compare the per-state population of one level against 1/(1+R), as logs."""
+    log_p = log_population(s, t, level_index)
     return WitnessVerdict(
         temperature=t.temperature,
-        population=p,
+        population=math.exp(log_p),
         threshold=bound.threshold,
-        satisfied=p > bound.threshold,
+        satisfied=log_p > bound.log_threshold,
         bound_kind=bound.kind,
         level_index=level_index,
     )
-
-
-def _transition_bracket(s: Spectrum) -> tuple[float, float]:
-    return BRACKET_GAP_FACTOR * s.gap, BRACKET_SPREAD_FACTOR * s.spread
 
 
 def crossing_temperature(
@@ -118,39 +115,57 @@ def crossing_temperature(
     return inside if inside < outside else None
 
 
+def ground_crossing(
+    log_p0: Callable[[ThermalPoint], float],
+    bound: RobustnessBound,
+    gap: float,
+    spread: float,
+    dimension: int,
+    k_b: float = 1.0,
+) -> TransitionResult:
+    """Last temperature where log p0 > log(1/(1+R)): every model's crossing.
+
+    ``log_p0(point)`` falls with temperature, for a spectrum with the given
+    gap, spread and number of states. The search starts on [1e-6 * gap,
+    1e4 * spread] / k_b; while the condition still holds at the upper end and
+    1/dimension (the population at infinite temperature) is at or below the
+    threshold, that end is doubled.
+    """
+    bracket = (BRACKET_GAP_FACTOR * gap / k_b, BRACKET_SPREAD_FACTOR * spread / k_b)
+
+    def margin(temp: float) -> float:
+        return log_p0(ThermalPoint(temp, k_b)) - bound.log_threshold
+
+    t_star = crossing_temperature(margin, *bracket, settles=1 / dimension <= bound.threshold)
+    return TransitionResult(t_trans=t_star, bracket=bracket, bound_kind=bound.kind)
+
+
 def transition_temperature(
     s: Spectrum, bound: RobustnessBound, k_b: float = 1.0
 ) -> TransitionResult:
     """Temperature where the ground-level population crosses 1/(1+R).
 
-    The ground population decreases monotonically with temperature, so one
-    search starting on [1e-6 * gap, 1e4 * spread] / k_b settles it; while
-    the condition still holds at the upper end and the infinite-temperature
-    population 1/dim is at or below the threshold, that end is doubled.
-    ``t_trans`` is the last float where the condition holds. Requires a
-    nondegenerate ground level. A trivial bound (R = 0) or one the spectrum
-    never reaches returns not-detected; a threshold below 1/dim would hold
-    everywhere and raises instead.
+    One ``ground_crossing`` search over the spectrum. A nondegenerate ground
+    level is required unless the bound is trivial: that one (R = 0) and one
+    the spectrum never reaches return not-detected; a threshold below 1/dim
+    would hold everywhere and raises instead.
     """
     if s.n_levels < 2:
         raise ThermwitError("transition needs at least two levels")
-    if s.degeneracies[0] != 1:
+    # no population exceeds a threshold of 1, whatever the ground degeneracy
+    if s.degeneracies[0] != 1 and bound.threshold < 1.0:
         raise DegenerateGround(
             f"ground level carries degeneracy {s.degeneracies[0]}; need 1"
         )
-    lo, hi = _transition_bracket(s)
-    bracket = (lo / k_b, hi / k_b)
-
-    def margin(temp: float) -> float:
-        return population(s, ThermalPoint(temp, k_b), 0) - bound.threshold
-
-    t_star = crossing_temperature(margin, *bracket, settles=1 / s.dimension <= bound.threshold)
-    if t_star == math.inf:
+    result = ground_crossing(
+        lambda point: log_population(s, point, 0), bound, s.gap, s.spread, s.dimension, k_b
+    )
+    if result.t_trans == math.inf:
         raise NoSignChange(
             "condition holds at every temperature; 1/(1+R) is at or below "
             "the infinite-temperature population"
         )
-    return TransitionResult(t_trans=t_star, bracket=bracket, bound_kind=bound.kind)
+    return result
 
 
 def satisfying_intervals(
@@ -184,7 +199,7 @@ def satisfying_intervals(
         return e_j - population_profile(s, ThermalPoint(temp, k_b)).aggregated @ energies
 
     def margin(temp: float) -> float:
-        return population(s, ThermalPoint(temp, k_b), level_index) - bound.threshold
+        return log_population(s, ThermalPoint(temp, k_b), level_index) - bound.log_threshold
 
     peak = crossing_temperature(rising, t_lo, t_hi)
     peak = t_lo if peak is None else min(peak, t_hi)

@@ -14,7 +14,7 @@ from thermwit.cli import _graph_log_p0, main
 from thermwit.config import RunConfig, serialize_config
 from thermwit.errors import NoSignChange
 from thermwit.systems import Graph, ToySpectrumParams, write_edge_list
-from thermwit.thermal import LN2, ThermalPoint, log_partition_function_alpha_closed
+from thermwit.thermal import ThermalPoint, log_partition_function_alpha_closed
 from thermwit.witness import toy_t0
 
 T_ZERO_FIELD = 4.0 / math.log(3.0)
@@ -63,6 +63,21 @@ class TestDimerCommand:
         assert summary_value(out, "phase") == "product-ground"
         assert summary_value(out, "singlet_level_intervals") == "[]"
 
+    def test_level_crossing_field_reports_no_transition(self, capsys):
+        # at B = 4J the singlet and |00> share the ground level; the trivial
+        # product-phase bound is never exceeded, whatever the degeneracy
+        code, out, err = run(capsys, "dimer", "--B", "4", "--J", "1")
+        assert code == 0 and err == ""
+        assert summary_value(out, "phase") == "product-ground"
+        assert summary_value(out, "t_trans") == "none"
+        assert summary_value(out, "singlet_level_intervals") == "[]"
+
+    def test_zero_field_concurrence_zero_not_below_crossing(self, capsys):
+        # both crossings sit at 4J/ln 3; the oracle's may not land below the witness's
+        code, out, _ = run(capsys, "dimer", "--B", "0", "--oracles")
+        assert code == 0
+        assert float(summary_value(out, "t_margin")) >= 0.0
+
     def test_byte_determinism(self, capsys):
         args = ("dimer", "--B", "0.7", "--J", "1.1", "--oracles")
         _, first, _ = run(capsys, *args)
@@ -77,16 +92,6 @@ class TestDimerCommand:
         assert text.startswith("# thermwit-csv v1\n")
         # stdout carries only the summary lines when writing to a file
         assert "t_trans" in out and "# thermwit-csv" not in out
-
-    def test_satisfied_flag_flips_at_transition(self, capsys):
-        _, out, _ = run(capsys, "dimer", "--grid", "3.5:3.8:31:lin")
-        rows = [l.split(",") for l in out.splitlines() if l[0].isdigit()]
-        flags = [r[4] for r in rows]
-        temps = [float(r[0]) for r in rows]
-        flip = flags.index("false")
-        assert flags[:flip] == ["true"] * flip
-        assert set(flags[flip:]) == {"false"}
-        assert temps[flip - 1] < T_ZERO_FIELD < temps[flip]
 
 
 class TestToyCommand:
@@ -263,7 +268,7 @@ class TestGraphCommand:
         )
         assert code == 0
         t_trans = float(summary_value(out, "t_trans"))
-        log_threshold = -(ratio * n) * LN2
+        log_threshold = math.log(float(summary_value(out, "threshold")))
 
         def holds(temp):
             return _graph_log_p0(n, b, ThermalPoint(temp, k_b).kt) > log_threshold
@@ -409,6 +414,37 @@ class TestConfigPlumbing:
         assert header[:6] == ["T", "Z", "p", "threshold", "satisfied", "bound_kind"]
         results = [l[3:].split(" = ", 1)[0] for l in lines if l.startswith("## ")]
         assert results[:3] == ["one_plus_r", "threshold", "bound_kind"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dimer", "--grid", "3.5:3.8:31:lin"],
+            ["dimer", "--B", "1.3", "--J", "0.8", "--kB", "2.5", "--grid", "0.9:1.3:41:lin"],
+            ["toy", "--grid", "0.85:0.95:41:lin"],
+            ["graph", "--edges", "ring6.edges", "--grid", "2.2:2.35:31:lin"],
+            ["graph", "--edges", "ring6.edges", "--eR", "0.99999", "--grid", "1.4e5:1.5e5:21:lin"],
+        ],
+        ids=["dimer", "dimer-kB", "toy", "graph", "graph-near-limit"],
+    )
+    def test_satisfied_flag_flips_at_transition(self, capsys, tmp_path, monkeypatch, argv):
+        # every model's rows and its crossing make one decision: satisfied
+        # exactly on the rows with T <= t_trans, down to t_trans's own float
+        monkeypatch.chdir(tmp_path)
+        write_edge_list(Graph.ring(6), tmp_path / "ring6.edges")
+
+        def flags(*grid):
+            code, out, _ = run(capsys, *argv, *grid)
+            assert code == 0
+            rows = [l.split(",") for l in out.splitlines() if l[0].isdigit()]
+            return out, [(float(r[0]), r[4]) for r in rows]
+
+        out, rows = flags()
+        t_trans = float(summary_value(out, "t_trans"))
+        assert [flag == "true" for _, flag in rows] == [temp <= t_trans for temp, _ in rows]
+        assert rows[0][1] == "true" and rows[-1][1] == "false"
+        above = math.nextafter(t_trans, math.inf)
+        _, edge = flags("--grid", f"{t_trans!r}:{above!r}:2:lin")
+        assert edge == [(t_trans, "true"), (above, "false")]
 
 
 class TestNumericExitCode:

@@ -118,9 +118,9 @@ class TestTransitionTemperature:
         bound = bound_from_relative_entropy(0.99999)
         tr = transition_temperature(s, bound)
         assert tr.detected and tr.t_trans > tr.bracket[1]
-        assert population(s, ThermalPoint(tr.t_trans), 0) > bound.threshold
+        assert evaluate_condition(s, ThermalPoint(tr.t_trans), bound).satisfied
         above = ThermalPoint(math.nextafter(tr.t_trans, math.inf))
-        assert not population(s, above, 0) > bound.threshold
+        assert not evaluate_condition(s, above, bound).satisfied
 
     def test_degenerate_ground_rejected(self):
         s = Spectrum((0.0, 1.0), (2, 1))
@@ -221,7 +221,7 @@ class TestSatisfyingIntervals:
         assert len(ivs) <= 1
         for end in (e for iv in ivs for e in iv):
             assert lo <= end <= hi
-            assert population(s, ThermalPoint(end), level) > bound.threshold
+            assert evaluate_condition(s, ThermalPoint(end), bound, level).satisfied
         # independent dense scan: per-state populations by a direct log-sum
         temps = np.geomspace(lo, hi, 2000)
         x = -(energies[None, :] - energies[0]) / temps[:, None]
