@@ -42,14 +42,17 @@ class Spectrum:
     def __post_init__(self) -> None:
         if len(self.energies) != len(self.degeneracies) or not self.energies:
             raise ThermwitError("energies and degeneracies must be equal-length and nonempty")
-        if any(int(g) < 1 for g in self.degeneracies):
+        distinct = set(self.degeneracies)
+        if any(int(g) < 1 for g in distinct):
             raise ThermwitError("degeneracies must be positive integers")
-        for a, b in zip(self.energies, self.energies[1:]):
-            if not a < b:
-                raise ThermwitError("energies must be strictly ascending")
-        object.__setattr__(self, "_energy_arr", np.array(self.energies, dtype=float))
+        energy = np.array(self.energies, dtype=float)
+        if not np.all(energy[1:] > energy[:-1]):  # NaN compares false
+            raise ThermwitError("energies must be strictly ascending")
+        # math.log, not np.log (which may differ in the last ulp), once per value
+        log_of = {g: math.log(int(g)) for g in distinct}
+        object.__setattr__(self, "_energy_arr", energy)
         object.__setattr__(
-            self, "_log_deg_arr", np.array([math.log(int(g)) for g in self.degeneracies])
+            self, "_log_deg_arr", np.array([log_of[g] for g in self.degeneracies])
         )
 
     @classmethod
@@ -65,15 +68,21 @@ class Spectrum:
         ``tol_scale * max(|E|, 1)``; merged levels use the weight-averaged
         energy so eigensolver jitter does not bias level positions.
         """
-        vals = [float(v) for v in values]
-        degs = [1] * len(vals) if degeneracies is None else [int(g) for g in degeneracies]
-        if len(vals) != len(degs):
+        vals = np.fromiter(values, dtype=float)
+        given = None if degeneracies is None else [int(g) for g in degeneracies]
+        if given is not None and len(given) != vals.size:
             raise ThermwitError("values and degeneracies length mismatch")
-        order = sorted(range(len(vals)), key=lambda i: vals[i])
+        order = np.argsort(vals, kind="stable")
+        ordered = vals[order]
+        degs = [1] * vals.size if given is None else [given[i] for i in order.tolist()]
+        # The loop below merges first where two raw neighbours are closer than
+        # the tolerance; with no such pair it merges nothing.
+        gaps = ordered[1:] - ordered[:-1]
+        if np.all(gaps >= tol_scale * np.maximum(np.abs(ordered[1:]), 1.0)):
+            return cls(energies=tuple(ordered.tolist()), degeneracies=tuple(degs))
         energies: list[float] = []
         counts: list[int] = []
-        for i in order:
-            e, g = vals[i], degs[i]
+        for e, g in zip(ordered.tolist(), degs):
             tol = tol_scale * max(abs(e), 1.0)
             if energies and e - energies[-1] < tol:
                 total = counts[-1] + g

@@ -16,7 +16,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .entanglement import BoundKind, RobustnessBound, concurrence_signed
+from .entanglement import (
+    BoundKind,
+    RobustnessBound,
+    bound_from_relative_entropy,
+    concurrence_signed,
+)
 from .errors import (
     AlphaOutOfRange,
     DegenerateGround,
@@ -30,8 +35,15 @@ from .errors import (
     ThresholdUnreachable,
 )
 from .numerics import log_gamma, root_bracket
-from .systems import DimerParams, Spectrum, build_dimer_hamiltonian
-from .thermal import LN2, ThermalPoint, log_population, population_profile, thermal_density_matrix
+from .systems import DimerParams, Spectrum, ToySpectrumParams, build_dimer_hamiltonian
+from .thermal import (
+    LN2,
+    ThermalPoint,
+    log_partition_function_alpha_closed,
+    log_population,
+    population_profile,
+    thermal_density_matrix,
+)
 
 BRACKET_GAP_FACTOR = 1e-6
 BRACKET_SPREAD_FACTOR = 1e4
@@ -264,9 +276,13 @@ def concurrence_vanishing_temperature(
 def toy_t0(n_levels: int, e_r: float, delta: float = 1.0) -> float:
     """Crossing temperature for the fully degenerate (alpha = 0) ladder.
 
-    kT = delta / log((D-1) / (2^e_r - 1)). Once 2^e_r - 1 reaches D - 1 the
-    threshold 2^{-e_r} is at or below the infinite-temperature population,
-    the condition holds at every temperature, and there is no crossing.
+    kT = delta / log((D-1) / (2^e_r - 1)) on the safe side: where the rows'
+    condition (log p0 of the alpha = 0 ladder above the bound's log
+    threshold; D up to SPECTRUM_LEVEL_CAP) fails at that float, the last
+    float below it where the condition holds. Once 2^e_r - 1 reaches D - 1
+    the threshold 2^{-e_r} is at or below the infinite-temperature
+    population, the condition holds at every temperature, and there is no
+    crossing.
     """
     if n_levels < 2:
         raise ThermwitError(f"need at least 2 levels, got {n_levels}")
@@ -278,7 +294,22 @@ def toy_t0(n_levels: int, e_r: float, delta: float = 1.0) -> float:
         raise ThresholdUnreachable(
             f"2^{e_r} - 1 >= D - 1 = {n_levels - 1}: condition holds at all T"
         )
-    return delta / (math.log(n_levels - 1) - math.log(math.expm1(e_r * LN2)))
+    t0 = delta / (math.log(n_levels - 1) - math.log(math.expm1(e_r * LN2)))
+    ladder = ToySpectrumParams(e0=0.0, delta=delta, alpha=0.0, n_levels=n_levels)
+    log_threshold = bound_from_relative_entropy(e_r).log_threshold
+
+    def margin(kt: float) -> float:
+        return -log_partition_function_alpha_closed(ladder, ThermalPoint(kt)) - log_threshold
+
+    if margin(t0) > 0.0:
+        return t0
+    # step down one float, then twice as far each time the condition still
+    # fails; near D = 2^e_r the closed form is off by up to ~1e5 floats
+    step, below = math.ulp(t0), math.nextafter(t0, 0.0)
+    while not margin(below) > 0.0:
+        t0, step = below, 2.0 * step
+        below = max(below - step, 0.5 * below)
+    return root_bracket(margin, below, t0)[0]
 
 
 class ToyT1(NamedTuple):

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermwit.errors import BadExcitationCount, GraphTooLarge, IndexOutOfRange, ThermwitError
 from thermwit.numerics import hermitian_eigendecompose
 from thermwit.systems import (
+    MERGE_TOL_SCALE,
     DimerParams,
     Graph,
     PureState,
@@ -25,6 +26,23 @@ from thermwit.systems import (
     toy_spectrum,
     write_edge_list,
 )
+
+
+def _merge_loop_reference(values, degeneracies, tol_scale):
+    """Level merging one value at a time, in ascending order (stable for ties)."""
+    vals = [float(v) for v in values]
+    degs = [1] * len(vals) if degeneracies is None else [int(g) for g in degeneracies]
+    energies, counts = [], []
+    for i in sorted(range(len(vals)), key=lambda i: vals[i]):
+        e, g = vals[i], degs[i]
+        if energies and e - energies[-1] < tol_scale * max(abs(e), 1.0):
+            total = counts[-1] + g
+            energies[-1] = (energies[-1] * counts[-1] + e * g) / total
+            counts[-1] = total
+        else:
+            energies.append(e)
+            counts.append(g)
+    return tuple(energies), tuple(counts)
 
 
 class TestSpectrum:
@@ -52,6 +70,49 @@ class TestSpectrum:
     def test_rejects_bad_degeneracy(self):
         with pytest.raises(ThermwitError):
             Spectrum(energies=(0.0,), degeneracies=(0,))
+
+    def test_rejects_equal_and_nan_energies(self):
+        for energies in [(0.0, 0.0), (0.0, math.nan, 1.0), (math.nan, 0.0)]:
+            with pytest.raises(ThermwitError, match="strictly ascending"):
+                Spectrum(energies=energies, degeneracies=(1,) * len(energies))
+        with pytest.raises(ThermwitError, match="strictly ascending"):
+            Spectrum.from_values([0.0, math.nan, 1.0])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+                st.sampled_from([0.0, 1e-12, -3e-10, 5e-10, 2e-9, 1e-6]),
+                st.integers(min_value=1, max_value=4),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.booleans(),
+        st.sampled_from([MERGE_TOL_SCALE, 1e-4, 0.0]),
+    )
+    @example([(1.0, 0.0, 1), (1.0, 1e-12, 2), (3.0, 0.0, 1)], True, MERGE_TOL_SCALE)
+    @example([(2.0, 0.0, 1), (-1.0, 0.0, 3), (5.0, 0.0, 1)], True, MERGE_TOL_SCALE)
+    # the gap lies between the tolerances of the lower and the upper value
+    @example([(1000.0, 0.0, 1), (1000.0, 1.00005e-4, 1)], False, 1e-4)
+    @settings(max_examples=300, deadline=None)
+    def test_from_values_matches_merge_loop(self, draws, with_degs, tol_scale):
+        # values cluster within a few tolerances of each other, so draws take
+        # both the no-merge shortcut and the merge loop
+        values = [v + dv * max(abs(v), 1.0) for v, dv, _ in draws]
+        degs = [g for _, _, g in draws] if with_degs else None
+        energies, counts = _merge_loop_reference(values, degs, tol_scale)
+        if any(not a < b for a, b in zip(energies, energies[1:])):  # ties at tol 0
+            with pytest.raises(ThermwitError, match="strictly ascending"):
+                Spectrum.from_values(values, degs, tol_scale)
+            return
+        got = Spectrum.from_values(values, degs, tol_scale)
+        assert [e.hex() for e in got.energies] == [e.hex() for e in energies]
+        assert got.degeneracies == counts
+
+    def test_from_values_rejects_length_mismatch(self):
+        with pytest.raises(ThermwitError):
+            Spectrum.from_values([0.0, 1.0], [1])
 
     @given(
         st.lists(

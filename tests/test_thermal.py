@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermwit.errors import AlphaZero, DegenerateGround, IndexOutOfRange, ThermwitError
@@ -23,7 +23,9 @@ from thermwit.systems import (
     toy_spectrum,
 )
 from thermwit.thermal import (
+    EXP_ZERO,
     ThermalPoint,
+    _ladder_levels,
     exp_or_inf,
     log_partition_function,
     log_partition_function_alpha_closed,
@@ -197,6 +199,79 @@ class TestLadderClosedForms:
         exact = (1.0 - q**50) / (1.0 - q)
         z = exp_or_inf(log_partition_function_alpha_closed(p, t))
         assert z == pytest.approx(exact, rel=1e-13)
+
+
+def _ladder_log_z_reference(p, t):
+    """The ladder sum as one expression: levels rebuilt, every term exponentiated."""
+    m = np.arange(1, p.n_levels, dtype=float)
+    terms = -np.power(m, p.alpha) * p.delta / t.kt
+    mx = float(np.max(terms))
+    tail = math.exp(mx) * float(np.sum(np.exp(terms - mx)))
+    return -p.e0 / t.kt + math.log1p(tail)
+
+
+class TestLadderKernelBits:
+    def test_exp_zero_cut_on_installed_numpy(self):
+        # the kernel writes 0.0 at or below EXP_ZERO instead of calling exp
+        assert np.exp(EXP_ZERO) == 0.0
+        assert np.all(np.exp(np.array([EXP_ZERO] * 16 + [-800.0, -1e300, -np.inf])) == 0.0)
+        assert np.exp(-745.0) > 0.0
+
+    @given(
+        n_levels=st.integers(min_value=2, max_value=2 * 10**5),
+        alpha=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+        delta=st.floats(min_value=1e-3, max_value=1e3),
+        e0=st.floats(min_value=-10.0, max_value=10.0),
+        depth=st.floats(min_value=1e-3, max_value=1e4),
+    )
+    @example(n_levels=2 * 10**5, alpha=0.5, delta=1.0, e0=0.0, depth=730.0)  # subnormal tail
+    @example(n_levels=2 * 10**5, alpha=0.5, delta=1.0, e0=0.0, depth=3000.0)  # both bands
+    @example(n_levels=2 * 10**5, alpha=1.0, delta=2.0, e0=1.0, depth=1e4)
+    @settings(max_examples=150, deadline=None)
+    def test_same_bits_as_reference(self, n_levels, alpha, delta, e0, depth):
+        # kT puts the deepest shifted term at -depth, so draws past 708 reach
+        # the subnormal band of exp and past 745 its zero band
+        p = ToySpectrumParams(e0=e0, delta=delta, alpha=alpha, n_levels=n_levels)
+        width = delta * (float(n_levels - 1) ** alpha - 1.0)
+        t = ThermalPoint((width if width > 0 else delta) / depth)
+        got = log_partition_function_alpha_closed(p, t)
+        assert got.hex() == _ladder_log_z_reference(p, t).hex()
+
+    def test_cached_levels_read_only_and_evicted(self):
+        a = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.5, n_levels=1000)
+        b = ToySpectrumParams(e0=0.0, delta=2.0, alpha=0.3, n_levels=700)
+        t = ThermalPoint(0.7)
+        first = [log_partition_function_alpha_closed(p, t).hex() for p in (a, b)]
+        assert [log_partition_function_alpha_closed(p, t).hex() for p in (a, b)] == first
+        assert [_ladder_log_z_reference(p, t).hex() for p in (a, b)] == first
+        assert _ladder_levels(b) is _ladder_levels(b)
+        with pytest.raises(ValueError):
+            _ladder_levels(b)[0] = 0.0
+
+
+class TestLadderConcavity:
+    @given(
+        n_levels=st.integers(min_value=2, max_value=10**4),
+        alpha=st.floats(min_value=0.0, max_value=1.0),
+        e0=st.floats(min_value=-5.0, max_value=5.0),
+        beta0=st.floats(min_value=1e-2, max_value=10.0),
+        step=st.floats(min_value=1e-3, max_value=1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_log_p0_concave_in_beta(self, n_levels, alpha, e0, beta0, step):
+        # d^2/dbeta^2 log p0 = -Var(E) <= 0: second differences on a beta grid
+        # are at most rounding above zero
+        p = ToySpectrumParams(e0=e0, delta=1.0, alpha=alpha, n_levels=n_levels)
+        betas = beta0 + step * np.arange(12)
+
+        def log_p0(beta):
+            t = ThermalPoint(1.0 / beta)
+            return -p.e0 / t.kt - log_partition_function_alpha_closed(p, t)
+
+        f = [log_p0(float(b)) for b in betas]
+        for k in range(1, len(f) - 1):
+            scale = abs(f[k - 1]) + 2.0 * abs(f[k]) + abs(f[k + 1]) + abs(e0) * betas[k + 1]
+            assert f[k - 1] - 2.0 * f[k] + f[k + 1] <= 64 * np.finfo(float).eps * scale
 
 
 class TestStabilizerPartition:

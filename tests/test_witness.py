@@ -23,7 +23,7 @@ from thermwit.errors import (
     ThresholdUnreachable,
 )
 from thermwit.systems import DimerParams, Spectrum, ToySpectrumParams, dimer_spectrum, toy_spectrum
-from thermwit.thermal import ThermalPoint, population
+from thermwit.thermal import ThermalPoint, log_partition_function_alpha_closed, population
 from thermwit.witness import (
     concurrence_vanishing_temperature,
     crossing_temperature,
@@ -279,6 +279,13 @@ class TestConcurrenceVanishing:
         assert t == pytest.approx(2.0 * T_ZERO_FIELD, rel=1e-9)
 
 
+def _toy_rows_hold(d, e_r, kt):
+    """The toy rows' condition log p0 > log threshold on the alpha = 0 ladder."""
+    p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=d)
+    log_p0 = -log_partition_function_alpha_closed(p, ThermalPoint(kt))
+    return log_p0 > bound_from_relative_entropy(e_r).log_threshold
+
+
 class TestToyClosedForms:
     def test_t0_against_direct_root(self):
         for d, e_r in [(4, 1.0), (16, 2.0), (1000, 3.3)]:
@@ -286,6 +293,26 @@ class TestToyClosedForms:
             # at the crossing, p0 = 1/(1 + (D-1) e^{-delta/kT}) = 2^{-eR}
             p0 = 1.0 / (1.0 + (d - 1) * math.exp(-1.0 / t0))
             assert p0 == pytest.approx(2.0 ** (-e_r), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [4, 100, 10**4, 10**6])
+    @pytest.mark.parametrize("e_r", [0.5, 1.0, 2.0, 4.0])
+    def test_t0_on_the_safe_side(self, d, e_r):
+        # the rows' condition on the alpha = 0 ladder holds at the returned
+        # float, which sits at most a few floats below the closed form
+        if e_r >= math.log2(d):
+            with pytest.raises(ThresholdUnreachable):
+                toy_t0(d, e_r, 1.0)
+            return
+        t0 = toy_t0(d, e_r, 1.0)
+        closed = 1.0 / (math.log(d - 1) - math.log(math.expm1(e_r * math.log(2.0))))
+        assert _toy_rows_hold(d, e_r, t0)
+        assert closed - 4 * math.ulp(closed) <= t0 <= closed
+
+    def test_t0_near_log_dim_is_last_holding_float(self):
+        # D = 4, eR just below 2: the closed form lands ~1e5 floats too high
+        t0 = toy_t0(4, 1.99999, 1.0)
+        assert _toy_rows_hold(4, 1.99999, t0)
+        assert not _toy_rows_hold(4, 1.99999, math.nextafter(t0, math.inf))
 
     def test_t0_unreachable_when_entanglement_exceeds_log_dim(self):
         with pytest.raises(ThresholdUnreachable):
