@@ -11,7 +11,7 @@ and must never be promoted into a RobustnessBound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -66,22 +66,22 @@ class RobustnessBound:
     one_plus_r: float
     kind: BoundKind
     source: BoundSource
+    # Population the ground state must exceed: the smallest float not below
+    # 1 / (1 + R), so rounding never lowers the bar.
+    threshold: float = field(init=False, repr=False, compare=False)
+    # log of ``threshold``: the witness holds where log p0 exceeds it.
+    log_threshold: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.one_plus_r >= 1.0:
-            raise ThermwitError(f"1 + R must be >= 1, got {self.one_plus_r}")
+        if not 1.0 <= self.one_plus_r < math.inf:
+            raise ThermwitError(f"1 + R must be finite and >= 1, got {self.one_plus_r}")
         if self.kind is BoundKind.EXACT and self.source not in _EXACT_SOURCES:
             raise ThermwitError(f"source {self.source} cannot claim an exact bound")
-
-    @property
-    def threshold(self) -> float:
-        """Population the ground state must exceed: 1 / (1 + R)."""
-        return 1.0 / self.one_plus_r
-
-    @property
-    def log_threshold(self) -> float:
-        """log of ``threshold``: the witness holds where log p0 exceeds it."""
-        return math.log(self.threshold)
+        threshold = 1.0 / self.one_plus_r
+        if Fraction(threshold) * Fraction(self.one_plus_r) < 1:
+            threshold = math.nextafter(threshold, math.inf)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "log_threshold", math.log(threshold))
 
     @property
     def relative_entropy_bits(self) -> float:
@@ -225,9 +225,15 @@ def bound_from_relative_entropy(
         raise ThermwitError(f"source {source} is not an entanglement-input route")
     if e_r > 1000:
         raise ThermwitError(f"2^{e_r} not representable; rescale the input")
-    return RobustnessBound(
-        one_plus_r=2.0**e_r, kind=BoundKind.LOWER_BOUND, source=source
-    )
+    if float(e_r).is_integer():
+        value = math.ldexp(1.0, int(e_r))
+    else:
+        # pow is within one ulp; one step toward 0 keeps the bound below
+        # 2^{e_r}, and 1 is below it for any e_r >= 0
+        value = math.nextafter(2.0**e_r, 0.0)
+        if value < 1.0:
+            value = 1.0
+    return RobustnessBound(one_plus_r=value, kind=BoundKind.LOWER_BOUND, source=source)
 
 
 def _validate_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -291,33 +297,66 @@ def _random_unit_qubit(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _als_single_run(
+def _als(
     tensor: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
+    starts: np.ndarray,
     tol: float,
     max_sweeps: int,
-) -> tuple[float, list[float]]:
-    vecs = [_random_unit_qubit(rng) for _ in range(n)]
-    history: list[float] = []
-    overlap = 0.0
-    prev = -1.0
+    trace: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """Alternating single-site updates for a stack of restarts at once.
+
+    ``starts`` holds one unit vector per restart and site, shape (r, n, 2).
+    Each sweep first builds the right environments conj(v_{s+1}) x ... x
+    conj(v_{n-1}), then walks left to right carrying the tensor contracted
+    with the already-updated left vectors, so a site update is two batched
+    contractions. A restart stops updating after the first sweep in which
+    its overlap rose by less than ``tol``; the final overlap of each restart
+    is returned. ``trace``, when given, receives the active restarts'
+    overlaps after every site update.
+    """
+    if max_sweeps < 1:
+        raise ThermwitError(f"need at least one sweep, got {max_sweeps}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ThermwitError(f"tolerance must be finite and >= 0, got {tol}")
+    r, n, _ = starts.shape
+    vecs = starts.copy()
+    flat = tensor.reshape(2, -1)
+    overlap = np.zeros(r)
+    prev = np.full(r, -1.0)
+    active = np.arange(r)
     for _ in range(max_sweeps):
-        for site in range(n):
-            args: list = [tensor, list(range(n))]
-            for j in range(n):
-                if j != site:
-                    args.extend([vecs[j].conj(), [j]])
-            c = np.einsum(*args, [site])
-            nc = float(np.linalg.norm(c))
-            if nc > 0.0:
-                vecs[site] = c / nc
-            overlap = nc
-            history.append(overlap)
-        if overlap - prev < tol:
+        m = len(active)
+        v = vecs[active]
+        conj = v.conj()
+        right = [np.ones((m, 1), dtype=complex)]
+        for s in range(n - 1, 0, -1):
+            right.append((conj[:, s, :, None] * right[-1][:, None, :]).reshape(m, -1))
+        right.reverse()
+        carried = np.broadcast_to(flat, (m, *flat.shape))
+        for s in range(n):
+            c = np.einsum("rab,rb->ra", carried, right[s])
+            nc = np.linalg.norm(c, axis=1)
+            moved = nc > 0.0
+            v[moved, s] = c[moved] / nc[moved, None]
+            if trace is not None:
+                trace.append(nc)
+            if s < n - 1:
+                carried = np.einsum("rab,ra->rb", carried, v[:, s].conj()).reshape(m, 2, -1)
+        vecs[active] = v
+        overlap[active] = nc
+        done = nc - prev[active] < tol
+        prev[active] = nc
+        active = active[~done]
+        if active.size == 0:
             break
-        prev = overlap
-    return overlap, history
+    return overlap
+
+
+def _als_starts(n: int, restarts: int, seed: int) -> np.ndarray:
+    """Random start vectors, drawn restart by restart and site by site."""
+    rng = np.random.default_rng(seed)
+    return np.array([[_random_unit_qubit(rng) for _ in range(n)] for _ in range(restarts)])
 
 
 def geometric_measure_als(
@@ -337,13 +376,8 @@ def geometric_measure_als(
     """
     if restarts < 1:
         raise ThermwitError(f"need at least one restart, got {restarts}")
-    rng = np.random.default_rng(seed)
-    tensor = psi.as_tensor()
-    best = 0.0
-    for _ in range(restarts):
-        overlap, _ = _als_single_run(tensor, psi.n_sites, rng, tol, max_sweeps)
-        best = max(best, overlap)
-    best = min(best, 1.0)
+    starts = _als_starts(psi.n_sites, restarts, seed)
+    best = min(float(np.max(_als(psi.as_tensor(), starts, tol, max_sweeps))), 1.0)
     eg_upper = -2.0 * math.log2(best) if best > 0 else math.inf
     return best, max(0.0, eg_upper)
 
@@ -352,6 +386,6 @@ def als_sweep_overlaps(
     psi: PureState, seed: int = 0, tol: float = 0.0, max_sweeps: int = 100
 ) -> np.ndarray:
     """Overlap after every site update of a single alternating-search run."""
-    rng = np.random.default_rng(seed)
-    _, history = _als_single_run(psi.as_tensor(), psi.n_sites, rng, tol, max_sweeps)
-    return np.array(history)
+    trace: list[np.ndarray] = []
+    _als(psi.as_tensor(), _als_starts(psi.n_sites, 1, seed), tol, max_sweeps, trace)
+    return np.concatenate(trace)

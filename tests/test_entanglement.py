@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,6 +14,7 @@ from thermwit.entanglement import (
     BoundSource,
     Partition,
     RobustnessBound,
+    als_sweep_overlaps,
     bipartite_pure_robustness,
     bound_from_relative_entropy,
     concurrence_signed,
@@ -26,6 +28,7 @@ from thermwit.entanglement import (
     schmidt_coefficients,
     singlet_robustness,
 )
+from thermwit.entanglement import _als, _als_starts, _random_unit_qubit
 from thermwit.errors import (
     BadPartition,
     NegativeEntanglement,
@@ -318,6 +321,160 @@ class TestGeometricMeasureALS:
         history = als_sweep_overlaps(dicke_state(5, 2), seed=6, max_sweeps=40)
         arr = np.array(history)
         assert np.all(np.diff(arr) >= -1e-13)
+
+
+def _reference_als_run(tensor, n, rng, tol, max_sweeps):
+    """The sequential search: one restart, an n-operand einsum per site update."""
+    vecs = [_random_unit_qubit(rng) for _ in range(n)]
+    history = []
+    overlap = 0.0
+    prev = -1.0
+    for _ in range(max_sweeps):
+        for site in range(n):
+            args = [tensor, list(range(n))]
+            for j in range(n):
+                if j != site:
+                    args.extend([vecs[j].conj(), [j]])
+            c = np.einsum(*args, [site])
+            nc = float(np.linalg.norm(c))
+            if nc > 0.0:
+                vecs[site] = c / nc
+            overlap = nc
+            history.append(overlap)
+        if overlap - prev < tol:
+            break
+        prev = overlap
+    return overlap, history
+
+
+def _reference_als_best(psi, restarts, seed, tol=1e-12, max_sweeps=500):
+    rng = np.random.default_rng(seed)
+    runs = [
+        _reference_als_run(psi.as_tensor(), psi.n_sites, rng, tol, max_sweeps)[0]
+        for _ in range(restarts)
+    ]
+    return min(max(runs), 1.0)
+
+
+_EQUIVALENCE_CASES = [
+    *((f"dicke({n},{k})", dicke_state(n, k)) for n in range(2, 11) for k in sorted({1, n // 2})),
+    *((f"ghz({n})", ghz(n)) for n in (3, 4, 5)),
+    *(
+        (f"random({n},{i})", random_pure(n, np.random.default_rng(100 * n + i)))
+        for n in (3, 4, 5)
+        for i in range(2)
+    ),
+]
+_EQUIVALENCE_IDS = [name for name, _ in _EQUIVALENCE_CASES]
+_EQUIVALENCE_STATES = [psi for _, psi in _EQUIVALENCE_CASES]
+
+
+class TestBatchedALSMatchesSequential:
+    """The batched search against the sequential one it replaced."""
+
+    @pytest.mark.parametrize("psi", _EQUIVALENCE_STATES, ids=_EQUIVALENCE_IDS)
+    def test_best_overlap(self, psi):
+        for seed in range(5):
+            overlap, _ = geometric_measure_als(psi, restarts=8, seed=seed)
+            assert abs(overlap - _reference_als_best(psi, 8, seed)) <= 1e-12
+
+    @pytest.mark.parametrize("psi", _EQUIVALENCE_STATES, ids=_EQUIVALENCE_IDS)
+    def test_sweep_history(self, psi):
+        # tol = 0 would stop on the first sweep whose overlap rounds no higher,
+        # a rounding accident; 1e-12 (the search's default) stops on convergence.
+        for seed in range(5):
+            _, expected = _reference_als_run(
+                psi.as_tensor(), psi.n_sites, np.random.default_rng(seed), 1e-12, 100
+            )
+            history = als_sweep_overlaps(psi, seed=seed, tol=1e-12)
+            assert len(history) == len(expected)
+            assert np.max(np.abs(history - np.array(expected))) <= 1e-12
+
+    def test_restarts_stop_independently(self):
+        # with a loose tolerance the restarts stop after different sweeps;
+        # each must end where its own sequential run ends
+        psi = dicke_state(6, 2)
+        rng = np.random.default_rng(9)
+        runs = [_reference_als_run(psi.as_tensor(), 6, rng, 1e-4, 500) for _ in range(8)]
+        assert len({len(h) for _, h in runs}) > 1
+        overlaps = _als(psi.as_tensor(), _als_starts(6, 8, 9), 1e-4, 500)
+        assert np.max(np.abs(overlaps - np.array([o for o, _ in runs]))) <= 1e-12
+
+
+class TestALSSettings:
+    def test_rejects_no_sweeps(self):
+        with pytest.raises(ThermwitError):
+            geometric_measure_als(ghz(3), max_sweeps=0)
+        with pytest.raises(ThermwitError):
+            als_sweep_overlaps(ghz(3), max_sweeps=-1)
+
+    @pytest.mark.parametrize("tol", [-1e-12, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ThermwitError):
+            geometric_measure_als(ghz(3), tol=tol)
+
+    def test_rejects_no_restarts(self):
+        with pytest.raises(ThermwitError):
+            geometric_measure_als(ghz(3), restarts=0)
+
+
+def _exact_power_of_two(e_r: float) -> mpmath.mpf:
+    with mpmath.workprec(200):
+        return mpmath.power(2, mpmath.mpf(e_r))
+
+
+class TestDirectedRounding:
+    """A lower bound on 1 + R never rounds up; the threshold never rounds down."""
+
+    @given(st.floats(min_value=0.0, max_value=12.0))
+    @settings(max_examples=500, deadline=None)
+    def test_entropy_bound_never_above_power_of_two(self, e_r):
+        value = bound_from_relative_entropy(e_r).one_plus_r
+        exact = _exact_power_of_two(e_r)
+        with mpmath.workprec(200):
+            assert mpmath.mpf(value) <= exact
+            # and no looser than two floats below 2^{e_r}
+            assert mpmath.mpf(math.nextafter(math.nextafter(value, math.inf), math.inf)) > exact
+
+    @given(st.floats(min_value=12.0, max_value=1000.0))
+    @settings(max_examples=200, deadline=None)
+    def test_entropy_bound_never_above_power_of_two_large(self, e_r):
+        with mpmath.workprec(200):
+            assert mpmath.mpf(bound_from_relative_entropy(e_r).one_plus_r) <= _exact_power_of_two(e_r)
+
+    def test_integer_inputs_are_exact_powers(self):
+        for k in range(0, 1001):
+            assert Fraction(bound_from_relative_entropy(float(k)).one_plus_r) == 2**k
+        assert bound_from_relative_entropy(7).one_plus_r == 128.0
+
+    def test_tiny_input_stays_at_one(self):
+        # 2^{1e-20} rounds to 1.0; a step below it would not be a valid 1 + R
+        assert bound_from_relative_entropy(1e-20).one_plus_r == 1.0
+        assert bound_from_relative_entropy(5e-324).one_plus_r == 1.0
+
+    def test_nan_input_rejected(self):
+        with pytest.raises(ThermwitError):
+            bound_from_relative_entropy(math.nan)
+
+    @given(st.floats(min_value=1.0, max_value=1e300))
+    @settings(max_examples=500, deadline=None)
+    def test_threshold_is_smallest_float_not_below_reciprocal(self, one_plus_r):
+        b = RobustnessBound(one_plus_r, BoundKind.LOWER_BOUND, BoundSource.RELATIVE_ENTROPY_INPUT)
+        exact = 1 / Fraction(one_plus_r)
+        assert Fraction(b.threshold) >= exact
+        assert Fraction(math.nextafter(b.threshold, 0.0)) < exact
+        assert b.log_threshold == math.log(b.threshold)
+
+    def test_threshold_steps_up_for_dicke(self):
+        # 1 + R(8, 4) = 128/35 rounds down, so the reciprocal of the float
+        # lies just above 35/128 and the threshold steps one float up
+        b = dicke_robustness(8, 4)
+        assert b.threshold == math.nextafter(35 / 128, 1.0)
+        assert singlet_robustness().threshold == 0.5
+
+    def test_rejects_infinite_one_plus_r(self):
+        with pytest.raises(ThermwitError):
+            RobustnessBound(math.inf, BoundKind.LOWER_BOUND, BoundSource.RELATIVE_ENTROPY_INPUT)
 
 
 class TestBoundSubstitution:
