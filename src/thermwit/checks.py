@@ -52,7 +52,7 @@ from .thermal import (
 )
 from .witness import (
     concurrence_vanishing_temperature,
-    dimer_condition,
+    dimer_condition_margin,
     evaluate_condition,
     flip_probability_from_temperature,
     noise_threshold,
@@ -162,7 +162,7 @@ def check_witness_soundness_sample(seed: int = 0) -> CheckResult:
         b = float(rng.uniform(0.0, 3.99))
         temp = float(rng.uniform(0.05, 1.2 * T_DIMER_ZERO_FIELD))
         point = ThermalPoint(temp)
-        if not dimer_condition(b, 1.0, point):
+        if not dimer_condition_margin(b, 1.0, point) > 0.0:
             continue
         found += 1
         rho = thermal_density_matrix(build_dimer_hamiltonian(DimerParams(b, 1.0)), point)

@@ -33,19 +33,13 @@ from .entanglement import (
     bipartite_pure_robustness,
     bound_from_relative_entropy,
     concurrence_two_qubit,
-    dicke_half_asymptotic,
     dicke_overlap_closed,
     dicke_robustness,
     geometric_measure_als,
     ppt_min_eigenvalue,
     singlet_robustness,
 )
-from .errors import (
-    DomainError,
-    NoSignChange,
-    ThermwitError,
-    ThresholdUnreachable,
-)
+from .errors import NoSignChange, ThermwitError, ThresholdUnreachable
 from .numerics import hermitian_eigenvalues
 from .systems import (
     DimerParams,
@@ -65,8 +59,8 @@ from .systems import (
 from .thermal import (
     ThermalPoint,
     exp_or_inf,
+    log_ground_population_alpha_closed,
     log_partition_function,
-    log_partition_function_alpha_closed,
     log_partition_function_alpha_gamma,
     log_population,
     log_stabilizer_partition_function,
@@ -140,16 +134,22 @@ def _sweep(
     system: str,
     params: Sequence[tuple[str, str]],
     bound: RobustnessBound,
+    e0: float,
+    log_p0: Callable[[ThermalPoint], float],
+    shape: tuple[float, float, int],
     extra_columns: Sequence[str],
-    row: Callable[[ThermalPoint], tuple[float, float, Sequence[float]]],
-    summaries: Callable[[], Sequence[tuple[str, str]]],
+    extra: Callable[[ThermalPoint, float], Sequence[float]],
+    summaries: Callable[[float | None], Sequence[tuple[str, str]]],
     tail: Sequence[tuple[str, str]] = (),
 ) -> int:
     """Sweep the temperature grid and emit the CSV for one model.
 
-    ``row(point)`` returns (log Z, log p0, extra cells) at one grid point;
-    Z, p and the verdict log p0 > log threshold are derived here alone.
-    ``summaries()`` runs after the sweep and may raise MismatchError.
+    ``log_p0(point)`` is the model's one input: at each grid point Z =
+    e^{-e0/kT} / p0, p and the verdict log p0 > log threshold are derived
+    from it here alone, and after the rows the one ``ground_crossing``
+    search runs on it over ``shape`` = (gap, spread, dimension).
+    ``extra(point, log p0)`` gives the model's extra cells of a row, and
+    ``summaries(t_trans)`` its summary lines; it may raise MismatchError.
     """
     config_pairs = [
         ("system", system),
@@ -164,24 +164,33 @@ def _sweep(
     rows = []
     for temp in cfg.grid.values():
         point = ThermalPoint(float(temp), cfg.k_b)
-        log_z, log_p0, extra = row(point)
+        log_p = log_p0(point)
         rows.append([
             _fmt(temp),
-            _fmt(exp_or_inf(log_z)),
-            _fmt(math.exp(log_p0)),
+            _fmt(exp_or_inf(-e0 / point.kt - log_p)),
+            _fmt(math.exp(log_p)),
             _fmt(bound.threshold),
-            _fb(log_p0 > bound.log_threshold),
+            _fb(log_p > bound.log_threshold),
             bound.kind.value,
-            *(_fmt(x) for x in extra),
+            *(_fmt(x) for x in extra(point, log_p)),
         ])
+    t_trans = ground_crossing(log_p0, bound, *shape, cfg.k_b).t_trans
     results = [
         ("one_plus_r", _fmt(bound.one_plus_r)),
         ("threshold", _fmt(bound.threshold)),
         ("bound_kind", bound.kind.value),
-        *summaries(),
+        *summaries(t_trans),
     ]
     _deliver(_emit(config_pairs, columns, rows, results), cfg.out)
     return EXIT_OK
+
+
+def _rel_err(log_a: float, log_b: float) -> float:
+    """|a/b - 1| from log a and log b, so neither a nor b can overflow or underflow."""
+    try:
+        return abs(math.expm1(log_a - log_b))
+    except OverflowError:
+        return math.inf
 
 
 def _crossing_lines(t_star: float | None) -> list[tuple[str, str]]:
@@ -211,17 +220,15 @@ def cmd_dimer(cfg: RunConfig) -> int:
     if cfg.oracles:
         h = build_dimer_hamiltonian(p)
 
-    def row(point: ThermalPoint):
-        extra = ()
-        if cfg.oracles:
-            rho = thermal_density_matrix(h, point)
-            extra = (concurrence_two_qubit(rho), ppt_min_eigenvalue(rho, (2, 2), (0,)))
-        return log_partition_function(sp, point), log_population(sp, point, 0), extra
+    def extra(point: ThermalPoint, log_p0: float):
+        if not cfg.oracles:
+            return ()
+        rho = thermal_density_matrix(h, point)
+        return concurrence_two_qubit(rho), ppt_min_eigenvalue(rho, (2, 2), (0,))
 
-    def summaries():
+    def summaries(t_trans: float | None):
         out = [("phase", "singlet-ground" if singlet_phase else "product-ground")]
-        tr = transition_temperature(sp, bound, cfg.k_b)
-        out.append(("t_trans", _fmt(tr.t_trans) if tr.detected else "none"))
+        out += _crossing_lines(t_trans)
         if not singlet_phase:
             singlet_energy = -3.0 * p.J
             level = int(np.argmin(np.abs(np.array(sp.energies) - singlet_energy)))
@@ -232,17 +239,21 @@ def cmd_dimer(cfg: RunConfig) -> int:
         if cfg.oracles and singlet_phase:
             t_conc = concurrence_vanishing_temperature(p, k_b=cfg.k_b)
             out.append(("t_concurrence_zero", _fmt(t_conc)))
-            if tr.detected:
-                out.append(("t_margin", _fmt(t_conc - tr.t_trans)))
-                if tr.t_trans > t_conc * (1.0 + 1e-9):
+            if t_trans is not None:
+                out.append(("t_margin", _fmt(t_conc - t_trans)))
+                if t_trans > t_conc * (1.0 + 1e-9):
                     raise MismatchError(
-                        f"witness crossing {tr.t_trans!r} above concurrence zero {t_conc!r}"
+                        f"witness crossing {t_trans!r} above concurrence zero {t_conc!r}"
                     )
         return out
 
     columns = ["concurrence", "min_pt_eig"] if cfg.oracles else []
     params = [("B", _fmt(p.B)), ("J", _fmt(p.J))]
-    return _sweep(cfg, "dimer", params, bound, columns, row, summaries)
+    return _sweep(
+        cfg, "dimer", params, bound, sp.ground_energy,
+        lambda point: log_population(sp, point, 0), (sp.gap, sp.spread, sp.dimension),
+        columns, extra, summaries,
+    )
 
 
 # --- power-law ladder ---------------------------------------------------------
@@ -272,31 +283,23 @@ def cmd_toy(cfg: RunConfig) -> int:
 
     worst_oracle = 0.0
 
-    def log_p0_at(point: ThermalPoint) -> tuple[float, float]:
-        log_z = log_partition_function_alpha_closed(p, point)
-        return log_z, -p.e0 / point.kt - log_z
-
-    def row(point: ThermalPoint):
+    def extra(point: ThermalPoint, log_p0: float):
         nonlocal worst_oracle
-        log_z, log_p0 = log_p0_at(point)
-        z = exp_or_inf(log_z)
-        extra = []
+        cells = []
         if p.alpha > 0.0:
-            zg = exp_or_inf(log_partition_function_alpha_gamma(p, point))
-            extra += [zg, abs(zg - z) / z]
+            log_zg = log_partition_function_alpha_gamma(p, point)
+            cells += [exp_or_inf(log_zg), _rel_err(log_zg, -p.e0 / point.kt - log_p0)]
         if cfg.oracles:
-            z_sp = exp_or_inf(log_partition_function(sp_oracle, point))
-            extra.append(z_sp)
-            worst_oracle = max(worst_oracle, abs(z_sp - z) / z)
-        return log_z, log_p0, extra
+            log_p0_sp = log_population(sp_oracle, point, 0)
+            cells.append(exp_or_inf(-sp_oracle.ground_energy / point.kt - log_p0_sp))
+            # Z_sp / Z = p0 / p0_sp: compared without the -E0/kT both carry.
+            # np.maximum keeps a NaN, which then fails the gate below.
+            worst_oracle = float(np.maximum(worst_oracle, _rel_err(log_p0, log_p0_sp)))
+        return cells
 
-    def summaries():
+    def summaries(t_trans: float | None):
         out = [("min_gap_rule", _fmt(gapping_rule_min_gap(e_r)))]
-        spread = p.delta * float(p.n_levels - 1) ** p.alpha
-        tr = ground_crossing(
-            lambda point: log_p0_at(point)[1], bound, p.delta, spread, p.n_levels, cfg.k_b
-        )
-        out += _crossing_lines(tr.t_trans)
+        out += _crossing_lines(t_trans)
         if p.alpha == 0.0:
             try:
                 out.append(
@@ -313,7 +316,7 @@ def cmd_toy(cfg: RunConfig) -> int:
             )
         if cfg.oracles:
             out.append(("z_spectrum_max_rel_err", _fmt(worst_oracle)))
-            if worst_oracle > 1e-9:
+            if not worst_oracle <= 1e-9:
                 raise MismatchError(
                     f"spectrum re-sum disagrees with closed form by {worst_oracle:.3e}"
                 )
@@ -331,7 +334,12 @@ def cmd_toy(cfg: RunConfig) -> int:
     ]
     if cfg.toy_n is not None:
         params.append(("n", str(cfg.toy_n)))
-    return _sweep(cfg, "toy", params, bound, columns, row, summaries)
+    spread = p.delta * float(p.n_levels - 1) ** p.alpha
+    return _sweep(
+        cfg, "toy", params, bound, p.e0,
+        lambda point: log_ground_population_alpha_closed(p, point),
+        (p.delta, spread, p.n_levels), columns, extra, summaries,
+    )
 
 
 # --- symmetric (Dicke) bound report -------------------------------------------
@@ -359,7 +367,7 @@ def cmd_dicke(cfg: RunConfig) -> int:
         ("max_product_overlap_sq", _fmt(overlap**2)),
     ]
     if n % 2 == 0 and k == n // 2:
-        summaries.append(("sqrt_n", _fmt(dicke_half_asymptotic(n))))
+        summaries.append(("sqrt_n", _fmt(math.sqrt(n))))
         summaries.append(
             ("log_ratio_to_sqrt_n", _fmt(math.log2(bound.one_plus_r) / math.log2(math.sqrt(n))))
         )
@@ -418,8 +426,7 @@ def _matrix_check(g: Graph, b: float, cfg: RunConfig) -> list[tuple[str, str]]:
         point = ThermalPoint(float(temp), cfg.k_b)
         log_z_closed = log_stabilizer_partition_function(g.n, b, point)
         log_z_dense = log_partition_function(dense, point)
-        # Relative error of Z, taken in the log domain so large log Z cannot overflow.
-        z_err = max(z_err, abs(math.expm1(log_z_dense - log_z_closed)))
+        z_err = max(z_err, _rel_err(log_z_dense, log_z_closed))
     if not levels_ok or residual > 1e-9 or z_err > 1e-9:
         raise MismatchError(
             f"dense matrix check failed: levels_ok={levels_ok} "
@@ -451,22 +458,16 @@ def cmd_graph(cfg: RunConfig) -> int:
     bound = bound_from_relative_entropy(e_r)
     worst_flip = 0.0
 
-    def row(point: ThermalPoint):
+    def extra(point: ThermalPoint, log_p0: float):
         nonlocal worst_flip
-        log_p0 = _graph_log_p0(g.n, b, point.kt)
-        extra = ()
-        if cfg.oracles:
-            p_flip = flip_probability_from_temperature(b, point)
-            p_from_flip = (1.0 - p_flip) ** g.n
-            extra = (p_flip, p_from_flip)
-            worst_flip = max(worst_flip, abs(p_from_flip - math.exp(log_p0)))
-        return log_stabilizer_partition_function(g.n, b, point), log_p0, extra
+        if not cfg.oracles:
+            return ()
+        p_flip = flip_probability_from_temperature(b, point)
+        p_from_flip = (1.0 - p_flip) ** g.n
+        worst_flip = max(worst_flip, abs(p_from_flip - math.exp(log_p0)))
+        return p_flip, p_from_flip
 
-    def summaries():
-        t_trans = ground_crossing(
-            lambda point: _graph_log_p0(g.n, b, point.kt),
-            bound, 2.0 * b, 2.0 * g.n * b, 2**g.n, cfg.k_b,
-        ).t_trans
+    def summaries(t_trans: float | None):
         p_flip = flip_probability_from_temperature(b, ThermalPoint(t_trans, cfg.k_b))
         out = [
             *_crossing_lines(t_trans),
@@ -499,7 +500,11 @@ def cmd_graph(cfg: RunConfig) -> int:
         ("eR_per_site", _fmt(ratio)),
     ]
     tail = [("matrix_check", _fb(cfg.matrix_check))]
-    return _sweep(cfg, "graph", params, bound, columns, row, summaries, tail)
+    return _sweep(
+        cfg, "graph", params, bound, -g.n * b,
+        lambda point: _graph_log_p0(g.n, b, point.kt), (2.0 * b, 2.0 * g.n * b, 2**g.n),
+        columns, extra, summaries, tail,
+    )
 
 
 # --- verification --------------------------------------------------------------
@@ -608,7 +613,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MismatchError as exc:
         print(f"thermwit: cross-check mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (NoSignChange, DomainError, OverflowError, np.linalg.LinAlgError) as exc:
+    except (NoSignChange, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"thermwit: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ThermwitError, OSError) as exc:

@@ -22,11 +22,10 @@ from .errors import (
     BadDimension,
     BadPartition,
     NegativeEntanglement,
-    OddN,
     SeparableCase,
     ThermwitError,
 )
-from .numerics import hermitian_eigendecompose, kron, log_gamma, partial_transpose
+from .numerics import hermitian_eigendecompose, partial_transpose
 from .systems import SIGMA_Y, PureState
 
 _EXACT_DICKE_CUTOFF = 2000
@@ -182,7 +181,7 @@ def dicke_robustness(n: int, k: int) -> RobustnessBound:
         if Fraction(value) > exact:
             value = math.nextafter(value, 0.0)
     else:
-        log_c = log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0)
+        log_c = math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
         value = math.exp(
             k * math.log(n / k) + (n - k) * math.log(n / (n - k)) - log_c
         )
@@ -191,24 +190,40 @@ def dicke_robustness(n: int, k: int) -> RobustnessBound:
     )
 
 
+def _stirling_remainder(m: int) -> float:
+    """log m! - ((m + 1/2) log m - m + log sqrt(2 pi)), to ~1e-14 absolute.
+
+    Below 16 it is taken from math.lgamma; from 16 up the series through
+    1/(1188 m^9) is used, whose truncation error is below 1e-16 there.
+    """
+    if m < 16:
+        return math.lgamma(m + 1.0) - (m + 0.5) * math.log(m) + m - math.log(math.sqrt(2 * math.pi))
+    x = 1.0 / (m * m)
+    return (1 / 12 - x * (1 / 360 - x * (1 / 1260 - x * (1 / 1680 - x / 1188)))) / m
+
+
 def dicke_overlap_closed(n: int, k: int) -> float:
     """Largest product-state overlap of the (n, k) symmetric state.
 
     The square of this overlap is exactly 1 / (1 + R), so the geometric and
-    robustness routes agree for these states.
+    robustness routes agree for these states. Where C(n, k) exceeds float
+    range, log overlap^2 = log C(n, k) + k log(k/n) + (n-k) log((n-k)/n) is
+    summed from Stirling's formula, in which the m log m terms cancel exactly,
+    so the result keeps ~1e-14 relative accuracy at any n.
     """
     if n < 2 or k <= 0 or k >= n:
         raise ThermwitError(f"need n >= 2 and 0 < k < n, got n={n}, k={k}")
-    return math.sqrt(math.comb(n, k) * (k / n) ** k * ((n - k) / n) ** (n - k))
-
-
-def dicke_half_asymptotic(n: int) -> float:
-    """Large-n growth sqrt(n) of 1 + R at half filling (n even)."""
-    if n < 2:
-        raise ThermwitError(f"need n >= 2, got {n}")
-    if n % 2 != 0:
-        raise OddN(f"half filling needs even n, got {n}")
-    return math.sqrt(n)
+    try:
+        return math.sqrt(math.comb(n, k) * (k / n) ** k * ((n - k) / n) ** (n - k))
+    except OverflowError:  # C(n, k) beyond float range
+        pass
+    log_sq = (
+        0.5 * math.log(n / (2.0 * math.pi * k * (n - k)))
+        + _stirling_remainder(n)
+        - _stirling_remainder(k)
+        - _stirling_remainder(n - k)
+    )
+    return math.exp(0.5 * log_sq)
 
 
 def bound_from_relative_entropy(
@@ -249,7 +264,7 @@ def _validate_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndar
     return a
 
 
-_YY = kron(SIGMA_Y, SIGMA_Y)
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 
 def concurrence_signed(rho: np.ndarray) -> float:
@@ -383,7 +398,7 @@ def geometric_measure_als(
 
 
 def als_sweep_overlaps(
-    psi: PureState, seed: int = 0, tol: float = 0.0, max_sweeps: int = 100
+    psi: PureState, seed: int = 0, tol: float = 1e-12, max_sweeps: int = 100
 ) -> np.ndarray:
     """Overlap after every site update of a single alternating-search run."""
     trace: list[np.ndarray] = []

@@ -23,10 +23,6 @@ class BadDimensionFactorization(ThermwitError):
     """Matrix dimension does not factor into the supplied local dimensions."""
 
 
-class DomainError(ThermwitError):
-    """Scalar function evaluated outside its domain."""
-
-
 class NoSignChange(ThermwitError):
     """Bisection bracket does not straddle a root."""
 

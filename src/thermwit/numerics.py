@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     BadDimensionFactorization,
     DimensionTooLarge,
-    DomainError,
     NoSignChange,
     NotHermitian,
 )
@@ -80,20 +79,6 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.nda
     return np.linalg.eigvalsh(_checked_hermitian(m, tol))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the package dimension cap."""
-    am = np.asarray(a)
-    bm = np.asarray(b)
-    if am.ndim != 2 or bm.ndim != 2:
-        raise BadDimensionFactorization("kron expects two 2-D arrays")
-    if am.shape[0] * bm.shape[0] > DIM_CAP or am.shape[1] * bm.shape[1] > DIM_CAP:
-        raise DimensionTooLarge(
-            f"kron result {am.shape[0] * bm.shape[0]} x {am.shape[1] * bm.shape[1]} "
-            f"exceeds cap {DIM_CAP}"
-        )
-    return np.kron(am, bm)
-
-
 def partial_transpose(
     rho: np.ndarray, local_dims: Sequence[int], subset: Sequence[int]
 ) -> np.ndarray:
@@ -126,14 +111,6 @@ def partial_transpose(
     for s in sites:
         axes[s], axes[n + s] = axes[n + s], axes[s]
     return np.ascontiguousarray(t.transpose(axes).reshape(d, d))
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for real x > 0; DomainError outside that range."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"log_gamma needs x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def root_bracket(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BadExcitationCount, GraphTooLarge, IndexOutOfRange, ThermwitError
-from .numerics import kron
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -121,9 +120,6 @@ class Spectrum:
 
     def log_degeneracy_array(self) -> np.ndarray:
         return self._log_deg_arr  # type: ignore[attr-defined]
-
-    def levels(self) -> tuple[tuple[float, int], ...]:
-        return tuple(zip(self.energies, self.degeneracies))
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,9 +242,9 @@ def build_dimer_hamiltonian(p: DimerParams) -> np.ndarray:
     (|11>), so the singlet is the ground state exactly while B < 4J.
     """
     exchange = (
-        kron(SIGMA_X, SIGMA_X) + kron(SIGMA_Y, SIGMA_Y) + kron(SIGMA_Z, SIGMA_Z)
+        np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z)
     )
-    zeeman = kron(SIGMA_Z, IDENTITY_2) + kron(IDENTITY_2, SIGMA_Z)
+    zeeman = np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z)
     return p.J * exchange - 0.5 * p.B * zeeman
 
 

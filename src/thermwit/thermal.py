@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaZero, DegenerateGround, IndexOutOfRange, ThermwitError
-from .numerics import hermitian_eigendecompose, log_gamma
+from .numerics import hermitian_eigendecompose
 from .systems import Spectrum, ToySpectrumParams
 
 LN2 = math.log(2.0)
@@ -51,17 +51,6 @@ class ThermalPoint:
         return self.temperature * self.k_b
 
 
-@dataclass(frozen=True)
-class PopulationProfile:
-    """Per-level Boltzmann weights of a spectrum at one temperature.
-
-    ``aggregated[j]`` is the population of level j with its degeneracy
-    multiplied in; the entries sum to one.
-    """
-
-    aggregated: np.ndarray
-
-
 def _logsumexp(a: np.ndarray) -> float:
     m = float(np.max(a))
     return m + math.log(float(np.sum(np.exp(a - m))))
@@ -85,9 +74,10 @@ def exp_or_inf(log_z: float) -> float:
         return math.inf
 
 
-def population_profile(s: Spectrum, t: ThermalPoint) -> PopulationProfile:
+def population_profile(s: Spectrum, t: ThermalPoint) -> np.ndarray:
+    """Population of each level with its degeneracy multiplied in; sums to one."""
     terms = _shifted_log_terms(s, t.kt)
-    return PopulationProfile(aggregated=np.exp(terms - _logsumexp(terms)))
+    return np.exp(terms - _logsumexp(terms))
 
 
 def log_population(s: Spectrum, t: ThermalPoint, level_index: int = 0) -> float:
@@ -96,11 +86,6 @@ def log_population(s: Spectrum, t: ThermalPoint, level_index: int = 0) -> float:
         raise IndexOutOfRange(f"level {level_index} outside 0..{s.n_levels - 1}")
     shift = (s.energies[level_index] - s.ground_energy) / t.kt
     return -shift - _logsumexp(_shifted_log_terms(s, t.kt))
-
-
-def population(s: Spectrum, t: ThermalPoint, level_index: int = 0) -> float:
-    """Population e^{-E_j/kT} / Z of a single state in level ``level_index``."""
-    return math.exp(log_population(s, t, level_index))
 
 
 def thermal_density_matrix(h: np.ndarray, t: ThermalPoint) -> np.ndarray:
@@ -133,8 +118,11 @@ def _ladder_levels(p: ToySpectrumParams) -> np.ndarray:
     return levels
 
 
-def log_partition_function_alpha_closed(p: ToySpectrumParams, t: ThermalPoint) -> float:
-    """Exact finite sum log Z = -e0/kT + log(1 + sum_m e^{-m^alpha delta/kT})."""
+def log_ground_population_alpha_closed(p: ToySpectrumParams, t: ThermalPoint) -> float:
+    """Exact finite sum log p0 = -log(1 + sum_m e^{-m^alpha delta/kT}).
+
+    The ground energy e0 drops out, so any e0 gives the same bits.
+    """
     terms = _ladder_levels(p) / t.kt
     mx = float(np.max(terms))
     terms -= mx
@@ -148,7 +136,12 @@ def log_partition_function_alpha_closed(p: ToySpectrumParams, t: ThermalPoint) -
     # log1p of the summed tail keeps accuracy when every term underflows the
     # ground contribution.
     tail = math.exp(mx) * float(np.sum(terms))
-    return -p.e0 / t.kt + math.log1p(tail)
+    return -math.log1p(tail)
+
+
+def log_partition_function_alpha_closed(p: ToySpectrumParams, t: ThermalPoint) -> float:
+    """Exact finite sum log Z = -e0/kT + log(1 + sum_m e^{-m^alpha delta/kT})."""
+    return -p.e0 / t.kt - log_ground_population_alpha_closed(p, t)
 
 
 def log_partition_function_alpha_gamma(p: ToySpectrumParams, t: ThermalPoint) -> float:
@@ -163,7 +156,7 @@ def log_partition_function_alpha_gamma(p: ToySpectrumParams, t: ThermalPoint) ->
     inv = 1.0 / p.alpha
     return (
         -p.e0 / t.kt
-        + log_gamma(inv)
+        + math.lgamma(inv)
         - math.log(p.alpha)
         + inv * math.log(t.kt / p.delta)
     )

@@ -34,12 +34,12 @@ from .errors import (
     ThermwitError,
     ThresholdUnreachable,
 )
-from .numerics import log_gamma, root_bracket
+from .numerics import root_bracket
 from .systems import DimerParams, Spectrum, ToySpectrumParams, build_dimer_hamiltonian
 from .thermal import (
     LN2,
     ThermalPoint,
-    log_partition_function_alpha_closed,
+    log_ground_population_alpha_closed,
     log_population,
     population_profile,
     thermal_density_matrix,
@@ -208,7 +208,7 @@ def satisfying_intervals(
 
     def rising(temp: float) -> float:
         # log p_j rises with T while E_j > <E>
-        return e_j - population_profile(s, ThermalPoint(temp, k_b)).aggregated @ energies
+        return e_j - population_profile(s, ThermalPoint(temp, k_b)) @ energies
 
     def margin(temp: float) -> float:
         return log_population(s, ThermalPoint(temp, k_b), level_index) - bound.log_threshold
@@ -240,34 +240,22 @@ def dimer_condition_margin(B: float, J: float, t: ThermalPoint) -> float:
     return 4.0 * J / kt - log_field_sum
 
 
-def dimer_condition(B: float, J: float, t: ThermalPoint) -> bool:
-    """Singlet-population witness condition for the exchange dimer in a field."""
-    return dimer_condition_margin(B, J, t) > 0.0
-
-
-def concurrence_vanishing_temperature(
-    p: DimerParams,
-    t_lo: float | None = None,
-    t_hi: float | None = None,
-    k_b: float = 1.0,
-) -> float:
+def concurrence_vanishing_temperature(p: DimerParams, k_b: float = 1.0) -> float:
     """Temperature where the dimer thermal state's concurrence hits zero.
 
     Independent diagnostic: runs on the explicit 4x4 Gibbs state via the
-    spin-flip spectrum, with no input from the witness path. The default
-    bracket is a window around 4J / ln 3, where the zero sits for any field.
+    spin-flip spectrum, with no input from the witness path. The bracket is
+    a window around 4J / ln 3, where the zero sits for any field.
     """
     if not p.J > 0:
         raise ThermwitError("concurrence vanishes identically at J = 0")
     scale = 4.0 * p.J / (math.log(3.0) * k_b)
-    lo = 0.2 * scale if t_lo is None else t_lo
-    hi = 3.0 * scale if t_hi is None else t_hi
     h = build_dimer_hamiltonian(p)
 
     def f(temp: float) -> float:
         return concurrence_signed(thermal_density_matrix(h, ThermalPoint(temp, k_b)))
 
-    return root_bracket(f, lo, hi)[0]
+    return root_bracket(f, 0.2 * scale, 3.0 * scale)[0]
 
 
 # --- power-law ladder closed forms -------------------------------------------
@@ -299,7 +287,7 @@ def toy_t0(n_levels: int, e_r: float, delta: float = 1.0) -> float:
     log_threshold = bound_from_relative_entropy(e_r).log_threshold
 
     def margin(kt: float) -> float:
-        return -log_partition_function_alpha_closed(ladder, ThermalPoint(kt)) - log_threshold
+        return log_ground_population_alpha_closed(ladder, ThermalPoint(kt)) - log_threshold
 
     if margin(t0) > 0.0:
         return t0
@@ -349,7 +337,7 @@ def toy_t_alpha(alpha: float, n: int, delta: float = 1.0) -> float:
         raise OddN(f"half filling needs even n, got {n}")
     if not delta > 0:
         raise ThermwitError(f"delta must be positive, got {delta}")
-    log_val = alpha * (math.log(alpha) + 0.5 * math.log(n) - log_gamma(1.0 / alpha))
+    log_val = alpha * (math.log(alpha) + 0.5 * math.log(n) - math.lgamma(1.0 / alpha))
     return delta * math.exp(log_val)
 
 

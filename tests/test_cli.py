@@ -3,12 +3,17 @@
 Everything runs in-process through cli.main(argv) so exit codes and stdout
 can be asserted directly; one test goes through the installed entry point.
 """
+import io
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import thermwit.cli
 import thermwit.entanglement
 from thermwit.cli import _graph_log_p0, main
 from thermwit.config import RunConfig, serialize_config
@@ -24,6 +29,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quiet(*argv):
+    """main(argv) with its output captured, for tests that cannot take capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def csv_column(out, name):
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    j = lines[0].split(",").index(name)
+    return [l.split(",")[j] for l in lines[1:]]
 
 
 def summary_value(out, key):
@@ -170,6 +189,59 @@ class TestToyCommand:
         assert code == 0
         assert float(summary_value(out, "z_spectrum_max_rel_err")) < 1e-9
 
+    def test_underflowing_z_keeps_the_error_column(self, capsys):
+        # Z = e^{-E0/kT} p0^{-1} underflows to 0.0 at the low end of the grid;
+        # the Gamma-form error is taken in the log domain and stays near E0 = 0's
+        argv = ["toy", "--alpha", "0.5", "--D", "10", "--eR", "1"]
+        code, out, err = run(capsys, *argv, "--E0", "1000")
+        assert code == 0 and err == ""
+        assert csv_column(out, "Z")[0] == "0.0"
+        _, out0, _ = run(capsys, *argv)
+        for got, ref in zip(csv_column(out, "gamma_rel_err"), csv_column(out0, "gamma_rel_err")):
+            assert float(got) == pytest.approx(float(ref), rel=1e-9)
+
+    def test_oracle_gate_live_where_z_overflows(self, capsys, monkeypatch):
+        # Z reads inf on every row; the re-sum is still compared, in the log domain
+        argv = ["toy", "--E0", "-1000", "--alpha", "0.5", "--D", "10", "--eR", "1",
+                "--grid", "0.1:1:5:lin", "--oracles"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert set(csv_column(out, "Z")) == {"inf"}
+        assert float(summary_value(out, "z_spectrum_max_rel_err")) <= 1e-9
+        exact = thermwit.cli.log_population
+        for shift in (1e-6, math.nan):
+            monkeypatch.setattr(
+                thermwit.cli, "log_population", lambda s, t, j, d=shift: exact(s, t, j) + d
+            )
+            code, _, err = run(capsys, *argv)
+            assert code == 4 and "re-sum disagrees" in err
+
+    @given(
+        alpha=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+        n_levels=st.integers(min_value=2, max_value=2000),
+        e_r=st.floats(min_value=0.05, max_value=12.0),
+        t_lo=st.floats(min_value=0.01, max_value=5.0),
+        span=st.floats(min_value=1.5, max_value=100.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_ground_energy_drops_out_of_p_verdict_and_crossing(
+        self, alpha, n_levels, e_r, t_lo, span
+    ):
+        # p0 = e^{-E0/kT}/Z carries no E0: rows' p and verdict and t_trans
+        # are the same bits for every E0
+        argv = ["toy", "--alpha", repr(alpha), "--D", str(n_levels), "--eR", repr(e_r),
+                "--grid", f"{t_lo!r}:{t_lo * span!r}:6:log"]
+
+        def decision(e0):
+            code, out, err = run_quiet(*argv, f"--E0={e0!r}")
+            assert code == 0, err
+            cols = [csv_column(out, c) for c in ("T", "p", "satisfied")]
+            return list(zip(*cols)), summary_value(out, "t_trans")
+
+        reference = decision(0.0)
+        for e0 in (1e6, -1e6, 1e15, -1e15, 1e308, -1e308):
+            assert decision(e0) == reference, e0
+
     def test_oracle_depth_cap(self, capsys):
         code, _, err = run(
             capsys, "toy", "--alpha", "0.5", "--D", "1000000", "--eR", "1", "--oracles"
@@ -213,6 +285,13 @@ class TestDickeCommand:
         code, _, err = run(capsys, "dicke", "--n", "14", "--oracles")
         assert code == 2
         assert "n <= 12" in err
+
+    def test_overlap_beyond_float_binomials(self, capsys):
+        # C(3000, 1500) is far above float range; the overlap goes through logs
+        code, out, _ = run(capsys, "dicke", "--n", "3000")
+        assert code == 0
+        overlap_sq = float(summary_value(out, "max_product_overlap_sq"))
+        assert overlap_sq == pytest.approx(float(summary_value(out, "threshold")), rel=1e-12)
 
     def test_separable_extremes_rejected(self, capsys):
         code, _, err = run(capsys, "dicke", "--n", "4", "--k", "0")
@@ -452,7 +531,7 @@ class TestNumericExitCode:
         def boom(*args, **kwargs):
             raise NoSignChange("planted failure")
 
-        monkeypatch.setattr("thermwit.cli.transition_temperature", boom)
+        monkeypatch.setattr("thermwit.cli.ground_crossing", boom)
         code, _, err = run(capsys, "dimer")
         assert code == 3
         assert "numerical failure" in err

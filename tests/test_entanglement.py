@@ -19,7 +19,6 @@ from thermwit.entanglement import (
     bound_from_relative_entropy,
     concurrence_signed,
     concurrence_two_qubit,
-    dicke_half_asymptotic,
     dicke_overlap_closed,
     dicke_robustness,
     geometric_measure_als,
@@ -32,7 +31,6 @@ from thermwit.entanglement import _als, _als_starts, _random_unit_qubit
 from thermwit.errors import (
     BadPartition,
     NegativeEntanglement,
-    OddN,
     SeparableCase,
     ThermwitError,
 )
@@ -164,11 +162,6 @@ class TestRobustnessBounds:
             with pytest.raises(SeparableCase):
                 dicke_robustness(4, k)
 
-    def test_half_asymptotic(self):
-        assert dicke_half_asymptotic(16) == 4.0
-        with pytest.raises(OddN):
-            dicke_half_asymptotic(7)
-
     def test_entropy_bound_is_power_of_two(self):
         b = bound_from_relative_entropy(3.0)
         assert b.one_plus_r == 8.0
@@ -202,6 +195,25 @@ class TestRobustnessBounds:
             )
             full = dicke_robustness(n, n // 2)
             assert half.one_plus_r == pytest.approx(full.one_plus_r, rel=1e-12)
+
+
+class TestDickeOverlapLargeN:
+    def test_direct_product_kept_where_finite(self):
+        for n in (2, 7, 100, 1000, 1029):
+            for k in {1, max(1, n // 3), n // 2}:
+                direct = math.sqrt(math.comb(n, k) * (k / n) ** k * ((n - k) / n) ** (n - k))
+                assert dicke_overlap_closed(n, k).hex() == direct.hex()
+
+    @pytest.mark.parametrize("n", [1030, 3000, 10**5])
+    def test_matches_mpmath_beyond_float_binomials(self, n):
+        for k in (n // 2, n // 3):
+            with mpmath.workdps(50):
+                exact = mpmath.sqrt(
+                    mpmath.binomial(n, k)
+                    * (mpmath.mpf(k) / n) ** k
+                    * (mpmath.mpf(n - k) / n) ** (n - k)
+                )
+            assert abs(dicke_overlap_closed(n, k) - float(exact)) <= 1e-12 * float(exact)
 
 
 class TestConcurrence:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from thermwit.errors import (
     BadDimensionFactorization,
     DimensionTooLarge,
-    DomainError,
     NoSignChange,
     NotHermitian,
     ThermwitError,
@@ -18,8 +17,6 @@ from thermwit.numerics import (
     DIM_CAP,
     hermitian_eigendecompose,
     hermitian_eigenvalues,
-    kron,
-    log_gamma,
     partial_transpose,
     root_bracket,
 )
@@ -134,25 +131,6 @@ class TestPartialTranspose:
             partial_transpose(m, (2, 2), (2,))
 
 
-class TestLogGamma:
-    def test_integer_factorials(self):
-        for n in range(1, 15):
-            assert log_gamma(n + 1) == pytest.approx(math.log(math.factorial(n)))
-
-    def test_rejects_nonpositive(self):
-        for x in (0.0, -1.5):
-            with pytest.raises(DomainError):
-                log_gamma(x)
-
-    @given(st.floats(min_value=0.05, max_value=120.0))
-    @settings(max_examples=200, deadline=None)
-    def test_recurrence_property(self, x):
-        # log Gamma(x + 1) = log Gamma(x) + log x
-        assert log_gamma(x + 1.0) == pytest.approx(
-            log_gamma(x) + math.log(x), rel=1e-11, abs=1e-11
-        )
-
-
 class TestRootBracket:
     def test_cubic_root(self):
         # real root of x^3 - x - 2, cross-checked with scipy.optimize.brentq
@@ -189,14 +167,3 @@ class TestRootBracket:
         assert math.nextafter(inside, outside) == outside
         assert inside == pytest.approx(root, abs=1e-9 * max(1.0, abs(root)))
 
-
-class TestKron:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((4, 4))
-        assert np.array_equal(kron(a, b), np.kron(a, b))
-
-    def test_caps_dimension(self):
-        with pytest.raises(DimensionTooLarge):
-            kron(np.zeros((DIM_CAP, DIM_CAP)), np.zeros((2, 2)))

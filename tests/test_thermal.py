@@ -5,6 +5,7 @@ exponential sums, scipy matrix exponentials, and quadrature of the
 continuum integral behind the Gamma-function approximation.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,11 +28,12 @@ from thermwit.thermal import (
     ThermalPoint,
     _ladder_levels,
     exp_or_inf,
+    log_ground_population_alpha_closed,
     log_partition_function,
     log_partition_function_alpha_closed,
     log_partition_function_alpha_gamma,
     log_stabilizer_partition_function,
-    population,
+    log_population,
     population_profile,
     relative_entropy_ground_to_thermal,
     thermal_density_matrix,
@@ -76,7 +78,7 @@ class TestPartitionFunction:
         t = ThermalPoint(1.0)
         assert math.isinf(exp_or_inf(log_partition_function(s, t)))
         assert log_partition_function(s, t) == pytest.approx(2000.0)
-        assert population(s, t, 0) == pytest.approx(1.0)
+        assert math.exp(log_population(s, t, 0)) == pytest.approx(1.0)
 
     def test_infinite_temperature_limit(self):
         s = Spectrum((0.0, 1.0), (1, 3))
@@ -88,13 +90,13 @@ class TestPopulation:
     def test_profile_sums_to_one(self):
         s = dimer_spectrum(DimerParams(1.0, 1.0))
         prof = population_profile(s, ThermalPoint(1.7))
-        assert np.sum(np.array(prof.aggregated)) == pytest.approx(1.0)
+        assert np.sum(prof) == pytest.approx(1.0)
 
     def test_per_state_vs_aggregated(self):
         s = Spectrum((0.0, 1.0), (1, 3))
         t = ThermalPoint(2.0)
         prof = population_profile(s, t)
-        assert prof.aggregated[1] == pytest.approx(3.0 * population(s, t, 1))
+        assert prof[1] == pytest.approx(3.0 * math.exp(log_population(s, t, 1)))
 
     def test_ground_population_monotone_in_temperature(self):
         rng = np.random.default_rng(9)
@@ -104,13 +106,13 @@ class TestPopulation:
             degs = tuple(int(d) for d in rng.integers(1, 4, n))
             s = Spectrum(tuple(energies), degs)
             temps = np.geomspace(0.05, 50.0, 50)
-            pops = [population(s, ThermalPoint(float(t)), 0) for t in temps]
+            pops = [log_population(s, ThermalPoint(float(t)), 0) for t in temps]
             assert all(a > b for a, b in zip(pops, pops[1:]))
 
     def test_level_index_bounds(self):
         s = Spectrum((0.0, 1.0), (1, 1))
         with pytest.raises(IndexOutOfRange):
-            population(s, ThermalPoint(1.0), 2)
+            log_population(s, ThermalPoint(1.0), 2)
 
 
 class TestThermalDensityMatrix:
@@ -137,7 +139,7 @@ class TestRelativeEntropy:
         s = dimer_spectrum(DimerParams(1.5, 1.0))
         t = ThermalPoint(2.0)
         d = relative_entropy_ground_to_thermal(s, t)
-        assert d == pytest.approx(-math.log2(population(s, t, 0)), rel=1e-13)
+        assert d == pytest.approx(-math.log2(math.exp(log_population(s, t, 0))), rel=1e-13)
 
     def test_rejects_degenerate_ground(self):
         s = Spectrum((0.0, 1.0), (2, 1))
@@ -201,13 +203,18 @@ class TestLadderClosedForms:
         assert z == pytest.approx(exact, rel=1e-13)
 
 
-def _ladder_log_z_reference(p, t):
-    """The ladder sum as one expression: levels rebuilt, every term exponentiated."""
+def _ladder_log1p_tail_reference(p, t):
+    """log(1 + tail) of the ladder as one expression: levels rebuilt, every term
+    exponentiated."""
     m = np.arange(1, p.n_levels, dtype=float)
     terms = -np.power(m, p.alpha) * p.delta / t.kt
     mx = float(np.max(terms))
     tail = math.exp(mx) * float(np.sum(np.exp(terms - mx)))
-    return -p.e0 / t.kt + math.log1p(tail)
+    return math.log1p(tail)
+
+
+def _ladder_log_z_reference(p, t):
+    return -p.e0 / t.kt + _ladder_log1p_tail_reference(p, t)
 
 
 class TestLadderKernelBits:
@@ -236,6 +243,10 @@ class TestLadderKernelBits:
         t = ThermalPoint((width if width > 0 else delta) / depth)
         got = log_partition_function_alpha_closed(p, t)
         assert got.hex() == _ladder_log_z_reference(p, t).hex()
+        # log p0 carries no e0: the same bits as the e0 = 0 ladder's -log Z
+        log_p0 = log_ground_population_alpha_closed(p, t)
+        assert log_p0.hex() == (-_ladder_log1p_tail_reference(p, t)).hex()
+        assert log_p0.hex() == (-log_partition_function_alpha_closed(replace(p, e0=0.0), t)).hex()
 
     def test_cached_levels_read_only_and_evicted(self):
         a = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.5, n_levels=1000)

@@ -23,11 +23,10 @@ from thermwit.errors import (
     ThresholdUnreachable,
 )
 from thermwit.systems import DimerParams, Spectrum, ToySpectrumParams, dimer_spectrum, toy_spectrum
-from thermwit.thermal import ThermalPoint, log_partition_function_alpha_closed, population
+from thermwit.thermal import ThermalPoint, log_ground_population_alpha_closed, log_population
 from thermwit.witness import (
     concurrence_vanishing_temperature,
     crossing_temperature,
-    dimer_condition,
     dimer_condition_margin,
     evaluate_condition,
     flip_probability_from_temperature,
@@ -82,7 +81,7 @@ class TestTransitionTemperature:
 
     def test_matches_scipy_brentq(self):
         s = dimer_spectrum(DimerParams(1.0, 1.0))
-        f = lambda kt: population(s, ThermalPoint(kt), 0) - 0.5
+        f = lambda kt: math.exp(log_population(s, ThermalPoint(kt), 0)) - 0.5
         ref = scipy.optimize.brentq(f, 0.1, 10.0, xtol=1e-13)
         tr = transition_temperature(s, singlet_robustness())
         assert tr.t_trans == pytest.approx(ref, rel=1e-9)
@@ -92,7 +91,7 @@ class TestTransitionTemperature:
         s = dimer_spectrum(DimerParams(2.0, 1.0))
         bound = bound_from_relative_entropy(0.7)
         tr = transition_temperature(s, bound)
-        p = population(s, ThermalPoint(tr.t_trans), 0)
+        p = math.exp(log_population(s, ThermalPoint(tr.t_trans), 0))
         assert p == pytest.approx(bound.threshold, rel=1e-8)
 
     def test_trivial_bound_never_detected(self):
@@ -190,10 +189,10 @@ class TestSatisfyingIntervals:
         assert len(ivs) == 1
         lo, hi = ivs[0]
         assert 0.001 < lo < hi < 50.0
-        inside = population(s, ThermalPoint(math.sqrt(lo * hi)), 1)
+        inside = math.exp(log_population(s, ThermalPoint(math.sqrt(lo * hi)), 1))
         assert inside > 2.0 ** (-1.5)
-        assert population(s, ThermalPoint(lo * 0.5), 1) < 2.0 ** (-1.5)
-        assert population(s, ThermalPoint(hi * 2.0), 1) < 2.0 ** (-1.5)
+        assert math.exp(log_population(s, ThermalPoint(lo * 0.5), 1)) < 2.0 ** (-1.5)
+        assert math.exp(log_population(s, ThermalPoint(hi * 2.0), 1)) < 2.0 ** (-1.5)
 
     def test_rejects_tiny_grid(self):
         s = dimer_spectrum(DimerParams(0.0, 1.0))
@@ -251,13 +250,13 @@ class TestDimerClosedForm:
     def test_condition_boundary_is_zero_field_transition(self):
         t = ThermalPoint(T_ZERO_FIELD)
         assert abs(dimer_condition_margin(0.0, 1.0, t)) < 1e-12
-        assert dimer_condition(0.0, 1.0, ThermalPoint(T_ZERO_FIELD - 1e-6))
-        assert not dimer_condition(0.0, 1.0, ThermalPoint(T_ZERO_FIELD + 1e-6))
+        assert dimer_condition_margin(0.0, 1.0, ThermalPoint(T_ZERO_FIELD - 1e-6)) > 0.0
+        assert not dimer_condition_margin(0.0, 1.0, ThermalPoint(T_ZERO_FIELD + 1e-6)) > 0.0
 
     def test_field_lowers_satisfied_region(self):
         t = ThermalPoint(3.6)
-        assert dimer_condition(0.0, 1.0, t)
-        assert not dimer_condition(2.0, 1.0, t)
+        assert dimer_condition_margin(0.0, 1.0, t) > 0.0
+        assert not dimer_condition_margin(2.0, 1.0, t) > 0.0
 
 
 class TestConcurrenceVanishing:
@@ -282,7 +281,7 @@ class TestConcurrenceVanishing:
 def _toy_rows_hold(d, e_r, kt):
     """The toy rows' condition log p0 > log threshold on the alpha = 0 ladder."""
     p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=d)
-    log_p0 = -log_partition_function_alpha_closed(p, ThermalPoint(kt))
+    log_p0 = log_ground_population_alpha_closed(p, ThermalPoint(kt))
     return log_p0 > bound_from_relative_entropy(e_r).log_threshold
 
 
@@ -333,11 +332,9 @@ class TestToyClosedForms:
 
     def test_t1_is_deep_ladder_limit_of_alpha_one(self):
         # a depth-10^6 linear ladder reproduces the infinite-depth crossing
-        from thermwit.thermal import log_partition_function_alpha_closed
-
         t1 = toy_t1(2.0, 1.0).exact
         p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=1.0, n_levels=10**6)
-        log_p0 = -log_partition_function_alpha_closed(p, ThermalPoint(t1))
+        log_p0 = log_ground_population_alpha_closed(p, ThermalPoint(t1))
         assert math.exp(log_p0) == pytest.approx(0.25, rel=1e-12)
 
     def test_t1_low_temperature_form(self):
