@@ -13,7 +13,6 @@ import numpy as np
 
 from thermwit import (
     DimerParams,
-    ThermalPoint,
     build_dimer_hamiltonian,
     concurrence_two_qubit,
     concurrence_vanishing_temperature,
@@ -25,11 +24,9 @@ from thermwit import (
 
 
 def max_concurrence_on_grid(p: DimerParams, temps) -> float:
+    """Largest concurrence of the Gibbs states at temps (kB = 1), as one stack."""
     h = build_dimer_hamiltonian(p)
-    return max(
-        concurrence_two_qubit(thermal_density_matrix(h, ThermalPoint(float(t))))
-        for t in temps
-    )
+    return float(np.max(concurrence_two_qubit(thermal_density_matrix(h, temps))))
 
 
 def main() -> None:

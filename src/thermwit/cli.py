@@ -138,7 +138,7 @@ def _sweep(
     log_p0: Callable[[ThermalPoint], float],
     shape: tuple[float, float, int],
     extra_columns: Sequence[str],
-    extra: Callable[[ThermalPoint, float], Sequence[float]],
+    extra: Callable[[np.ndarray, np.ndarray], Sequence[Sequence[float]]],
     summaries: Callable[[float | None], Sequence[tuple[str, str]]],
     tail: Sequence[tuple[str, str]] = (),
 ) -> int:
@@ -148,8 +148,9 @@ def _sweep(
     e^{-e0/kT} / p0, p and the verdict log p0 > log threshold are derived
     from it here alone, and after the rows the one ``ground_crossing``
     search runs on it over ``shape`` = (gap, spread, dimension).
-    ``extra(point, log p0)`` gives the model's extra cells of a row, and
-    ``summaries(t_trans)`` its summary lines; it may raise MismatchError.
+    ``extra(kT, log p0)``, called once with the whole grid's arrays, gives
+    the model's extra columns, and ``summaries(t_trans)`` its summary lines;
+    it may raise MismatchError.
     """
     config_pairs = [
         ("system", system),
@@ -161,19 +162,23 @@ def _sweep(
         *tail,
     ]
     columns = ["T", "Z", "p", "threshold", "satisfied", "bound_kind", *extra_columns]
-    rows = []
-    for temp in cfg.grid.values():
-        point = ThermalPoint(float(temp), cfg.k_b)
-        log_p = log_p0(point)
-        rows.append([
+    temps = cfg.grid.values()
+    points = [ThermalPoint(float(temp), cfg.k_b) for temp in temps]
+    kts = [point.kt for point in points]
+    log_ps = [log_p0(point) for point in points]
+    extra_cells = extra(np.array(kts), np.array(log_ps))
+    rows = [
+        [
             _fmt(temp),
-            _fmt(exp_or_inf(-e0 / point.kt - log_p)),
+            _fmt(exp_or_inf(-e0 / kt - log_p)),
             _fmt(math.exp(log_p)),
             _fmt(bound.threshold),
             _fb(log_p > bound.log_threshold),
             bound.kind.value,
-            *(_fmt(x) for x in extra(point, log_p)),
-        ])
+            *(_fmt(column[i]) for column in extra_cells),
+        ]
+        for i, (temp, kt, log_p) in enumerate(zip(temps, kts, log_ps))
+    ]
     t_trans = ground_crossing(log_p0, bound, *shape, cfg.k_b).t_trans
     results = [
         ("one_plus_r", _fmt(bound.one_plus_r)),
@@ -220,10 +225,10 @@ def cmd_dimer(cfg: RunConfig) -> int:
     if cfg.oracles:
         h = build_dimer_hamiltonian(p)
 
-    def extra(point: ThermalPoint, log_p0: float):
+    def extra(kt: np.ndarray, log_p0: np.ndarray):
         if not cfg.oracles:
             return ()
-        rho = thermal_density_matrix(h, point)
+        rho = thermal_density_matrix(h, kt)
         return concurrence_two_qubit(rho), ppt_min_eigenvalue(rho, (2, 2), (0,))
 
     def summaries(t_trans: float | None):
@@ -279,23 +284,32 @@ def cmd_toy(cfg: RunConfig) -> int:
             raise ThermwitError(
                 f"--oracles re-sums the spectrum and needs D <= {ORACLE_LEVEL_CAP}"
             )
-        sp_oracle = toy_spectrum(p)
+        # log p0 carries no E0, so the re-sum runs on the ladder at E0 = 0:
+        # stored as floats e0 + m**alpha delta, a large |E0| would round and
+        # merge its levels.
+        sp_oracle = toy_spectrum(replace(p, e0=0.0))
 
     worst_oracle = 0.0
 
-    def extra(point: ThermalPoint, log_p0: float):
+    def extra(kts: np.ndarray, log_p0s: np.ndarray):
         nonlocal worst_oracle
-        cells = []
+        # per point in Python floats, which overflow to inf without a warning
+        kts, log_p0s = kts.tolist(), log_p0s.tolist()
+        columns = []
         if p.alpha > 0.0:
-            log_zg = log_partition_function_alpha_gamma(p, point)
-            cells += [exp_or_inf(log_zg), _rel_err(log_zg, -p.e0 / point.kt - log_p0)]
+            log_zg = [log_partition_function_alpha_gamma(p, ThermalPoint(kt)) for kt in kts]
+            columns.append([exp_or_inf(x) for x in log_zg])
+            columns.append(
+                [_rel_err(x, -p.e0 / kt - y) for x, kt, y in zip(log_zg, kts, log_p0s)]
+            )
         if cfg.oracles:
-            log_p0_sp = log_population(sp_oracle, point, 0)
-            cells.append(exp_or_inf(-sp_oracle.ground_energy / point.kt - log_p0_sp))
+            log_p0_sp = [log_population(sp_oracle, ThermalPoint(kt), 0) for kt in kts]
+            columns.append([exp_or_inf(-p.e0 / kt - x) for x, kt in zip(log_p0_sp, kts)])
             # Z_sp / Z = p0 / p0_sp: compared without the -E0/kT both carry.
             # np.maximum keeps a NaN, which then fails the gate below.
-            worst_oracle = float(np.maximum(worst_oracle, _rel_err(log_p0, log_p0_sp)))
-        return cells
+            for x, y in zip(log_p0_sp, log_p0s):
+                worst_oracle = float(np.maximum(worst_oracle, _rel_err(y, x)))
+        return columns
 
     def summaries(t_trans: float | None):
         out = [("min_gap_rule", _fmt(gapping_rule_min_gap(e_r)))]
@@ -458,13 +472,14 @@ def cmd_graph(cfg: RunConfig) -> int:
     bound = bound_from_relative_entropy(e_r)
     worst_flip = 0.0
 
-    def extra(point: ThermalPoint, log_p0: float):
+    def extra(kts: np.ndarray, log_p0s: np.ndarray):
         nonlocal worst_flip
         if not cfg.oracles:
             return ()
-        p_flip = flip_probability_from_temperature(b, point)
-        p_from_flip = (1.0 - p_flip) ** g.n
-        worst_flip = max(worst_flip, abs(p_from_flip - math.exp(log_p0)))
+        p_flip = [flip_probability_from_temperature(b, ThermalPoint(kt)) for kt in kts.tolist()]
+        p_from_flip = [(1.0 - x) ** g.n for x in p_flip]
+        for y, log_p0 in zip(p_from_flip, log_p0s.tolist()):
+            worst_flip = max(worst_flip, abs(y - math.exp(log_p0)))
         return p_flip, p_from_flip
 
     def summaries(t_trans: float | None):

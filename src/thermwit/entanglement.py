@@ -11,6 +11,7 @@ and must never be promoted into a RobustnessBound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .errors import (
     SeparableCase,
     ThermwitError,
 )
-from .numerics import hermitian_eigendecompose, partial_transpose
+from .numerics import first_failure, partial_transpose, stacked_eigendecompose
 from .systems import SIGMA_Y, PureState
 
 _EXACT_DICKE_CUTOFF = 2000
@@ -68,7 +69,8 @@ class RobustnessBound:
     # Population the ground state must exceed: the smallest float not below
     # 1 / (1 + R), so rounding never lowers the bar.
     threshold: float = field(init=False, repr=False, compare=False)
-    # log of ``threshold``: the witness holds where log p0 exceeds it.
+    # log of ``threshold``, one float up from the rounded log so it never sits
+    # below the exact one: the witness holds where log p0 exceeds it.
     log_threshold: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -80,7 +82,7 @@ class RobustnessBound:
         if Fraction(threshold) * Fraction(self.one_plus_r) < 1:
             threshold = math.nextafter(threshold, math.inf)
         object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "log_threshold", math.log(threshold))
+        object.__setattr__(self, "log_threshold", math.nextafter(math.log(threshold), math.inf))
 
     @property
     def relative_entropy_bits(self) -> float:
@@ -167,7 +169,9 @@ def dicke_robustness(n: int, k: int) -> RobustnessBound:
 
     1 + R = (1/C(n,k)) (n/k)^k (n/(n-k))^{n-k}. Small n goes through exact
     integer arithmetic and returns the largest float not above the exact
-    value; large n switches to log-Gamma evaluation.
+    value. Large n takes log(1 + R) from Stirling's formula, as
+    ``dicke_overlap_closed`` does, and exponentiates it below an error
+    budget, so the value still does not round up.
     """
     if n < 2:
         raise ThermwitError(f"need n >= 2 sites, got {n}")
@@ -181,25 +185,54 @@ def dicke_robustness(n: int, k: int) -> RobustnessBound:
         if Fraction(value) > exact:
             value = math.nextafter(value, 0.0)
     else:
-        log_c = math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
-        value = math.exp(
-            k * math.log(n / k) + (n - k) * math.log(n / (n - k)) - log_c
-        )
+        log_value = -_dicke_log_overlap_sq(n, k)
+        # The log carries a few ulps of its own size, and exp turns that into
+        # as many parts in 2^52 of the value (up to ~20 ulps at n ~ 1e7), so
+        # one step down is not enough: step below a budget of 4 ulps per unit
+        # of |log|, then one float down for the exp's own rounding.
+        budget = 4.0 * sys.float_info.epsilon * (abs(log_value) + 1.0)
+        value = math.nextafter(math.exp(log_value - budget), 0.0)
     return RobustnessBound(
         one_plus_r=value, kind=BoundKind.EXACT, source=BoundSource.CLOSED_FORM_DICKE
     )
 
 
-def _stirling_remainder(m: int) -> float:
-    """log m! - ((m + 1/2) log m - m + log sqrt(2 pi)), to ~1e-14 absolute.
+# log m! - ((m + 1/2) log m - m + log sqrt(2 pi)) for m = 1..15, rounded to
+# nearest from 200-bit mpmath: in double arithmetic those terms cancel to
+# ~1e-14, far above the 1e-16 the series gives from 16 up.
+_STIRLING_SMALL = (
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
 
-    Below 16 it is taken from math.lgamma; from 16 up the series through
+
+def _stirling_remainder(m: int) -> float:
+    """log m! - ((m + 1/2) log m - m + log sqrt(2 pi)) for m >= 1, to ~1e-16.
+
+    Below 16 it is read from a table; from 16 up the series through
     1/(1188 m^9) is used, whose truncation error is below 1e-16 there.
     """
     if m < 16:
-        return math.lgamma(m + 1.0) - (m + 0.5) * math.log(m) + m - math.log(math.sqrt(2 * math.pi))
+        return _STIRLING_SMALL[m - 1]
     x = 1.0 / (m * m)
     return (1 / 12 - x * (1 / 360 - x * (1 / 1260 - x * (1 / 1680 - x / 1188)))) / m
+
+
+def _dicke_log_overlap_sq(n: int, k: int) -> float:
+    """log of 1 / (1 + R) for the (n, k) symmetric state, from Stirling's formula.
+
+    log C(n, k) + k log(k/n) + (n-k) log((n-k)/n), with the m log m terms
+    cancelled exactly; its error is a few ulps of the log's own size.
+    """
+    return (
+        0.5 * math.log(n / (2.0 * math.pi * k * (n - k)))
+        + _stirling_remainder(n)
+        - _stirling_remainder(k)
+        - _stirling_remainder(n - k)
+    )
 
 
 def dicke_overlap_closed(n: int, k: int) -> float:
@@ -217,13 +250,7 @@ def dicke_overlap_closed(n: int, k: int) -> float:
         return math.sqrt(math.comb(n, k) * (k / n) ** k * ((n - k) / n) ** (n - k))
     except OverflowError:  # C(n, k) beyond float range
         pass
-    log_sq = (
-        0.5 * math.log(n / (2.0 * math.pi * k * (n - k)))
-        + _stirling_remainder(n)
-        - _stirling_remainder(k)
-        - _stirling_remainder(n - k)
-    )
-    return math.exp(0.5 * log_sq)
+    return math.exp(0.5 * _dicke_log_overlap_sq(n, k))
 
 
 def bound_from_relative_entropy(
@@ -252,22 +279,33 @@ def bound_from_relative_entropy(
 
 
 def _validate_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """``rho`` as complex, once each matrix of it (one, or a stack of shape
+    (..., d, d)) is Hermitian and has unit trace, both within 1e-9."""
     a = np.asarray(rho, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise BadDimension(f"expected a square matrix, got shape {a.shape}")
-    if dim is not None and a.shape[0] != dim:
-        raise BadDimension(f"expected dimension {dim}, got {a.shape[0]}")
-    if float(np.max(np.abs(a - a.conj().T))) > 1e-9:
-        raise BadDimension("density matrix is not Hermitian")
-    if abs(float(np.trace(a).real) - 1.0) > 1e-9:
-        raise BadDimension(f"trace {np.trace(a).real} deviates from 1")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise BadDimension(f"expected square matrices, got shape {a.shape}")
+    if dim is not None and a.shape[-1] != dim:
+        raise BadDimension(f"expected dimension {dim}, got {a.shape[-1]}")
+    bad = np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), axis=(-2, -1)) > 1e-9
+    if np.any(bad):
+        raise BadDimension(f"density matrix is not Hermitian{first_failure(bad)}")
+    trace = np.trace(a, axis1=-2, axis2=-1).real
+    bad = np.abs(trace - 1.0) > 1e-9
+    if np.any(bad):
+        first = trace.flat[int(np.argmax(bad))]
+        raise BadDimension(f"trace {first} deviates from 1{first_failure(bad)}")
     return a
+
+
+def _scalar_or_array(x: np.ndarray) -> float | np.ndarray:
+    """A float for one matrix's result, the array for a stack's."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 
-def concurrence_signed(rho: np.ndarray) -> float:
+def concurrence_signed(rho: np.ndarray) -> float | np.ndarray:
     """mu1 - mu2 - mu3 - mu4 from the spin-flip spectrum of a two-qubit state.
 
     The mu_i are the eigenvalues, descending, of the Hermitian matrix
@@ -275,29 +313,29 @@ def concurrence_signed(rho: np.ndarray) -> float:
     (Wootters, PRL 80, 2245, 1998), so a Hermitian solver gives them without
     the imaginary noise of a non-Hermitian product. The concurrence is the
     positive part of this; the signed value is handy for root finding because
-    it crosses zero where entanglement vanishes.
+    it crosses zero where entanglement vanishes. A stack of states, shape
+    (..., 4, 4), gives an array of the values each state gives alone.
     """
     a = _validate_density_matrix(rho, dim=4)
     w, v = np.linalg.eigh(a)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
     ev = np.linalg.eigvalsh(root @ _YY @ a.conj() @ _YY @ root)
-    mu = np.sqrt(np.clip(ev, 0.0, None))[::-1]
-    return float(mu[0] - mu[1] - mu[2] - mu[3])
+    mu = np.sqrt(np.clip(ev, 0.0, None))[..., ::-1]
+    return _scalar_or_array(mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
 
 
-def concurrence_two_qubit(rho: np.ndarray) -> float:
-    return max(0.0, concurrence_signed(rho))
+def concurrence_two_qubit(rho: np.ndarray) -> float | np.ndarray:
+    c = concurrence_signed(rho)
+    return _scalar_or_array(np.where(c > 0.0, c, 0.0))
 
 
 def ppt_min_eigenvalue(
     rho: np.ndarray, local_dims: Sequence[int], subset: Sequence[int]
-) -> float:
+) -> float | np.ndarray:
     """Smallest eigenvalue of the partial transpose; negative certifies
-    entanglement across the cut."""
-    a = _validate_density_matrix(rho)
-    pt = partial_transpose(a, local_dims, subset)
-    eig = hermitian_eigendecompose(pt)
-    return float(eig.eigenvalues[0])
+    entanglement across the cut. A stack of states gives an array."""
+    pt = partial_transpose(_validate_density_matrix(rho), local_dims, subset)
+    return _scalar_or_array(stacked_eigendecompose(pt).eigenvalues[..., 0])
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

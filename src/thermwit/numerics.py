@@ -39,23 +39,50 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _as_square_matrix(m: np.ndarray) -> np.ndarray:
+def _as_square_stack(m: np.ndarray) -> np.ndarray:
+    """``m`` as one square matrix or a stack of them, shape (..., d, d)."""
     a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise BadDimensionFactorization(f"expected square matrices, got shape {a.shape}")
+    return a
+
+
+def _as_square_matrix(m: np.ndarray) -> np.ndarray:
+    a = _as_square_stack(m)
+    if a.ndim != 2:
         raise BadDimensionFactorization(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
-def _checked_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
-    """The square matrix ``m``, unconverted, once its size and symmetry pass."""
-    a = _as_square_matrix(m)
-    if a.shape[0] > DIM_CAP:
-        raise DimensionTooLarge(f"dimension {a.shape[0]} exceeds cap {DIM_CAP}")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > tol * scale:
-        raise NotHermitian(f"max |m - m^dagger| = {dev:.3e} above {tol * scale:.3e}")
+def first_failure(flags: np.ndarray) -> str:
+    """Where a per-matrix test first failed: '' for one matrix, ' at index i' in a stack."""
+    flags = np.asarray(flags)
+    if flags.ndim == 0:
+        return ""
+    first = np.unravel_index(int(np.argmax(flags)), flags.shape)
+    return f" at index {tuple(int(i) for i in first)}"
+
+
+def _checked_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
+    """``a``, unconverted, once its size and the symmetry of each matrix pass."""
+    if a.shape[-1] > DIM_CAP:
+        raise DimensionTooLarge(f"dimension {a.shape[-1]} exceeds cap {DIM_CAP}")
+    if a.size == 0:
+        return a
+    limit = tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    dev = np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), axis=(-2, -1))
+    bad = dev > limit
+    if np.any(bad):
+        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise NotHermitian(
+            f"max |m - m^dagger| = {dev[i]:.3e} above {limit[i]:.3e}{first_failure(bad)}"
+        )
     return a
+
+
+def _eigh(a: np.ndarray, tol: float) -> EigenDecomposition:
+    w, v = np.linalg.eigh(_checked_hermitian(a, tol).astype(complex))
+    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
 def hermitian_eigendecompose(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
@@ -65,9 +92,17 @@ def hermitian_eigendecompose(m: np.ndarray, tol: float = HERMITICITY_TOL) -> Eig
     and DimensionTooLarge above DIM_CAP. Eigenvalues come back ascending with
     orthonormal columns of eigenvectors.
     """
-    a = _checked_hermitian(m, tol).astype(complex)
-    w, v = np.linalg.eigh(a)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+    return _eigh(_as_square_matrix(m), tol)
+
+
+def stacked_eigendecompose(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
+    """Eigensystems of each Hermitian matrix in a stack of shape (..., d, d).
+
+    Each matrix passes the checks of ``hermitian_eigendecompose`` on its own
+    scale, and its eigensystem has the same bits as that function's; a single
+    (d, d) matrix is a stack with no leading axes.
+    """
+    return _eigh(_as_square_stack(m), tol)
 
 
 def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -76,7 +111,7 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.nda
     Same checks as ``hermitian_eigendecompose``; a real symmetric matrix is
     solved in real arithmetic, not promoted to complex.
     """
-    return np.linalg.eigvalsh(_checked_hermitian(m, tol))
+    return np.linalg.eigvalsh(_checked_hermitian(_as_square_matrix(m), tol))
 
 
 def partial_transpose(
@@ -84,19 +119,20 @@ def partial_transpose(
 ) -> np.ndarray:
     """Transpose the tensor factors named in ``subset``.
 
-    ``local_dims`` lists the per-site dimensions in row-major (site 0 most
-    significant) order; their product must equal the matrix dimension.
+    ``rho`` is one matrix or a stack of shape (..., d, d); each matrix is
+    transposed alone. ``local_dims`` lists the per-site dimensions in
+    row-major (site 0 most significant) order; their product must equal d.
     The subset must be a nonempty proper subset of sites. The result of
     applying the same partial transpose twice is the original matrix.
     """
-    a = _as_square_matrix(rho)
+    a = _as_square_stack(rho)
     dims = tuple(int(d) for d in local_dims)
     if any(d < 1 for d in dims) or not dims:
         raise BadDimensionFactorization("local dimensions must be positive")
     d = math.prod(dims)
-    if d != a.shape[0]:
+    if d != a.shape[-1]:
         raise BadDimensionFactorization(
-            f"matrix dimension {a.shape[0]} != product of local dims {d}"
+            f"matrix dimension {a.shape[-1]} != product of local dims {d}"
         )
     n = len(dims)
     sites = sorted(set(int(s) for s in subset))
@@ -106,11 +142,13 @@ def partial_transpose(
         raise BadDimensionFactorization("subset must be a nonempty proper subset of sites")
     if sites[0] < 0 or sites[-1] >= n:
         raise BadDimensionFactorization(f"subset {sites} out of range for {n} sites")
-    t = a.reshape(dims + dims)
-    axes = list(range(2 * n))
+    lead = a.shape[:-2]
+    t = a.reshape(lead + dims + dims)
+    k = len(lead)
+    axes = list(range(k + 2 * n))
     for s in sites:
-        axes[s], axes[n + s] = axes[n + s], axes[s]
-    return np.ascontiguousarray(t.transpose(axes).reshape(d, d))
+        axes[k + s], axes[k + n + s] = axes[k + n + s], axes[k + s]
+    return np.ascontiguousarray(t.transpose(axes).reshape(lead + (d, d)))
 
 
 def root_bracket(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:

@@ -233,6 +233,10 @@ class Graph:
         return tuple(sorted(out))
 
 
+_EXCHANGE = np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z)
+_ZEEMAN = np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z)
+
+
 def build_dimer_hamiltonian(p: DimerParams) -> np.ndarray:
     """4x4 exchange-plus-field Hamiltonian.
 
@@ -241,11 +245,7 @@ def build_dimer_hamiltonian(p: DimerParams) -> np.ndarray:
     four levels are J - B (|00>), -3J (singlet), J (triplet zero), J + B
     (|11>), so the singlet is the ground state exactly while B < 4J.
     """
-    exchange = (
-        np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z)
-    )
-    zeeman = np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z)
-    return p.J * exchange - 0.5 * p.B * zeeman
+    return p.J * _EXCHANGE - 0.5 * p.B * _ZEEMAN
 
 
 def dimer_spectrum(p: DimerParams) -> Spectrum:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaZero, DegenerateGround, IndexOutOfRange, ThermwitError
-from .numerics import hermitian_eigendecompose
+from .numerics import stacked_eigendecompose
 from .systems import Spectrum, ToySpectrumParams
 
 LN2 = math.log(2.0)
@@ -88,13 +88,23 @@ def log_population(s: Spectrum, t: ThermalPoint, level_index: int = 0) -> float:
     return -shift - _logsumexp(_shifted_log_terms(s, t.kt))
 
 
-def thermal_density_matrix(h: np.ndarray, t: ThermalPoint) -> np.ndarray:
-    """exp(-H/kT) / Z as a dense matrix, via the eigensystem of H."""
-    eig = hermitian_eigendecompose(h)
-    w = eig.eigenvalues
-    p = np.exp(-(w - w[0]) / t.kt)
-    p /= p.sum()
-    return (eig.eigenvectors * p) @ eig.eigenvectors.conj().T
+def thermal_density_matrix(h: np.ndarray, t: ThermalPoint | np.ndarray) -> np.ndarray:
+    """exp(-H/kT) / Z as dense matrices, from the eigensystem of H.
+
+    ``h`` is one Hermitian matrix or a stack of them, shape (..., d, d); ``t``
+    is one ThermalPoint or an array of kT values. One matrix at one
+    ThermalPoint gives a (d, d) matrix; otherwise the leading shapes of ``h``
+    and kT broadcast into a stack of Gibbs states, each with the bits its own
+    H and kT give alone.
+    """
+    kt = np.asarray(t.kt if isinstance(t, ThermalPoint) else t, dtype=float)
+    if not np.all(kt > 0.0):
+        raise ThermwitError("kT must be positive")
+    eig = stacked_eigendecompose(h)
+    w, v = eig.eigenvalues, eig.eigenvectors
+    p = np.exp(-(w - w[..., :1]) / kt[..., None])
+    p /= p.sum(axis=-1, keepdims=True)
+    return (v * p[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def relative_entropy_ground_to_thermal(s: Spectrum, t: ThermalPoint) -> float:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +98,40 @@ class TestDimerCommand:
         assert code == 0
         assert float(summary_value(out, "t_margin")) >= 0.0
 
+    @pytest.mark.parametrize("b", [0.0, 1.3, 3.0])
+    def test_concurrence_column_matches_x_state_form(self, capsys, b):
+        # The Gibbs state is an X state: C = |p_s - p_t0| - 2 sqrt(p_00 p_11),
+        # positive part. At kT far below the gap the three small mu_i of the
+        # spin-flip spectrum are square roots of eigenvalues near 0 that carry
+        # ~eps of absolute error, so the column is good to ~sqrt(eps) ~ 1.5e-8
+        # (worst seen on these grids: 9.1e-9 at B = 1.3, T = 0.13), not to eps.
+        code, out, _ = run(
+            capsys, "dimer", "--B", repr(b), "--grid", "0.05:10:400:lin", "--oracles"
+        )
+        assert code == 0
+        levels = {"00": 1.0 - b, "s": -3.0, "t0": 1.0, "11": 1.0 + b}
+        worst = 0.0
+        with mpmath.workdps(40):
+            for temp, c in zip(csv_column(out, "T"), csv_column(out, "concurrence")):
+                w = {k: mpmath.exp(-mpmath.mpf(e) / mpmath.mpf(temp)) for k, e in levels.items()}
+                z = sum(w.values())
+                exact = abs(w["s"] - w["t0"]) / z - 2 * mpmath.sqrt(w["00"] * w["11"]) / z
+                worst = max(worst, abs(float(c) - float(max(exact, 0))))
+        assert worst <= math.sqrt(sys.float_info.epsilon)
+
+    def test_oracle_columns_are_one_stacked_pass(self, capsys, monkeypatch):
+        calls = []
+        build = thermwit.cli.thermal_density_matrix
+
+        def counted(h, t):
+            calls.append(t)
+            return build(h, t)
+
+        monkeypatch.setattr(thermwit.cli, "thermal_density_matrix", counted)
+        code, _, _ = run(capsys, "dimer", "--B", "1.3", "--grid", "0.05:10:2000:lin", "--oracles")
+        assert code == 0
+        assert len(calls) == 1 and calls[0].shape == (2000,)
+
     def test_byte_determinism(self, capsys):
         args = ("dimer", "--B", "0.7", "--J", "1.1", "--oracles")
         _, first, _ = run(capsys, *args)
@@ -174,7 +209,10 @@ class TestToyCommand:
         t0 = float(summary_value(out, "t0_closed_form"))
         assert t_trans == pytest.approx(t0, rel=1e-9)
         p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=4)
-        log_threshold = math.log(float(summary_value(out, "threshold")))
+        # the rows' condition: log p0 above the log threshold rounded up
+        log_threshold = math.nextafter(
+            math.log(float(summary_value(out, "threshold"))), math.inf
+        )
 
         def holds(temp):
             return -log_partition_function_alpha_closed(p, ThermalPoint(temp)) > log_threshold
@@ -188,6 +226,17 @@ class TestToyCommand:
         )
         assert code == 0
         assert float(summary_value(out, "z_spectrum_max_rel_err")) < 1e-9
+
+    @pytest.mark.parametrize("e0", ["3e8", "1e9", "-1e9"])
+    def test_oracle_resum_with_large_ground_energy(self, capsys, e0):
+        # log p0 carries no E0, so the re-sum runs on the ladder at E0 = 0;
+        # a spectrum stored at E0 + m**alpha would round and merge its levels
+        argv = ["toy", "--alpha", "0.5", "--D", "10", "--eR", "1", "--oracles"]
+        code, out, err = run(capsys, *argv, f"--E0={e0}")
+        assert code == 0 and err == ""
+        assert float(summary_value(out, "z_spectrum_max_rel_err")) < 1e-9
+        _, out0, _ = run(capsys, *argv)
+        assert csv_column(out, "p") == csv_column(out0, "p")
 
     def test_underflowing_z_keeps_the_error_column(self, capsys):
         # Z = e^{-E0/kT} p0^{-1} underflows to 0.0 at the low end of the grid;
@@ -347,7 +396,10 @@ class TestGraphCommand:
         )
         assert code == 0
         t_trans = float(summary_value(out, "t_trans"))
-        log_threshold = math.log(float(summary_value(out, "threshold")))
+        # the rows' condition: log p0 above the log threshold rounded up
+        log_threshold = math.nextafter(
+            math.log(float(summary_value(out, "threshold"))), math.inf
+        )
 
         def holds(temp):
             return _graph_log_p0(n, b, ThermalPoint(temp, k_b).kt) > log_threshold

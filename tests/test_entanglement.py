@@ -27,14 +27,16 @@ from thermwit.entanglement import (
     schmidt_coefficients,
     singlet_robustness,
 )
-from thermwit.entanglement import _als, _als_starts, _random_unit_qubit
+from thermwit.entanglement import _als, _als_starts, _random_unit_qubit, _stirling_remainder
 from thermwit.errors import (
     BadPartition,
     NegativeEntanglement,
+    NotHermitian,
     SeparableCase,
     ThermwitError,
 )
-from thermwit.systems import PureState, dicke_state
+from thermwit.systems import DimerParams, PureState, build_dimer_hamiltonian, dicke_state
+from thermwit.thermal import ThermalPoint, thermal_density_matrix
 
 SINGLET = PureState(2, np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0))
 
@@ -216,6 +218,45 @@ class TestDickeOverlapLargeN:
             assert abs(dicke_overlap_closed(n, k) - float(exact)) <= 1e-12 * float(exact)
 
 
+def _exact_dicke_one_plus_r(n: int, k: int) -> mpmath.mpf:
+    with mpmath.workprec(200):
+        n_, k_ = mpmath.mpf(n), mpmath.mpf(k)
+        log_c = mpmath.loggamma(n_ + 1) - mpmath.loggamma(k_ + 1) - mpmath.loggamma(n_ - k_ + 1)
+        return mpmath.exp(k_ * mpmath.log(n_ / k_) + (n_ - k_) * mpmath.log(n_ / (n_ - k_)) - log_c)
+
+
+class TestDickeRobustnessLargeN:
+    """Beyond the exact-integer range the Stirling value still rounds down."""
+
+    @pytest.mark.parametrize("n", [2002, 10**4, 10**5, 10**6])
+    def test_half_filling_never_above_exact(self, n):
+        k = n // 2
+        value = dicke_robustness(n, k).one_plus_r
+        exact = _exact_dicke_one_plus_r(n, k)
+        with mpmath.workprec(200):
+            assert mpmath.mpf(value) <= exact
+            assert (exact - value) / exact <= 1e-12
+
+    @pytest.mark.parametrize("n", [2001, 10**4, 10**7])
+    @pytest.mark.parametrize("k", [1, 2, 9, 14, 15, 16, 17])
+    def test_few_excitations_never_above_exact(self, n, k):
+        for kk in (k, n - k):
+            value = dicke_robustness(n, kk).one_plus_r
+            exact = _exact_dicke_one_plus_r(n, kk)
+            with mpmath.workprec(200):
+                assert mpmath.mpf(value) <= exact
+                assert (exact - value) / exact <= 1e-12
+
+    def test_stirling_table_is_rounded_to_nearest(self):
+        for m in range(1, 16):
+            with mpmath.workprec(200):
+                mm = mpmath.mpf(m)
+                exact = mpmath.loggamma(mm + 1) - (
+                    (mm + 0.5) * mpmath.log(mm) - mm + mpmath.log(mpmath.sqrt(2 * mpmath.pi))
+                )
+                assert _stirling_remainder(m) == float(exact)
+
+
 class TestConcurrence:
     def test_bell_states_maximal(self):
         for psi in (
@@ -273,6 +314,84 @@ class TestConcurrence:
             concurrence_two_qubit(np.eye(3) / 3.0)
         with pytest.raises(ThermwitError):
             concurrence_two_qubit(np.eye(4))  # trace 4
+
+
+def _per_matrix(fn, stack, *args):
+    return [fn(m, *args) for m in stack]
+
+
+class TestStackedOracles:
+    """A stack (..., d, d) gives, bit for bit, what each matrix gives alone."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_random_states(self, seed, count):
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_density_matrix(4, rng) for _ in range(count)])
+        assert list(concurrence_signed(stack)) == _per_matrix(concurrence_signed, stack)
+        assert list(concurrence_two_qubit(stack)) == _per_matrix(concurrence_two_qubit, stack)
+        for subset in ((0,), (1,)):
+            got = ppt_min_eigenvalue(stack, (2, 2), subset)
+            assert list(got) == _per_matrix(ppt_min_eigenvalue, stack, (2, 2), subset)
+        six = np.array([random_density_matrix(6, rng) for _ in range(count)])
+        got = ppt_min_eigenvalue(six, (2, 3), (1,))
+        assert list(got) == _per_matrix(ppt_min_eigenvalue, six, (2, 3), (1,))
+
+    @given(
+        st.floats(0.0, 6.0),
+        st.lists(st.floats(0.01, 20.0), min_size=1, max_size=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dimer_gibbs_states(self, b, kts):
+        h = build_dimer_hamiltonian(DimerParams(b, 1.0))
+        stack = thermal_density_matrix(h, np.array(kts))
+        for kt, rho in zip(kts, stack):
+            assert rho.tobytes() == thermal_density_matrix(h, ThermalPoint(kt)).tobytes()
+        assert list(concurrence_two_qubit(stack)) == _per_matrix(concurrence_two_qubit, stack)
+        assert list(ppt_min_eigenvalue(stack, (2, 2), (0,))) == _per_matrix(
+            ppt_min_eigenvalue, stack, (2, 2), (0,)
+        )
+
+    def test_one_matrix_gives_a_float(self):
+        rho = random_density_matrix(4, np.random.default_rng(50))
+        for value in (
+            concurrence_signed(rho),
+            concurrence_two_qubit(rho),
+            ppt_min_eigenvalue(rho, (2, 2), (0,)),
+        ):
+            assert type(value) is float
+
+    def test_keeps_leading_axes(self):
+        rng = np.random.default_rng(51)
+        stack = np.array([random_density_matrix(4, rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        assert concurrence_signed(stack).shape == (2, 3)
+        assert ppt_min_eigenvalue(stack, (2, 2), (0,)).shape == (2, 3)
+
+    def test_rejects_one_non_hermitian_matrix(self):
+        rng = np.random.default_rng(52)
+        stack = np.array([random_density_matrix(4, rng) for _ in range(5)])
+        stack[3, 0, 1] += 1e-6
+        for oracle in (concurrence_signed, lambda m: ppt_min_eigenvalue(m, (2, 2), (0,))):
+            with pytest.raises(ThermwitError, match=r"not Hermitian at index \(3,\)"):
+                oracle(stack)
+
+    def test_rejects_one_matrix_off_unit_trace(self):
+        rng = np.random.default_rng(53)
+        stack = np.array([random_density_matrix(4, rng) for _ in range(5)])
+        stack[1] *= 1.0 + 1e-6
+        for oracle in (concurrence_two_qubit, lambda m: ppt_min_eigenvalue(m, (2, 2), (1,))):
+            with pytest.raises(ThermwitError, match=r"deviates from 1 at index \(1,\)"):
+                oracle(stack)
+
+    def test_ppt_keeps_the_strict_hermiticity_check(self):
+        # a 1e-10 asymmetry passes the 1e-9 state check but not the solver's 1e-12
+        rho = random_density_matrix(4, np.random.default_rng(54))
+        rho[0, 1] += 1e-10
+        stack = np.array([random_density_matrix(4, np.random.default_rng(55)), rho])
+        with pytest.raises(NotHermitian, match=r"at index \(1,\)"):
+            ppt_min_eigenvalue(stack, (2, 2), (0,))
+        with pytest.raises(NotHermitian):
+            ppt_min_eigenvalue(rho, (2, 2), (0,))
 
 
 class TestPPT:
@@ -475,7 +594,17 @@ class TestDirectedRounding:
         exact = 1 / Fraction(one_plus_r)
         assert Fraction(b.threshold) >= exact
         assert Fraction(math.nextafter(b.threshold, 0.0)) < exact
-        assert b.log_threshold == math.log(b.threshold)
+
+    @given(st.floats(min_value=1.0, max_value=1e300))
+    @settings(max_examples=500, deadline=None)
+    def test_log_threshold_never_below_exact_log(self, one_plus_r):
+        b = RobustnessBound(one_plus_r, BoundKind.LOWER_BOUND, BoundSource.RELATIVE_ENTROPY_INPUT)
+        with mpmath.workprec(200):
+            exact = mpmath.log(mpmath.mpf(b.threshold))
+            assert mpmath.mpf(b.log_threshold) >= exact
+            # and at most two floats above it
+            two_below = math.nextafter(math.nextafter(b.log_threshold, -math.inf), -math.inf)
+            assert mpmath.mpf(two_below) <= exact
 
     def test_threshold_steps_up_for_dicke(self):
         # 1 + R(8, 4) = 128/35 rounds down, so the reciprocal of the float

@@ -19,6 +19,7 @@ from thermwit.numerics import (
     hermitian_eigenvalues,
     partial_transpose,
     root_bracket,
+    stacked_eigendecompose,
 )
 
 
@@ -96,6 +97,38 @@ class TestEigenvalues:
                     solve(m, tol=tol)
 
 
+class TestStackedEigendecompose:
+    def test_each_matrix_matches_the_single_solver(self):
+        rng = np.random.default_rng(13)
+        for dim in (1, 2, 4, 7):
+            stack = np.array([random_hermitian(rng, dim) for _ in range(9)]).reshape(3, 3, dim, dim)
+            eig = stacked_eigendecompose(stack)
+            assert eig.eigenvalues.shape == (3, 3, dim)
+            for idx in np.ndindex(3, 3):
+                one = hermitian_eigendecompose(stack[idx])
+                assert eig.eigenvalues[idx].tobytes() == one.eigenvalues.tobytes()
+                assert eig.eigenvectors[idx].tobytes() == one.eigenvectors.tobytes()
+
+    def test_single_matrix_is_a_stack_without_leading_axes(self):
+        h = random_hermitian(np.random.default_rng(14), 5)
+        assert stacked_eigendecompose(h).eigenvalues.tobytes() == (
+            hermitian_eigendecompose(h).eigenvalues.tobytes()
+        )
+
+    def test_each_matrix_checked_on_its_own_scale(self):
+        # 1e-10 of asymmetry passes next to entries of 1e3, not next to entries of 1
+        big = np.array([[1e3, 1.0], [1.0 + 1e-10, 0.0]])
+        small = np.array([[1.0, 0.5], [0.5 + 1e-10, 0.0]])
+        stacked_eigendecompose(np.array([big, big]))
+        with pytest.raises(NotHermitian, match=r"at index \(1,\)"):
+            stacked_eigendecompose(np.array([big, small]))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (5, 2, 3)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(BadDimensionFactorization):
+            stacked_eigendecompose(np.zeros(shape))
+
+
 class TestPartialTranspose:
     def test_double_transpose_is_identity(self):
         rng = np.random.default_rng(11)
@@ -116,6 +149,14 @@ class TestPartialTranspose:
         ab = np.kron(a, b)
         assert np.allclose(partial_transpose(ab, (2, 3), (0,)), np.kron(a.T, b))
         assert np.allclose(partial_transpose(ab, (2, 3), (1,)), np.kron(a, b.T))
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(15)
+        stack = rng.standard_normal((2, 3, 12, 12)) + 1j * rng.standard_normal((2, 3, 12, 12))
+        for dims, subset in [((2, 6), (0,)), ((3, 2, 2), (0, 2)), ((2, 3, 2), (1,))]:
+            got = partial_transpose(stack, dims, subset)
+            for idx in np.ndindex(2, 3):
+                assert np.array_equal(got[idx], partial_transpose(stack[idx], dims, subset))
 
     def test_rejects_bad_subsets(self):
         m = np.zeros((4, 4))

@@ -134,6 +134,35 @@ class TestThermalDensityMatrix:
         assert np.min(np.linalg.eigvalsh(rho)) >= 0.0
 
 
+    def test_stack_of_temperatures_matches_each_point(self):
+        rng = np.random.default_rng(6)
+        for dim in (2, 4, 8, 12):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            h = 0.5 * (g + g.conj().T)
+            kts = rng.uniform(0.05, 6.0, size=20)
+            stack = thermal_density_matrix(h, kts)
+            assert stack.shape == (20, dim, dim)
+            for kt, rho in zip(kts, stack):
+                assert rho.tobytes() == thermal_density_matrix(h, ThermalPoint(kt)).tobytes()
+
+    def test_stack_of_hamiltonians_matches_each_one(self):
+        rng = np.random.default_rng(7)
+        hs = np.array([build_dimer_hamiltonian(DimerParams(b, 1.0)) for b in rng.uniform(0, 6, 30)])
+        kts = rng.uniform(0.05, 6.0, size=30)
+        stack = thermal_density_matrix(hs, kts)
+        for h, kt, rho in zip(hs, kts, stack):
+            assert rho.tobytes() == thermal_density_matrix(h, ThermalPoint(kt)).tobytes()
+        # one H against many kT, and many H against one kT, broadcast
+        assert thermal_density_matrix(hs[:1], kts).shape == (30, 4, 4)
+        assert thermal_density_matrix(hs, ThermalPoint(0.7)).shape == (30, 4, 4)
+
+    @pytest.mark.parametrize("kts", [[1.0, 0.0], [-1.0], [1.0, math.nan]])
+    def test_rejects_non_positive_kt(self, kts):
+        h = build_dimer_hamiltonian(DimerParams(1.0, 1.0))
+        with pytest.raises(ThermwitError):
+            thermal_density_matrix(h, np.array(kts))
+
+
 class TestRelativeEntropy:
     def test_equals_minus_log2_ground_population(self):
         s = dimer_spectrum(DimerParams(1.5, 1.0))
