@@ -246,10 +246,15 @@ def dicke_overlap_closed(n: int, k: int) -> float:
     """
     if n < 2 or k <= 0 or k >= n:
         raise ThermwitError(f"need n >= 2 and 0 < k < n, got n={n}, k={k}")
-    try:
-        return math.sqrt(math.comb(n, k) * (k / n) ** k * ((n - k) / n) ** (n - k))
-    except OverflowError:  # C(n, k) beyond float range
-        pass
+    # Building C(n, k) exactly takes seconds from n ~ 1e6 on. Above ~1030
+    # bits (lgamma puts log2 C(n, k) within far less than a bit) it would
+    # overflow float range anyway, so skip it there.
+    log_comb = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    if log_comb <= 1030.0 * math.log(2.0):
+        try:
+            return math.sqrt(math.comb(n, k) * (k / n) ** k * ((n - k) / n) ** (n - k))
+        except OverflowError:  # C(n, k) beyond float range
+            pass
     return math.exp(0.5 * _dicke_log_overlap_sq(n, k))
 
 

@@ -5,13 +5,17 @@ energy, so populations and log partition functions stay finite at any
 temperature the package accepts (T = 0 itself is excluded; probe the limit
 with kT around 1e-6 times the gap).
 
-The closed-form ladder sum keeps one cache entry: the read-only level
+The closed-form ladder sum costs O(1) at alpha = 0, one excited level of
+degeneracy D-1. For alpha > 0 it keeps one cache entry: the read-only level
 array -m**alpha * delta of the last ladder it summed, so a sweep or a
 crossing search over one ladder builds it once. One entry bounds the memory
-to one ladder (8 MB at 10^6 levels).
+to one ladder (8 MB at 10^6 levels). The levels are sorted, so a binary
+search finds the terms whose exp is not exactly zero; terms in the subnormal
+band of exp (~100 ns each against ~1 ns) are then the main cost.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -131,18 +135,39 @@ def _ladder_levels(p: ToySpectrumParams) -> np.ndarray:
 def log_ground_population_alpha_closed(p: ToySpectrumParams, t: ThermalPoint) -> float:
     """Exact finite sum log p0 = -log(1 + sum_m e^{-m^alpha delta/kT}).
 
-    The ground energy e0 drops out, so any e0 gives the same bits.
+    The ground energy e0 drops out, so any e0 gives the same bits. The levels
+    are sorted, so the largest term is the m = 1 one and the shifted terms
+    fall with m: alpha = 0 (one level of degeneracy D-1) costs O(1), and for
+    alpha > 0 only the terms above EXP_ZERO go through exp, found by binary
+    search. Terms in the subnormal band of exp, shifted exponents in
+    (-745.13, -708.4], cost the most: ~100 ns each against ~1 ns.
     """
-    terms = _ladder_levels(p) / t.kt
-    mx = float(np.max(terms))
-    terms -= mx
-    # exp only where it is not exactly zero (NaN goes through and propagates);
-    # the sum still runs over every term, so its pairwise order is unchanged
-    zero = np.less_equal(terms, EXP_ZERO)
-    np.logical_not(zero, out=zero)
-    np.exp(terms, out=terms, where=zero)
-    np.logical_not(zero, out=zero)
-    np.copyto(terms, 0.0, where=zero)
+    kt = t.kt
+    # pow(1, alpha) is exactly 1, so the largest term is exactly -delta/kT
+    mx = -p.delta / kt
+    if mx <= EXP_ZERO:
+        # e^mx is exactly 0, so the tail is 0 whatever the sum; this also
+        # covers delta/kT overflowing to inf, where the shift would give NaN
+        return -0.0
+    if p.alpha == 0.0:
+        # every shifted term is exp(0) = 1, and numpy's pairwise sum of
+        # D-1 < 2^53 ones is exactly D-1
+        return -math.log1p(math.exp(mx) * float(p.n_levels - 1))
+    levels = _ladder_levels(p)
+    # First term at or below EXP_ZERO: the computed terms fall with m up to
+    # an ulp-level wobble of pow (below 1e-12 here, since |mx| < 746 keeps the
+    # terms near the cut below ~1500 in size), and EXP_ZERO sits 0.87 below
+    # where exp becomes exactly 0, so every term on the wrong side of the
+    # cut still has exp exactly 0 and no bit moves.
+    cut = bisect.bisect_left(
+        range(levels.size), True, key=lambda j: levels.item(j) / kt - mx <= EXP_ZERO
+    )
+    terms = np.empty(levels.size)
+    head = np.divide(levels[:cut], kt, out=terms[:cut])
+    head -= mx
+    np.exp(head, out=head)
+    # the sum still runs over all D-1 terms, so its pairwise order is unchanged
+    terms[cut:] = 0.0
     # log1p of the summed tail keeps accuracy when every term underflows the
     # ground contribution.
     tail = math.exp(mx) * float(np.sum(terms))

@@ -291,6 +291,18 @@ class TestToyCommand:
         for e0 in (1e6, -1e6, 1e15, -1e15, 1e308, -1e308):
             assert decision(e0) == reference, e0
 
+    @pytest.mark.parametrize("alpha", ["0", "0.5"])
+    def test_overflowing_delta_over_kt_row(self, capsys, alpha):
+        # delta/kT overflows at T = 1e-10: the row has p0 = 1, not NaN
+        code, out, err = run(
+            capsys, "toy", "--alpha", alpha, "--D", "100", "--delta", "1e300", "--eR", "1",
+            "--grid", "1e-10:1:3:log",
+        )
+        assert code == 0 and err == ""
+        assert csv_column(out, "Z") == ["1.0"] * 3
+        assert csv_column(out, "p") == ["1.0"] * 3
+        assert csv_column(out, "satisfied") == ["true"] * 3
+
     def test_oracle_depth_cap(self, capsys):
         code, _, err = run(
             capsys, "toy", "--alpha", "0.5", "--D", "1000000", "--eR", "1", "--oracles"
@@ -345,6 +357,12 @@ class TestDickeCommand:
     def test_separable_extremes_rejected(self, capsys):
         code, _, err = run(capsys, "dicke", "--n", "4", "--k", "0")
         assert code == 2
+
+    def test_billion_sites(self, capsys):
+        code, out, err = run(capsys, "dicke", "--n", "1000000000")
+        assert code == 0 and err == ""
+        overlap_sq = float(summary_value(out, "max_product_overlap_sq"))
+        assert overlap_sq == pytest.approx(float(summary_value(out, "threshold")), rel=1e-12)
 
 
 class TestGraphCommand:

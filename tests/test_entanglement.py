@@ -1,5 +1,6 @@
 """Tests for robustness bounds, entanglement monotones, and the ALS search."""
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -27,7 +28,13 @@ from thermwit.entanglement import (
     schmidt_coefficients,
     singlet_robustness,
 )
-from thermwit.entanglement import _als, _als_starts, _random_unit_qubit, _stirling_remainder
+from thermwit.entanglement import (
+    _als,
+    _als_starts,
+    _dicke_log_overlap_sq,
+    _random_unit_qubit,
+    _stirling_remainder,
+)
 from thermwit.errors import (
     BadPartition,
     NegativeEntanglement,
@@ -216,6 +223,26 @@ class TestDickeOverlapLargeN:
                     * (mpmath.mpf(n - k) / n) ** (n - k)
                 )
             assert abs(dicke_overlap_closed(n, k) - float(exact)) <= 1e-12 * float(exact)
+
+    def test_same_bits_as_binomial_first_route(self):
+        # C(n, k) is only built below ~1030 bits; around that edge the value
+        # is the one the route that always tries it first gives
+        for n in range(1020, 1060):
+            for k in (n // 2, n // 3, n // 4):
+                try:
+                    old = math.sqrt(math.comb(n, k) * (k / n) ** k * ((n - k) / n) ** (n - k))
+                except OverflowError:
+                    old = math.exp(0.5 * _dicke_log_overlap_sq(n, k))
+                assert dicke_overlap_closed(n, k).hex() == old.hex(), (n, k)
+
+    @pytest.mark.parametrize("n", [10**6, 10**7, 10**9])
+    def test_half_filling_at_huge_n_is_fast_and_accurate(self, n):
+        # building C(n, n/2) takes ~7 s at n = 10^6 and never ends at 10^9
+        start = time.perf_counter()
+        overlap = dicke_overlap_closed(n, n // 2)
+        assert time.perf_counter() - start < 1.0
+        exact = _exact_dicke_one_plus_r(n, n // 2) ** -0.5
+        assert abs(overlap - float(exact)) <= 1e-12 * float(exact)
 
 
 def _exact_dicke_one_plus_r(n: int, k: int) -> mpmath.mpf:

@@ -5,6 +5,7 @@ exponential sums, scipy matrix exponentials, and quadrature of the
 continuum integral behind the Gamma-function approximation.
 """
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -263,6 +264,20 @@ class TestLadderKernelBits:
     @example(n_levels=2 * 10**5, alpha=0.5, delta=1.0, e0=0.0, depth=730.0)  # subnormal tail
     @example(n_levels=2 * 10**5, alpha=0.5, delta=1.0, e0=0.0, depth=3000.0)  # both bands
     @example(n_levels=2 * 10**5, alpha=1.0, delta=2.0, e0=1.0, depth=1e4)
+    # a million levels with the deepest term (alpha = 0: every term) on both
+    # sides of the subnormal edge of exp, its zero edge and EXP_ZERO
+    @example(n_levels=10**6, alpha=0.0, delta=1.0, e0=0.0, depth=708.3)
+    @example(n_levels=10**6, alpha=0.0, delta=1.0, e0=0.0, depth=708.5)
+    @example(n_levels=10**6, alpha=0.0, delta=1.0, e0=0.0, depth=745.1)
+    @example(n_levels=10**6, alpha=0.0, delta=1.0, e0=0.0, depth=745.2)
+    @example(n_levels=10**6, alpha=0.0, delta=1.0, e0=0.0, depth=745.9)
+    @example(n_levels=10**6, alpha=0.0, delta=1.0, e0=0.0, depth=746.1)
+    @example(n_levels=10**6, alpha=0.5, delta=1.0, e0=0.0, depth=708.3)
+    @example(n_levels=10**6, alpha=0.5, delta=1.0, e0=0.0, depth=708.5)
+    @example(n_levels=10**6, alpha=0.5, delta=1.0, e0=0.0, depth=745.1)
+    @example(n_levels=10**6, alpha=0.5, delta=1.0, e0=0.0, depth=745.2)
+    @example(n_levels=10**6, alpha=0.5, delta=1.0, e0=0.0, depth=745.9)
+    @example(n_levels=10**6, alpha=0.5, delta=1.0, e0=0.0, depth=746.1)
     @settings(max_examples=150, deadline=None)
     def test_same_bits_as_reference(self, n_levels, alpha, delta, e0, depth):
         # kT puts the deepest shifted term at -depth, so draws past 708 reach
@@ -276,6 +291,27 @@ class TestLadderKernelBits:
         log_p0 = log_ground_population_alpha_closed(p, t)
         assert log_p0.hex() == (-_ladder_log1p_tail_reference(p, t)).hex()
         assert log_p0.hex() == (-log_partition_function_alpha_closed(replace(p, e0=0.0), t)).hex()
+
+    @pytest.mark.parametrize("n_levels", [2, 10**6])
+    def test_alpha_zero_same_bits_as_reference(self, n_levels):
+        # alpha = 0 is summed without any level array: one excited level of
+        # degeneracy D-1, at kT from deep below -delta/kT = EXP_ZERO to 1e7
+        p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=n_levels)
+        for kt in np.geomspace(1e-4, 1e7, 45).tolist() + [-1.0 / EXP_ZERO, 1.0 / 745.2]:
+            t = ThermalPoint(kt)
+            got = log_ground_population_alpha_closed(p, t)
+            assert got.hex() == (-_ladder_log1p_tail_reference(p, t)).hex(), kt
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_overflowing_delta_over_kt_gives_p0_one(self, alpha):
+        # -delta/kT overflows to -inf, where shifting by the largest term
+        # would give -inf - -inf = NaN; p0 is 1 to the last bit
+        p = ToySpectrumParams(e0=0.0, delta=1e300, alpha=alpha, n_levels=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kt in (1e-10, 1e-300, 5e-324):
+                got = log_ground_population_alpha_closed(p, ThermalPoint(kt))
+                assert got.hex() == (-0.0).hex()
 
     def test_cached_levels_read_only_and_evicted(self):
         a = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.5, n_levels=1000)
@@ -311,6 +347,32 @@ class TestLadderConcavity:
         f = [log_p0(float(b)) for b in betas]
         for k in range(1, len(f) - 1):
             scale = abs(f[k - 1]) + 2.0 * abs(f[k]) + abs(f[k + 1]) + abs(e0) * betas[k + 1]
+            assert f[k - 1] - 2.0 * f[k] + f[k + 1] <= 64 * np.finfo(float).eps * scale
+
+
+class TestPopulationConcavity:
+    @given(
+        levels=st.lists(
+            st.tuples(st.floats(min_value=-5.0, max_value=5.0), st.integers(1, 5)),
+            min_size=1, max_size=12, unique_by=lambda x: x[0],
+        ),
+        level=st.integers(min_value=0, max_value=11),
+        beta0=st.floats(min_value=1e-2, max_value=10.0),
+        step=st.floats(min_value=1e-3, max_value=1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_log_population_concave_in_beta(self, levels, level, beta0, step):
+        # log p_j = -beta (E_j - E0) - log sum_i g_i e^{-beta (E_i - E0)} has
+        # second derivative -Var(E) <= 0 in beta, for any level j: second
+        # differences on a beta grid are at most rounding above zero
+        levels.sort()
+        s = Spectrum(tuple(e for e, _ in levels), tuple(g for _, g in levels))
+        j = level % s.n_levels
+        betas = beta0 + step * np.arange(12)
+        f = [log_population(s, ThermalPoint(1.0 / float(b)), j) for b in betas]
+        spread = s.energies[-1] - s.energies[0]
+        for k in range(1, len(f) - 1):
+            scale = abs(f[k - 1]) + 2.0 * abs(f[k]) + abs(f[k + 1]) + spread * betas[k + 1]
             assert f[k - 1] - 2.0 * f[k] + f[k + 1] <= 64 * np.finfo(float).eps * scale
 
 
