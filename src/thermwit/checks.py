@@ -47,13 +47,13 @@ from .thermal import (
     exp_or_inf,
     log_partition_function_alpha_closed,
     log_partition_function_alpha_gamma,
+    log_population,
     relative_entropy_ground_to_thermal,
     thermal_density_matrix,
 )
 from .witness import (
     concurrence_vanishing_temperature,
     dimer_condition_margin,
-    evaluate_condition,
     flip_probability_from_temperature,
     noise_threshold,
     satisfying_intervals,
@@ -121,9 +121,7 @@ def check_dimer_high_field_phase(seed: int = 0) -> CheckResult:
     )
     tr = transition_temperature(sp, ground_bound)
     grid = np.linspace(0.2, 10.0, 60)
-    never = all(
-        not evaluate_condition(sp, ThermalPoint(t), ground_bound).satisfied for t in grid
-    )
+    never = not np.any(log_population(sp, grid, 0) > ground_bound.log_threshold)
     singlet_level = int(np.argmin(np.abs(np.array(sp.energies) - (-3.0 * p.J))))
     singlet_iv = satisfying_intervals(sp, singlet_robustness(), grid, singlet_level)
     conc = float(np.max(concurrence_two_qubit(thermal_density_matrix(h, grid))))
@@ -323,7 +321,7 @@ def check_relative_entropy_identity(seed: int = 0) -> CheckResult:
             continue
         ground = basis[:, 0]
         temps = rng.uniform(0.8, 6.0, size=20)
-        stat = [relative_entropy_ground_to_thermal(sp, ThermalPoint(float(t))) for t in temps]
+        stat = relative_entropy_ground_to_thermal(sp, temps)
         eig = stacked_eigendecompose(thermal_density_matrix(h, temps))
         weights = np.abs(np.swapaxes(eig.eigenvectors.conj(), -1, -2) @ ground) ** 2
         mat = -np.sum(weights * np.log2(np.maximum(eig.eigenvalues, 1e-300)), axis=-1)

@@ -135,7 +135,7 @@ def _sweep(
     params: Sequence[tuple[str, str]],
     bound: RobustnessBound,
     e0: float,
-    log_p0: Callable[[ThermalPoint], float],
+    log_p0: Callable[[np.ndarray], np.ndarray],
     shape: tuple[float, float, int],
     extra_columns: Sequence[str],
     extra: Callable[[np.ndarray, np.ndarray], Sequence[Sequence[float]]],
@@ -144,10 +144,11 @@ def _sweep(
 ) -> int:
     """Sweep the temperature grid and emit the CSV for one model.
 
-    ``log_p0(point)`` is the model's one input: at each grid point Z =
-    e^{-e0/kT} / p0, p and the verdict log p0 > log threshold are derived
-    from it here alone, and after the rows the one ``ground_crossing``
-    search runs on it over ``shape`` = (gap, spread, dimension).
+    ``log_p0(kts)`` is the model's one input, an array of log p0 for an
+    array of kT: called once with the whole grid, it gives each row's Z =
+    e^{-e0/kT} / p0, p and the verdict log p0 > log threshold, derived here
+    alone; after the rows the one ``ground_crossing`` search runs on its
+    one-point view over ``shape`` = (gap, spread, dimension).
     ``extra(kT, log p0)``, called once with the whole grid's arrays, gives
     the model's extra columns, and ``summaries(t_trans)`` its summary lines;
     it may raise MismatchError.
@@ -163,23 +164,28 @@ def _sweep(
     ]
     columns = ["T", "Z", "p", "threshold", "satisfied", "bound_kind", *extra_columns]
     temps = cfg.grid.values()
-    points = [ThermalPoint(float(temp), cfg.k_b) for temp in temps]
-    kts = [point.kt for point in points]
-    log_ps = [log_p0(point) for point in points]
-    extra_cells = extra(np.array(kts), np.array(log_ps))
+    ThermalPoint(float(temps[0]), cfg.k_b)  # rejects a bad k_B or first temperature
+    kts = temps * cfg.k_b
+    if not np.all(kts > 0.0):
+        raise ThermwitError(f"kT = T * kB must be positive; kB = {cfg.k_b!r} underflows it")
+    log_ps = log_p0(kts)
+    extra_cells = extra(kts, log_ps)
+    threshold, kind, log_threshold = _fmt(bound.threshold), bound.kind.value, bound.log_threshold
     rows = [
         [
             _fmt(temp),
             _fmt(exp_or_inf(-e0 / kt - log_p)),
             _fmt(math.exp(log_p)),
-            _fmt(bound.threshold),
-            _fb(log_p > bound.log_threshold),
-            bound.kind.value,
+            threshold,
+            _fb(log_p > log_threshold),
+            kind,
             *(_fmt(column[i]) for column in extra_cells),
         ]
-        for i, (temp, kt, log_p) in enumerate(zip(temps, kts, log_ps))
+        for i, (temp, kt, log_p) in enumerate(zip(temps.tolist(), kts.tolist(), log_ps.tolist()))
     ]
-    t_trans = ground_crossing(log_p0, bound, *shape, cfg.k_b).t_trans
+    t_trans = ground_crossing(
+        lambda point: float(log_p0(np.array([point.kt]))[0]), bound, *shape, cfg.k_b
+    ).t_trans
     results = [
         ("one_plus_r", _fmt(bound.one_plus_r)),
         ("threshold", _fmt(bound.threshold)),
@@ -256,7 +262,7 @@ def cmd_dimer(cfg: RunConfig) -> int:
     params = [("B", _fmt(p.B)), ("J", _fmt(p.J))]
     return _sweep(
         cfg, "dimer", params, bound, sp.ground_energy,
-        lambda point: log_population(sp, point, 0), (sp.gap, sp.spread, sp.dimension),
+        lambda kts: log_population(sp, kts, 0), (sp.gap, sp.spread, sp.dimension),
         columns, extra, summaries,
     )
 
@@ -348,11 +354,12 @@ def cmd_toy(cfg: RunConfig) -> int:
     ]
     if cfg.toy_n is not None:
         params.append(("n", str(cfg.toy_n)))
-    spread = p.delta * float(p.n_levels - 1) ** p.alpha
     return _sweep(
         cfg, "toy", params, bound, p.e0,
-        lambda point: log_ground_population_alpha_closed(p, point),
-        (p.delta, spread, p.n_levels), columns, extra, summaries,
+        lambda kts: np.array(
+            [log_ground_population_alpha_closed(p, ThermalPoint(kt)) for kt in kts.tolist()]
+        ),
+        (p.delta, p.spread, p.n_levels), columns, extra, summaries,
     )
 
 
@@ -413,10 +420,6 @@ def cmd_dicke(cfg: RunConfig) -> int:
 
 
 # --- stabilizer graph ----------------------------------------------------------
-
-
-def _graph_log_p0(n: int, b: float, kt: float) -> float:
-    return -n * float(np.logaddexp(0.0, -2.0 * b / kt))
 
 
 def _matrix_check(g: Graph, b: float, cfg: RunConfig) -> list[tuple[str, str]]:
@@ -517,7 +520,7 @@ def cmd_graph(cfg: RunConfig) -> int:
     tail = [("matrix_check", _fb(cfg.matrix_check))]
     return _sweep(
         cfg, "graph", params, bound, -g.n * b,
-        lambda point: _graph_log_p0(g.n, b, point.kt), (2.0 * b, 2.0 * g.n * b, 2**g.n),
+        lambda kts: -g.n * np.logaddexp(0.0, -2.0 * b / kts), (2.0 * b, 2.0 * g.n * b, 2**g.n),
         columns, extra, summaries, tail,
     )
 

@@ -343,13 +343,6 @@ def ppt_min_eigenvalue(
     return _scalar_or_array(stacked_eigendecompose(pt).eigenvalues[..., 0])
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Hilbert-Schmidt-distributed random state: normalized G G^dagger."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def _random_unit_qubit(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return v / np.linalg.norm(v)
@@ -438,12 +431,3 @@ def geometric_measure_als(
     best = min(float(np.max(_als(psi.as_tensor(), starts, tol, max_sweeps))), 1.0)
     eg_upper = -2.0 * math.log2(best) if best > 0 else math.inf
     return best, max(0.0, eg_upper)
-
-
-def als_sweep_overlaps(
-    psi: PureState, seed: int = 0, tol: float = 1e-12, max_sweeps: int = 100
-) -> np.ndarray:
-    """Overlap after every site update of a single alternating-search run."""
-    trace: list[np.ndarray] = []
-    _als(psi.as_tensor(), _als_starts(psi.n_sites, 1, seed), tol, max_sweeps, trace)
-    return np.concatenate(trace)

@@ -140,9 +140,6 @@ class PureState:
             raise ThermwitError(f"state norm {norm} deviates from 1 beyond 1e-12")
         object.__setattr__(self, "amplitudes", amps)
 
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape((2,) * self.n_sites)
 
@@ -179,6 +176,16 @@ class ToySpectrumParams:
             raise ThermwitError(f"need at least 2 levels, got {self.n_levels}")
         if self.n_levels > SPECTRUM_LEVEL_CAP:
             raise ThermwitError(f"level count {self.n_levels} exceeds cap {SPECTRUM_LEVEL_CAP}")
+        if not math.isfinite(self.spread):
+            raise ThermwitError(
+                f"top level delta * (D-1)^alpha = {self.delta!r} * {self.n_levels - 1}"
+                f"^{self.alpha!r} overflows a float; lower delta"
+            )
+
+    @property
+    def spread(self) -> float:
+        """Top excited level above the ground, delta * (D-1)**alpha."""
+        return self.delta * float(self.n_levels - 1) ** self.alpha
 
 
 @dataclass(frozen=True)
@@ -317,23 +324,13 @@ def _stabilizer_action(g: Graph, i: int) -> tuple[np.ndarray, np.ndarray]:
 def _zero_matrix(dim: int) -> np.ndarray:
     """A dim x dim float64 zero matrix on an anonymous memory map.
 
-    The builders below write at most n + 1 entries per column. numpy asks
+    The builder below writes at most n + 1 entries per column. numpy asks
     the kernel for huge pages on large arrays, and faulting those in made
     the same 4096^2 build take anywhere from 0.03 s to 0.14 s from one call
     to the next (2-vCPU VM); a map is zero-filled and faults in small pages,
     at a steady 0.06-0.07 s.
     """
     return np.frombuffer(mmap.mmap(-1, dim * dim * 8), dtype=np.float64).reshape(dim, dim)
-
-
-def stabilizer_operator(g: Graph, i: int) -> np.ndarray:
-    """Generator K_i = X on vertex i, Z on each neighbor of i, as a real matrix."""
-    if g.n > MATRIX_SITE_CAP:
-        raise GraphTooLarge(f"graph on {g.n} vertices exceeds cap {MATRIX_SITE_CAP}")
-    rows, sign = _stabilizer_action(g, i)
-    op = _zero_matrix(rows.size)
-    op[rows, np.arange(rows.size)] = sign
-    return op
 
 
 def build_stabilizer_hamiltonian(g: Graph, B: float) -> np.ndarray:

@@ -5,6 +5,14 @@ energy, so populations and log partition functions stay finite at any
 temperature the package accepts (T = 0 itself is excluded; probe the limit
 with kT around 1e-6 times the gap).
 
+The spectrum kernel (``log_population``, ``log_partition_function``,
+``population_profile``) takes one ThermalPoint, giving a float, or an array
+of kT values, giving an array: a sweep sums its whole grid as one
+(points x levels) log-sum-exp, and each point gets the bits a ThermalPoint
+call at its kT gives. The `toy --oracles` re-sum of up to 10^5 levels stays
+one call per kT: on a 50-point grid as one array each temporary would take
+40 MB, where one call's takes 0.8 MB.
+
 The closed-form ladder sum costs O(1) at alpha = 0, one excited level of
 degeneracy D-1. For alpha > 0 it keeps one cache entry: the read-only level
 array -m**alpha * delta of the last ladder it summed, so a sweep or a
@@ -55,19 +63,40 @@ class ThermalPoint:
         return self.temperature * self.k_b
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = float(np.max(a))
-    return m + math.log(float(np.sum(np.exp(a - m))))
+def _kt_array(t: ThermalPoint | np.ndarray) -> np.ndarray:
+    """kT of one ThermalPoint, as a 0-d array, or of an array of kT values."""
+    kt = np.asarray(t.kt if isinstance(t, ThermalPoint) else t, dtype=float)
+    if not np.all(kt > 0.0):
+        raise ThermwitError("kT must be positive")
+    return kt
 
 
-def _shifted_log_terms(s: Spectrum, kt: float) -> np.ndarray:
+def _float_or_array(t: ThermalPoint | np.ndarray, x: np.ndarray) -> float | np.ndarray:
+    return float(x) if isinstance(t, ThermalPoint) else x
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum exp along the last axis.
+
+    The last log is math.log row by row, as in a one-point call: numpy's log
+    on the sums moved 203 of 350,000 log populations by an ulp (7 dimer
+    fields and 40 random spectra of 2-40 levels, j <= 2, kT from 1e-6 to 1e6).
+    """
+    m = np.max(a, axis=-1)
+    sums = np.sum(np.exp(a - m[..., None]), axis=-1)
+    return m + np.reshape([math.log(x) for x in sums.ravel().tolist()], sums.shape)
+
+
+def _shifted_log_terms(s: Spectrum, kt: np.ndarray) -> np.ndarray:
+    """log g_j - (E_j - E0)/kT, levels along the last axis."""
     e = s.energy_array()
-    return s.log_degeneracy_array() - (e - e[0]) / kt
+    return s.log_degeneracy_array() - (e - e[0]) / kt[..., None]
 
 
-def log_partition_function(s: Spectrum, t: ThermalPoint) -> float:
+def log_partition_function(s: Spectrum, t: ThermalPoint | np.ndarray) -> float | np.ndarray:
     """log Z = -E0/kT + log sum_j g_j exp(-(E_j - E0)/kT)."""
-    return -s.ground_energy / t.kt + _logsumexp(_shifted_log_terms(s, t.kt))
+    kt = _kt_array(t)
+    return _float_or_array(t, -s.ground_energy / kt + _logsumexp(_shifted_log_terms(s, kt)))
 
 
 def exp_or_inf(log_z: float) -> float:
@@ -78,18 +107,29 @@ def exp_or_inf(log_z: float) -> float:
         return math.inf
 
 
-def population_profile(s: Spectrum, t: ThermalPoint) -> np.ndarray:
-    """Population of each level with its degeneracy multiplied in; sums to one."""
-    terms = _shifted_log_terms(s, t.kt)
-    return np.exp(terms - _logsumexp(terms))
+def population_profile(s: Spectrum, t: ThermalPoint | np.ndarray) -> np.ndarray:
+    """Population of each level with its degeneracy multiplied in; sums to one.
+
+    Levels run along the last axis: shape (levels,) for a ThermalPoint,
+    (..., levels) for an array of kT.
+    """
+    terms = _shifted_log_terms(s, _kt_array(t))
+    return np.exp(terms - _logsumexp(terms)[..., None])
 
 
-def log_population(s: Spectrum, t: ThermalPoint, level_index: int = 0) -> float:
-    """log e^{-E_j/kT} / Z of one state in level j: the one spectrum kernel."""
+def log_population(
+    s: Spectrum, t: ThermalPoint | np.ndarray, level_index: int = 0
+) -> float | np.ndarray:
+    """log e^{-E_j/kT} / Z of one state in level j: the one spectrum kernel.
+
+    ``t`` is one ThermalPoint, giving a float, or an array of kT values,
+    giving an array of their shape with the same bits per point.
+    """
     if not 0 <= level_index < s.n_levels:
         raise IndexOutOfRange(f"level {level_index} outside 0..{s.n_levels - 1}")
-    shift = (s.energies[level_index] - s.ground_energy) / t.kt
-    return -shift - _logsumexp(_shifted_log_terms(s, t.kt))
+    kt = _kt_array(t)
+    shift = (s.energies[level_index] - s.ground_energy) / kt
+    return _float_or_array(t, -shift - _logsumexp(_shifted_log_terms(s, kt)))
 
 
 def thermal_density_matrix(h: np.ndarray, t: ThermalPoint | np.ndarray) -> np.ndarray:
@@ -101,9 +141,7 @@ def thermal_density_matrix(h: np.ndarray, t: ThermalPoint | np.ndarray) -> np.nd
     and kT broadcast into a stack of Gibbs states, each with the bits its own
     H and kT give alone.
     """
-    kt = np.asarray(t.kt if isinstance(t, ThermalPoint) else t, dtype=float)
-    if not np.all(kt > 0.0):
-        raise ThermwitError("kT must be positive")
+    kt = _kt_array(t)
     eig = stacked_eigendecompose(h)
     w, v = eig.eigenvalues, eig.eigenvectors
     p = np.exp(-(w - w[..., :1]) / kt[..., None])
@@ -111,11 +149,14 @@ def thermal_density_matrix(h: np.ndarray, t: ThermalPoint | np.ndarray) -> np.nd
     return (v * p[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def relative_entropy_ground_to_thermal(s: Spectrum, t: ThermalPoint) -> float:
+def relative_entropy_ground_to_thermal(
+    s: Spectrum, t: ThermalPoint | np.ndarray
+) -> float | np.ndarray:
     """Relative entropy (bits) between the pure ground state and the Gibbs state.
 
     For a nondegenerate ground level this is exactly -log2 p0, with p0 the
     ground-state population; it needs a unique ground state to be meaningful.
+    ``t`` is one ThermalPoint or an array of kT values, as in log_population.
     """
     if s.degeneracies[0] != 1:
         raise DegenerateGround(

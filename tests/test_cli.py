@@ -7,16 +7,18 @@ import io
 import math
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thermwit.cli
 import thermwit.entanglement
-from thermwit.cli import _graph_log_p0, main
+from thermwit.cli import main
 from thermwit.config import RunConfig, serialize_config
 from thermwit.errors import NoSignChange
 from thermwit.systems import Graph, ToySpectrumParams, write_edge_list
@@ -51,6 +53,33 @@ def summary_value(out, key):
         if line.startswith(f"## {key} = "):
             return line.split(" = ", 1)[1]
     raise KeyError(key)
+
+
+def _graph_log_p0(n, b, kt):
+    """log p0 of the stabilizer ground state at one kT, as graph rows were once computed."""
+    return -n * float(np.logaddexp(0.0, -2.0 * b / kt))
+
+
+@pytest.fixture
+def log_p0_calls(monkeypatch):
+    """Record each model's log_p0 and the kT arrays _sweep calls it with.
+
+    Yields ``(models, calls)``: the log_p0 each _sweep call received, and
+    every kT array handed to it, in call order.
+    """
+    models, calls = [], []
+    real = thermwit.cli._sweep
+
+    def sweep(cfg, system, params, bound, e0, log_p0, *rest):
+        def counted(kts):
+            calls.append(np.array(kts))
+            return log_p0(kts)
+
+        models.append(log_p0)
+        return real(cfg, system, params, bound, e0, counted, *rest)
+
+    monkeypatch.setattr(thermwit.cli, "_sweep", sweep)
+    return models, calls
 
 
 class TestDimerCommand:
@@ -302,6 +331,32 @@ class TestToyCommand:
         assert csv_column(out, "Z") == ["1.0"] * 3
         assert csv_column(out, "p") == ["1.0"] * 3
         assert csv_column(out, "satisfied") == ["true"] * 3
+
+    def test_overflowing_top_level_rejected(self):
+        # delta * (D-1)^alpha = 9.9e308 overflows: the ladder would sum -inf
+        # levels as exact zeros and the crossing search would meet NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_quiet(
+                "toy", "--alpha", "1", "--D", "100", "--delta", "1e307", "--eR", "1",
+                "--grid", "1e306:1e307:3:log",
+            )
+        assert code == 2 and out == ""
+        assert err == (
+            "thermwit: configuration error: top level delta * (D-1)^alpha = "
+            "1e+307 * 99^1.0 overflows a float; lower delta\n"
+        )
+
+    def test_finite_top_level_with_overflowing_bracket(self):
+        # 9.9e306 is finite though the search's 1e4 * spread upper end is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_quiet(
+                "toy", "--alpha", "1", "--D", "100", "--delta", "1e305", "--eR", "1",
+                "--grid", "1e304:1e305:3:log",
+            )
+        assert code == 0 and err == ""
+        assert "nan" not in out
 
     def test_oracle_depth_cap(self, capsys):
         code, _, err = run(
@@ -594,6 +649,55 @@ class TestConfigPlumbing:
         above = math.nextafter(t_trans, math.inf)
         _, edge = flags("--grid", f"{t_trans!r}:{above!r}:2:lin")
         assert edge == [(t_trans, "true"), (above, "false")]
+
+
+class TestGridNativeSweep:
+    """_sweep evaluates log p0 over the whole grid in one call."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dimer", "--B", "1.3"),
+            ("dimer", "--B", "5", "--kB", "2.5", "--oracles"),
+            ("toy", "--alpha", "0.5", "--D", "1000", "--oracles"),
+            ("graph", "--B", "0.7", "--kB", "0.3", "--oracles"),
+        ],
+    )
+    def test_one_call_for_the_rows(self, log_p0_calls, tmp_path, argv):
+        models, calls = log_p0_calls
+        if argv[0] == "graph":
+            write_edge_list(Graph.ring(6), tmp_path / "ring6.edges")
+            argv += ("--edges", str(tmp_path / "ring6.edges"))
+        code, out, err = run_quiet(*argv, "--grid", "0.05:10:300:lin")
+        assert code == 0, err
+        assert len(models) == 1
+        k_b = float(next(l for l in out.splitlines() if l.startswith("# kB = "))[7:])
+        temps = np.array([float(t) for t in csv_column(out, "T")])
+        assert temps.size == 300
+        np.testing.assert_array_equal(calls[0], temps * k_b)
+        # the rest are the crossing search's one-point calls
+        assert len(calls) > 1 and all(c.shape == (1,) for c in calls[1:])
+
+    @pytest.mark.parametrize("n, b", [(3, 0.5), (6, 1.0), (13, 2.5), (400, 1.0), (10**4, 3.0)])
+    def test_graph_log_p0_matches_per_row_expression(self, log_p0_calls, tmp_path, n, b):
+        models, _ = log_p0_calls
+        path = tmp_path / "ring.edges"
+        write_edge_list(Graph.ring(n), path)
+        code, _, err = run_quiet(
+            "graph", "--edges", str(path), "--B", repr(b), "--eR", "0.001", "--grid", "1:2:2:lin"
+        )
+        assert code == 0, err
+        kts = np.concatenate([np.geomspace(1e-6, 1e6, 4001), [1e-300, 1e300, math.inf]])
+        grid = models[0](kts)
+        assert [x.hex() for x in grid.tolist()] == [
+            _graph_log_p0(n, b, kt).hex() for kt in kts.tolist()
+        ]
+
+    def test_underflowing_kt_rejected(self, capsys):
+        # T = 1e-300 at kB = 1e-300 gives kT = 0, which no kernel can divide by
+        code, out, err = run(capsys, "dimer", "--kB", "1e-300", "--grid", "1e-300:1e-299:3:lin")
+        assert code == 2 and out == ""
+        assert "kT = T * kB must be positive" in err
 
 
 class TestNumericExitCode:

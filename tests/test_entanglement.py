@@ -15,7 +15,6 @@ from thermwit.entanglement import (
     BoundSource,
     Partition,
     RobustnessBound,
-    als_sweep_overlaps,
     bipartite_pure_robustness,
     bound_from_relative_entropy,
     concurrence_signed,
@@ -24,7 +23,6 @@ from thermwit.entanglement import (
     dicke_robustness,
     geometric_measure_als,
     ppt_min_eigenvalue,
-    random_density_matrix,
     schmidt_coefficients,
     singlet_robustness,
 )
@@ -57,6 +55,24 @@ def ghz(n):
 def random_pure(n, rng):
     amp = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return PureState(n, amp / np.linalg.norm(amp))
+
+
+def projector(psi):
+    return np.outer(psi.amplitudes, psi.amplitudes.conj())
+
+
+def random_density_matrix(dim, rng):
+    """Hilbert-Schmidt-distributed random state: normalized G G^dagger."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def sweep_overlaps(psi, seed=0, tol=1e-12, max_sweeps=100):
+    """Overlap after every site update of one alternating-search run."""
+    trace = []
+    _als(psi.as_tensor(), _als_starts(psi.n_sites, 1, seed), tol, max_sweeps, trace)
+    return np.concatenate(trace)
 
 
 class TestSchmidt:
@@ -291,7 +307,7 @@ class TestConcurrence:
             ghz(2),
             PureState(2, np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)),
         ):
-            assert concurrence_two_qubit(psi.projector()) == pytest.approx(1.0)
+            assert concurrence_two_qubit(projector(psi)) == pytest.approx(1.0)
 
     def test_product_state_zero(self):
         rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -299,7 +315,7 @@ class TestConcurrence:
 
     def test_werner_family_closed_form(self):
         # p |singlet><singlet| + (1-p) I/4 has concurrence max(0, (3p-1)/2)
-        proj = SINGLET.projector()
+        proj = projector(SINGLET)
         eye = np.eye(4) / 4.0
         for p in np.linspace(0.0, 1.0, 21):
             rho = p * proj + (1.0 - p) * eye
@@ -310,7 +326,7 @@ class TestConcurrence:
             assert negative == (expected > 0) or abs(3.0 * p - 1.0) < 1e-9
 
     def test_signed_form_continues_through_zero(self):
-        proj = SINGLET.projector()
+        proj = projector(SINGLET)
         eye = np.eye(4) / 4.0
         signed = [
             concurrence_signed(p * proj + (1.0 - p) * eye)
@@ -424,7 +440,7 @@ class TestStackedOracles:
 class TestPPT:
     def test_isotropic_threshold(self):
         # 2x2 isotropic states are entangled exactly above fidelity 1/2
-        phi = ghz(2).projector()
+        phi = projector(ghz(2))
         eye = np.eye(4) / 4.0
         for f in (0.3, 0.49, 0.51, 0.9):
             rho = f * phi + (1.0 - f) * (4.0 * eye - phi) / 3.0
@@ -474,9 +490,7 @@ class TestGeometricMeasureALS:
             assert eg >= 0.0
 
     def test_sweeps_monotone_nondecreasing(self):
-        from thermwit.entanglement import als_sweep_overlaps
-
-        history = als_sweep_overlaps(dicke_state(5, 2), seed=6, max_sweeps=40)
+        history = sweep_overlaps(dicke_state(5, 2), seed=6, max_sweeps=40)
         arr = np.array(history)
         assert np.all(np.diff(arr) >= -1e-13)
 
@@ -544,7 +558,7 @@ class TestBatchedALSMatchesSequential:
             _, expected = _reference_als_run(
                 psi.as_tensor(), psi.n_sites, np.random.default_rng(seed), 1e-12, 100
             )
-            history = als_sweep_overlaps(psi, seed=seed, tol=1e-12)
+            history = sweep_overlaps(psi, seed=seed, tol=1e-12)
             assert len(history) == len(expected)
             assert np.max(np.abs(history - np.array(expected))) <= 1e-12
 
@@ -564,7 +578,7 @@ class TestALSSettings:
         with pytest.raises(ThermwitError):
             geometric_measure_als(ghz(3), max_sweeps=0)
         with pytest.raises(ThermwitError):
-            als_sweep_overlaps(ghz(3), max_sweeps=-1)
+            sweep_overlaps(ghz(3), max_sweeps=-1)
 
     @pytest.mark.parametrize("tol", [-1e-12, math.nan, math.inf])
     def test_rejects_bad_tolerance(self, tol):

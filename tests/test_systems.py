@@ -21,11 +21,19 @@ from thermwit.systems import (
     dimer_spectrum,
     graph_state,
     read_edge_list,
-    stabilizer_operator,
     stabilizer_spectrum,
     toy_spectrum,
     write_edge_list,
 )
+from thermwit.systems import _stabilizer_action
+
+
+def _generator(g, i):
+    """K_i as a dense matrix, from the per-basis-state action the builder sums."""
+    rows, sign = _stabilizer_action(g, i)
+    op = np.zeros((rows.size, rows.size))
+    op[rows, np.arange(rows.size)] = sign
+    return op
 
 
 def _merge_loop_reference(values, degeneracies, tol_scale):
@@ -191,6 +199,19 @@ class TestToySpectrum:
         with pytest.raises(ThermwitError):
             ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.5, n_levels=1)
 
+    @pytest.mark.parametrize(
+        "delta, alpha, n_levels",
+        [(1e307, 1.0, 100), (1e308, 0.5, 10), (1e303, 1.0, 10**6), (math.inf, 0.0, 2)],
+    )
+    def test_rejects_overflowing_top_level(self, delta, alpha, n_levels):
+        with pytest.raises(ThermwitError, match="overflows a float"):
+            ToySpectrumParams(e0=0.0, delta=delta, alpha=alpha, n_levels=n_levels)
+
+    def test_spread_is_the_top_level(self):
+        p = ToySpectrumParams(e0=-2.0, delta=1e305, alpha=1.0, n_levels=100)
+        assert p.spread == 9.9e306
+        assert ToySpectrumParams(e0=0.0, delta=0.5, alpha=0.5, n_levels=10).spread == 1.5
+
 
 class TestDickeState:
     def test_amplitudes_uniform_on_correct_weight(self):
@@ -220,12 +241,12 @@ class TestGraphStates:
         for g in [Graph.path(4), Graph.ring(5), Graph.star(5), Graph.complete(4)]:
             psi = graph_state(g).amplitudes
             for i in range(g.n):
-                k = stabilizer_operator(g, i)
+                k = _generator(g, i)
                 assert np.allclose(k @ psi, psi, atol=1e-12)
 
     def test_stabilizers_commute(self):
         g = Graph.ring(4)
-        ops = [stabilizer_operator(g, i) for i in range(4)]
+        ops = [_generator(g, i) for i in range(4)]
         for a in ops:
             for b in ops:
                 assert np.allclose(a @ b, b @ a, atol=1e-12)
@@ -312,13 +333,13 @@ class TestExactConstructions:
     def test_generators_equal_kron_chain(self):
         for g in _exactness_graphs():
             for i in range(g.n):
-                assert np.array_equal(stabilizer_operator(g, i), _kron_generator(g, i))
+                assert np.array_equal(_generator(g, i), _kron_generator(g, i))
 
     def test_generator_checks_vertex_and_size(self):
         with pytest.raises(IndexOutOfRange):
-            stabilizer_operator(Graph.ring(4), 4)
+            _stabilizer_action(Graph.ring(4), 4)
         with pytest.raises(GraphTooLarge):
-            stabilizer_operator(Graph.path(13), 0)
+            build_stabilizer_hamiltonian(Graph.path(13), 1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 999])
     def test_spectrum_degeneracies_equal_math_comb(self, n):
@@ -380,8 +401,3 @@ class TestPureState:
         with pytest.raises(ThermwitError):
             PureState(2, np.array([1.0, 0.0]))
 
-    def test_projector(self):
-        psi = dicke_state(2, 1)
-        proj = psi.projector()
-        assert np.allclose(proj @ proj, proj)
-        assert np.trace(proj) == pytest.approx(1.0)

@@ -116,6 +116,86 @@ class TestPopulation:
             log_population(s, ThermalPoint(1.0), 2)
 
 
+def _one_point_terms(s, kt):
+    """Shifted log terms and their log-sum-exp as the scalar kernel summed them."""
+    e = s.energy_array()
+    a = s.log_degeneracy_array() - (e - e[0]) / kt
+    m = float(np.max(a))
+    return m + math.log(float(np.sum(np.exp(a - m))))
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+_SPECTRA = st.lists(
+    st.tuples(st.floats(min_value=-1e3, max_value=1e3), st.integers(1, 10**6)),
+    min_size=2, max_size=64, unique_by=lambda x: x[0],
+).map(lambda levels: Spectrum(*zip(*sorted(levels))))
+_KTS = st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=40)
+
+
+class TestGridKernel:
+    """An array of kT gives, point for point, the bits of a ThermalPoint call,
+    and those are the bits of the one-point sum the kernel did before."""
+
+    @given(s=_SPECTRA, level=st.integers(0, 63), kts=_KTS)
+    @example(s=dimer_spectrum(DimerParams(2.1, 1.0)), level=0, kts=[0.05])
+    @settings(max_examples=300, deadline=None)
+    def test_log_population(self, s, level, kts):
+        j = level % s.n_levels
+        grid = log_population(s, np.array(kts), j)
+        points = [log_population(s, ThermalPoint(kt), j) for kt in kts]
+        assert isinstance(grid, np.ndarray) and grid.shape == (len(kts),)
+        assert all(type(x) is float for x in points)
+        assert _hex(grid) == _hex(points)
+        shift = [(s.energies[j] - s.ground_energy) / kt for kt in kts]
+        assert _hex(points) == _hex(-d - _one_point_terms(s, kt) for d, kt in zip(shift, kts))
+
+    @given(s=_SPECTRA, kts=_KTS)
+    @settings(max_examples=300, deadline=None)
+    def test_log_partition_function(self, s, kts):
+        grid = log_partition_function(s, np.array(kts))
+        points = [log_partition_function(s, ThermalPoint(kt)) for kt in kts]
+        assert isinstance(grid, np.ndarray) and grid.shape == (len(kts),)
+        assert all(type(x) is float for x in points)
+        assert _hex(grid) == _hex(points)
+        assert _hex(points) == _hex(
+            -s.ground_energy / kt + _one_point_terms(s, kt) for kt in kts
+        )
+
+    @pytest.mark.parametrize("b", [0.0, 1.3, 1.7, 2.1, 3.0, 4.0, 5.3])
+    def test_dimer_grid_keeps_the_one_point_bits(self, b):
+        # numpy's log in place of math.log moves some of these by an ulp
+        s = dimer_spectrum(DimerParams(b, 1.0))
+        kts = np.geomspace(1e-6, 1e6, 2000)
+        for j in range(s.n_levels):
+            expected = [
+                -((s.energies[j] - s.ground_energy) / kt) - _one_point_terms(s, kt)
+                for kt in kts.tolist()
+            ]
+            assert _hex(log_population(s, kts, j)) == _hex(expected), j
+
+    def test_grid_shape_carries_through(self):
+        s = dimer_spectrum(DimerParams(1.3, 1.0))
+        kts = np.geomspace(0.1, 10.0, 6).reshape(2, 3)
+        assert log_population(s, kts, 1).shape == (2, 3)
+        assert population_profile(s, kts).shape == (2, 3, s.n_levels)
+        np.testing.assert_array_equal(
+            population_profile(s, kts)[1, 2], population_profile(s, ThermalPoint(kts[1, 2]))
+        )
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_kt(self, bad):
+        s = dimer_spectrum(DimerParams(1.0, 1.0))
+        for fn in (log_population, log_partition_function, population_profile):
+            with pytest.raises(ThermwitError):
+                fn(s, np.array([1.0, bad]))
+        # a kT that underflows to zero from a valid temperature and k_B
+        with pytest.raises(ThermwitError):
+            log_population(s, ThermalPoint(1e-300, 1e-300))
+
+
 class TestThermalDensityMatrix:
     def test_matches_expm(self):
         rng = np.random.default_rng(4)
