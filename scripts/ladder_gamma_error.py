@@ -11,10 +11,9 @@ import argparse
 import numpy as np
 
 from thermwit import (
-    ThermalPoint,
     ToySpectrumParams,
     exp_or_inf,
-    log_partition_function_alpha_closed,
+    log_ground_population_alpha_closed,
     log_partition_function_alpha_gamma,
 )
 
@@ -34,10 +33,10 @@ def main() -> None:
         print(f"alpha = {alpha}, D = {args.levels}")
         print(f"{'kT/delta':>10} {'Z exact':>16} {'Z gamma':>16} "
               f"{'lin err':>10} {'log err':>10}")
-        for kt in kts:
-            t = ThermalPoint(float(kt))
-            z = exp_or_inf(log_partition_function_alpha_closed(p, t))
-            zg = exp_or_inf(log_partition_function_alpha_gamma(p, t))
+        for kt in kts.tolist():
+            # at e0 = 0, log Z = -log p0
+            z = exp_or_inf(-log_ground_population_alpha_closed(p, kt))
+            zg = exp_or_inf(log_partition_function_alpha_gamma(p, kt))
             lin = abs(zg - z) / z
             log_err = abs(np.log(zg) - np.log(z)) / abs(np.log(z))
             print(f"{kt:10.3f} {z:16.6f} {zg:16.6f} {lin:10.4%} {log_err:10.4%}")

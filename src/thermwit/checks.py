@@ -43,9 +43,8 @@ from .systems import (
     toy_spectrum,
 )
 from .thermal import (
-    ThermalPoint,
     exp_or_inf,
-    log_partition_function_alpha_closed,
+    log_ground_population_alpha_closed,
     log_partition_function_alpha_gamma,
     log_population,
     relative_entropy_ground_to_thermal,
@@ -153,12 +152,12 @@ def check_witness_soundness_sample(seed: int = 0) -> CheckResult:
     while len(accepted) < 200 and attempts < 5000:
         attempts += 1
         b = float(rng.uniform(0.0, 3.99))
-        point = ThermalPoint(float(rng.uniform(0.05, 1.2 * T_DIMER_ZERO_FIELD)))
-        if dimer_condition_margin(b, 1.0, point) > 0.0:
-            accepted.append((b, point))
+        kt = float(rng.uniform(0.05, 1.2 * T_DIMER_ZERO_FIELD))
+        if dimer_condition_margin(b, 1.0, kt) > 0.0:
+            accepted.append((b, kt))
     found = len(accepted)
     h = np.array([build_dimer_hamiltonian(DimerParams(b, 1.0)) for b, _ in accepted])
-    rho = thermal_density_matrix(h.reshape(-1, 4, 4), np.array([t.kt for _, t in accepted]))
+    rho = thermal_density_matrix(h.reshape(-1, 4, 4), np.array([kt for _, kt in accepted]))
     c = concurrence_two_qubit(rho)
     pt = ppt_min_eigenvalue(rho, (2, 2), (0,))
     violations = int(np.count_nonzero(~((c > 0.0) & (pt < 0.0))))
@@ -227,24 +226,22 @@ def check_ladder_closed_forms(seed: int = 0) -> CheckResult:
     for alpha in np.linspace(0.0, 1.0, 20):
         base = ToySpectrumParams(e0=0.0, delta=1.0, alpha=float(alpha), n_levels=64)
         zero = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=64)
-        for kt in np.geomspace(0.05, 20.0, 20):
-            t = ThermalPoint(float(kt))
-            lz0 = log_partition_function_alpha_closed(zero, t)
-            lza = log_partition_function_alpha_closed(base, t)
+        for kt in np.geomspace(0.05, 20.0, 20).tolist():
+            # log Z of an E0 = 0 ladder is -log p0
+            lz0 = -log_ground_population_alpha_closed(zero, kt)
+            lza = -log_ground_population_alpha_closed(base, kt)
             if lza > lz0 + 1e-12:
                 issues.append(f"Z_alpha exceeds Z_0 at alpha={alpha:.3f} kT={kt:.3f}")
     big = ToySpectrumParams(e0=0.0, delta=1.0, alpha=1.0, n_levels=10**6)
     worst_log = 0.0
     for ratio in (5.0, 6.25, 8.0, 10.0, 20.0, 50.0, 100.0):
-        t = ThermalPoint(ratio)
-        lz = log_partition_function_alpha_closed(big, t)
-        lg = log_partition_function_alpha_gamma(big, t)
+        lz = -log_ground_population_alpha_closed(big, ratio)
+        lg = log_partition_function_alpha_gamma(big, ratio)
         worst_log = max(worst_log, abs(lg - lz) / abs(lz))
     if worst_log >= 0.06:
         issues.append(f"log-domain Gamma error {worst_log:.4f} >= 6%")
-    t10 = ThermalPoint(10.0)
-    z = exp_or_inf(log_partition_function_alpha_closed(big, t10))
-    zg = exp_or_inf(log_partition_function_alpha_gamma(big, t10))
+    z = exp_or_inf(-log_ground_population_alpha_closed(big, 10.0))
+    zg = exp_or_inf(log_partition_function_alpha_gamma(big, 10.0))
     lin_err = abs(zg - z) / z
     if lin_err >= 0.051:
         issues.append(f"linear Gamma error at kT=10delta {lin_err:.4f} >= 5.1%")
@@ -287,7 +284,7 @@ def check_stabilizer_closed_forms(seed: int = 0) -> CheckResult:
         p_noise = noise_threshold(n / 2.0, n)
         if abs(p_noise - P_TRANS_HALF) > 1e-12:
             issues.append(f"noise threshold off at n={n}: {p_noise!r}")
-        p_at_t = flip_probability_from_temperature(b, ThermalPoint(t_formula))
+        p_at_t = flip_probability_from_temperature(b, t_formula)
         if abs(p_at_t - p_noise) > 1e-12:
             issues.append(f"flip map at t_trans {p_at_t!r} != threshold {p_noise!r}")
     ok = not issues

@@ -57,7 +57,6 @@ from .systems import (
     toy_spectrum,
 )
 from .thermal import (
-    ThermalPoint,
     exp_or_inf,
     log_ground_population_alpha_closed,
     log_partition_function,
@@ -164,7 +163,6 @@ def _sweep(
     ]
     columns = ["T", "Z", "p", "threshold", "satisfied", "bound_kind", *extra_columns]
     temps = cfg.grid.values()
-    ThermalPoint(float(temps[0]), cfg.k_b)  # rejects a bad k_B or first temperature
     kts = temps * cfg.k_b
     if not np.all(kts > 0.0):
         raise ThermwitError(f"kT = T * kB must be positive; kB = {cfg.k_b!r} underflows it")
@@ -184,7 +182,7 @@ def _sweep(
         for i, (temp, kt, log_p) in enumerate(zip(temps.tolist(), kts.tolist(), log_ps.tolist()))
     ]
     t_trans = ground_crossing(
-        lambda point: float(log_p0(np.array([point.kt]))[0]), bound, *shape, cfg.k_b
+        lambda kt: float(log_p0(np.array([kt]))[0]), bound, *shape, cfg.k_b
     ).t_trans
     results = [
         ("one_plus_r", _fmt(bound.one_plus_r)),
@@ -303,13 +301,13 @@ def cmd_toy(cfg: RunConfig) -> int:
         kts, log_p0s = kts.tolist(), log_p0s.tolist()
         columns = []
         if p.alpha > 0.0:
-            log_zg = [log_partition_function_alpha_gamma(p, ThermalPoint(kt)) for kt in kts]
+            log_zg = [log_partition_function_alpha_gamma(p, kt) for kt in kts]
             columns.append([exp_or_inf(x) for x in log_zg])
             columns.append(
                 [_rel_err(x, -p.e0 / kt - y) for x, kt, y in zip(log_zg, kts, log_p0s)]
             )
         if cfg.oracles:
-            log_p0_sp = [log_population(sp_oracle, ThermalPoint(kt), 0) for kt in kts]
+            log_p0_sp = [log_population(sp_oracle, kt, 0) for kt in kts]
             columns.append([exp_or_inf(-p.e0 / kt - x) for x, kt in zip(log_p0_sp, kts)])
             # Z_sp / Z = p0 / p0_sp: compared without the -E0/kT both carry.
             # np.maximum keeps a NaN, which then fails the gate below.
@@ -356,9 +354,7 @@ def cmd_toy(cfg: RunConfig) -> int:
         params.append(("n", str(cfg.toy_n)))
     return _sweep(
         cfg, "toy", params, bound, p.e0,
-        lambda kts: np.array(
-            [log_ground_population_alpha_closed(p, ThermalPoint(kt)) for kt in kts.tolist()]
-        ),
+        lambda kts: np.array([log_ground_population_alpha_closed(p, kt) for kt in kts.tolist()]),
         (p.delta, p.spread, p.n_levels), columns, extra, summaries,
     )
 
@@ -437,12 +433,11 @@ def _matrix_check(g: Graph, b: float, cfg: RunConfig) -> list[tuple[str, str]]:
     residual = float(
         np.linalg.norm(h @ psi.amplitudes - analytic.ground_energy * psi.amplitudes)
     )
-    temps = cfg.grid.values()
+    kts = cfg.grid.values() * cfg.k_b
     z_err = 0.0
-    for temp in temps[:: max(1, len(temps) // 8)]:
-        point = ThermalPoint(float(temp), cfg.k_b)
-        log_z_closed = log_stabilizer_partition_function(g.n, b, point)
-        log_z_dense = log_partition_function(dense, point)
+    for kt in kts[:: max(1, len(kts) // 8)].tolist():
+        log_z_closed = log_stabilizer_partition_function(g.n, b, kt)
+        log_z_dense = log_partition_function(dense, kt)
         z_err = max(z_err, _rel_err(log_z_dense, log_z_closed))
     if not levels_ok or residual > 1e-9 or z_err > 1e-9:
         raise MismatchError(
@@ -479,14 +474,14 @@ def cmd_graph(cfg: RunConfig) -> int:
         nonlocal worst_flip
         if not cfg.oracles:
             return ()
-        p_flip = [flip_probability_from_temperature(b, ThermalPoint(kt)) for kt in kts.tolist()]
+        p_flip = [flip_probability_from_temperature(b, kt) for kt in kts.tolist()]
         p_from_flip = [(1.0 - x) ** g.n for x in p_flip]
         for y, log_p0 in zip(p_from_flip, log_p0s.tolist()):
             worst_flip = max(worst_flip, abs(y - math.exp(log_p0)))
         return p_flip, p_from_flip
 
     def summaries(t_trans: float | None):
-        p_flip = flip_probability_from_temperature(b, ThermalPoint(t_trans, cfg.k_b))
+        p_flip = flip_probability_from_temperature(b, t_trans * cfg.k_b)
         out = [
             *_crossing_lines(t_trans),
             ("p_flip_threshold", _fmt(noise_threshold(e_r, g.n))),
@@ -561,6 +556,14 @@ _MODELS = {
 }
 
 
+def _grid_flag(text: str) -> GridSpec:
+    """GridSpec.parse for argparse, which prints an ArgumentTypeError's own message."""
+    try:
+        return GridSpec.parse(text)
+    except ThermwitError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermwit",
@@ -575,7 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if model != "dicke":
             sub.add_argument("--kB", type=float, default=None, dest="k_b",
                              help="Boltzmann constant (sets temperature units)")
-            sub.add_argument("--grid", type=GridSpec.parse, default=None,
+            sub.add_argument("--grid", type=_grid_flag, default=None,
                              metavar="LO:HI:N:lin|log", help="temperature grid")
         for s in SETTINGS:
             if s.section == model:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
@@ -31,6 +32,8 @@ class GridSpec:
             raise ThermwitError(f"grid lo must be positive, got {self.lo}")
         if not self.lo < self.hi:
             raise ThermwitError(f"grid needs lo < hi, got {self.lo}:{self.hi}")
+        if not math.isfinite(self.hi):
+            raise ThermwitError(f"grid hi must be finite, got {self.hi}")
         if self.count < 2:
             raise ThermwitError(f"grid needs at least 2 points, got {self.count}")
         if self.spacing not in ("lin", "log"):
@@ -113,6 +116,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.system not in _SYSTEMS:
             raise ThermwitError(f"unknown system {self.system!r}; pick one of {_SYSTEMS}")
+        if not 0.0 < self.k_b < math.inf:
+            raise ThermwitError(f"kB must be positive and finite, got {self.k_b}")
 
 
 class Setting(NamedTuple):

@@ -5,13 +5,15 @@ energy, so populations and log partition functions stay finite at any
 temperature the package accepts (T = 0 itself is excluded; probe the limit
 with kT around 1e-6 times the gap).
 
-The spectrum kernel (``log_population``, ``log_partition_function``,
-``population_profile``) takes one ThermalPoint, giving a float, or an array
-of kT values, giving an array: a sweep sums its whole grid as one
-(points x levels) log-sum-exp, and each point gets the bits a ThermalPoint
-call at its kT gives. The `toy --oracles` re-sum of up to 10^5 levels stays
-one call per kT: on a 50-point grid as one array each temporary would take
-40 MB, where one call's takes 0.8 MB.
+Every kernel takes kT, the product of temperature and Boltzmann's constant;
+only the searches in ``witness`` take k_B and work in temperature. The
+spectrum kernel (``log_population``, ``log_partition_function``,
+``population_profile``) takes one kT, giving a float, or an array of kT
+values, giving an array: a sweep sums its whole grid as one
+(points x levels) log-sum-exp, and each point gets the bits a one-kT call
+gives. The `toy --oracles` re-sum of up to 10^5 levels stays one call per
+kT: on a 50-point grid as one array each temporary would take 40 MB, where
+one call's takes 0.8 MB.
 
 The closed-form ladder sum costs O(1) at alpha = 0, one excited level of
 degeneracy D-1. For alpha > 0 it keeps one cache entry: the read-only level
@@ -26,7 +28,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,38 +42,16 @@ LN2 = math.log(2.0)
 EXP_ZERO = -746.0
 
 
-@dataclass(frozen=True)
-class ThermalPoint:
-    """A temperature together with the Boltzmann-constant convention.
-
-    Internal math always uses the product kT; the default k_b = 1 gives
-    reduced units, and a physical k_b only rescales reported temperatures.
-    """
-
-    temperature: float
-    k_b: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.temperature > 0:
-            raise ThermwitError(f"temperature must be positive, got {self.temperature}")
-        if not self.k_b > 0:
-            raise ThermwitError(f"k_b must be positive, got {self.k_b}")
-
-    @property
-    def kt(self) -> float:
-        return self.temperature * self.k_b
-
-
-def _kt_array(t: ThermalPoint | np.ndarray) -> np.ndarray:
-    """kT of one ThermalPoint, as a 0-d array, or of an array of kT values."""
-    kt = np.asarray(t.kt if isinstance(t, ThermalPoint) else t, dtype=float)
-    if not np.all(kt > 0.0):
+def _kt_array(kt: float | np.ndarray) -> np.ndarray:
+    """kT as an array, 0-d for one kT; any kT not > 0 (NaN too) raises."""
+    kt = np.asarray(kt, dtype=float)
+    if not (kt > 0.0).all():
         raise ThermwitError("kT must be positive")
     return kt
 
 
-def _float_or_array(t: ThermalPoint | np.ndarray, x: np.ndarray) -> float | np.ndarray:
-    return float(x) if isinstance(t, ThermalPoint) else x
+def _float_or_array(kt: np.ndarray, x: np.ndarray) -> float | np.ndarray:
+    return float(x) if kt.ndim == 0 else x
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -93,10 +72,10 @@ def _shifted_log_terms(s: Spectrum, kt: np.ndarray) -> np.ndarray:
     return s.log_degeneracy_array() - (e - e[0]) / kt[..., None]
 
 
-def log_partition_function(s: Spectrum, t: ThermalPoint | np.ndarray) -> float | np.ndarray:
+def log_partition_function(s: Spectrum, kt: float | np.ndarray) -> float | np.ndarray:
     """log Z = -E0/kT + log sum_j g_j exp(-(E_j - E0)/kT)."""
-    kt = _kt_array(t)
-    return _float_or_array(t, -s.ground_energy / kt + _logsumexp(_shifted_log_terms(s, kt)))
+    kt = _kt_array(kt)
+    return _float_or_array(kt, -s.ground_energy / kt + _logsumexp(_shifted_log_terms(s, kt)))
 
 
 def exp_or_inf(log_z: float) -> float:
@@ -107,41 +86,41 @@ def exp_or_inf(log_z: float) -> float:
         return math.inf
 
 
-def population_profile(s: Spectrum, t: ThermalPoint | np.ndarray) -> np.ndarray:
+def population_profile(s: Spectrum, kt: float | np.ndarray) -> np.ndarray:
     """Population of each level with its degeneracy multiplied in; sums to one.
 
-    Levels run along the last axis: shape (levels,) for a ThermalPoint,
+    Levels run along the last axis: shape (levels,) for one kT,
     (..., levels) for an array of kT.
     """
-    terms = _shifted_log_terms(s, _kt_array(t))
+    terms = _shifted_log_terms(s, _kt_array(kt))
     return np.exp(terms - _logsumexp(terms)[..., None])
 
 
 def log_population(
-    s: Spectrum, t: ThermalPoint | np.ndarray, level_index: int = 0
+    s: Spectrum, kt: float | np.ndarray, level_index: int = 0
 ) -> float | np.ndarray:
     """log e^{-E_j/kT} / Z of one state in level j: the one spectrum kernel.
 
-    ``t`` is one ThermalPoint, giving a float, or an array of kT values,
-    giving an array of their shape with the same bits per point.
+    ``kt`` is one kT, giving a float, or an array of kT values, giving an
+    array of their shape with the same bits per point.
     """
     if not 0 <= level_index < s.n_levels:
         raise IndexOutOfRange(f"level {level_index} outside 0..{s.n_levels - 1}")
-    kt = _kt_array(t)
+    kt = _kt_array(kt)
     shift = (s.energies[level_index] - s.ground_energy) / kt
-    return _float_or_array(t, -shift - _logsumexp(_shifted_log_terms(s, kt)))
+    return _float_or_array(kt, -shift - _logsumexp(_shifted_log_terms(s, kt)))
 
 
-def thermal_density_matrix(h: np.ndarray, t: ThermalPoint | np.ndarray) -> np.ndarray:
+def thermal_density_matrix(h: np.ndarray, kt: float | np.ndarray) -> np.ndarray:
     """exp(-H/kT) / Z as dense matrices, from the eigensystem of H.
 
-    ``h`` is one Hermitian matrix or a stack of them, shape (..., d, d); ``t``
-    is one ThermalPoint or an array of kT values. One matrix at one
-    ThermalPoint gives a (d, d) matrix; otherwise the leading shapes of ``h``
-    and kT broadcast into a stack of Gibbs states, each with the bits its own
-    H and kT give alone.
+    ``h`` is one Hermitian matrix or a stack of them, shape (..., d, d);
+    ``kt`` is one kT or an array of them. One matrix at one kT gives a
+    (d, d) matrix; otherwise the leading shapes of ``h`` and kT broadcast
+    into a stack of Gibbs states, each with the bits its own H and kT give
+    alone.
     """
-    kt = _kt_array(t)
+    kt = _kt_array(kt)
     eig = stacked_eigendecompose(h)
     w, v = eig.eigenvalues, eig.eigenvectors
     p = np.exp(-(w - w[..., :1]) / kt[..., None])
@@ -150,19 +129,19 @@ def thermal_density_matrix(h: np.ndarray, t: ThermalPoint | np.ndarray) -> np.nd
 
 
 def relative_entropy_ground_to_thermal(
-    s: Spectrum, t: ThermalPoint | np.ndarray
+    s: Spectrum, kt: float | np.ndarray
 ) -> float | np.ndarray:
     """Relative entropy (bits) between the pure ground state and the Gibbs state.
 
     For a nondegenerate ground level this is exactly -log2 p0, with p0 the
     ground-state population; it needs a unique ground state to be meaningful.
-    ``t`` is one ThermalPoint or an array of kT values, as in log_population.
+    ``kt`` is one kT or an array of them, as in log_population.
     """
     if s.degeneracies[0] != 1:
         raise DegenerateGround(
             f"ground level carries degeneracy {s.degeneracies[0]}; need 1"
         )
-    return -log_population(s, t, 0) / LN2
+    return -log_population(s, kt, 0) / LN2
 
 
 @functools.lru_cache(maxsize=1)
@@ -173,7 +152,7 @@ def _ladder_levels(p: ToySpectrumParams) -> np.ndarray:
     return levels
 
 
-def log_ground_population_alpha_closed(p: ToySpectrumParams, t: ThermalPoint) -> float:
+def log_ground_population_alpha_closed(p: ToySpectrumParams, kt: float) -> float:
     """Exact finite sum log p0 = -log(1 + sum_m e^{-m^alpha delta/kT}).
 
     The ground energy e0 drops out, so any e0 gives the same bits. The levels
@@ -183,7 +162,7 @@ def log_ground_population_alpha_closed(p: ToySpectrumParams, t: ThermalPoint) ->
     search. Terms in the subnormal band of exp, shifted exponents in
     (-745.13, -708.4], cost the most: ~100 ns each against ~1 ns.
     """
-    kt = t.kt
+    kt = float(_kt_array(kt))
     # pow(1, alpha) is exactly 1, so the largest term is exactly -delta/kT
     mx = -p.delta / kt
     if mx <= EXP_ZERO:
@@ -215,34 +194,25 @@ def log_ground_population_alpha_closed(p: ToySpectrumParams, t: ThermalPoint) ->
     return -math.log1p(tail)
 
 
-def log_partition_function_alpha_closed(p: ToySpectrumParams, t: ThermalPoint) -> float:
-    """Exact finite sum log Z = -e0/kT + log(1 + sum_m e^{-m^alpha delta/kT})."""
-    return -p.e0 / t.kt - log_ground_population_alpha_closed(p, t)
-
-
-def log_partition_function_alpha_gamma(p: ToySpectrumParams, t: ThermalPoint) -> float:
+def log_partition_function_alpha_gamma(p: ToySpectrumParams, kt: float) -> float:
     """Continuum approximation of the ladder sum by a Gamma-function integral.
 
     Replacing sum_m e^{-m^alpha delta/kT} with the integral over m gives
     (Gamma(1/alpha) / alpha) * (kT/delta)^{1/alpha}; good once kT is several
     deltas, and asymptotically exact as kT/delta grows.
     """
+    kt = float(_kt_array(kt))
     if p.alpha == 0.0:
         raise AlphaZero("Gamma-integral form undefined at alpha = 0")
     inv = 1.0 / p.alpha
-    return (
-        -p.e0 / t.kt
-        + math.lgamma(inv)
-        - math.log(p.alpha)
-        + inv * math.log(t.kt / p.delta)
-    )
+    return -p.e0 / kt + math.lgamma(inv) - math.log(p.alpha) + inv * math.log(kt / p.delta)
 
 
-def log_stabilizer_partition_function(n: int, B: float, t: ThermalPoint) -> float:
+def log_stabilizer_partition_function(n: int, B: float, kt: float) -> float:
     """Closed form log Z = n * (log(1 + e^{2B/kT}) - B/kT) for n generators."""
     if n < 1:
         raise ThermwitError(f"need n >= 1 generators, got {n}")
     if not B > 0:
         raise ThermwitError(f"field B must be positive, got {B}")
-    x = 2.0 * B / t.kt
+    x = 2.0 * B / float(_kt_array(kt))
     return n * (float(np.logaddexp(0.0, x)) - 0.5 * x)

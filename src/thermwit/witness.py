@@ -38,7 +38,7 @@ from .numerics import root_bracket
 from .systems import DimerParams, Spectrum, ToySpectrumParams, build_dimer_hamiltonian
 from .thermal import (
     LN2,
-    ThermalPoint,
+    _kt_array,
     log_ground_population_alpha_closed,
     log_population,
     population_profile,
@@ -47,18 +47,6 @@ from .thermal import (
 
 BRACKET_GAP_FACTOR = 1e-6
 BRACKET_SPREAD_FACTOR = 1e4
-
-
-@dataclass(frozen=True)
-class WitnessVerdict:
-    """Outcome of the population-threshold comparison at one temperature."""
-
-    temperature: float
-    population: float
-    threshold: float
-    satisfied: bool
-    bound_kind: BoundKind
-    level_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -81,22 +69,10 @@ class TransitionResult:
         return self.t_trans is not None
 
 
-def evaluate_condition(
-    s: Spectrum,
-    t: ThermalPoint,
-    bound: RobustnessBound,
-    level_index: int = 0,
-) -> WitnessVerdict:
-    """Compare the per-state population of one level against 1/(1+R), as logs."""
-    log_p = log_population(s, t, level_index)
-    return WitnessVerdict(
-        temperature=t.temperature,
-        population=math.exp(log_p),
-        threshold=bound.threshold,
-        satisfied=log_p > bound.log_threshold,
-        bound_kind=bound.kind,
-        level_index=level_index,
-    )
+def _check_k_b(k_b: float) -> None:
+    """A search's k_B must be positive and finite, as a run's kB is."""
+    if not 0.0 < k_b < math.inf:
+        raise ThermwitError(f"k_b must be positive and finite, got {k_b}")
 
 
 def crossing_temperature(
@@ -128,7 +104,7 @@ def crossing_temperature(
 
 
 def ground_crossing(
-    log_p0: Callable[[ThermalPoint], float],
+    log_p0: Callable[[float], float],
     bound: RobustnessBound,
     gap: float,
     spread: float,
@@ -137,16 +113,19 @@ def ground_crossing(
 ) -> TransitionResult:
     """Last temperature where log p0 > log(1/(1+R)): every model's crossing.
 
-    ``log_p0(point)`` falls with temperature, for a spectrum with the given
-    gap, spread and number of states. The search starts on [1e-6 * gap,
-    1e4 * spread] / k_b; while the condition still holds at the upper end and
-    1/dimension (the population at infinite temperature) is at or below the
-    threshold, that end is doubled.
+    ``log_p0(kt)`` falls with kT, for a spectrum with the given gap, spread
+    and number of states. The search runs in temperature and evaluates at
+    kT = temp * k_b, so the reported crossing is a temperature on the safe
+    side in its own unit. It starts on [1e-6 * gap, 1e4 * spread] / k_b;
+    while the condition still holds at the upper end and 1/dimension (the
+    population at infinite temperature) is at or below the threshold, that
+    end is doubled.
     """
+    _check_k_b(k_b)
     bracket = (BRACKET_GAP_FACTOR * gap / k_b, BRACKET_SPREAD_FACTOR * spread / k_b)
 
     def margin(temp: float) -> float:
-        return log_p0(ThermalPoint(temp, k_b)) - bound.log_threshold
+        return log_p0(temp * k_b) - bound.log_threshold
 
     t_star = crossing_temperature(margin, *bracket, settles=1 / dimension <= bound.threshold)
     return TransitionResult(t_trans=t_star, bracket=bracket, bound_kind=bound.kind)
@@ -170,7 +149,7 @@ def transition_temperature(
             f"ground level carries degeneracy {s.degeneracies[0]}; need 1"
         )
     result = ground_crossing(
-        lambda point: log_population(s, point, 0), bound, s.gap, s.spread, s.dimension, k_b
+        lambda kt: log_population(s, kt, 0), bound, s.gap, s.spread, s.dimension, k_b
     )
     if result.t_trans == math.inf:
         raise NoSignChange(
@@ -195,6 +174,7 @@ def satisfying_intervals(
     bracket on each side finds the ends, each reported where the condition
     was evaluated as holding. Only the first and last grid points are used.
     """
+    _check_k_b(k_b)
     temps = np.asarray(list(grid), dtype=float)
     if temps.size < 2:
         raise EmptyGrid(f"grid needs at least 2 points, got {temps.size}")
@@ -208,10 +188,10 @@ def satisfying_intervals(
 
     def rising(temp: float) -> float:
         # log p_j rises with T while E_j > <E>
-        return e_j - population_profile(s, ThermalPoint(temp, k_b)) @ energies
+        return e_j - population_profile(s, temp * k_b) @ energies
 
     def margin(temp: float) -> float:
-        return log_population(s, ThermalPoint(temp, k_b), level_index) - bound.log_threshold
+        return log_population(s, temp * k_b, level_index) - bound.log_threshold
 
     peak = crossing_temperature(rising, t_lo, t_hi)
     peak = t_lo if peak is None else min(peak, t_hi)
@@ -225,7 +205,7 @@ def satisfying_intervals(
 # --- spin-dimer closed forms -------------------------------------------------
 
 
-def dimer_condition_margin(B: float, J: float, t: ThermalPoint) -> float:
+def dimer_condition_margin(B: float, J: float, kt: float) -> float:
     """Log-domain margin of the dimer condition; positive means satisfied.
 
     The singlet-ground condition e^{-4J/kT} (e^{B/kT} + e^{-B/kT} + 1) < 1
@@ -234,7 +214,7 @@ def dimer_condition_margin(B: float, J: float, t: ThermalPoint) -> float:
     """
     if B < 0 or J < 0:
         raise ThermwitError("dimer condition needs B >= 0 and J >= 0")
-    kt = t.kt
+    kt = float(_kt_array(kt))
     x = B / kt
     log_field_sum = float(np.logaddexp(np.logaddexp(x, -x), 0.0))
     return 4.0 * J / kt - log_field_sum
@@ -249,11 +229,12 @@ def concurrence_vanishing_temperature(p: DimerParams, k_b: float = 1.0) -> float
     """
     if not p.J > 0:
         raise ThermwitError("concurrence vanishes identically at J = 0")
+    _check_k_b(k_b)
     scale = 4.0 * p.J / (math.log(3.0) * k_b)
     h = build_dimer_hamiltonian(p)
 
     def f(temp: float) -> float:
-        return concurrence_signed(thermal_density_matrix(h, ThermalPoint(temp, k_b)))
+        return concurrence_signed(thermal_density_matrix(h, temp * k_b))
 
     return root_bracket(f, 0.2 * scale, 3.0 * scale)[0]
 
@@ -287,7 +268,7 @@ def toy_t0(n_levels: int, e_r: float, delta: float = 1.0) -> float:
     log_threshold = bound_from_relative_entropy(e_r).log_threshold
 
     def margin(kt: float) -> float:
-        return log_ground_population_alpha_closed(ladder, ThermalPoint(kt)) - log_threshold
+        return log_ground_population_alpha_closed(ladder, kt) - log_threshold
 
     if margin(t0) > 0.0:
         return t0
@@ -367,7 +348,7 @@ def stabilizer_t_trans(n: int, B: float, e_r: float) -> float:
     return -2.0 * B / math.log(math.expm1(ratio * LN2))
 
 
-def flip_probability_from_temperature(B: float, t: ThermalPoint) -> float:
+def flip_probability_from_temperature(B: float, kt: float) -> float:
     """Independent per-site flip probability matching the Gibbs weights.
 
     P = 1 / (1 + e^{2B/kT}): vanishes at zero temperature and saturates at
@@ -375,7 +356,7 @@ def flip_probability_from_temperature(B: float, t: ThermalPoint) -> float:
     """
     if not B > 0:
         raise ThermwitError(f"field B must be positive, got {B}")
-    return math.exp(-float(np.logaddexp(0.0, 2.0 * B / t.kt)))
+    return math.exp(-float(np.logaddexp(0.0, 2.0 * B / float(_kt_array(kt)))))
 
 
 def noise_threshold(e_r: float, n: int) -> float:

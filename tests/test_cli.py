@@ -22,7 +22,7 @@ from thermwit.cli import main
 from thermwit.config import RunConfig, serialize_config
 from thermwit.errors import NoSignChange
 from thermwit.systems import Graph, ToySpectrumParams, write_edge_list
-from thermwit.thermal import ThermalPoint, log_partition_function_alpha_closed
+from thermwit.thermal import log_ground_population_alpha_closed
 from thermwit.witness import toy_t0
 
 T_ZERO_FIELD = 4.0 / math.log(3.0)
@@ -244,7 +244,7 @@ class TestToyCommand:
         )
 
         def holds(temp):
-            return -log_partition_function_alpha_closed(p, ThermalPoint(temp)) > log_threshold
+            return log_ground_population_alpha_closed(p, temp) > log_threshold
 
         assert holds(t_trans)
         assert not holds(math.nextafter(t_trans, math.inf))
@@ -475,7 +475,7 @@ class TestGraphCommand:
         )
 
         def holds(temp):
-            return _graph_log_p0(n, b, ThermalPoint(temp, k_b).kt) > log_threshold
+            return _graph_log_p0(n, b, temp * k_b) > log_threshold
 
         assert holds(t_trans)
         assert not holds(math.nextafter(t_trans, math.inf))

@@ -35,7 +35,12 @@ _KINDS = {
 
 
 def _values(s):
-    values = st.sampled_from(MODELS) if s.name == "system" else _KINDS[s.kind]
+    if s.name == "system":
+        values = st.sampled_from(MODELS)
+    elif s.name == "k_b":  # kB must be positive and finite
+        values = _positive
+    else:
+        values = _KINDS[s.kind]
     return st.none() | values if s.optional else values
 
 
@@ -149,6 +154,33 @@ class TestBadValues:
         path.write_text("[dimer]\nB =\n")
         assert main(["dimer", "--config", str(path)]) == 2
         assert "[dimer] B" in capsys.readouterr().err
+
+
+def _exit_2_from_flag_and_file(capsys, flags, path, message):
+    for argv in (["dimer", *flags], ["dimer", "--config", str(path)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert message in captured.err, argv
+        assert "Warning" not in captured.err and "Traceback" not in captured.err, argv
+
+
+class TestOutOfRangeValues:
+    """Values that parse but that no run can use, from a flag or a file alike."""
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "nan", "inf"])
+    def test_kb_must_be_positive_and_finite(self, capsys, tmp_path, raw):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[run]\nkB = {raw}\n")
+        message = f"kB must be positive and finite, got {float(raw)}"
+        _exit_2_from_flag_and_file(capsys, [f"--kB={raw}"], path, message)
+
+    @pytest.mark.parametrize("spacing", ["lin", "log"])
+    def test_grid_hi_must_be_finite(self, capsys, tmp_path, spacing):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[grid]\nlo = 1.0\nhi = inf\ncount = 3\nspacing = {spacing}\n")
+        message = "grid hi must be finite, got inf"
+        _exit_2_from_flag_and_file(capsys, ["--grid", f"1:inf:3:{spacing}"], path, message)
 
 
 # One misspelled key per section, and sections no setting declares.

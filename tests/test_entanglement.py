@@ -41,7 +41,7 @@ from thermwit.errors import (
     ThermwitError,
 )
 from thermwit.systems import DimerParams, PureState, build_dimer_hamiltonian, dicke_state
-from thermwit.thermal import ThermalPoint, thermal_density_matrix
+from thermwit.thermal import thermal_density_matrix
 
 SINGLET = PureState(2, np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0))
 
@@ -389,7 +389,7 @@ class TestStackedOracles:
         h = build_dimer_hamiltonian(DimerParams(b, 1.0))
         stack = thermal_density_matrix(h, np.array(kts))
         for kt, rho in zip(kts, stack):
-            assert rho.tobytes() == thermal_density_matrix(h, ThermalPoint(kt)).tobytes()
+            assert rho.tobytes() == thermal_density_matrix(h, kt).tobytes()
         assert list(concurrence_two_qubit(stack)) == _per_matrix(concurrence_two_qubit, stack)
         assert list(ppt_min_eigenvalue(stack, (2, 2), (0,))) == _per_matrix(
             ppt_min_eigenvalue, stack, (2, 2), (0,)

@@ -26,12 +26,10 @@ from thermwit.systems import (
 )
 from thermwit.thermal import (
     EXP_ZERO,
-    ThermalPoint,
     _ladder_levels,
     exp_or_inf,
     log_ground_population_alpha_closed,
     log_partition_function,
-    log_partition_function_alpha_closed,
     log_partition_function_alpha_gamma,
     log_stabilizer_partition_function,
     log_population,
@@ -39,17 +37,7 @@ from thermwit.thermal import (
     relative_entropy_ground_to_thermal,
     thermal_density_matrix,
 )
-
-
-class TestThermalPoint:
-    def test_kt_product(self):
-        assert ThermalPoint(2.0, 0.5).kt == 1.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ThermwitError):
-            ThermalPoint(0.0)
-        with pytest.raises(ThermwitError):
-            ThermalPoint(1.0, -1.0)
+from thermwit.witness import dimer_condition_margin, flip_probability_from_temperature
 
 
 class TestPartitionFunction:
@@ -62,42 +50,39 @@ class TestPartitionFunction:
                 energies[i] = max(energies[i], energies[i - 1] + 1e-3)
             degs = rng.integers(1, 5, n)
             s = Spectrum(tuple(energies), tuple(int(d) for d in degs))
-            t = ThermalPoint(float(rng.uniform(0.1, 10.0)))
-            direct = float(np.sum(degs * np.exp(-energies / t.kt)))
-            assert exp_or_inf(log_partition_function(s, t)) == pytest.approx(direct, rel=1e-12)
+            kt = float(rng.uniform(0.1, 10.0))
+            direct = float(np.sum(degs * np.exp(-energies / kt)))
+            assert exp_or_inf(log_partition_function(s, kt)) == pytest.approx(direct, rel=1e-12)
 
     def test_against_matrix_trace(self):
-        for b, j, temp in [(0.0, 1.0, 1.0), (1.0, 1.0, 2.5), (3.0, 0.8, 0.7)]:
+        for b, j, kt in [(0.0, 1.0, 1.0), (1.0, 1.0, 2.5), (3.0, 0.8, 0.7)]:
             h = build_dimer_hamiltonian(DimerParams(b, j))
-            t = ThermalPoint(temp)
-            z_trace = float(np.trace(scipy.linalg.expm(-h / t.kt)).real)
-            z_closed = exp_or_inf(log_partition_function(dimer_spectrum(DimerParams(b, j)), t))
+            z_trace = float(np.trace(scipy.linalg.expm(-h / kt)).real)
+            z_closed = exp_or_inf(log_partition_function(dimer_spectrum(DimerParams(b, j)), kt))
             assert z_closed == pytest.approx(z_trace, rel=1e-9)
 
     def test_deep_spectrum_no_overflow(self):
         s = Spectrum((-2000.0, 0.0), (1, 1))
-        t = ThermalPoint(1.0)
-        assert math.isinf(exp_or_inf(log_partition_function(s, t)))
-        assert log_partition_function(s, t) == pytest.approx(2000.0)
-        assert math.exp(log_population(s, t, 0)) == pytest.approx(1.0)
+        assert math.isinf(exp_or_inf(log_partition_function(s, 1.0)))
+        assert log_partition_function(s, 1.0) == pytest.approx(2000.0)
+        assert math.exp(log_population(s, 1.0, 0)) == pytest.approx(1.0)
 
     def test_infinite_temperature_limit(self):
         s = Spectrum((0.0, 1.0), (1, 3))
-        z = exp_or_inf(log_partition_function(s, ThermalPoint(1e8)))
+        z = exp_or_inf(log_partition_function(s, 1e8))
         assert z == pytest.approx(4.0, rel=1e-6)
 
 
 class TestPopulation:
     def test_profile_sums_to_one(self):
         s = dimer_spectrum(DimerParams(1.0, 1.0))
-        prof = population_profile(s, ThermalPoint(1.7))
+        prof = population_profile(s, 1.7)
         assert np.sum(prof) == pytest.approx(1.0)
 
     def test_per_state_vs_aggregated(self):
         s = Spectrum((0.0, 1.0), (1, 3))
-        t = ThermalPoint(2.0)
-        prof = population_profile(s, t)
-        assert prof[1] == pytest.approx(3.0 * math.exp(log_population(s, t, 1)))
+        prof = population_profile(s, 2.0)
+        assert prof[1] == pytest.approx(3.0 * math.exp(log_population(s, 2.0, 1)))
 
     def test_ground_population_monotone_in_temperature(self):
         rng = np.random.default_rng(9)
@@ -106,14 +91,13 @@ class TestPopulation:
             energies = np.cumsum(rng.uniform(0.05, 2.0, n)) - 1.0
             degs = tuple(int(d) for d in rng.integers(1, 4, n))
             s = Spectrum(tuple(energies), degs)
-            temps = np.geomspace(0.05, 50.0, 50)
-            pops = [log_population(s, ThermalPoint(float(t)), 0) for t in temps]
+            pops = [log_population(s, kt, 0) for kt in np.geomspace(0.05, 50.0, 50).tolist()]
             assert all(a > b for a, b in zip(pops, pops[1:]))
 
     def test_level_index_bounds(self):
         s = Spectrum((0.0, 1.0), (1, 1))
         with pytest.raises(IndexOutOfRange):
-            log_population(s, ThermalPoint(1.0), 2)
+            log_population(s, 1.0, 2)
 
 
 def _one_point_terms(s, kt):
@@ -136,8 +120,8 @@ _KTS = st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=4
 
 
 class TestGridKernel:
-    """An array of kT gives, point for point, the bits of a ThermalPoint call,
-    and those are the bits of the one-point sum the kernel did before."""
+    """An array of kT gives, point for point, the bits of a one-kT call, and
+    those are the bits of the one-point sum the kernel did before."""
 
     @given(s=_SPECTRA, level=st.integers(0, 63), kts=_KTS)
     @example(s=dimer_spectrum(DimerParams(2.1, 1.0)), level=0, kts=[0.05])
@@ -145,7 +129,7 @@ class TestGridKernel:
     def test_log_population(self, s, level, kts):
         j = level % s.n_levels
         grid = log_population(s, np.array(kts), j)
-        points = [log_population(s, ThermalPoint(kt), j) for kt in kts]
+        points = [log_population(s, kt, j) for kt in kts]
         assert isinstance(grid, np.ndarray) and grid.shape == (len(kts),)
         assert all(type(x) is float for x in points)
         assert _hex(grid) == _hex(points)
@@ -156,7 +140,7 @@ class TestGridKernel:
     @settings(max_examples=300, deadline=None)
     def test_log_partition_function(self, s, kts):
         grid = log_partition_function(s, np.array(kts))
-        points = [log_partition_function(s, ThermalPoint(kt)) for kt in kts]
+        points = [log_partition_function(s, kt) for kt in kts]
         assert isinstance(grid, np.ndarray) and grid.shape == (len(kts),)
         assert all(type(x) is float for x in points)
         assert _hex(grid) == _hex(points)
@@ -182,18 +166,54 @@ class TestGridKernel:
         assert log_population(s, kts, 1).shape == (2, 3)
         assert population_profile(s, kts).shape == (2, 3, s.n_levels)
         np.testing.assert_array_equal(
-            population_profile(s, kts)[1, 2], population_profile(s, ThermalPoint(kts[1, 2]))
+            population_profile(s, kts)[1, 2], population_profile(s, kts[1, 2])
         )
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_kt(self, bad):
+        # every public function that takes kT, at that one kT; those that take
+        # an array of kT also with it inside one
         s = dimer_spectrum(DimerParams(1.0, 1.0))
-        for fn in (log_population, log_partition_function, population_profile):
-            with pytest.raises(ThermwitError):
-                fn(s, np.array([1.0, bad]))
-        # a kT that underflows to zero from a valid temperature and k_B
-        with pytest.raises(ThermwitError):
-            log_population(s, ThermalPoint(1e-300, 1e-300))
+        h = build_dimer_hamiltonian(DimerParams(1.0, 1.0))
+        grid_kernels = {
+            "log_population": lambda kt: log_population(s, kt),
+            "log_partition_function": lambda kt: log_partition_function(s, kt),
+            "population_profile": lambda kt: population_profile(s, kt),
+            "thermal_density_matrix": lambda kt: thermal_density_matrix(h, kt),
+            "relative_entropy_ground_to_thermal": (
+                lambda kt: relative_entropy_ground_to_thermal(s, kt)
+            ),
+        }
+        ladders = [ToySpectrumParams(0.0, 1.0, alpha, 10) for alpha in (0.0, 0.5, 1.0)]
+        scalar_kernels = {
+            **{
+                f"log_ground_population_alpha_closed[alpha={p.alpha}]": (
+                    lambda kt, p=p: log_ground_population_alpha_closed(p, kt)
+                )
+                for p in ladders
+            },
+            "log_partition_function_alpha_gamma": (
+                lambda kt: log_partition_function_alpha_gamma(ladders[1], kt)
+            ),
+            "log_stabilizer_partition_function": (
+                lambda kt: log_stabilizer_partition_function(3, 1.0, kt)
+            ),
+            "dimer_condition_margin": lambda kt: dimer_condition_margin(1.0, 1.0, kt),
+            "flip_probability_from_temperature": (
+                lambda kt: flip_probability_from_temperature(1.0, kt)
+            ),
+        }
+        calls = [(name, call, bad) for name, call in {**grid_kernels, **scalar_kernels}.items()]
+        calls += [(name, call, np.array([1.0, bad])) for name, call in grid_kernels.items()]
+        accepted = []
+        for name, call, kt in calls:
+            try:
+                call(kt)
+            except ThermwitError as exc:
+                assert "kT must be positive" in str(exc), name
+            else:
+                accepted.append((name, kt))
+        assert accepted == []
 
 
 class TestThermalDensityMatrix:
@@ -203,14 +223,14 @@ class TestThermalDensityMatrix:
             dim = int(rng.integers(2, 9))
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             h = 0.5 * (g + g.conj().T)
-            t = ThermalPoint(float(rng.uniform(0.3, 5.0)))
-            direct = scipy.linalg.expm(-h / t.kt)
+            kt = float(rng.uniform(0.3, 5.0))
+            direct = scipy.linalg.expm(-h / kt)
             direct /= np.trace(direct).real
-            assert np.allclose(thermal_density_matrix(h, t), direct, atol=1e-11)
+            assert np.allclose(thermal_density_matrix(h, kt), direct, atol=1e-11)
 
     def test_unit_trace_and_positivity(self):
         h = build_dimer_hamiltonian(DimerParams(2.0, 1.0))
-        rho = thermal_density_matrix(h, ThermalPoint(0.9))
+        rho = thermal_density_matrix(h, 0.9)
         assert np.trace(rho).real == pytest.approx(1.0)
         assert np.min(np.linalg.eigvalsh(rho)) >= 0.0
 
@@ -224,7 +244,7 @@ class TestThermalDensityMatrix:
             stack = thermal_density_matrix(h, kts)
             assert stack.shape == (20, dim, dim)
             for kt, rho in zip(kts, stack):
-                assert rho.tobytes() == thermal_density_matrix(h, ThermalPoint(kt)).tobytes()
+                assert rho.tobytes() == thermal_density_matrix(h, kt).tobytes()
 
     def test_stack_of_hamiltonians_matches_each_one(self):
         rng = np.random.default_rng(7)
@@ -232,10 +252,10 @@ class TestThermalDensityMatrix:
         kts = rng.uniform(0.05, 6.0, size=30)
         stack = thermal_density_matrix(hs, kts)
         for h, kt, rho in zip(hs, kts, stack):
-            assert rho.tobytes() == thermal_density_matrix(h, ThermalPoint(kt)).tobytes()
+            assert rho.tobytes() == thermal_density_matrix(h, kt).tobytes()
         # one H against many kT, and many H against one kT, broadcast
         assert thermal_density_matrix(hs[:1], kts).shape == (30, 4, 4)
-        assert thermal_density_matrix(hs, ThermalPoint(0.7)).shape == (30, 4, 4)
+        assert thermal_density_matrix(hs, 0.7).shape == (30, 4, 4)
 
     @pytest.mark.parametrize("kts", [[1.0, 0.0], [-1.0], [1.0, math.nan]])
     def test_rejects_non_positive_kt(self, kts):
@@ -247,27 +267,25 @@ class TestThermalDensityMatrix:
 class TestRelativeEntropy:
     def test_equals_minus_log2_ground_population(self):
         s = dimer_spectrum(DimerParams(1.5, 1.0))
-        t = ThermalPoint(2.0)
-        d = relative_entropy_ground_to_thermal(s, t)
-        assert d == pytest.approx(-math.log2(math.exp(log_population(s, t, 0))), rel=1e-13)
+        d = relative_entropy_ground_to_thermal(s, 2.0)
+        assert d == pytest.approx(-math.log2(math.exp(log_population(s, 2.0, 0))), rel=1e-13)
 
     def test_rejects_degenerate_ground(self):
         s = Spectrum((0.0, 1.0), (2, 1))
         with pytest.raises(DegenerateGround):
-            relative_entropy_ground_to_thermal(s, ThermalPoint(1.0))
+            relative_entropy_ground_to_thermal(s, 1.0)
 
     @given(
         st.floats(min_value=0.05, max_value=20.0),
         st.floats(min_value=0.1, max_value=5.0),
     )
     @settings(max_examples=100, deadline=None)
-    def test_positive_and_decreasing_location_free(self, temp, shift):
+    def test_positive_and_decreasing_location_free(self, kt, shift):
         # shifting all energies leaves the divergence unchanged
         s1 = Spectrum((0.0, 1.0, 2.5), (1, 2, 1))
         s2 = Spectrum((shift, 1.0 + shift, 2.5 + shift), (1, 2, 1))
-        t = ThermalPoint(temp)
-        d1 = relative_entropy_ground_to_thermal(s1, t)
-        d2 = relative_entropy_ground_to_thermal(s2, t)
+        d1 = relative_entropy_ground_to_thermal(s1, kt)
+        d2 = relative_entropy_ground_to_thermal(s2, kt)
         assert d1 >= 0.0
         assert d1 == pytest.approx(d2, rel=1e-10, abs=1e-12)
 
@@ -277,16 +295,15 @@ class TestLadderClosedForms:
         for alpha in (0.0, 0.3, 0.5, 1.0):
             p = ToySpectrumParams(e0=-1.0, delta=0.7, alpha=alpha, n_levels=500)
             s = toy_spectrum(p)
-            for temp in (0.2, 1.0, 4.0):
-                t = ThermalPoint(temp)
-                assert log_partition_function_alpha_closed(p, t) == pytest.approx(
-                    log_partition_function(s, t), rel=1e-12, abs=1e-12
+            for kt in (0.2, 1.0, 4.0):
+                assert log_ground_population_alpha_closed(p, kt) == pytest.approx(
+                    log_population(s, kt, 0), rel=1e-12, abs=1e-12
                 )
 
     def test_sqrt_alpha_value_at_unit_temperature(self):
         # exact sum 1 + sum_{m>=1} exp(-sqrt(m)) over a million levels
         p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.5, n_levels=10**6)
-        z = exp_or_inf(log_partition_function_alpha_closed(p, ThermalPoint(1.0)))
+        z = exp_or_inf(-log_ground_population_alpha_closed(p, 1.0))
         assert z == pytest.approx(2.67040681796634, rel=1e-12)
 
     def test_gamma_route_matches_quadrature(self):
@@ -296,35 +313,30 @@ class TestLadderClosedForms:
                 integral, err = scipy.integrate.quad(
                     lambda m: math.exp(-(m**alpha) / kt), 0.0, math.inf
                 )
-                lg = log_partition_function_alpha_gamma(p, ThermalPoint(kt))
+                lg = log_partition_function_alpha_gamma(p, kt)
                 assert math.exp(lg) == pytest.approx(integral, rel=1e-8)
 
     def test_gamma_route_rejects_alpha_zero(self):
         p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=100)
         with pytest.raises(AlphaZero):
-            log_partition_function_alpha_gamma(p, ThermalPoint(1.0))
+            log_partition_function_alpha_gamma(p, 1.0)
 
     def test_linear_ladder_geometric_sum(self):
         p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=1.0, n_levels=50)
-        t = ThermalPoint(2.0)
         q = math.exp(-0.5)
         exact = (1.0 - q**50) / (1.0 - q)
-        z = exp_or_inf(log_partition_function_alpha_closed(p, t))
+        z = exp_or_inf(-log_ground_population_alpha_closed(p, 2.0))
         assert z == pytest.approx(exact, rel=1e-13)
 
 
-def _ladder_log1p_tail_reference(p, t):
+def _ladder_log1p_tail_reference(p, kt):
     """log(1 + tail) of the ladder as one expression: levels rebuilt, every term
-    exponentiated."""
+    exponentiated. It is -log p0, and log Z of the e0 = 0 ladder."""
     m = np.arange(1, p.n_levels, dtype=float)
-    terms = -np.power(m, p.alpha) * p.delta / t.kt
+    terms = -np.power(m, p.alpha) * p.delta / kt
     mx = float(np.max(terms))
     tail = math.exp(mx) * float(np.sum(np.exp(terms - mx)))
     return math.log1p(tail)
-
-
-def _ladder_log_z_reference(p, t):
-    return -p.e0 / t.kt + _ladder_log1p_tail_reference(p, t)
 
 
 class TestLadderKernelBits:
@@ -364,13 +376,11 @@ class TestLadderKernelBits:
         # the subnormal band of exp and past 745 its zero band
         p = ToySpectrumParams(e0=e0, delta=delta, alpha=alpha, n_levels=n_levels)
         width = delta * (float(n_levels - 1) ** alpha - 1.0)
-        t = ThermalPoint((width if width > 0 else delta) / depth)
-        got = log_partition_function_alpha_closed(p, t)
-        assert got.hex() == _ladder_log_z_reference(p, t).hex()
-        # log p0 carries no e0: the same bits as the e0 = 0 ladder's -log Z
-        log_p0 = log_ground_population_alpha_closed(p, t)
-        assert log_p0.hex() == (-_ladder_log1p_tail_reference(p, t)).hex()
-        assert log_p0.hex() == (-log_partition_function_alpha_closed(replace(p, e0=0.0), t)).hex()
+        kt = (width if width > 0 else delta) / depth
+        # log p0 carries no e0: the same bits as the e0 = 0 ladder's
+        log_p0 = log_ground_population_alpha_closed(p, kt)
+        assert log_p0.hex() == (-_ladder_log1p_tail_reference(p, kt)).hex()
+        assert log_p0.hex() == log_ground_population_alpha_closed(replace(p, e0=0.0), kt).hex()
 
     @pytest.mark.parametrize("n_levels", [2, 10**6])
     def test_alpha_zero_same_bits_as_reference(self, n_levels):
@@ -378,9 +388,8 @@ class TestLadderKernelBits:
         # degeneracy D-1, at kT from deep below -delta/kT = EXP_ZERO to 1e7
         p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=n_levels)
         for kt in np.geomspace(1e-4, 1e7, 45).tolist() + [-1.0 / EXP_ZERO, 1.0 / 745.2]:
-            t = ThermalPoint(kt)
-            got = log_ground_population_alpha_closed(p, t)
-            assert got.hex() == (-_ladder_log1p_tail_reference(p, t)).hex(), kt
+            got = log_ground_population_alpha_closed(p, kt)
+            assert got.hex() == (-_ladder_log1p_tail_reference(p, kt)).hex(), kt
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_overflowing_delta_over_kt_gives_p0_one(self, alpha):
@@ -390,16 +399,15 @@ class TestLadderKernelBits:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for kt in (1e-10, 1e-300, 5e-324):
-                got = log_ground_population_alpha_closed(p, ThermalPoint(kt))
+                got = log_ground_population_alpha_closed(p, kt)
                 assert got.hex() == (-0.0).hex()
 
     def test_cached_levels_read_only_and_evicted(self):
         a = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.5, n_levels=1000)
         b = ToySpectrumParams(e0=0.0, delta=2.0, alpha=0.3, n_levels=700)
-        t = ThermalPoint(0.7)
-        first = [log_partition_function_alpha_closed(p, t).hex() for p in (a, b)]
-        assert [log_partition_function_alpha_closed(p, t).hex() for p in (a, b)] == first
-        assert [_ladder_log_z_reference(p, t).hex() for p in (a, b)] == first
+        first = [log_ground_population_alpha_closed(p, 0.7).hex() for p in (a, b)]
+        assert [log_ground_population_alpha_closed(p, 0.7).hex() for p in (a, b)] == first
+        assert [(-_ladder_log1p_tail_reference(p, 0.7)).hex() for p in (a, b)] == first
         assert _ladder_levels(b) is _ladder_levels(b)
         with pytest.raises(ValueError):
             _ladder_levels(b)[0] = 0.0
@@ -420,11 +428,7 @@ class TestLadderConcavity:
         p = ToySpectrumParams(e0=e0, delta=1.0, alpha=alpha, n_levels=n_levels)
         betas = beta0 + step * np.arange(12)
 
-        def log_p0(beta):
-            t = ThermalPoint(1.0 / beta)
-            return -p.e0 / t.kt - log_partition_function_alpha_closed(p, t)
-
-        f = [log_p0(float(b)) for b in betas]
+        f = [log_ground_population_alpha_closed(p, 1.0 / float(b)) for b in betas]
         for k in range(1, len(f) - 1):
             scale = abs(f[k - 1]) + 2.0 * abs(f[k]) + abs(f[k + 1]) + abs(e0) * betas[k + 1]
             assert f[k - 1] - 2.0 * f[k] + f[k + 1] <= 64 * np.finfo(float).eps * scale
@@ -449,7 +453,7 @@ class TestPopulationConcavity:
         s = Spectrum(tuple(e for e, _ in levels), tuple(g for _, g in levels))
         j = level % s.n_levels
         betas = beta0 + step * np.arange(12)
-        f = [log_population(s, ThermalPoint(1.0 / float(b)), j) for b in betas]
+        f = [log_population(s, 1.0 / float(b), j) for b in betas]
         spread = s.energies[-1] - s.energies[0]
         for k in range(1, len(f) - 1):
             scale = abs(f[k - 1]) + 2.0 * abs(f[k]) + abs(f[k + 1]) + spread * betas[k + 1]
@@ -460,15 +464,13 @@ class TestStabilizerPartition:
     def test_matches_spectrum_route(self):
         from thermwit.systems import stabilizer_spectrum
 
-        for n, b, temp in [(3, 1.0, 0.5), (8, 2.0, 3.0), (200, 0.5, 1.1)]:
-            t = ThermalPoint(temp)
-            lz = log_stabilizer_partition_function(n, b, t)
+        for n, b, kt in [(3, 1.0, 0.5), (8, 2.0, 3.0), (200, 0.5, 1.1)]:
+            lz = log_stabilizer_partition_function(n, b, kt)
             assert lz == pytest.approx(
-                log_partition_function(stabilizer_spectrum(n, b), t), rel=1e-12
+                log_partition_function(stabilizer_spectrum(n, b), kt), rel=1e-12
             )
 
     def test_factorizes_over_sites(self):
-        t = ThermalPoint(1.3)
-        one = log_stabilizer_partition_function(1, 1.0, t)
-        ten = log_stabilizer_partition_function(10, 1.0, t)
+        one = log_stabilizer_partition_function(1, 1.0, 1.3)
+        ten = log_stabilizer_partition_function(10, 1.0, 1.3)
         assert ten == pytest.approx(10.0 * one, rel=1e-13)

@@ -20,17 +20,18 @@ from thermwit.errors import (
     NoSignChange,
     OddN,
     RatioOutOfRange,
+    ThermwitError,
     ThresholdUnreachable,
 )
 from thermwit.systems import DimerParams, Spectrum, ToySpectrumParams, dimer_spectrum, toy_spectrum
-from thermwit.thermal import ThermalPoint, log_ground_population_alpha_closed, log_population
+from thermwit.thermal import log_ground_population_alpha_closed, log_population
 from thermwit.witness import (
     concurrence_vanishing_temperature,
     crossing_temperature,
     dimer_condition_margin,
-    evaluate_condition,
     flip_probability_from_temperature,
     gapping_rule_min_gap,
+    ground_crossing,
     noise_threshold,
     satisfying_intervals,
     stabilizer_t_trans,
@@ -44,20 +45,22 @@ T_ZERO_FIELD = 4.0 / math.log(3.0)
 
 
 class TestEvaluateCondition:
+    """The condition itself: log p0 above the bound's log threshold."""
+
     def test_cold_dimer_satisfied(self):
         s = dimer_spectrum(DimerParams(0.0, 1.0))
-        v = evaluate_condition(s, ThermalPoint(1.0), singlet_robustness())
-        assert v.satisfied and v.population > 0.5
+        log_p0 = log_population(s, 1.0, 0)
+        assert log_p0 > singlet_robustness().log_threshold and math.exp(log_p0) > 0.5
 
     def test_hot_dimer_not_satisfied(self):
         s = dimer_spectrum(DimerParams(0.0, 1.0))
-        v = evaluate_condition(s, ThermalPoint(10.0), singlet_robustness())
-        assert not v.satisfied
+        assert not log_population(s, 10.0, 0) > singlet_robustness().log_threshold
 
     def test_threshold_recorded(self):
         s = dimer_spectrum(DimerParams(0.0, 1.0))
-        v = evaluate_condition(s, ThermalPoint(1.0), bound_from_relative_entropy(2.0))
-        assert v.threshold == 0.25
+        bound = bound_from_relative_entropy(2.0)
+        assert bound.threshold == 0.25
+        assert log_population(s, 1.0, 0) > bound.log_threshold
 
 
 class TestTransitionTemperature:
@@ -81,7 +84,7 @@ class TestTransitionTemperature:
 
     def test_matches_scipy_brentq(self):
         s = dimer_spectrum(DimerParams(1.0, 1.0))
-        f = lambda kt: math.exp(log_population(s, ThermalPoint(kt), 0)) - 0.5
+        f = lambda kt: math.exp(log_population(s, kt, 0)) - 0.5
         ref = scipy.optimize.brentq(f, 0.1, 10.0, xtol=1e-13)
         tr = transition_temperature(s, singlet_robustness())
         assert tr.t_trans == pytest.approx(ref, rel=1e-9)
@@ -91,7 +94,7 @@ class TestTransitionTemperature:
         s = dimer_spectrum(DimerParams(2.0, 1.0))
         bound = bound_from_relative_entropy(0.7)
         tr = transition_temperature(s, bound)
-        p = math.exp(log_population(s, ThermalPoint(tr.t_trans), 0))
+        p = math.exp(log_population(s, tr.t_trans, 0))
         assert p == pytest.approx(bound.threshold, rel=1e-8)
 
     def test_trivial_bound_never_detected(self):
@@ -117,9 +120,9 @@ class TestTransitionTemperature:
         bound = bound_from_relative_entropy(0.99999)
         tr = transition_temperature(s, bound)
         assert tr.detected and tr.t_trans > tr.bracket[1]
-        assert evaluate_condition(s, ThermalPoint(tr.t_trans), bound).satisfied
-        above = ThermalPoint(math.nextafter(tr.t_trans, math.inf))
-        assert not evaluate_condition(s, above, bound).satisfied
+        assert log_population(s, tr.t_trans, 0) > bound.log_threshold
+        above = math.nextafter(tr.t_trans, math.inf)
+        assert not log_population(s, above, 0) > bound.log_threshold
 
     def test_degenerate_ground_rejected(self):
         s = Spectrum((0.0, 1.0), (2, 1))
@@ -141,11 +144,27 @@ class TestTransitionTemperature:
         s = dimer_spectrum(DimerParams(b, j))
         tr = transition_temperature(s, singlet_robustness(), k_b)
         assert tr.detected
-        at = evaluate_condition(s, ThermalPoint(tr.t_trans, k_b), singlet_robustness())
-        above = evaluate_condition(
-            s, ThermalPoint(math.nextafter(tr.t_trans, math.inf), k_b), singlet_robustness()
-        )
-        assert at.satisfied and not above.satisfied
+        log_threshold = singlet_robustness().log_threshold
+        above = math.nextafter(tr.t_trans, math.inf)
+        assert log_population(s, tr.t_trans * k_b, 0) > log_threshold
+        assert not log_population(s, above * k_b, 0) > log_threshold
+
+
+@pytest.mark.parametrize("k_b", [0.0, -1.0, math.nan, math.inf])
+def test_searches_reject_bad_boltzmann_constant(k_b):
+    # the searches take k_b and evaluate at T * k_b; a negative k_b times a
+    # negative temperature would otherwise be a valid kT
+    s = dimer_spectrum(DimerParams(0.0, 1.0))
+    bound = singlet_robustness()
+    searches = [
+        lambda: ground_crossing(lambda kt: log_population(s, kt, 0), bound, 4.0, 4.0, 4, k_b),
+        lambda: transition_temperature(s, bound, k_b),
+        lambda: satisfying_intervals(s, bound, [0.1, 10.0], 0, k_b),
+        lambda: concurrence_vanishing_temperature(DimerParams(0.0, 1.0), k_b),
+    ]
+    for search in searches:
+        with pytest.raises(ThermwitError, match="k_b must be positive and finite"):
+            search()
 
 
 class TestCrossingTemperature:
@@ -189,10 +208,10 @@ class TestSatisfyingIntervals:
         assert len(ivs) == 1
         lo, hi = ivs[0]
         assert 0.001 < lo < hi < 50.0
-        inside = math.exp(log_population(s, ThermalPoint(math.sqrt(lo * hi)), 1))
+        inside = math.exp(log_population(s, math.sqrt(lo * hi), 1))
         assert inside > 2.0 ** (-1.5)
-        assert math.exp(log_population(s, ThermalPoint(lo * 0.5), 1)) < 2.0 ** (-1.5)
-        assert math.exp(log_population(s, ThermalPoint(hi * 2.0), 1)) < 2.0 ** (-1.5)
+        assert math.exp(log_population(s, lo * 0.5, 1)) < 2.0 ** (-1.5)
+        assert math.exp(log_population(s, hi * 2.0, 1)) < 2.0 ** (-1.5)
 
     def test_rejects_tiny_grid(self):
         s = dimer_spectrum(DimerParams(0.0, 1.0))
@@ -220,7 +239,7 @@ class TestSatisfyingIntervals:
         assert len(ivs) <= 1
         for end in (e for iv in ivs for e in iv):
             assert lo <= end <= hi
-            assert evaluate_condition(s, ThermalPoint(end), bound, level).satisfied
+            assert log_population(s, end, level) > bound.log_threshold
         # independent dense scan: per-state populations by a direct log-sum
         temps = np.geomspace(lo, hi, 2000)
         x = -(energies[None, :] - energies[0]) / temps[:, None]
@@ -240,23 +259,21 @@ class TestDimerClosedForm:
         s_cache = {}
         for _ in range(300):
             b = float(rng.uniform(0.0, 3.9))
-            temp = float(rng.uniform(0.05, 8.0))
-            margin = dimer_condition_margin(b, 1.0, ThermalPoint(temp))
+            kt = float(rng.uniform(0.05, 8.0))
+            margin = dimer_condition_margin(b, 1.0, kt)
             s = s_cache.setdefault(b, dimer_spectrum(DimerParams(b, 1.0)))
-            v = evaluate_condition(s, ThermalPoint(temp), singlet_robustness())
+            satisfied = log_population(s, kt, 0) > singlet_robustness().log_threshold
             if abs(margin) > 1e-9:
-                assert (margin > 0) == v.satisfied
+                assert (margin > 0) == satisfied
 
     def test_condition_boundary_is_zero_field_transition(self):
-        t = ThermalPoint(T_ZERO_FIELD)
-        assert abs(dimer_condition_margin(0.0, 1.0, t)) < 1e-12
-        assert dimer_condition_margin(0.0, 1.0, ThermalPoint(T_ZERO_FIELD - 1e-6)) > 0.0
-        assert not dimer_condition_margin(0.0, 1.0, ThermalPoint(T_ZERO_FIELD + 1e-6)) > 0.0
+        assert abs(dimer_condition_margin(0.0, 1.0, T_ZERO_FIELD)) < 1e-12
+        assert dimer_condition_margin(0.0, 1.0, T_ZERO_FIELD - 1e-6) > 0.0
+        assert not dimer_condition_margin(0.0, 1.0, T_ZERO_FIELD + 1e-6) > 0.0
 
     def test_field_lowers_satisfied_region(self):
-        t = ThermalPoint(3.6)
-        assert dimer_condition_margin(0.0, 1.0, t) > 0.0
-        assert not dimer_condition_margin(2.0, 1.0, t) > 0.0
+        assert dimer_condition_margin(0.0, 1.0, 3.6) > 0.0
+        assert not dimer_condition_margin(2.0, 1.0, 3.6) > 0.0
 
 
 class TestConcurrenceVanishing:
@@ -281,7 +298,7 @@ class TestConcurrenceVanishing:
 def _toy_rows_hold(d, e_r, kt):
     """The toy rows' condition log p0 > log threshold on the alpha = 0 ladder."""
     p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=d)
-    log_p0 = log_ground_population_alpha_closed(p, ThermalPoint(kt))
+    log_p0 = log_ground_population_alpha_closed(p, kt)
     return log_p0 > bound_from_relative_entropy(e_r).log_threshold
 
 
@@ -334,7 +351,7 @@ class TestToyClosedForms:
         # a depth-10^6 linear ladder reproduces the infinite-depth crossing
         t1 = toy_t1(2.0, 1.0).exact
         p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=1.0, n_levels=10**6)
-        log_p0 = log_ground_population_alpha_closed(p, ThermalPoint(t1))
+        log_p0 = log_ground_population_alpha_closed(p, t1)
         assert math.exp(log_p0) == pytest.approx(0.25, rel=1e-12)
 
     def test_t1_low_temperature_form(self):
@@ -415,8 +432,8 @@ class TestStabilizerClosedForms:
 
     def test_flip_probability_composes_with_t_trans(self):
         for n, b, e_r in [(4, 1.0, 2.0), (12, 0.7, 3.0), (100, 2.0, 60.0)]:
-            t = stabilizer_t_trans(n, b, e_r)
-            p = flip_probability_from_temperature(b, ThermalPoint(t))
+            kt = stabilizer_t_trans(n, b, e_r)
+            p = flip_probability_from_temperature(b, kt)
             assert p == pytest.approx(noise_threshold(e_r, n), rel=1e-12)
 
     @given(
@@ -426,8 +443,8 @@ class TestStabilizerClosedForms:
     )
     @settings(max_examples=200, deadline=None)
     def test_composition_identity_property(self, n, ratio, b):
-        t = stabilizer_t_trans(n, b, ratio * n)
-        p = flip_probability_from_temperature(b, ThermalPoint(t))
+        kt = stabilizer_t_trans(n, b, ratio * n)
+        p = flip_probability_from_temperature(b, kt)
         assert p == pytest.approx(noise_threshold(ratio * n, n), rel=1e-12)
 
     def test_noise_threshold_monotone_in_ratio(self):
