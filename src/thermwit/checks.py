@@ -27,7 +27,7 @@ from .entanglement import (
     ppt_min_eigenvalue,
     singlet_robustness,
 )
-from .numerics import hermitian_eigendecompose, hermitian_eigenvalues, stacked_eigendecompose
+from .numerics import hermitian_eigendecompose, hermitian_eigenvalues
 from .systems import (
     DimerParams,
     Graph,
@@ -112,8 +112,8 @@ def check_dimer_high_field_phase(seed: int = 0) -> CheckResult:
     """B=5, J=1: product ground state, witness silent, concurrence still fires."""
     p = DimerParams(B=5.0, J=1.0)
     h = build_dimer_hamiltonian(p)
-    eig = hermitian_eigendecompose(h)
-    ground_is_00 = abs(abs(eig.eigenvectors[0, 0]) - 1.0) <= 1e-9
+    _, v = hermitian_eigendecompose(h)
+    ground_is_00 = abs(abs(v[0, 0]) - 1.0) <= 1e-9
     sp = dimer_spectrum(p)
     ground_bound = bipartite_pure_robustness(
         PureState(2, np.array([1.0, 0.0, 0.0, 0.0])), Partition.bipartition([0], 2)
@@ -319,9 +319,9 @@ def check_relative_entropy_identity(seed: int = 0) -> CheckResult:
         ground = basis[:, 0]
         temps = rng.uniform(0.8, 6.0, size=20)
         stat = relative_entropy_ground_to_thermal(sp, temps)
-        eig = stacked_eigendecompose(thermal_density_matrix(h, temps))
-        weights = np.abs(np.swapaxes(eig.eigenvectors.conj(), -1, -2) @ ground) ** 2
-        mat = -np.sum(weights * np.log2(np.maximum(eig.eigenvalues, 1e-300)), axis=-1)
+        w, v = hermitian_eigendecompose(thermal_density_matrix(h, temps))
+        weights = np.abs(np.swapaxes(v.conj(), -1, -2) @ ground) ** 2
+        mat = -np.sum(weights * np.log2(np.maximum(w, 1e-300)), axis=-1)
         worst = max(worst, float(np.max(np.abs(mat - stat))))
     ok = worst <= 1e-12
     return _result(

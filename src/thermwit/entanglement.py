@@ -19,14 +19,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadDimension,
-    BadPartition,
-    NegativeEntanglement,
-    SeparableCase,
-    ThermwitError,
+from .errors import ThermwitError
+from .numerics import (
+    HERMITICITY_TOL,
+    _checked_hermitian,
+    _float_or_array,
+    first_failure,
+    hermitian_eigendecompose,
+    partial_transpose,
 )
-from .numerics import first_failure, partial_transpose, stacked_eigendecompose
 from .systems import SIGMA_Y, PureState
 
 _EXACT_DICKE_CUTOFF = 2000
@@ -103,16 +104,16 @@ class Partition:
         norm = tuple(tuple(sorted(int(i) for i in block)) for block in self.blocks)
         object.__setattr__(self, "blocks", norm)
         if len(norm) < 2:
-            raise BadPartition("need at least two blocks")
+            raise ThermwitError("need at least two blocks")
         seen: set[int] = set()
         for block in norm:
             if not block:
-                raise BadPartition("empty block")
+                raise ThermwitError("empty block")
             if len(set(block)) != len(block) or seen & set(block):
-                raise BadPartition("blocks overlap")
+                raise ThermwitError("blocks overlap")
             seen |= set(block)
         if seen != set(range(self.n_sites)):
-            raise BadPartition(f"blocks must cover exactly sites 0..{self.n_sites - 1}")
+            raise ThermwitError(f"blocks must cover exactly sites 0..{self.n_sites - 1}")
 
     @classmethod
     def bipartition(cls, block: Sequence[int], n_sites: int) -> "Partition":
@@ -123,27 +124,12 @@ class Partition:
 
 def _bipartite_singular_values(psi: PureState, cut: Partition) -> np.ndarray:
     if len(cut.blocks) != 2 or cut.n_sites != psi.n_sites:
-        raise BadPartition("need a two-block partition of the state's sites")
+        raise ThermwitError("need a two-block partition of the state's sites")
     a = list(cut.blocks[0])
     b = list(cut.blocks[1])
     tensor = psi.as_tensor().transpose(a + b)
     matrix = tensor.reshape(2 ** len(a), 2 ** len(b))
     return np.linalg.svd(matrix, compute_uv=False)
-
-
-def schmidt_coefficients(psi: PureState, cut: Partition) -> np.ndarray:
-    """Squared Schmidt coefficients across a bipartition, descending.
-
-    These are the eigenvalues of the reduced state on the smaller block;
-    they sum to one, and the state is a product across the cut iff the
-    first one equals 1.
-    """
-    s = _bipartite_singular_values(psi, cut)
-    lam = np.maximum(s, 0.0) ** 2
-    total = lam.sum()
-    if total > 0:
-        lam = lam / total
-    return np.sort(lam)[::-1]
 
 
 def bipartite_pure_robustness(psi: PureState, cut: Partition) -> RobustnessBound:
@@ -178,7 +164,7 @@ def dicke_robustness(n: int, k: int) -> RobustnessBound:
     if k < 0 or k > n:
         raise ThermwitError(f"excitation count {k} outside 0..{n}")
     if k == 0 or k == n:
-        raise SeparableCase("product state: robustness 0 is not a witness input")
+        raise ThermwitError("product state: robustness 0 is not a witness input")
     if n <= _EXACT_DICKE_CUTOFF:
         exact = Fraction(n**n, math.comb(n, k) * k**k * (n - k) ** (n - k))
         value = float(exact)
@@ -267,7 +253,7 @@ def bound_from_relative_entropy(
     entropy and therefore stays on the safe side of the chain.
     """
     if e_r < 0:
-        raise NegativeEntanglement(f"entanglement input must be >= 0, got {e_r}")
+        raise ThermwitError(f"entanglement input must be >= 0, got {e_r}")
     if source not in (BoundSource.RELATIVE_ENTROPY_INPUT, BoundSource.GEOMETRIC_INPUT):
         raise ThermwitError(f"source {source} is not an entanglement-input route")
     if e_r > 1000:
@@ -285,26 +271,17 @@ def bound_from_relative_entropy(
 
 def _validate_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     """``rho`` as complex, once each matrix of it (one, or a stack of shape
-    (..., d, d)) is Hermitian and has unit trace, both within 1e-9."""
-    a = np.asarray(rho, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise BadDimension(f"expected square matrices, got shape {a.shape}")
+    (..., d, d)) passes ``hermitian_eigendecompose``'s Hermiticity check and
+    has unit trace within 1e-9."""
+    a = _checked_hermitian(np.asarray(rho, dtype=complex), HERMITICITY_TOL)
     if dim is not None and a.shape[-1] != dim:
-        raise BadDimension(f"expected dimension {dim}, got {a.shape[-1]}")
-    bad = np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), axis=(-2, -1)) > 1e-9
-    if np.any(bad):
-        raise BadDimension(f"density matrix is not Hermitian{first_failure(bad)}")
+        raise ThermwitError(f"expected dimension {dim}, got {a.shape[-1]}")
     trace = np.trace(a, axis1=-2, axis2=-1).real
     bad = np.abs(trace - 1.0) > 1e-9
     if np.any(bad):
         first = trace.flat[int(np.argmax(bad))]
-        raise BadDimension(f"trace {first} deviates from 1{first_failure(bad)}")
+        raise ThermwitError(f"trace {first} deviates from 1{first_failure(bad)}")
     return a
-
-
-def _scalar_or_array(x: np.ndarray) -> float | np.ndarray:
-    """A float for one matrix's result, the array for a stack's."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -326,12 +303,12 @@ def concurrence_signed(rho: np.ndarray) -> float | np.ndarray:
     root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
     ev = np.linalg.eigvalsh(root @ _YY @ a.conj() @ _YY @ root)
     mu = np.sqrt(np.clip(ev, 0.0, None))[..., ::-1]
-    return _scalar_or_array(mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
+    return _float_or_array(mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
 
 
 def concurrence_two_qubit(rho: np.ndarray) -> float | np.ndarray:
     c = concurrence_signed(rho)
-    return _scalar_or_array(np.where(c > 0.0, c, 0.0))
+    return _float_or_array(np.where(c > 0.0, c, 0.0))
 
 
 def ppt_min_eigenvalue(
@@ -340,7 +317,7 @@ def ppt_min_eigenvalue(
     """Smallest eigenvalue of the partial transpose; negative certifies
     entanglement across the cut. A stack of states gives an array."""
     pt = partial_transpose(_validate_density_matrix(rho), local_dims, subset)
-    return _scalar_or_array(stacked_eigendecompose(pt).eigenvalues[..., 0])
+    return _float_or_array(hermitian_eigendecompose(pt)[0][..., 0])
 
 
 def _random_unit_qubit(rng: np.random.Generator) -> np.ndarray:

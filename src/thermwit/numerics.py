@@ -9,17 +9,11 @@ simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadDimensionFactorization,
-    DimensionTooLarge,
-    NoSignChange,
-    NotHermitian,
-)
+from .errors import NoSignChange, ThermwitError
 
 DIM_CAP = 4096
 HERMITICITY_TOL = 1e-12
@@ -28,30 +22,17 @@ HERMITICITY_TOL = 1e-12
 ROOT_BRACKET_MAX_STEPS = 2200
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigensystem of a Hermitian matrix, eigenvalues ascending.
-
-    ``eigenvectors[:, j]`` is the unit eigenvector for ``eigenvalues[j]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _as_square_stack(m: np.ndarray) -> np.ndarray:
     """``m`` as one square matrix or a stack of them, shape (..., d, d)."""
     a = np.asarray(m)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise BadDimensionFactorization(f"expected square matrices, got shape {a.shape}")
+        raise ThermwitError(f"expected square matrices, got shape {a.shape}")
     return a
 
 
-def _as_square_matrix(m: np.ndarray) -> np.ndarray:
-    a = _as_square_stack(m)
-    if a.ndim != 2:
-        raise BadDimensionFactorization(f"expected a square matrix, got shape {a.shape}")
-    return a
+def _float_or_array(x: np.ndarray) -> float | np.ndarray:
+    """A float for a 0-d result (one matrix, one kT), the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def first_failure(flags: np.ndarray) -> str:
@@ -63,10 +44,12 @@ def first_failure(flags: np.ndarray) -> str:
     return f" at index {tuple(int(i) for i in first)}"
 
 
-def _checked_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
-    """``a``, unconverted, once its size and the symmetry of each matrix pass."""
+def _checked_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
+    """``m`` as an array, unconverted, once it is one square matrix or a stack
+    of them, no larger than DIM_CAP, and each is Hermitian on its own scale."""
+    a = _as_square_stack(m)
     if a.shape[-1] > DIM_CAP:
-        raise DimensionTooLarge(f"dimension {a.shape[-1]} exceeds cap {DIM_CAP}")
+        raise ThermwitError(f"dimension {a.shape[-1]} exceeds cap {DIM_CAP}")
     if a.size == 0:
         return a
     limit = tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
@@ -74,44 +57,33 @@ def _checked_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
     bad = dev > limit
     if np.any(bad):
         i = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise NotHermitian(
+        raise ThermwitError(
             f"max |m - m^dagger| = {dev[i]:.3e} above {limit[i]:.3e}{first_failure(bad)}"
         )
     return a
 
 
-def _eigh(a: np.ndarray, tol: float) -> EigenDecomposition:
-    w, v = np.linalg.eigh(_checked_hermitian(a, tol).astype(complex))
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+def hermitian_eigendecompose(
+    m: np.ndarray, tol: float = HERMITICITY_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem of a Hermitian matrix, or of each in a stack (..., d, d).
 
-
-def hermitian_eigendecompose(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
-    """Full eigensystem of a Hermitian matrix.
-
-    Raises NotHermitian if ``max|m - m^dagger|`` exceeds ``tol * max(1, max|m|)``
-    and DimensionTooLarge above DIM_CAP. Eigenvalues come back ascending with
-    orthonormal columns of eigenvectors.
+    Returns ``np.linalg.eigh``'s pair ``(w, v)``: eigenvalues ascending,
+    ``v[..., :, j]`` the unit eigenvector for ``w[..., j]``. Each matrix
+    must pass ``max|m - m^dagger| <= tol * max(1, max|m|)`` on its own scale
+    and have dimension at most DIM_CAP; a stack's results have the bits each
+    matrix gives alone.
     """
-    return _eigh(_as_square_matrix(m), tol)
-
-
-def stacked_eigendecompose(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
-    """Eigensystems of each Hermitian matrix in a stack of shape (..., d, d).
-
-    Each matrix passes the checks of ``hermitian_eigendecompose`` on its own
-    scale, and its eigensystem has the same bits as that function's; a single
-    (d, d) matrix is a stack with no leading axes.
-    """
-    return _eigh(_as_square_stack(m), tol)
+    return np.linalg.eigh(_checked_hermitian(m, tol).astype(complex))
 
 
 def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
+    """Ascending eigenvalues of a Hermitian matrix or stack, without eigenvectors.
 
     Same checks as ``hermitian_eigendecompose``; a real symmetric matrix is
     solved in real arithmetic, not promoted to complex.
     """
-    return np.linalg.eigvalsh(_checked_hermitian(_as_square_matrix(m), tol))
+    return np.linalg.eigvalsh(_checked_hermitian(m, tol))
 
 
 def partial_transpose(
@@ -128,20 +100,18 @@ def partial_transpose(
     a = _as_square_stack(rho)
     dims = tuple(int(d) for d in local_dims)
     if any(d < 1 for d in dims) or not dims:
-        raise BadDimensionFactorization("local dimensions must be positive")
+        raise ThermwitError("local dimensions must be positive")
     d = math.prod(dims)
     if d != a.shape[-1]:
-        raise BadDimensionFactorization(
-            f"matrix dimension {a.shape[-1]} != product of local dims {d}"
-        )
+        raise ThermwitError(f"matrix dimension {a.shape[-1]} != product of local dims {d}")
     n = len(dims)
     sites = sorted(set(int(s) for s in subset))
     if len(sites) != len(list(subset)):
-        raise BadDimensionFactorization("subset contains repeats")
+        raise ThermwitError("subset contains repeats")
     if not sites or len(sites) >= n:
-        raise BadDimensionFactorization("subset must be a nonempty proper subset of sites")
+        raise ThermwitError("subset must be a nonempty proper subset of sites")
     if sites[0] < 0 or sites[-1] >= n:
-        raise BadDimensionFactorization(f"subset {sites} out of range for {n} sites")
+        raise ThermwitError(f"subset {sites} out of range for {n} sites")
     lead = a.shape[:-2]
     t = a.reshape(lead + dims + dims)
     k = len(lead)

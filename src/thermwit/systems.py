@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadExcitationCount, GraphTooLarge, IndexOutOfRange, ThermwitError
+from .errors import ThermwitError
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -55,41 +55,29 @@ class Spectrum:
         )
 
     @classmethod
-    def from_values(
-        cls,
-        values: Iterable[float],
-        degeneracies: Iterable[int] | None = None,
-        tol_scale: float = MERGE_TOL_SCALE,
-    ) -> "Spectrum":
+    def from_values(cls, values: Iterable[float]) -> "Spectrum":
         """Sort raw eigenvalues and merge near-coincident ones into levels.
 
         Two values merge when they differ by less than
-        ``tol_scale * max(|E|, 1)``; merged levels use the weight-averaged
+        ``MERGE_TOL_SCALE * max(|E|, 1)``; merged levels use the averaged
         energy so eigensolver jitter does not bias level positions.
         """
-        vals = np.fromiter(values, dtype=float)
-        given = None if degeneracies is None else [int(g) for g in degeneracies]
-        if given is not None and len(given) != vals.size:
-            raise ThermwitError("values and degeneracies length mismatch")
-        order = np.argsort(vals, kind="stable")
-        ordered = vals[order]
-        degs = [1] * vals.size if given is None else [given[i] for i in order.tolist()]
+        ordered = np.sort(np.fromiter(values, dtype=float), kind="stable")
         # The loop below merges first where two raw neighbours are closer than
         # the tolerance; with no such pair it merges nothing.
         gaps = ordered[1:] - ordered[:-1]
-        if np.all(gaps >= tol_scale * np.maximum(np.abs(ordered[1:]), 1.0)):
-            return cls(energies=tuple(ordered.tolist()), degeneracies=tuple(degs))
+        if np.all(gaps >= MERGE_TOL_SCALE * np.maximum(np.abs(ordered[1:]), 1.0)):
+            return cls(energies=tuple(ordered.tolist()), degeneracies=(1,) * ordered.size)
         energies: list[float] = []
         counts: list[int] = []
-        for e, g in zip(ordered.tolist(), degs):
-            tol = tol_scale * max(abs(e), 1.0)
-            if energies and e - energies[-1] < tol:
-                total = counts[-1] + g
-                energies[-1] = (energies[-1] * counts[-1] + e * g) / total
+        for e in ordered.tolist():
+            if energies and e - energies[-1] < MERGE_TOL_SCALE * max(abs(e), 1.0):
+                total = counts[-1] + 1
+                energies[-1] = (energies[-1] * counts[-1] + e) / total
                 counts[-1] = total
             else:
                 energies.append(e)
-                counts.append(g)
+                counts.append(1)
         return cls(energies=tuple(energies), degeneracies=tuple(counts))
 
     @property
@@ -268,9 +256,7 @@ def toy_spectrum(p: ToySpectrumParams) -> Spectrum:
     """
     m = np.arange(1, p.n_levels, dtype=float)
     excited = p.e0 + np.power(m, p.alpha) * p.delta
-    return Spectrum.from_values(
-        np.concatenate(([p.e0], excited)), tol_scale=MERGE_TOL_SCALE
-    )
+    return Spectrum.from_values(np.concatenate(([p.e0], excited)))
 
 
 def dicke_state(n: int, k: int) -> PureState:
@@ -278,7 +264,7 @@ def dicke_state(n: int, k: int) -> PureState:
     if n < 1 or n > DICKE_SITE_CAP:
         raise ThermwitError(f"site count {n} outside 1..{DICKE_SITE_CAP}")
     if not 0 <= k <= n:
-        raise BadExcitationCount(f"excitation count {k} outside 0..{n}")
+        raise ThermwitError(f"excitation count {k} outside 0..{n}")
     # One reused shift buffer: per-bit temporaries would allocate 2n arrays of 2^n.
     idx = np.arange(2**n, dtype=np.uint32)
     weight = np.zeros_like(idx)
@@ -295,7 +281,7 @@ def dicke_state(n: int, k: int) -> PureState:
 def graph_state(g: Graph) -> PureState:
     """Apply CZ on every edge to the uniform superposition |+>^n."""
     if g.n > MATRIX_SITE_CAP:
-        raise GraphTooLarge(f"graph on {g.n} vertices exceeds cap {MATRIX_SITE_CAP}")
+        raise ThermwitError(f"graph on {g.n} vertices exceeds cap {MATRIX_SITE_CAP}")
     dim = 2**g.n
     amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     idx = np.arange(dim)
@@ -313,7 +299,7 @@ def _stabilizer_action(g: Graph, i: int) -> tuple[np.ndarray, np.ndarray]:
     contributes (-1)^(bit j of b). Vertex v is bit ``n - 1 - v`` of b.
     """
     if not 0 <= i < g.n:
-        raise IndexOutOfRange(f"vertex {i} outside 0..{g.n - 1}")
+        raise ThermwitError(f"vertex {i} outside 0..{g.n - 1}")
     idx = np.arange(2**g.n)
     parity = np.zeros(2**g.n, dtype=np.int64)
     for j in g.neighbors(i):
@@ -342,7 +328,7 @@ def build_stabilizer_hamiltonian(g: Graph, B: float) -> np.ndarray:
     of b on the neighbours of i)``, so no Kronecker products are formed.
     """
     if g.n > MATRIX_SITE_CAP:
-        raise GraphTooLarge(f"graph on {g.n} vertices exceeds cap {MATRIX_SITE_CAP}")
+        raise ThermwitError(f"graph on {g.n} vertices exceeds cap {MATRIX_SITE_CAP}")
     if not B > 0:
         raise ThermwitError(f"field B must be positive, got {B}")
     dim = 2**g.n

@@ -31,8 +31,8 @@ import math
 
 import numpy as np
 
-from .errors import AlphaZero, DegenerateGround, IndexOutOfRange, ThermwitError
-from .numerics import stacked_eigendecompose
+from .errors import ThermwitError
+from .numerics import _float_or_array, hermitian_eigendecompose
 from .systems import Spectrum, ToySpectrumParams
 
 LN2 = math.log(2.0)
@@ -48,10 +48,6 @@ def _kt_array(kt: float | np.ndarray) -> np.ndarray:
     if not (kt > 0.0).all():
         raise ThermwitError("kT must be positive")
     return kt
-
-
-def _float_or_array(kt: np.ndarray, x: np.ndarray) -> float | np.ndarray:
-    return float(x) if kt.ndim == 0 else x
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -75,7 +71,7 @@ def _shifted_log_terms(s: Spectrum, kt: np.ndarray) -> np.ndarray:
 def log_partition_function(s: Spectrum, kt: float | np.ndarray) -> float | np.ndarray:
     """log Z = -E0/kT + log sum_j g_j exp(-(E_j - E0)/kT)."""
     kt = _kt_array(kt)
-    return _float_or_array(kt, -s.ground_energy / kt + _logsumexp(_shifted_log_terms(s, kt)))
+    return _float_or_array(-s.ground_energy / kt + _logsumexp(_shifted_log_terms(s, kt)))
 
 
 def exp_or_inf(log_z: float) -> float:
@@ -105,10 +101,10 @@ def log_population(
     array of their shape with the same bits per point.
     """
     if not 0 <= level_index < s.n_levels:
-        raise IndexOutOfRange(f"level {level_index} outside 0..{s.n_levels - 1}")
+        raise ThermwitError(f"level {level_index} outside 0..{s.n_levels - 1}")
     kt = _kt_array(kt)
     shift = (s.energies[level_index] - s.ground_energy) / kt
-    return _float_or_array(kt, -shift - _logsumexp(_shifted_log_terms(s, kt)))
+    return _float_or_array(-shift - _logsumexp(_shifted_log_terms(s, kt)))
 
 
 def thermal_density_matrix(h: np.ndarray, kt: float | np.ndarray) -> np.ndarray:
@@ -121,8 +117,7 @@ def thermal_density_matrix(h: np.ndarray, kt: float | np.ndarray) -> np.ndarray:
     alone.
     """
     kt = _kt_array(kt)
-    eig = stacked_eigendecompose(h)
-    w, v = eig.eigenvalues, eig.eigenvectors
+    w, v = hermitian_eigendecompose(h)
     p = np.exp(-(w - w[..., :1]) / kt[..., None])
     p /= p.sum(axis=-1, keepdims=True)
     return (v * p[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
@@ -138,9 +133,7 @@ def relative_entropy_ground_to_thermal(
     ``kt`` is one kT or an array of them, as in log_population.
     """
     if s.degeneracies[0] != 1:
-        raise DegenerateGround(
-            f"ground level carries degeneracy {s.degeneracies[0]}; need 1"
-        )
+        raise ThermwitError(f"ground level carries degeneracy {s.degeneracies[0]}; need 1")
     return -log_population(s, kt, 0) / LN2
 
 
@@ -203,7 +196,7 @@ def log_partition_function_alpha_gamma(p: ToySpectrumParams, kt: float) -> float
     """
     kt = float(_kt_array(kt))
     if p.alpha == 0.0:
-        raise AlphaZero("Gamma-integral form undefined at alpha = 0")
+        raise ThermwitError("Gamma-integral form undefined at alpha = 0")
     inv = 1.0 / p.alpha
     return -p.e0 / kt + math.lgamma(inv) - math.log(p.alpha) + inv * math.log(kt / p.delta)
 

@@ -16,24 +16,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .entanglement import (
-    BoundKind,
-    RobustnessBound,
-    bound_from_relative_entropy,
-    concurrence_signed,
-)
-from .errors import (
-    AlphaOutOfRange,
-    DegenerateGround,
-    EmptyGrid,
-    IndexOutOfRange,
-    NonpositiveEntanglement,
-    NoSignChange,
-    OddN,
-    RatioOutOfRange,
-    ThermwitError,
-    ThresholdUnreachable,
-)
+from .entanglement import RobustnessBound, bound_from_relative_entropy, concurrence_signed
+from .errors import NoSignChange, ThermwitError, ThresholdUnreachable
 from .numerics import root_bracket
 from .systems import DimerParams, Spectrum, ToySpectrumParams, build_dimer_hamiltonian
 from .thermal import (
@@ -62,7 +46,6 @@ class TransitionResult:
 
     t_trans: float | None
     bracket: tuple[float, float]  # where the search started
-    bound_kind: BoundKind
 
     @property
     def detected(self) -> bool:
@@ -128,7 +111,7 @@ def ground_crossing(
         return log_p0(temp * k_b) - bound.log_threshold
 
     t_star = crossing_temperature(margin, *bracket, settles=1 / dimension <= bound.threshold)
-    return TransitionResult(t_trans=t_star, bracket=bracket, bound_kind=bound.kind)
+    return TransitionResult(t_trans=t_star, bracket=bracket)
 
 
 def transition_temperature(
@@ -145,9 +128,7 @@ def transition_temperature(
         raise ThermwitError("transition needs at least two levels")
     # no population exceeds a threshold of 1, whatever the ground degeneracy
     if s.degeneracies[0] != 1 and bound.threshold < 1.0:
-        raise DegenerateGround(
-            f"ground level carries degeneracy {s.degeneracies[0]}; need 1"
-        )
+        raise ThermwitError(f"ground level carries degeneracy {s.degeneracies[0]}; need 1")
     result = ground_crossing(
         lambda kt: log_population(s, kt, 0), bound, s.gap, s.spread, s.dimension, k_b
     )
@@ -177,11 +158,11 @@ def satisfying_intervals(
     _check_k_b(k_b)
     temps = np.asarray(list(grid), dtype=float)
     if temps.size < 2:
-        raise EmptyGrid(f"grid needs at least 2 points, got {temps.size}")
+        raise ThermwitError(f"grid needs at least 2 points, got {temps.size}")
     if not np.all(np.diff(temps) > 0):
         raise ThermwitError("grid temperatures must be strictly ascending")
     if not 0 <= level_index < s.n_levels:
-        raise IndexOutOfRange(f"level {level_index} outside 0..{s.n_levels - 1}")
+        raise ThermwitError(f"level {level_index} outside 0..{s.n_levels - 1}")
     t_lo, t_hi = float(temps[0]), float(temps[-1])
     energies = s.energy_array()
     e_j = energies[level_index]
@@ -258,7 +239,7 @@ def toy_t0(n_levels: int, e_r: float, delta: float = 1.0) -> float:
     if not delta > 0:
         raise ThermwitError(f"delta must be positive, got {delta}")
     if not e_r > 0:
-        raise NonpositiveEntanglement(f"need e_r > 0, got {e_r}")
+        raise ThermwitError(f"need e_r > 0, got {e_r}")
     if e_r >= math.log2(n_levels):
         raise ThresholdUnreachable(
             f"2^{e_r} - 1 >= D - 1 = {n_levels - 1}: condition holds at all T"
@@ -296,7 +277,7 @@ def toy_t1(e_r: float, delta: float = 1.0) -> ToyT1:
     if not delta > 0:
         raise ThermwitError(f"delta must be positive, got {delta}")
     if not e_r > 0:
-        raise NonpositiveEntanglement(f"need e_r > 0, got {e_r}")
+        raise ThermwitError(f"need e_r > 0, got {e_r}")
     if e_r > 900:
         raise ThermwitError(f"2^{e_r} not representable; rescale the input")
     x = 2.0**e_r
@@ -311,11 +292,11 @@ def toy_t_alpha(alpha: float, n: int, delta: float = 1.0) -> float:
     form: kT = delta * (alpha * sqrt(n) / Gamma(1/alpha))^alpha.
     """
     if not 0.0 < alpha <= 1.0:
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1], got {alpha}")
+        raise ThermwitError(f"alpha must lie in (0, 1], got {alpha}")
     if n < 2:
         raise ThermwitError(f"need n >= 2, got {n}")
     if n % 2 != 0:
-        raise OddN(f"half filling needs even n, got {n}")
+        raise ThermwitError(f"half filling needs even n, got {n}")
     if not delta > 0:
         raise ThermwitError(f"delta must be positive, got {delta}")
     log_val = alpha * (math.log(alpha) + 0.5 * math.log(n) - math.lgamma(1.0 / alpha))
@@ -325,7 +306,7 @@ def toy_t_alpha(alpha: float, n: int, delta: float = 1.0) -> float:
 def gapping_rule_min_gap(e_r: float) -> float:
     """Smallest gap (in kT = 1 units) keeping the witness open: 2^{-e_r}."""
     if e_r < 0:
-        raise NonpositiveEntanglement(f"need e_r >= 0, got {e_r}")
+        raise ThermwitError(f"need e_r >= 0, got {e_r}")
     return 2.0**-e_r
 
 
@@ -344,7 +325,7 @@ def stabilizer_t_trans(n: int, B: float, e_r: float) -> float:
         raise ThermwitError(f"field B must be positive, got {B}")
     ratio = e_r / n
     if not 0.0 < ratio < 1.0:
-        raise RatioOutOfRange(f"e_r / n = {ratio} outside (0, 1)")
+        raise ThermwitError(f"e_r / n = {ratio} outside (0, 1)")
     return -2.0 * B / math.log(math.expm1(ratio * LN2))
 
 
@@ -369,5 +350,5 @@ def noise_threshold(e_r: float, n: int) -> float:
         raise ThermwitError(f"need n >= 1, got {n}")
     ratio = e_r / n
     if not 0.0 < ratio <= 1.0:
-        raise RatioOutOfRange(f"e_r / n = {ratio} outside (0, 1]")
+        raise ThermwitError(f"e_r / n = {ratio} outside (0, 1]")
     return -math.expm1(-ratio * LN2)

@@ -20,10 +20,11 @@ import thermwit.cli
 import thermwit.entanglement
 from thermwit.cli import main
 from thermwit.config import RunConfig, serialize_config
+from thermwit.entanglement import bound_from_relative_entropy
 from thermwit.errors import NoSignChange
 from thermwit.systems import Graph, ToySpectrumParams, write_edge_list
 from thermwit.thermal import log_ground_population_alpha_closed
-from thermwit.witness import toy_t0
+from thermwit.witness import ground_crossing, toy_t0
 
 T_ZERO_FIELD = 4.0 / math.log(3.0)
 
@@ -531,6 +532,76 @@ class TestGraphCommand:
         code, _, err = run(capsys, "graph", "--edges", edges_file, "--oracles")
         assert code == 4
         assert "mismatch" in err
+
+
+def _ladder_crossing(p, e_r, k_b):
+    """toy's t_trans: its one ground_crossing over the ladder kernel."""
+    return ground_crossing(
+        lambda kt: log_ground_population_alpha_closed(p, kt),
+        bound_from_relative_entropy(e_r), p.delta, p.spread, p.n_levels, k_b,
+    ).t_trans
+
+
+def _graph_crossing(n, b, e_r, k_b):
+    """graph's t_trans for n sites: its one ground_crossing over the stabilizer p0."""
+    return ground_crossing(
+        lambda kt: _graph_log_p0(n, b, kt),
+        bound_from_relative_entropy(e_r), 2.0 * b, 2.0 * n * b, 2**n, k_b,
+    ).t_trans
+
+
+def _crossing_order(t_trans):
+    """None (never holds) < any finite crossing < inf (holds at every T)."""
+    return -math.inf if t_trans is None else t_trans
+
+
+LADDERS = st.builds(
+    lambda alpha, d, delta: ToySpectrumParams(e0=0.0, delta=delta, alpha=alpha, n_levels=d),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.integers(2, 3000),
+    st.floats(1e-2, 1e2),
+)
+BOLTZMANN = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)
+
+
+class TestCrossingProperties:
+    """The safe side and the monotone response of t_trans, on random models."""
+
+    @given(LADDERS, st.floats(0.05, 12.0), BOLTZMANN)
+    @settings(max_examples=150, deadline=None)
+    def test_ladder_crossing_on_the_certified_side(self, p, e_r, k_b):
+        t_trans = _ladder_crossing(p, e_r, k_b)
+        if t_trans is None or t_trans == math.inf:
+            return
+        log_threshold = bound_from_relative_entropy(e_r).log_threshold
+
+        def holds(temp):
+            return log_ground_population_alpha_closed(p, temp * k_b) > log_threshold
+
+        assert holds(t_trans)
+        assert not holds(math.nextafter(t_trans, math.inf))
+
+    @given(LADDERS, st.floats(0.05, 12.0), st.floats(0.05, 12.0), BOLTZMANN)
+    @settings(max_examples=150, deadline=None)
+    def test_ladder_crossing_does_not_rise_for_a_smaller_bound(self, p, e_a, e_b, k_b):
+        small, large = sorted((e_a, e_b))
+        assert _crossing_order(_ladder_crossing(p, small, k_b)) <= _crossing_order(
+            _ladder_crossing(p, large, k_b)
+        )
+
+    @given(
+        st.integers(1, 400),
+        st.floats(1e-2, 1e2),
+        st.floats(1e-3, 0.999),
+        st.floats(1e-3, 0.999),
+        BOLTZMANN,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_graph_crossing_does_not_rise_for_a_smaller_bound(self, n, b, r_a, r_b, k_b):
+        small, large = sorted((r_a, r_b))
+        assert _crossing_order(_graph_crossing(n, b, small * n, k_b)) <= _crossing_order(
+            _graph_crossing(n, b, large * n, k_b)
+        )
 
 
 class TestVerifyCommand:

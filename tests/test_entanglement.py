@@ -23,23 +23,17 @@ from thermwit.entanglement import (
     dicke_robustness,
     geometric_measure_als,
     ppt_min_eigenvalue,
-    schmidt_coefficients,
     singlet_robustness,
 )
 from thermwit.entanglement import (
     _als,
     _als_starts,
+    _bipartite_singular_values,
     _dicke_log_overlap_sq,
     _random_unit_qubit,
     _stirling_remainder,
 )
-from thermwit.errors import (
-    BadPartition,
-    NegativeEntanglement,
-    NotHermitian,
-    SeparableCase,
-    ThermwitError,
-)
+from thermwit.errors import ThermwitError
 from thermwit.systems import DimerParams, PureState, build_dimer_hamiltonian, dicke_state
 from thermwit.thermal import thermal_density_matrix
 
@@ -66,6 +60,12 @@ def random_density_matrix(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def schmidt_coefficients(psi, cut):
+    """Squared Schmidt coefficients across a bipartition, descending; they sum to one."""
+    lam = _bipartite_singular_values(psi, cut) ** 2
+    return np.sort(lam / lam.sum())[::-1]
 
 
 def sweep_overlaps(psi, seed=0, tol=1e-12, max_sweeps=100):
@@ -109,15 +109,15 @@ class TestPartition:
         assert cut.blocks == ((0, 2), (1, 3))
 
     def test_rejects_bad_blocks(self):
-        with pytest.raises(BadPartition):
+        with pytest.raises(ThermwitError, match="need at least two blocks"):
             Partition(((0, 1),), 2)
-        with pytest.raises(BadPartition):
+        with pytest.raises(ThermwitError, match="blocks overlap"):
             Partition(((0,), (0, 1)), 2)
-        with pytest.raises(BadPartition):
+        with pytest.raises(ThermwitError, match=r"blocks must cover exactly sites 0\.\.1"):
             Partition(((0,), (2,)), 2)
-        with pytest.raises(BadPartition):
+        with pytest.raises(ThermwitError, match="empty block"):
             Partition.bipartition([], 3)
-        with pytest.raises(BadPartition):
+        with pytest.raises(ThermwitError, match="empty block"):
             Partition.bipartition([0, 1, 2], 3)
 
 
@@ -184,7 +184,7 @@ class TestRobustnessBounds:
 
     def test_separable_cases_rejected(self):
         for k in (0, 4):
-            with pytest.raises(SeparableCase):
+            with pytest.raises(ThermwitError, match="product state: robustness 0"):
                 dicke_robustness(4, k)
 
     def test_entropy_bound_is_power_of_two(self):
@@ -193,7 +193,7 @@ class TestRobustnessBounds:
         assert b.kind is BoundKind.LOWER_BOUND
 
     def test_entropy_bound_rejects_bad_inputs(self):
-        with pytest.raises(NegativeEntanglement):
+        with pytest.raises(ThermwitError, match="entanglement input must be >= 0"):
             bound_from_relative_entropy(-0.1)
         with pytest.raises(ThermwitError):
             bound_from_relative_entropy(2000.0)
@@ -415,7 +415,7 @@ class TestStackedOracles:
         stack = np.array([random_density_matrix(4, rng) for _ in range(5)])
         stack[3, 0, 1] += 1e-6
         for oracle in (concurrence_signed, lambda m: ppt_min_eigenvalue(m, (2, 2), (0,))):
-            with pytest.raises(ThermwitError, match=r"not Hermitian at index \(3,\)"):
+            with pytest.raises(ThermwitError, match=r"above 1\.000e-12 at index \(3,\)"):
                 oracle(stack)
 
     def test_rejects_one_matrix_off_unit_trace(self):
@@ -427,14 +427,19 @@ class TestStackedOracles:
                 oracle(stack)
 
     def test_ppt_keeps_the_strict_hermiticity_check(self):
-        # a 1e-10 asymmetry passes the 1e-9 state check but not the solver's 1e-12
+        # both oracles hold a state to the solver's 1e-12 * max(1, max|rho|)
         rho = random_density_matrix(4, np.random.default_rng(54))
         rho[0, 1] += 1e-10
         stack = np.array([random_density_matrix(4, np.random.default_rng(55)), rho])
-        with pytest.raises(NotHermitian, match=r"at index \(1,\)"):
-            ppt_min_eigenvalue(stack, (2, 2), (0,))
-        with pytest.raises(NotHermitian):
-            ppt_min_eigenvalue(rho, (2, 2), (0,))
+        flat = np.eye(4) / 4.0
+        flat[0, 1] = 1e-10
+        message = r"= 1\.000e-10 above 1\.000e-12"
+        for oracle in (concurrence_two_qubit, lambda m: ppt_min_eigenvalue(m, (2, 2), (0,))):
+            with pytest.raises(ThermwitError, match=message + r" at index \(1,\)$"):
+                oracle(stack)
+            for one in (rho, flat):
+                with pytest.raises(ThermwitError, match=message + "$"):
+                    oracle(one)
 
 
 class TestPPT:

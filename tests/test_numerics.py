@@ -6,20 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermwit.errors import (
-    BadDimensionFactorization,
-    DimensionTooLarge,
-    NoSignChange,
-    NotHermitian,
-    ThermwitError,
-)
+from thermwit.errors import NoSignChange, ThermwitError
 from thermwit.numerics import (
     DIM_CAP,
     hermitian_eigendecompose,
     hermitian_eigenvalues,
     partial_transpose,
     root_bracket,
-    stacked_eigendecompose,
 )
 
 
@@ -34,8 +27,7 @@ class TestEigendecompose:
         for _ in range(1000):
             dim = int(rng.integers(2, 65))
             h = random_hermitian(rng, dim)
-            eig = hermitian_eigendecompose(h)
-            v, w = eig.eigenvectors, eig.eigenvalues
+            w, v = hermitian_eigendecompose(h)
             scale = max(1.0, float(np.max(np.abs(h))))
             assert np.max(np.abs(h @ v - v * w)) <= 1e-11 * scale * dim
             assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) <= 1e-12 * dim
@@ -43,19 +35,19 @@ class TestEigendecompose:
 
     def test_eigenvalues_match_characteristic_roots_2x2(self):
         h = np.array([[1.0, 2.0], [2.0, -1.0]])
-        eig = hermitian_eigendecompose(h)
-        assert eig.eigenvalues == pytest.approx([-math.sqrt(5), math.sqrt(5)])
+        w, _ = hermitian_eigendecompose(h)
+        assert w == pytest.approx([-math.sqrt(5), math.sqrt(5)])
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
+        with pytest.raises(ThermwitError, match=r"max \|m - m\^dagger\| = 1\.000e\+00"):
             hermitian_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_oversized(self):
-        with pytest.raises(DimensionTooLarge):
+        with pytest.raises(ThermwitError, match=f"dimension {DIM_CAP + 1} exceeds cap"):
             hermitian_eigendecompose(np.zeros((DIM_CAP + 1, DIM_CAP + 1)))
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ThermwitError):
+        with pytest.raises(ThermwitError, match=r"expected square matrices, got shape \(2, 3\)"):
             hermitian_eigendecompose(np.zeros((2, 3)))
 
 
@@ -68,32 +60,43 @@ class TestEigenvalues:
             for m in (h, h.real):
                 w = hermitian_eigenvalues(m)
                 assert np.all(np.diff(w) >= 0)
-                assert np.allclose(w, hermitian_eigendecompose(m).eigenvalues, atol=1e-12 * dim)
+                assert np.allclose(w, hermitian_eigendecompose(m)[0], atol=1e-12 * dim)
 
     def test_real_input_stays_real(self):
         assert hermitian_eigenvalues(np.array([[1.0, 2.0], [2.0, -1.0]])).dtype == np.float64
 
     @pytest.mark.parametrize(
-        "m, tol, error",
+        "m, tol, match",
         [
-            (np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-12, NotHermitian),
-            (np.array([[0.0, 1j], [1j, 0.0]]), 1e-12, NotHermitian),
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-12, r"m\^dagger\| = 1\.000e\+00"),
+            (np.array([[0.0, 1j], [1j, 0.0]]), 1e-12, r"m\^dagger\| = 2\.000e\+00"),
             (np.array([[1.0, 1e-13], [0.0, 1.0]]), 1e-12, None),
-            (np.array([[1.0, 1e-13], [0.0, 1.0]]), 1e-14, NotHermitian),
+            (np.array([[1.0, 1e-13], [0.0, 1.0]]), 1e-14, r"above 1\.000e-14"),
             (np.array([[1.0, 2.0], [2.0 + 1e-9, 1.0]]), 1e-8, None),
-            (np.zeros((DIM_CAP + 1, DIM_CAP + 1)), 1e-12, DimensionTooLarge),
-            (np.zeros((2, 3)), 1e-12, BadDimensionFactorization),
-            (np.zeros(4), 1e-12, BadDimensionFactorization),
-            (np.zeros((2, 2, 2)), 1e-12, BadDimensionFactorization),
+            (np.zeros((DIM_CAP + 1, DIM_CAP + 1)), 1e-12, "exceeds cap"),
+            (np.zeros((2, 3)), 1e-12, "expected square matrices"),
+            (np.zeros(4), 1e-12, "expected square matrices"),
             (np.zeros((0, 0)), 1e-12, None),
         ],
+        # each id names the kind of failure its row provokes
+        ids=[
+            "m0-1e-12-NotHermitian",
+            "m1-1e-12-NotHermitian",
+            "m2-1e-12-None",
+            "m3-1e-14-NotHermitian",
+            "m4-1e-08-None",
+            "m5-1e-12-DimensionTooLarge",
+            "m6-1e-12-BadDimensionFactorization",
+            "m7-1e-12-BadDimensionFactorization",
+            "m9-1e-12-None",
+        ],
     )
-    def test_raises_where_eigendecompose_does(self, m, tol, error):
+    def test_raises_where_eigendecompose_does(self, m, tol, match):
         for solve in (hermitian_eigendecompose, hermitian_eigenvalues):
-            if error is None:
+            if match is None:
                 solve(m, tol=tol)
             else:
-                with pytest.raises(error):
+                with pytest.raises(ThermwitError, match=match):
                     solve(m, tol=tol)
 
 
@@ -102,31 +105,39 @@ class TestStackedEigendecompose:
         rng = np.random.default_rng(13)
         for dim in (1, 2, 4, 7):
             stack = np.array([random_hermitian(rng, dim) for _ in range(9)]).reshape(3, 3, dim, dim)
-            eig = stacked_eigendecompose(stack)
-            assert eig.eigenvalues.shape == (3, 3, dim)
+            w, v = hermitian_eigendecompose(stack)
+            assert w.shape == (3, 3, dim)
             for idx in np.ndindex(3, 3):
-                one = hermitian_eigendecompose(stack[idx])
-                assert eig.eigenvalues[idx].tobytes() == one.eigenvalues.tobytes()
-                assert eig.eigenvectors[idx].tobytes() == one.eigenvectors.tobytes()
+                w_one, v_one = hermitian_eigendecompose(stack[idx])
+                assert w[idx].tobytes() == w_one.tobytes()
+                assert v[idx].tobytes() == v_one.tobytes()
+            for m in (stack, stack.real):
+                values = hermitian_eigenvalues(m)
+                for idx in np.ndindex(3, 3):
+                    assert values[idx].tobytes() == hermitian_eigenvalues(m[idx]).tobytes()
 
     def test_single_matrix_is_a_stack_without_leading_axes(self):
         h = random_hermitian(np.random.default_rng(14), 5)
-        assert stacked_eigendecompose(h).eigenvalues.tobytes() == (
-            hermitian_eigendecompose(h).eigenvalues.tobytes()
-        )
+        w, v = hermitian_eigendecompose(h)
+        w_stack, v_stack = hermitian_eigendecompose(h[None])
+        assert w.shape == (5,) and v.shape == (5, 5)
+        assert w_stack[0].tobytes() == w.tobytes()
+        assert v_stack[0].tobytes() == v.tobytes()
 
     def test_each_matrix_checked_on_its_own_scale(self):
         # 1e-10 of asymmetry passes next to entries of 1e3, not next to entries of 1
         big = np.array([[1e3, 1.0], [1.0 + 1e-10, 0.0]])
         small = np.array([[1.0, 0.5], [0.5 + 1e-10, 0.0]])
-        stacked_eigendecompose(np.array([big, big]))
-        with pytest.raises(NotHermitian, match=r"at index \(1,\)"):
-            stacked_eigendecompose(np.array([big, small]))
+        for solve in (hermitian_eigendecompose, hermitian_eigenvalues):
+            solve(np.array([big, big]))
+            with pytest.raises(ThermwitError, match=r"above 1\.000e-12 at index \(1,\)"):
+                solve(np.array([big, small]))
 
     @pytest.mark.parametrize("shape", [(4,), (2, 3), (5, 2, 3)])
     def test_rejects_non_square(self, shape):
-        with pytest.raises(BadDimensionFactorization):
-            stacked_eigendecompose(np.zeros(shape))
+        for solve in (hermitian_eigendecompose, hermitian_eigenvalues):
+            with pytest.raises(ThermwitError, match=r"expected square matrices, got shape"):
+                solve(np.zeros(shape))
 
 
 class TestPartialTranspose:

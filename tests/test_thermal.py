@@ -15,7 +15,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermwit.errors import AlphaZero, DegenerateGround, IndexOutOfRange, ThermwitError
+from thermwit.errors import ThermwitError
 from thermwit.systems import (
     DimerParams,
     Spectrum,
@@ -96,7 +96,7 @@ class TestPopulation:
 
     def test_level_index_bounds(self):
         s = Spectrum((0.0, 1.0), (1, 1))
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ThermwitError, match=r"level 2 outside 0\.\.1"):
             log_population(s, 1.0, 2)
 
 
@@ -272,7 +272,7 @@ class TestRelativeEntropy:
 
     def test_rejects_degenerate_ground(self):
         s = Spectrum((0.0, 1.0), (2, 1))
-        with pytest.raises(DegenerateGround):
+        with pytest.raises(ThermwitError, match="ground level carries degeneracy 2; need 1"):
             relative_entropy_ground_to_thermal(s, 1.0)
 
     @given(
@@ -318,7 +318,7 @@ class TestLadderClosedForms:
 
     def test_gamma_route_rejects_alpha_zero(self):
         p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=100)
-        with pytest.raises(AlphaZero):
+        with pytest.raises(ThermwitError, match="Gamma-integral form undefined at alpha = 0"):
             log_partition_function_alpha_gamma(p, 1.0)
 
     def test_linear_ladder_geometric_sum(self):
