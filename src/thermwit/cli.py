@@ -136,9 +136,7 @@ def _sweep(
     e0: float,
     log_p0: Callable[[np.ndarray], np.ndarray],
     shape: tuple[float, float, int],
-    extra_columns: Sequence[str],
-    extra: Callable[[np.ndarray, np.ndarray], Sequence[Sequence[float]]],
-    summaries: Callable[[float | None], Sequence[tuple[str, str]]],
+    extra: Callable[[np.ndarray, np.ndarray, float | None], tuple[dict, Sequence]],
     tail: Sequence[tuple[str, str]] = (),
 ) -> int:
     """Sweep the temperature grid and emit the CSV for one model.
@@ -146,11 +144,14 @@ def _sweep(
     ``log_p0(kts)`` is the model's one input, an array of log p0 for an
     array of kT: called once with the whole grid, it gives each row's Z =
     e^{-e0/kT} / p0, p and the verdict log p0 > log threshold, derived here
-    alone; after the rows the one ``ground_crossing`` search runs on its
-    one-point view over ``shape`` = (gap, spread, dimension).
-    ``extra(kT, log p0)``, called once with the whole grid's arrays, gives
-    the model's extra columns, and ``summaries(t_trans)`` its summary lines;
-    it may raise MismatchError.
+    alone. The one ``ground_crossing`` search then runs on its one-point
+    view over ``shape`` = (gap, spread, dimension). Last,
+    ``extra(kts, log_ps, t_trans)`` is called once with the grid's kT and
+    log p0 arrays and the crossing; it returns ``(columns, summaries)``: a
+    dict from each extra column's name to its values, one per row, in CSV
+    order, and the model's ``(key, value)`` summary lines. It may raise
+    MismatchError. Non-finite e0, gap, spread or kT, and a kT that
+    underflows to 0, are rejected before anything is evaluated.
     """
     config_pairs = [
         ("system", system),
@@ -161,13 +162,25 @@ def _sweep(
         ("oracles", _fb(cfg.oracles)),
         *tail,
     ]
-    columns = ["T", "Z", "p", "threshold", "satisfied", "bound_kind", *extra_columns]
+    gap, spread, _ = shape
+    if not all(math.isfinite(x) for x in (e0, gap, spread)):
+        raise ThermwitError(
+            f"energies must be finite: E0 = {e0!r}, gap = {gap!r}, spread = {spread!r}"
+        )
     temps = cfg.grid.values()
+    t_max = float(temps.max())
+    if not math.isfinite(t_max * cfg.k_b):
+        raise ThermwitError(
+            f"kT = T * kB must be finite; kB = {cfg.k_b!r} overflows it at T = {t_max!r}"
+        )
     kts = temps * cfg.k_b
     if not np.all(kts > 0.0):
         raise ThermwitError(f"kT = T * kB must be positive; kB = {cfg.k_b!r} underflows it")
     log_ps = log_p0(kts)
-    extra_cells = extra(kts, log_ps)
+    t_trans = ground_crossing(
+        lambda kt: float(log_p0(np.array([kt]))[0]), bound, *shape, cfg.k_b
+    ).t_trans
+    columns, summaries = extra(kts, log_ps, t_trans)
     threshold, kind, log_threshold = _fmt(bound.threshold), bound.kind.value, bound.log_threshold
     rows = [
         [
@@ -177,20 +190,18 @@ def _sweep(
             threshold,
             _fb(log_p > log_threshold),
             kind,
-            *(_fmt(column[i]) for column in extra_cells),
+            *(_fmt(column[i]) for column in columns.values()),
         ]
         for i, (temp, kt, log_p) in enumerate(zip(temps.tolist(), kts.tolist(), log_ps.tolist()))
     ]
-    t_trans = ground_crossing(
-        lambda kt: float(log_p0(np.array([kt]))[0]), bound, *shape, cfg.k_b
-    ).t_trans
+    header = ["T", "Z", "p", "threshold", "satisfied", "bound_kind", *columns]
     results = [
         ("one_plus_r", _fmt(bound.one_plus_r)),
         ("threshold", _fmt(bound.threshold)),
         ("bound_kind", bound.kind.value),
-        *summaries(t_trans),
+        *summaries,
     ]
-    _deliver(_emit(config_pairs, columns, rows, results), cfg.out)
+    _deliver(_emit(config_pairs, header, rows, results), cfg.out)
     return EXIT_OK
 
 
@@ -224,27 +235,22 @@ def _dimer_bound(p: DimerParams) -> RobustnessBound:
 def cmd_dimer(cfg: RunConfig) -> int:
     p = DimerParams(B=cfg.dimer_b, J=cfg.dimer_j)
     sp = dimer_spectrum(p)
-    bound = _dimer_bound(p)
     singlet_phase = p.B < 4.0 * p.J
-    if cfg.oracles:
-        h = build_dimer_hamiltonian(p)
 
-    def extra(kt: np.ndarray, log_p0: np.ndarray):
-        if not cfg.oracles:
-            return ()
-        rho = thermal_density_matrix(h, kt)
-        return concurrence_two_qubit(rho), ppt_min_eigenvalue(rho, (2, 2), (0,))
-
-    def summaries(t_trans: float | None):
+    def extra(kts: np.ndarray, log_ps: np.ndarray, t_trans: float | None):
+        columns = {}
         out = [("phase", "singlet-ground" if singlet_phase else "product-ground")]
         out += _crossing_lines(t_trans)
         if not singlet_phase:
-            singlet_energy = -3.0 * p.J
-            level = int(np.argmin(np.abs(np.array(sp.energies) - singlet_energy)))
+            level = int(np.argmin(np.abs(np.array(sp.energies) + 3.0 * p.J)))  # the singlet
             intervals = satisfying_intervals(
                 sp, singlet_robustness(), cfg.grid.values(), level, cfg.k_b
             )
             out.append(("singlet_level_intervals", repr(intervals)))
+        if cfg.oracles:
+            rho = thermal_density_matrix(build_dimer_hamiltonian(p), kts)
+            columns["concurrence"] = concurrence_two_qubit(rho)
+            columns["min_pt_eig"] = ppt_min_eigenvalue(rho, (2, 2), (0,))
         if cfg.oracles and singlet_phase:
             t_conc = concurrence_vanishing_temperature(p, k_b=cfg.k_b)
             out.append(("t_concurrence_zero", _fmt(t_conc)))
@@ -254,14 +260,12 @@ def cmd_dimer(cfg: RunConfig) -> int:
                     raise MismatchError(
                         f"witness crossing {t_trans!r} above concurrence zero {t_conc!r}"
                     )
-        return out
+        return columns, out
 
-    columns = ["concurrence", "min_pt_eig"] if cfg.oracles else []
     params = [("B", _fmt(p.B)), ("J", _fmt(p.J))]
     return _sweep(
-        cfg, "dimer", params, bound, sp.ground_energy,
-        lambda kts: log_population(sp, kts, 0), (sp.gap, sp.spread, sp.dimension),
-        columns, extra, summaries,
+        cfg, "dimer", params, _dimer_bound(p), sp.ground_energy,
+        lambda kts: log_population(sp, kts, 0), (sp.gap, sp.spread, sp.dimension), extra,
     )
 
 
@@ -293,56 +297,42 @@ def cmd_toy(cfg: RunConfig) -> int:
         # merge its levels.
         sp_oracle = toy_spectrum(replace(p, e0=0.0))
 
-    worst_oracle = 0.0
-
-    def extra(kts: np.ndarray, log_p0s: np.ndarray):
-        nonlocal worst_oracle
+    def extra(kts: np.ndarray, log_ps: np.ndarray, t_trans: float | None):
         # per point in Python floats, which overflow to inf without a warning
-        kts, log_p0s = kts.tolist(), log_p0s.tolist()
-        columns = []
-        if p.alpha > 0.0:
-            log_zg = [log_partition_function_alpha_gamma(p, kt) for kt in kts]
-            columns.append([exp_or_inf(x) for x in log_zg])
-            columns.append(
-                [_rel_err(x, -p.e0 / kt - y) for x, kt, y in zip(log_zg, kts, log_p0s)]
-            )
-        if cfg.oracles:
-            log_p0_sp = [log_population(sp_oracle, kt, 0) for kt in kts]
-            columns.append([exp_or_inf(-p.e0 / kt - x) for x, kt in zip(log_p0_sp, kts)])
-            # Z_sp / Z = p0 / p0_sp: compared without the -E0/kT both carry.
-            # np.maximum keeps a NaN, which then fails the gate below.
-            for x, y in zip(log_p0_sp, log_p0s):
-                worst_oracle = float(np.maximum(worst_oracle, _rel_err(y, x)))
-        return columns
-
-    def summaries(t_trans: float | None):
+        kts, log_ps = kts.tolist(), log_ps.tolist()
+        columns = {}
         out = [("min_gap_rule", _fmt(gapping_rule_min_gap(e_r)))]
         out += _crossing_lines(t_trans)
-        if p.alpha == 0.0:
+        if p.alpha > 0.0:
+            log_zg = [log_partition_function_alpha_gamma(p, kt) for kt in kts]
+            columns["z_gamma"] = [exp_or_inf(x) for x in log_zg]
+            columns["gamma_rel_err"] = [
+                _rel_err(x, -p.e0 / kt - y) for x, kt, y in zip(log_zg, kts, log_ps)
+            ]
+            if cfg.toy_n is not None:
+                t_alpha = toy_t_alpha(p.alpha, cfg.toy_n, p.delta)
+                out.append(("t_alpha_formula", _fmt(t_alpha / cfg.k_b)))
+        else:
             try:
-                out.append(
-                    ("t0_closed_form", _fmt(toy_t0(p.n_levels, e_r, p.delta) / cfg.k_b))
-                )
+                out.append(("t0_closed_form", _fmt(toy_t0(p.n_levels, e_r, p.delta) / cfg.k_b)))
             except ThresholdUnreachable:
                 out.append(("t0_closed_form", "unreachable"))
             t1 = toy_t1(e_r, p.delta)
             out.append(("t1_exact", _fmt(t1.exact / cfg.k_b)))
             out.append(("t1_low_t", _fmt(t1.low_t / cfg.k_b)))
-        if p.alpha > 0.0 and cfg.toy_n is not None:
-            out.append(
-                ("t_alpha_formula", _fmt(toy_t_alpha(p.alpha, cfg.toy_n, p.delta) / cfg.k_b))
-            )
         if cfg.oracles:
-            out.append(("z_spectrum_max_rel_err", _fmt(worst_oracle)))
-            if not worst_oracle <= 1e-9:
-                raise MismatchError(
-                    f"spectrum re-sum disagrees with closed form by {worst_oracle:.3e}"
-                )
-        return out
+            log_p0_sp = [log_population(sp_oracle, kt, 0) for kt in kts]
+            columns["z_spectrum"] = [exp_or_inf(-p.e0 / kt - x) for x, kt in zip(log_p0_sp, kts)]
+            # Z_sp / Z = p0 / p0_sp: compared without the -E0/kT both carry.
+            # np.maximum keeps a NaN, which then fails the gate below.
+            worst = 0.0
+            for x, y in zip(log_p0_sp, log_ps):
+                worst = float(np.maximum(worst, _rel_err(y, x)))
+            out.append(("z_spectrum_max_rel_err", _fmt(worst)))
+            if not worst <= 1e-9:
+                raise MismatchError(f"spectrum re-sum disagrees with closed form by {worst:.3e}")
+        return columns, out
 
-    columns = (["z_gamma", "gamma_rel_err"] if p.alpha > 0.0 else []) + (
-        ["z_spectrum"] if cfg.oracles else []
-    )
     params = [
         ("E0", _fmt(p.e0)),
         ("delta", _fmt(p.delta)),
@@ -355,7 +345,7 @@ def cmd_toy(cfg: RunConfig) -> int:
     return _sweep(
         cfg, "toy", params, bound, p.e0,
         lambda kts: np.array([log_ground_population_alpha_closed(p, kt) for kt in kts.tolist()]),
-        (p.delta, p.spread, p.n_levels), columns, extra, summaries,
+        (p.delta, p.spread, p.n_levels), extra,
     )
 
 
@@ -418,7 +408,7 @@ def cmd_dicke(cfg: RunConfig) -> int:
 # --- stabilizer graph ----------------------------------------------------------
 
 
-def _matrix_check(g: Graph, b: float, cfg: RunConfig) -> list[tuple[str, str]]:
+def _matrix_check(g: Graph, b: float, kts: np.ndarray) -> list[tuple[str, str]]:
     """Dense diagonalization of the stabilizer Hamiltonian vs the closed forms."""
     if g.n > 12:
         raise ThermwitError("--matrix-check builds 2^n matrices and needs n <= 12")
@@ -433,13 +423,13 @@ def _matrix_check(g: Graph, b: float, cfg: RunConfig) -> list[tuple[str, str]]:
     residual = float(
         np.linalg.norm(h @ psi.amplitudes - analytic.ground_energy * psi.amplitudes)
     )
-    kts = cfg.grid.values() * cfg.k_b
     z_err = 0.0
     for kt in kts[:: max(1, len(kts) // 8)].tolist():
         log_z_closed = log_stabilizer_partition_function(g.n, b, kt)
         log_z_dense = log_partition_function(dense, kt)
-        z_err = max(z_err, _rel_err(log_z_dense, log_z_closed))
-    if not levels_ok or residual > 1e-9 or z_err > 1e-9:
+        # np.maximum keeps a NaN, which then fails the gate below
+        z_err = float(np.maximum(z_err, _rel_err(log_z_dense, log_z_closed)))
+    if not levels_ok or residual > 1e-9 or not z_err <= 1e-9:
         raise MismatchError(
             f"dense matrix check failed: levels_ok={levels_ok} "
             f"residual={residual:.3e} z_err={z_err:.3e}"
@@ -468,30 +458,25 @@ def cmd_graph(cfg: RunConfig) -> int:
             "for very large graphs call stabilizer_t_trans / noise_threshold directly"
         )
     bound = bound_from_relative_entropy(e_r)
-    worst_flip = 0.0
 
-    def extra(kts: np.ndarray, log_p0s: np.ndarray):
-        nonlocal worst_flip
-        if not cfg.oracles:
-            return ()
-        p_flip = [flip_probability_from_temperature(b, kt) for kt in kts.tolist()]
-        p_from_flip = [(1.0 - x) ** g.n for x in p_flip]
-        for y, log_p0 in zip(p_from_flip, log_p0s.tolist()):
-            worst_flip = max(worst_flip, abs(y - math.exp(log_p0)))
-        return p_flip, p_from_flip
-
-    def summaries(t_trans: float | None):
-        p_flip = flip_probability_from_temperature(b, t_trans * cfg.k_b)
+    def extra(kts: np.ndarray, log_ps: np.ndarray, t_trans: float | None):
+        columns = {}
         out = [
             *_crossing_lines(t_trans),
             ("p_flip_threshold", _fmt(noise_threshold(e_r, g.n))),
-            ("p_flip_at_t_trans", _fmt(p_flip)),
+            ("p_flip_at_t_trans", _fmt(flip_probability_from_temperature(b, t_trans * cfg.k_b))),
         ]
         if cfg.oracles:
-            out.append(("flip_identity_max_err", _fmt(worst_flip)))
-            if worst_flip > 1e-12:
+            p_flip = [flip_probability_from_temperature(b, kt) for kt in kts.tolist()]
+            p_from_flip = [(1.0 - x) ** g.n for x in p_flip]
+            columns = {"p_flip": p_flip, "p_from_flip": p_from_flip}
+            worst = 0.0
+            for y, log_p0 in zip(p_from_flip, log_ps.tolist()):
+                worst = max(worst, abs(y - math.exp(log_p0)))
+            out.append(("flip_identity_max_err", _fmt(worst)))
+            if worst > 1e-12:
                 raise MismatchError(
-                    f"(1 - p_flip)^n disagrees with ground population by {worst_flip:.3e}"
+                    f"(1 - p_flip)^n disagrees with ground population by {worst:.3e}"
                 )
             t_closed = stabilizer_t_trans(g.n, b, e_r) / cfg.k_b
             tr = transition_temperature(stabilizer_spectrum(g.n, b), bound, cfg.k_b)
@@ -501,10 +486,9 @@ def cmd_graph(cfg: RunConfig) -> int:
                     f"generic-solver crossing {tr.t_trans!r} vs closed form {t_closed!r}"
                 )
         if cfg.matrix_check:
-            out += _matrix_check(g, b, cfg)
-        return out
+            out += _matrix_check(g, b, kts)
+        return columns, out
 
-    columns = ["p_flip", "p_from_flip"] if cfg.oracles else []
     params = [
         ("edges", str(cfg.graph_edges)),
         ("n", str(g.n)),
@@ -512,11 +496,10 @@ def cmd_graph(cfg: RunConfig) -> int:
         ("B", _fmt(b)),
         ("eR_per_site", _fmt(ratio)),
     ]
-    tail = [("matrix_check", _fb(cfg.matrix_check))]
     return _sweep(
         cfg, "graph", params, bound, -g.n * b,
         lambda kts: -g.n * np.logaddexp(0.0, -2.0 * b / kts), (2.0 * b, 2.0 * g.n * b, 2**g.n),
-        columns, extra, summaries, tail,
+        extra, [("matrix_check", _fb(cfg.matrix_check))],
     )
 
 

@@ -144,6 +144,11 @@ class DimerParams:
             raise ThermwitError(f"field B must be >= 0, got {self.B}")
         if self.J < 0:
             raise ThermwitError(f"coupling J must be >= 0, got {self.J}")
+        # the levels J - B, -3J, J, J + B span (J + B) - min(-3J, J - B)
+        if math.isinf(self.J + self.B - min(-3.0 * self.J, self.J - self.B)):
+            raise ThermwitError(
+                f"dimer levels at J = {self.J!r}, B = {self.B!r} span more than a float holds"
+            )
 
 
 @dataclass(frozen=True)

@@ -523,6 +523,28 @@ class TestGraphCommand:
         assert code == 0 and err == ""
         assert float(summary_value(out, "z_trace_max_rel_err")) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "n, grid, z_err",
+        [
+            # the closed-form log Z is inf - inf = NaN at kT = 1e-320 and 1e-310:
+            # a NaN error fails the gate instead of vanishing in a running max
+            (6, "1e-320:1:3:log", "nan"),
+            # a finite error gates as before
+            (10, "1e-5:1e-4:3:log", "1.513e-09"),
+        ],
+        ids=["nan", "finite"],
+    )
+    def test_trace_error_fails_the_check(self, tmp_path, n, grid, z_err):
+        path = tmp_path / "ring.edges"
+        write_edge_list(Graph.ring(n), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the kernels warn at kT = 1e-320
+            code, out, err = run_quiet(
+                "graph", "--edges", str(path), "--matrix-check", "--grid", grid
+            )
+        assert code == 4 and out == ""
+        assert err.endswith(f"z_err={z_err}\n")
+
     def test_mismatch_exit_code(self, capsys, edges_file, monkeypatch):
         # corrupt the flip-probability map; the identity column must catch it
         monkeypatch.setattr(
@@ -664,19 +686,45 @@ class TestConfigPlumbing:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "argv, params, tail",
+        "argv, params, tail, columns",
         [
-            (["dimer"], ["B", "J"], []),
-            (["toy"], ["E0", "delta", "alpha", "D", "eR"], []),
+            (["dimer"], ["B", "J"], [], []),
+            (["dimer", "--oracles"], ["B", "J"], [], ["concurrence", "min_pt_eig"]),
+            (["toy"], ["E0", "delta", "alpha", "D", "eR"], [], []),
+            (["toy", "--oracles"], ["E0", "delta", "alpha", "D", "eR"], [], ["z_spectrum"]),
+            (
+                ["toy", "--alpha", "0.5"],
+                ["E0", "delta", "alpha", "D", "eR"],
+                [],
+                ["z_gamma", "gamma_rel_err"],
+            ),
+            (
+                ["toy", "--alpha", "0.5", "--oracles"],
+                ["E0", "delta", "alpha", "D", "eR"],
+                [],
+                ["z_gamma", "gamma_rel_err", "z_spectrum"],
+            ),
             (
                 ["graph", "--edges", "ring6.edges"],
                 ["edges", "n", "n_edges", "B", "eR_per_site"],
                 ["matrix_check"],
+                [],
+            ),
+            (
+                ["graph", "--edges", "ring6.edges", "--oracles"],
+                ["edges", "n", "n_edges", "B", "eR_per_site"],
+                ["matrix_check"],
+                ["p_flip", "p_from_flip"],
             ),
         ],
-        ids=["dimer", "toy", "graph"],
+        ids=[
+            "dimer", "dimer-oracles", "toy", "toy-oracles", "toy-alpha", "toy-alpha-oracles",
+            "graph", "graph-oracles",
+        ],
     )
-    def test_shared_sweep_format(self, capsys, tmp_path, monkeypatch, argv, params, tail):
+    def test_shared_sweep_format(
+        self, capsys, tmp_path, monkeypatch, argv, params, tail, columns
+    ):
         monkeypatch.chdir(tmp_path)
         write_edge_list(Graph.ring(6), tmp_path / "ring6.edges")
         code, out, _ = run(capsys, *argv)
@@ -686,7 +734,10 @@ class TestConfigPlumbing:
         echo = [l[2:].split(" = ", 1)[0] for l in lines[1:] if l.startswith("# ")]
         assert echo == ["system", *params, "kB", "grid", "seed", "oracles", *tail]
         header = lines[len(echo) + 1].split(",")
-        assert header[:6] == ["T", "Z", "p", "threshold", "satisfied", "bound_kind"]
+        assert header == ["T", "Z", "p", "threshold", "satisfied", "bound_kind", *columns]
+        rows = [l.split(",") for l in lines[len(echo) + 2 :] if not l.startswith("#")]
+        assert len(rows) == 181
+        assert all(len(row) == len(header) for row in rows)
         results = [l[3:].split(" = ", 1)[0] for l in lines if l.startswith("## ")]
         assert results[:3] == ["one_plus_r", "threshold", "bound_kind"]
 
@@ -769,6 +820,50 @@ class TestGridNativeSweep:
         code, out, err = run(capsys, "dimer", "--kB", "1e-300", "--grid", "1e-300:1e-299:3:lin")
         assert code == 2 and out == ""
         assert "kT = T * kB must be positive" in err
+
+
+class TestNonFiniteInputs:
+    """Energies and kT that are not finite floats are bad configurations."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["graph", "--edges", "ring6.edges", "--B", "1e308"], "E0 = -inf"),
+            (["graph", "--edges", "ring6.edges", "--B", "inf"], "E0 = -inf"),
+            (["dimer", "--J", "5e307", "--B", "0", "--grid", "1:2:2:lin"], "J = 5e+307"),
+            (["dimer", "--B", "inf"], "B = inf"),
+            (["dimer", "--B", "1e308", "--J", "1e308"], "B = 1e+308"),
+            (["dimer", "--J", "inf"], "J = inf"),
+            (["toy", "--E0", "nan"], "E0 = nan"),
+            (["toy", "--E0=-inf"], "E0 = -inf"),
+            (["dimer", "--kB", "1e300", "--grid", "1e10:1e20:3:log"], "kB = 1e+300"),
+            (["toy", "--kB", "1e300", "--grid", "1e10:1e20:3:log"], "kB = 1e+300"),
+        ],
+        ids=[
+            "graph-B-1e308", "graph-B-inf", "dimer-J-5e307", "dimer-B-inf", "dimer-B-J-1e308",
+            "dimer-J-inf", "toy-E0-nan", "toy-E0-minus-inf", "dimer-kT-inf", "toy-kT-inf",
+        ],
+    )
+    def test_exit_two_without_warning(self, tmp_path, monkeypatch, argv, named):
+        monkeypatch.chdir(tmp_path)
+        write_edge_list(Graph.ring(6), tmp_path / "ring6.edges")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_quiet(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith("thermwit: configuration error: ") and named in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert [str(w.message) for w in caught] == []
+
+    def test_largest_finite_graph_energies_still_run(self, capsys, tmp_path, monkeypatch):
+        # E0 = -6e307, gap 2e307 and spread 1.2e308 are all finite floats
+        monkeypatch.chdir(tmp_path)
+        write_edge_list(Graph.ring(6), tmp_path / "ring6.edges")
+        code, out, err = run(
+            capsys, "graph", "--edges", "ring6.edges", "--B", "1e307", "--grid", "1:2:2:lin"
+        )
+        assert code == 0 and err == ""
+        assert summary_value(out, "t_trans") == "2.2691853142130206e+307"
 
 
 class TestNumericExitCode:

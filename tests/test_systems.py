@@ -1,5 +1,6 @@
 """Tests for model construction: spectra, states, Hamiltonians, graphs."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,20 @@ class TestDimer:
             DimerParams(-1.0, 1.0)
         with pytest.raises(ThermwitError):
             DimerParams(1.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "b, j", [(0.0, 5e307), (math.inf, 1.0), (1e308, 1e308), (math.inf, math.inf)]
+    )
+    def test_rejects_levels_that_overflow(self, b, j):
+        with pytest.raises(ThermwitError, match="span more than a float holds"):
+            DimerParams(b, j)
+
+    def test_widest_finite_levels_build_without_warning(self):
+        # 4J = 1.6e308 is the spread, still a float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sp = dimer_spectrum(DimerParams(0.0, 4e307))
+        assert sp.spread == pytest.approx(1.6e308)
 
 
 class TestToySpectrum:
