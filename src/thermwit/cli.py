@@ -489,6 +489,11 @@ def cmd_graph(cfg: RunConfig) -> int:
             out += _matrix_check(g, b, kts)
         return columns, out
 
+    def log_p0_closed(kts: np.ndarray) -> np.ndarray:
+        # at a subnormal kT, 2B/kT overflows to inf and p0 is 1, as intended
+        with np.errstate(over="ignore"):
+            return -g.n * np.logaddexp(0.0, -2.0 * b / kts)
+
     params = [
         ("edges", str(cfg.graph_edges)),
         ("n", str(g.n)),
@@ -498,7 +503,7 @@ def cmd_graph(cfg: RunConfig) -> int:
     ]
     return _sweep(
         cfg, "graph", params, bound, -g.n * b,
-        lambda kts: -g.n * np.logaddexp(0.0, -2.0 * b / kts), (2.0 * b, 2.0 * g.n * b, 2**g.n),
+        log_p0_closed, (2.0 * b, 2.0 * g.n * b, 2**g.n),
         extra, [("matrix_check", _fb(cfg.matrix_check))],
     )
 

@@ -20,8 +20,17 @@ degeneracy D-1. For alpha > 0 it keeps one cache entry: the read-only level
 array -m**alpha * delta of the last ladder it summed, so a sweep or a
 crossing search over one ladder builds it once. One entry bounds the memory
 to one ladder (8 MB at 10^6 levels). The levels are sorted, so a binary
-search finds the terms whose exp is not exactly zero; terms in the subnormal
-band of exp (~100 ns each against ~1 ns) are then the main cost.
+search finds the terms above EXP_TINY.
+
+Both kernels write 0.0 for every shifted term at or below EXP_TINY without
+calling exp: there exp is subnormal or zero, and a subnormal result costs
+~120-160 ns against ~1 ns for a normal one. Each dropped term is below
+2^-1022 and there are fewer than 2^20 of them, while each sum holds
+exp(0) = 1, so the dropped mass sits ~950 binades below half an ulp of the
+sum. That is not a proof that no bit moves: a rounding difference inside a
+subtree of tiny terms could still reach the last bit if every pairwise
+addition above it sat within that difference of a rounding tie. The tests
+compare both kernels hex for hex against sums that exponentiate every term.
 """
 from __future__ import annotations
 
@@ -36,10 +45,12 @@ from .numerics import _float_or_array, hermitian_eigendecompose
 from .systems import Spectrum, ToySpectrumParams
 
 LN2 = math.log(2.0)
-# np.exp is exactly +0.0 at and below about -745.13, so terms at or below
-# this cut are written as 0.0 without calling it (an exp that underflows to
-# zero costs ~18 ns, one in the normal range ~1 ns).
+# np.exp is exactly +0.0 at and below about -745.13: a ladder whose largest
+# shifted term is at or below this cut has a tail of exactly 0.
 EXP_ZERO = -746.0
+# Just below ln(2^-1022) = -708.3964..., so np.exp of any value at or below
+# it is subnormal or zero; the kernels write such terms as 0.0.
+EXP_TINY = -708.4
 
 
 def _kt_array(kt: float | np.ndarray) -> np.ndarray:
@@ -51,21 +62,28 @@ def _kt_array(kt: float | np.ndarray) -> np.ndarray:
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log sum exp along the last axis.
+    """log sum exp along the last axis; terms at or below EXP_TINY count as 0.
 
     The last log is math.log row by row, as in a one-point call: numpy's log
     on the sums moved 203 of 350,000 log populations by an ulp (7 dimer
     fields and 40 random spectra of 2-40 levels, j <= 2, kT from 1e-6 to 1e6).
     """
     m = np.max(a, axis=-1)
-    sums = np.sum(np.exp(a - m[..., None]), axis=-1)
+    e = a - m[..., None]
+    # a NaN term is not <= EXP_TINY, so it goes through exp and stays NaN
+    tiny = e <= EXP_TINY
+    np.exp(e, out=e, where=~tiny)
+    e[tiny] = 0.0
+    sums = np.sum(e, axis=-1)
     return m + np.reshape([math.log(x) for x in sums.ravel().tolist()], sums.shape)
 
 
 def _shifted_log_terms(s: Spectrum, kt: np.ndarray) -> np.ndarray:
     """log g_j - (E_j - E0)/kT, levels along the last axis."""
     e = s.energy_array()
-    return s.log_degeneracy_array() - (e - e[0]) / kt[..., None]
+    # at a subnormal kT a gap over kT overflows to inf, as intended
+    with np.errstate(over="ignore"):
+        return s.log_degeneracy_array() - (e - e[0]) / kt[..., None]
 
 
 def log_partition_function(s: Spectrum, kt: float | np.ndarray) -> float | np.ndarray:
@@ -118,7 +136,8 @@ def thermal_density_matrix(h: np.ndarray, kt: float | np.ndarray) -> np.ndarray:
     """
     kt = _kt_array(kt)
     w, v = hermitian_eigendecompose(h)
-    p = np.exp(-(w - w[..., :1]) / kt[..., None])
+    with np.errstate(over="ignore"):
+        p = np.exp(-(w - w[..., :1]) / kt[..., None])
     p /= p.sum(axis=-1, keepdims=True)
     return (v * p[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
@@ -151,9 +170,8 @@ def log_ground_population_alpha_closed(p: ToySpectrumParams, kt: float) -> float
     The ground energy e0 drops out, so any e0 gives the same bits. The levels
     are sorted, so the largest term is the m = 1 one and the shifted terms
     fall with m: alpha = 0 (one level of degeneracy D-1) costs O(1), and for
-    alpha > 0 only the terms above EXP_ZERO go through exp, found by binary
-    search. Terms in the subnormal band of exp, shifted exponents in
-    (-745.13, -708.4], cost the most: ~100 ns each against ~1 ns.
+    alpha > 0 only the terms above EXP_TINY go through exp, found by binary
+    search.
     """
     kt = float(_kt_array(kt))
     # pow(1, alpha) is exactly 1, so the largest term is exactly -delta/kT
@@ -167,13 +185,15 @@ def log_ground_population_alpha_closed(p: ToySpectrumParams, kt: float) -> float
         # D-1 < 2^53 ones is exactly D-1
         return -math.log1p(math.exp(mx) * float(p.n_levels - 1))
     levels = _ladder_levels(p)
-    # First term at or below EXP_ZERO: the computed terms fall with m up to
+    # First term at or below EXP_TINY: the computed terms fall with m up to
     # an ulp-level wobble of pow (below 1e-12 here, since |mx| < 746 keeps the
-    # terms near the cut below ~1500 in size), and EXP_ZERO sits 0.87 below
-    # where exp becomes exactly 0, so every term on the wrong side of the
-    # cut still has exp exactly 0 and no bit moves.
+    # terms near the cut below ~1500 in size), and EXP_TINY sits 0.0036 below
+    # ln(2^-1022), so every term past the cut has a subnormal or zero exp.
+    # The m = 1 term is exp(0) = 1, so the sum is at least 1 and the fewer
+    # than 2^20 dropped terms, each below 2^-1022, lie ~950 binades below
+    # half its ulp (see the module docstring for why that is not a proof).
     cut = bisect.bisect_left(
-        range(levels.size), True, key=lambda j: levels.item(j) / kt - mx <= EXP_ZERO
+        range(levels.size), True, key=lambda j: levels.item(j) / kt - mx <= EXP_TINY
     )
     terms = np.empty(levels.size)
     head = np.divide(levels[:cut], kt, out=terms[:cut])
@@ -198,7 +218,18 @@ def log_partition_function_alpha_gamma(p: ToySpectrumParams, kt: float) -> float
     if p.alpha == 0.0:
         raise ThermwitError("Gamma-integral form undefined at alpha = 0")
     inv = 1.0 / p.alpha
-    return -p.e0 / kt + math.lgamma(inv) - math.log(p.alpha) + inv * math.log(kt / p.delta)
+    if inv < 1e305:
+        return -p.e0 / kt + math.lgamma(inv) - math.log(p.alpha) + inv * math.log(kt / p.delta)
+    # math.lgamma overflows from about 2.5e305 on, and 1/alpha is inf for a
+    # subnormal alpha. Here Stirling's (x - 1/2) ln x - x + ln(2 pi)/2 is
+    # lgamma(x) to the last bit; the x-sized terms share one product, which
+    # rounds to +-inf outside a narrow band of kT.
+    log_inv = -math.log(p.alpha)
+    return (
+        -p.e0 / kt
+        + inv * (log_inv - 1.0 + math.log(kt / p.delta))
+        + 0.5 * (log_inv + math.log(2.0 * math.pi))
+    )
 
 
 def log_stabilizer_partition_function(n: int, B: float, kt: float) -> float:

@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import thermwit.cli
@@ -302,6 +302,8 @@ class TestToyCommand:
         t_lo=st.floats(min_value=0.01, max_value=5.0),
         span=st.floats(min_value=1.5, max_value=100.0),
     )
+    # the Gamma column at 1/alpha = 4.5e307, where math.lgamma overflows
+    @example(alpha=2.2250738585072014e-308, n_levels=2, e_r=1.0, t_lo=1.0, span=2.0)
     @settings(max_examples=40, deadline=None)
     def test_ground_energy_drops_out_of_p_verdict_and_crossing(
         self, alpha, n_levels, e_r, t_lo, span
@@ -864,6 +866,28 @@ class TestNonFiniteInputs:
         )
         assert code == 0 and err == ""
         assert summary_value(out, "t_trans") == "2.2691853142130206e+307"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dimer", "--oracles"],
+        ["graph", "--edges", "ring6.edges", "--oracles"],
+        ["toy", "--alpha", "0.5", "--D", "100", "--n", "4", "--oracles"],
+    ],
+    ids=["dimer", "graph", "toy"],
+)
+def test_subnormal_kt_rows_without_warning(tmp_path, monkeypatch, argv):
+    # at kT = 1e-320 every gap over kT overflows to inf, the intended value:
+    # the rows read p = 1 and nothing is printed on stderr
+    monkeypatch.chdir(tmp_path)
+    write_edge_list(Graph.ring(6), tmp_path / "ring6.edges")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_quiet(*argv, "--grid", "1e-320:1:3:log")
+    assert code == 0 and err == ""
+    assert [str(w.message) for w in caught] == []
+    assert csv_column(out, "p")[:2] == ["1.0", "1.0"]
 
 
 class TestNumericExitCode:

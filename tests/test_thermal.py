@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,8 +26,10 @@ from thermwit.systems import (
     toy_spectrum,
 )
 from thermwit.thermal import (
+    EXP_TINY,
     EXP_ZERO,
     _ladder_levels,
+    _logsumexp,
     exp_or_inf,
     log_ground_population_alpha_closed,
     log_partition_function,
@@ -316,6 +319,21 @@ class TestLadderClosedForms:
                 lg = log_partition_function_alpha_gamma(p, kt)
                 assert math.exp(lg) == pytest.approx(integral, rel=1e-8)
 
+    def test_gamma_route_at_tiny_alpha(self):
+        # from 1/alpha = 1e305 on the route takes Stirling's series, since
+        # math.lgamma(1/alpha) overflows from about 2.5e305 on
+        alpha = 5e-306
+        p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=alpha, n_levels=2)
+        for kt in (1e-300, 1.0, 10.0):
+            # both sum terms near 1.4e308 to as little as 2.2e306, so each
+            # carries ~60 ulps of cancellation
+            direct = math.lgamma(1.0 / alpha) - math.log(alpha) + math.log(kt) / alpha
+            assert log_partition_function_alpha_gamma(p, kt) == pytest.approx(direct, rel=1e-13)
+        # past the overflow the log of the Gamma form is beyond float range
+        for alpha in (2.2250738585072014e-308, 5e-324):
+            p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=alpha, n_levels=2)
+            assert log_partition_function_alpha_gamma(p, 1.0) == math.inf
+
     def test_gamma_route_rejects_alpha_zero(self):
         p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=100)
         with pytest.raises(ThermwitError, match="Gamma-integral form undefined at alpha = 0"):
@@ -411,6 +429,85 @@ class TestLadderKernelBits:
         assert _ladder_levels(b) is _ladder_levels(b)
         with pytest.raises(ValueError):
             _ladder_levels(b)[0] = 0.0
+
+
+def _random_spectrum(n_levels: int, seed: int, max_deg_exp: int) -> Spectrum:
+    """Ascending levels in [-3, 3] with degeneracies log-uniform up to 10**max_deg_exp."""
+    rng = np.random.default_rng(seed)
+    energies = np.unique(rng.uniform(-3.0, 3.0, n_levels))
+    degs = [int(10 ** rng.uniform(0.0, max_deg_exp)) for _ in energies]
+    return Spectrum(tuple(energies.tolist()), tuple(degs))
+
+
+def _kt_at_depth(s: Spectrum, depth: float) -> float:
+    """kT at which the lowest shifted log term sits depth below the highest."""
+    gap = s.energy_array() - s.ground_energy
+    log_g = s.log_degeneracy_array()
+
+    def spread(beta: float) -> float:
+        terms = log_g - gap * beta
+        return float(np.max(terms) - np.min(terms)) - depth
+
+    # spread(0) < 0 as ln(1e40) < depth; at the upper end the top term is at
+    # least log g0 and the last level's sits depth + 100 below its log g
+    return 1.0 / scipy.optimize.brentq(spread, 0.0, (depth + 100.0) / gap[-1], xtol=1e-300)
+
+
+class TestSpectrumKernelBits:
+    def test_exp_tiny_cut_on_installed_numpy(self):
+        # the kernels write 0.0 at or below EXP_TINY instead of calling exp,
+        # whose result there is subnormal or zero
+        assert np.exp(EXP_TINY) < np.finfo(float).tiny
+        assert np.exp(EXP_TINY + 0.01) >= np.finfo(float).tiny
+
+    def test_nan_term_gives_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(_logsumexp(np.array([0.0, np.nan, -800.0])))
+            got = _logsumexp(np.array([[0.0, -1.0, -720.0], [0.0, np.nan, -720.0]]))
+        assert not math.isnan(got[0]) and math.isnan(got[1])
+
+    @given(
+        n_levels=st.integers(min_value=2, max_value=2000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        max_deg_exp=st.integers(min_value=0, max_value=40),
+        depth=st.floats(min_value=600.0, max_value=900.0),
+    )
+    @example(n_levels=2000, seed=0, max_deg_exp=40, depth=708.3)
+    @example(n_levels=2000, seed=0, max_deg_exp=40, depth=708.5)
+    @example(n_levels=2000, seed=0, max_deg_exp=40, depth=745.1)
+    @example(n_levels=2000, seed=0, max_deg_exp=40, depth=746.1)
+    @example(n_levels=2000, seed=1, max_deg_exp=0, depth=708.3)
+    @example(n_levels=2000, seed=1, max_deg_exp=0, depth=708.5)
+    @example(n_levels=2000, seed=1, max_deg_exp=0, depth=745.1)
+    @example(n_levels=2000, seed=1, max_deg_exp=0, depth=746.1)
+    @settings(max_examples=150, deadline=None)
+    def test_same_bits_as_reference(self, n_levels, seed, max_deg_exp, depth):
+        # the first kT puts the deepest shifted term at -depth, and the others
+        # move it to between depth / 1.25 and 1.25 * depth, so every draw has
+        # points past the subnormal edge of exp, 708.4, and many past 745.13
+        s = _random_spectrum(n_levels, seed, max_deg_exp)
+        kts = _kt_at_depth(s, depth) * np.array([1.0, 0.8, 0.9, 1.1, 1.25])
+        e = s.energy_array()
+        kernels = {
+            "log_p0": lambda t: log_population(s, t, 0),
+            "log_p1": lambda t: log_population(s, t, 1),
+            "log_z": lambda t: log_partition_function(s, t),
+            "profile": lambda t: population_profile(s, t),
+        }
+        grid = {name: f(kts) for name, f in kernels.items()}
+        for i, kt in enumerate(kts.tolist()):
+            lse = _one_point_terms(s, kt)  # exponentiates every term
+            want = {
+                "log_p0": -(s.energies[0] - s.ground_energy) / kt - lse,
+                "log_p1": -(s.energies[1] - s.ground_energy) / kt - lse,
+                "log_z": -s.ground_energy / kt + lse,
+                "profile": np.exp(s.log_degeneracy_array() - (e - e[0]) / kt - lse),
+            }
+            for name, f in kernels.items():
+                ref = np.asarray(want[name]).tobytes()
+                assert np.asarray(f(kt)).tobytes() == ref, (name, kt)
+                assert grid[name][i].tobytes() == ref, (name, kt)
 
 
 class TestLadderConcavity:
