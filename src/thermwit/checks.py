@@ -121,7 +121,7 @@ def check_dimer_high_field_phase(seed: int = 0) -> CheckResult:
     tr = transition_temperature(sp, ground_bound)
     grid = np.linspace(0.2, 10.0, 60)
     never = not np.any(log_population(sp, grid, 0) > ground_bound.log_threshold)
-    singlet_level = int(np.argmin(np.abs(np.array(sp.energies) - (-3.0 * p.J))))
+    singlet_level = int(np.argmin(np.abs(sp.energies - (-3.0 * p.J))))
     singlet_iv = satisfying_intervals(sp, singlet_robustness(), grid, singlet_level)
     conc = float(np.max(concurrence_two_qubit(thermal_density_matrix(h, grid))))
     ok = (
@@ -265,7 +265,7 @@ def check_stabilizer_closed_forms(seed: int = 0) -> CheckResult:
         merged = Spectrum.from_values(hermitian_eigenvalues(h))
         analytic = stabilizer_spectrum(g.n, 1.0)
         if merged.degeneracies != analytic.degeneracies or np.max(
-            np.abs(np.array(merged.energies) - np.array(analytic.energies))
+            np.abs(merged.energies - analytic.energies)
         ) > 1e-9:
             issues.append(f"spectrum mismatch on {g.n}-vertex graph")
         psi = graph_state(g)

@@ -242,7 +242,7 @@ def cmd_dimer(cfg: RunConfig) -> int:
         out = [("phase", "singlet-ground" if singlet_phase else "product-ground")]
         out += _crossing_lines(t_trans)
         if not singlet_phase:
-            level = int(np.argmin(np.abs(np.array(sp.energies) + 3.0 * p.J)))  # the singlet
+            level = int(np.argmin(np.abs(sp.energies + 3.0 * p.J)))  # the singlet
             intervals = satisfying_intervals(
                 sp, singlet_robustness(), cfg.grid.values(), level, cfg.k_b
             )
@@ -298,6 +298,8 @@ def cmd_toy(cfg: RunConfig) -> int:
         sp_oracle = toy_spectrum(replace(p, e0=0.0))
 
     def extra(kts: np.ndarray, log_ps: np.ndarray, t_trans: float | None):
+        if cfg.oracles:
+            log_p0_sp = log_population(sp_oracle, kts, 0).tolist()
         # per point in Python floats, which overflow to inf without a warning
         kts, log_ps = kts.tolist(), log_ps.tolist()
         columns = {}
@@ -321,7 +323,6 @@ def cmd_toy(cfg: RunConfig) -> int:
             out.append(("t1_exact", _fmt(t1.exact / cfg.k_b)))
             out.append(("t1_low_t", _fmt(t1.low_t / cfg.k_b)))
         if cfg.oracles:
-            log_p0_sp = [log_population(sp_oracle, kt, 0) for kt in kts]
             columns["z_spectrum"] = [exp_or_inf(-p.e0 / kt - x) for x, kt in zip(log_p0_sp, kts)]
             # Z_sp / Z = p0 / p0_sp: compared without the -E0/kT both carry.
             # np.maximum keeps a NaN, which then fails the gate below.
@@ -416,7 +417,7 @@ def _matrix_check(g: Graph, b: float, kts: np.ndarray) -> list[tuple[str, str]]:
     dense = Spectrum.from_values(hermitian_eigenvalues(h))
     analytic = stabilizer_spectrum(g.n, b)
     levels_ok = dense.degeneracies == analytic.degeneracies and bool(
-        np.max(np.abs(np.array(dense.energies) - np.array(analytic.energies)))
+        np.max(np.abs(dense.energies - analytic.energies))
         <= 1e-9 * max(1.0, abs(b) * g.n)
     )
     psi = graph_state(g)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,47 +27,65 @@ SPECTRUM_LEVEL_CAP = 10**6
 MERGE_TOL_SCALE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Energy levels with integer degeneracies, strictly ascending.
 
-    Degeneracies are exact Python integers so binomial level counts stay
-    exact; Boltzmann sums over them are done in the log domain downstream.
+    ``energies`` and ``log_degeneracies`` are read-only float64 arrays, one
+    entry per level. ``degeneracies`` stays a tuple of exact Python ints, so
+    binomial level counts stay exact; each log is ``math.log`` of that int
+    (not np.log, which may differ in the last ulp), taken once per distinct
+    value. Array fields have no hash or tuple equality, so a Spectrum
+    compares and hashes by identity: compare its fields instead.
     """
 
-    energies: tuple[float, ...]
+    energies: np.ndarray
     degeneracies: tuple[int, ...]
+    log_degeneracies: np.ndarray = field(init=False, repr=False)
+    # for the thermal kernel: E_j - E_0, and max log g less log g_0
+    _excitations: np.ndarray = field(init=False, repr=False)
+    _log_degeneracy_span: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.energies) != len(self.degeneracies) or not self.energies:
+        energy = np.array(self.energies, dtype=float)
+        degeneracies = tuple(self.degeneracies)
+        if energy.ndim != 1 or energy.size != len(degeneracies) or not degeneracies:
             raise ThermwitError("energies and degeneracies must be equal-length and nonempty")
-        distinct = set(self.degeneracies)
+        distinct = set(degeneracies)
         if any(int(g) < 1 for g in distinct):
             raise ThermwitError("degeneracies must be positive integers")
-        energy = np.array(self.energies, dtype=float)
         if not np.all(energy[1:] > energy[:-1]):  # NaN compares false
             raise ThermwitError("energies must be strictly ascending")
-        # math.log, not np.log (which may differ in the last ulp), once per value
-        log_of = {g: math.log(int(g)) for g in distinct}
-        object.__setattr__(self, "_energy_arr", energy)
+        if len(distinct) == 1:
+            log_deg = np.full(energy.size, math.log(int(degeneracies[0])))
+        else:
+            log_of = {g: math.log(int(g)) for g in distinct}
+            log_deg = np.array([log_of[g] for g in degeneracies])
+        excitations = energy - energy[0]
+        for a in (energy, log_deg, excitations):
+            a.setflags(write=False)
+        object.__setattr__(self, "energies", energy)
+        object.__setattr__(self, "degeneracies", degeneracies)
+        object.__setattr__(self, "log_degeneracies", log_deg)
+        object.__setattr__(self, "_excitations", excitations)
         object.__setattr__(
-            self, "_log_deg_arr", np.array([log_of[g] for g in self.degeneracies])
+            self, "_log_degeneracy_span", float(log_deg.max()) - float(log_deg[0])
         )
 
     @classmethod
-    def from_values(cls, values: Iterable[float]) -> "Spectrum":
+    def from_values(cls, values: np.ndarray | Sequence[float]) -> "Spectrum":
         """Sort raw eigenvalues and merge near-coincident ones into levels.
 
         Two values merge when they differ by less than
         ``MERGE_TOL_SCALE * max(|E|, 1)``; merged levels use the averaged
         energy so eigensolver jitter does not bias level positions.
         """
-        ordered = np.sort(np.fromiter(values, dtype=float), kind="stable")
+        ordered = np.sort(np.asarray(values, dtype=float), kind="stable")
         # The loop below merges first where two raw neighbours are closer than
         # the tolerance; with no such pair it merges nothing.
         gaps = ordered[1:] - ordered[:-1]
         if np.all(gaps >= MERGE_TOL_SCALE * np.maximum(np.abs(ordered[1:]), 1.0)):
-            return cls(energies=tuple(ordered.tolist()), degeneracies=(1,) * ordered.size)
+            return cls(energies=ordered, degeneracies=(1,) * ordered.size)
         energies: list[float] = []
         counts: list[int] = []
         for e in ordered.tolist():
@@ -78,7 +96,7 @@ class Spectrum:
             else:
                 energies.append(e)
                 counts.append(1)
-        return cls(energies=tuple(energies), degeneracies=tuple(counts))
+        return cls(energies=np.array(energies), degeneracies=tuple(counts))
 
     @property
     def dimension(self) -> int:
@@ -86,28 +104,22 @@ class Spectrum:
 
     @property
     def n_levels(self) -> int:
-        return len(self.energies)
+        return len(self.degeneracies)
 
     @property
     def ground_energy(self) -> float:
-        return self.energies[0]
+        return float(self.energies[0])
 
     @property
     def gap(self) -> float:
         """First excitation energy above the ground level."""
-        if len(self.energies) < 2:
+        if self.n_levels < 2:
             raise ThermwitError("gap undefined for a single-level spectrum")
-        return self.energies[1] - self.energies[0]
+        return float(self.energies[1]) - float(self.energies[0])
 
     @property
     def spread(self) -> float:
-        return self.energies[-1] - self.energies[0]
-
-    def energy_array(self) -> np.ndarray:
-        return self._energy_arr  # type: ignore[attr-defined]
-
-    def log_degeneracy_array(self) -> np.ndarray:
-        return self._log_deg_arr  # type: ignore[attr-defined]
+        return float(self.energies[-1]) - float(self.energies[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,11 +9,25 @@ Every kernel takes kT, the product of temperature and Boltzmann's constant;
 only the searches in ``witness`` take k_B and work in temperature. The
 spectrum kernel (``log_population``, ``log_partition_function``,
 ``population_profile``) takes one kT, giving a float, or an array of kT
-values, giving an array: a sweep sums its whole grid as one
-(points x levels) log-sum-exp, and each point gets the bits a one-kT call
-gives. The `toy --oracles` re-sum of up to 10^5 levels stays one call per
-kT: on a 50-point grid as one array each temporary would take 40 MB, where
-one call's takes 0.8 MB.
+values, giving an array, and each point gets the bits a one-kT call gives:
+every row is summed on its own along the contiguous level axis. It works
+in row blocks of at most BLOCK_TERMS = 2^17 terms, so each temporary stays
+within 1 MB (or one row, for a spectrum with more levels): a sweep's
+2,000 x 4 dimer grid is one block, and the `toy --oracles` re-sum of 10^5
+levels over its whole grid is one call of one row a block.
+
+The spectrum kernel cuts its rows on the sorted levels. x_j = E_j - E_0
+ascends from x_0 = 0, and the largest shifted term m of a row is at least
+the j = 0 one, log g_0. So a level with x_j >= kT * (log g_max - log g_0
+- EXP_TINY + 1) has a_j - m <= log g_max - x_j/kT - log g_0 <= EXP_TINY - 1
+for its term a_j = log g_j - x_j/kT. The 1 covers the rounding of that
+product (half a subnormal ulp over kT, at most 1/2, at the smallest kT;
+about 1e-13 elsewhere) and of the divisions and subtractions. One binary
+search per block, at its largest kT, finds the first such level; the
+terms from there on are written 0.0 without being computed, as the
+EXP_TINY mask below would have written them, and the sum still runs over
+all levels, so its pairwise order and its bits are unchanged. At a kT that
+overflows the product nothing is cut, since x/kT is NaN where both are inf.
 
 The closed-form ladder sum costs O(1) at alpha = 0, one excited level of
 degeneracy D-1. For alpha > 0 it keeps one cache entry: the read-only level
@@ -51,6 +65,9 @@ EXP_ZERO = -746.0
 # Just below ln(2^-1022) = -708.3964..., so np.exp of any value at or below
 # it is subnormal or zero; the kernels write such terms as 0.0.
 EXP_TINY = -708.4
+# The spectrum kernel works in row blocks of at most this many terms (1 MB of
+# float64 per temporary); a spectrum with more levels takes one row a block.
+BLOCK_TERMS = 2**17
 
 
 def _kt_array(kt: float | np.ndarray) -> np.ndarray:
@@ -61,35 +78,64 @@ def _kt_array(kt: float | np.ndarray) -> np.ndarray:
     return kt
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log sum exp along the last axis; terms at or below EXP_TINY count as 0.
+def _cut(s: Spectrum, kt: float) -> int:
+    """First level whose shifted term is at or below EXP_TINY at kT or any smaller kT.
 
-    The last log is math.log row by row, as in a one-point call: numpy's log
-    on the sums moved 203 of 350,000 log populations by an ulp (7 dimer
-    fields and 40 random spectra of 2-40 levels, j <= 2, kT from 1e-6 to 1e6).
+    Every level from it on is, too (see the module docstring); at least 1.
     """
-    m = np.max(a, axis=-1)
-    e = a - m[..., None]
-    # a NaN term is not <= EXP_TINY, so it goes through exp and stays NaN
-    tiny = e <= EXP_TINY
-    np.exp(e, out=e, where=~tiny)
-    e[tiny] = 0.0
-    sums = np.sum(e, axis=-1)
-    return m + np.reshape([math.log(x) for x in sums.ravel().tolist()], sums.shape)
+    # a Python float: inf where the product overflows
+    reach = kt * (s._log_degeneracy_span - EXP_TINY + 1.0)
+    if not reach < math.inf:
+        return s.n_levels
+    return int(s._excitations[1:].searchsorted(reach)) + 1
 
 
-def _shifted_log_terms(s: Spectrum, kt: np.ndarray) -> np.ndarray:
-    """log g_j - (E_j - E0)/kT, levels along the last axis."""
-    e = s.energy_array()
-    # at a subnormal kT a gap over kT overflows to inf, as intended
-    with np.errstate(over="ignore"):
-        return s.log_degeneracy_array() - (e - e[0]) / kt[..., None]
+# at a subnormal kT a gap over kT overflows to inf, as intended
+@np.errstate(over="ignore")
+def _log_sums(s: Spectrum, kt: np.ndarray) -> np.ndarray:
+    """log sum_j g_j exp(-(E_j - E0)/kT) for each kT, in kT's shape.
+
+    The one log-sum behind the spectrum kernel. Each row holds the shifted
+    terms a_j = log g_j - (E_j - E0)/kT less their max m, exponentiated
+    where above EXP_TINY and 0.0 elsewhere, and returns m + log of their
+    sum. Levels from each block's cut on (see the module docstring) are
+    written 0.0 without being computed; the sum still runs over all
+    levels. The last log is math.log row by row, as in a one-point call:
+    numpy's log on the sums moved 203 of 350,000 log populations by an ulp
+    (7 dimer fields and 40 random spectra of 2-40 levels, j <= 2, kT from
+    1e-6 to 1e6).
+    """
+    x, log_g = s._excitations, s.log_degeneracies
+    n = x.size
+    flat = kt.reshape(-1)
+    rows = max(1, BLOCK_TERMS // n)
+    out = np.empty(flat.size)
+    block = np.zeros((min(rows, flat.size), n))
+    zero_from = 0  # every row of block is 0.0 from this column on
+    for start in range(0, flat.size, rows):
+        k = flat[start:start + rows, None]
+        cut = _cut(s, float(k.max()))
+        terms = block[:k.shape[0]]
+        if cut < zero_from:
+            terms[:, cut:zero_from] = 0.0
+        zero_from = cut
+        head = terms[:, :cut]
+        np.divide(x[:cut], k, out=head)
+        np.subtract(log_g[:cut], head, out=head)
+        m = head.max(axis=1)
+        head -= m[:, None]
+        # a NaN term is not <= EXP_TINY, so it goes through exp and stays NaN
+        np.putmask(head, head <= EXP_TINY, -np.inf)
+        np.exp(head, out=head)
+        sums = terms.sum(axis=1)
+        out[start:start + k.shape[0]] = m + [math.log(v) for v in sums.tolist()]
+    return out.reshape(kt.shape)
 
 
 def log_partition_function(s: Spectrum, kt: float | np.ndarray) -> float | np.ndarray:
     """log Z = -E0/kT + log sum_j g_j exp(-(E_j - E0)/kT)."""
     kt = _kt_array(kt)
-    return _float_or_array(-s.ground_energy / kt + _logsumexp(_shifted_log_terms(s, kt)))
+    return _float_or_array(-s.ground_energy / kt + _log_sums(s, kt))
 
 
 def exp_or_inf(log_z: float) -> float:
@@ -106,8 +152,10 @@ def population_profile(s: Spectrum, kt: float | np.ndarray) -> np.ndarray:
     Levels run along the last axis: shape (levels,) for one kT,
     (..., levels) for an array of kT.
     """
-    terms = _shifted_log_terms(s, _kt_array(kt))
-    return np.exp(terms - _logsumexp(terms)[..., None])
+    kt = _kt_array(kt)
+    with np.errstate(over="ignore"):
+        terms = s.log_degeneracies - s._excitations / kt[..., None]
+    return np.exp(terms - _log_sums(s, kt)[..., None])
 
 
 def log_population(
@@ -121,8 +169,8 @@ def log_population(
     if not 0 <= level_index < s.n_levels:
         raise ThermwitError(f"level {level_index} outside 0..{s.n_levels - 1}")
     kt = _kt_array(kt)
-    shift = (s.energies[level_index] - s.ground_energy) / kt
-    return _float_or_array(-shift - _logsumexp(_shifted_log_terms(s, kt)))
+    shift = (float(s.energies[level_index]) - s.ground_energy) / kt
+    return _float_or_array(-shift - _log_sums(s, kt))
 
 
 def thermal_density_matrix(h: np.ndarray, kt: float | np.ndarray) -> np.ndarray:
@@ -218,8 +266,11 @@ def log_partition_function_alpha_gamma(p: ToySpectrumParams, kt: float) -> float
     if p.alpha == 0.0:
         raise ThermwitError("Gamma-integral form undefined at alpha = 0")
     inv = 1.0 / p.alpha
+    ratio = kt / p.delta
+    # a subnormal kT over a large delta underflows to 0; a difference of logs does not
+    log_ratio = math.log(ratio) if ratio > 0.0 else math.log(kt) - math.log(p.delta)
     if inv < 1e305:
-        return -p.e0 / kt + math.lgamma(inv) - math.log(p.alpha) + inv * math.log(kt / p.delta)
+        return -p.e0 / kt + math.lgamma(inv) - math.log(p.alpha) + inv * log_ratio
     # math.lgamma overflows from about 2.5e305 on, and 1/alpha is inf for a
     # subnormal alpha. Here Stirling's (x - 1/2) ln x - x + ln(2 pi)/2 is
     # lgamma(x) to the last bit; the x-sized terms share one product, which
@@ -227,7 +278,7 @@ def log_partition_function_alpha_gamma(p: ToySpectrumParams, kt: float) -> float
     log_inv = -math.log(p.alpha)
     return (
         -p.e0 / kt
-        + inv * (log_inv - 1.0 + math.log(kt / p.delta))
+        + inv * (log_inv - 1.0 + log_ratio)
         + 0.5 * (log_inv + math.log(2.0 * math.pi))
     )
 

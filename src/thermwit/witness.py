@@ -164,7 +164,7 @@ def satisfying_intervals(
     if not 0 <= level_index < s.n_levels:
         raise ThermwitError(f"level {level_index} outside 0..{s.n_levels - 1}")
     t_lo, t_hi = float(temps[0]), float(temps[-1])
-    energies = s.energy_array()
+    energies = s.energies
     e_j = energies[level_index]
 
     def rising(temp: float) -> float:

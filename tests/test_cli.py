@@ -824,6 +824,37 @@ class TestGridNativeSweep:
         assert "kT = T * kB must be positive" in err
 
 
+class TestCrossingIgnoresTheGrid:
+    """t_trans comes from the default bracket, whatever grid the rows use.
+
+    The float margin need not fall monotonically at the crossing: on this
+    4-level ladder the condition reads true, false, true, false on four
+    consecutive floats of T, so a search started from the two grid rows
+    around the flip (0.0246875 and 2.46875 on the first grid) ends one float
+    above the one started from the default bracket.
+    """
+
+    ARGV = (
+        "toy", "--alpha", "1", "--D", "4", "--delta", "2.46875",
+        "--eR", "1.7800076667024711", "--kB", "10",
+    )
+
+    @pytest.mark.parametrize("grid", ["0.0246875:2.46875:2:lin", "0.1:10:181:lin", "2.3:2.4:9:lin"])
+    def test_same_t_trans_on_any_grid(self, grid):
+        code, out, err = run_quiet(*self.ARGV, "--grid", grid)
+        assert code == 0, err
+        assert summary_value(out, "t_trans") == "2.321029842931104"
+
+    def test_condition_flips_twice_at_the_crossing(self):
+        p = ToySpectrumParams(e0=0.0, delta=2.46875, alpha=1.0, n_levels=4)
+        log_threshold = bound_from_relative_entropy(1.7800076667024711).log_threshold
+        temps = [2.321029842931104]
+        for _ in range(3):
+            temps.append(math.nextafter(temps[-1], math.inf))
+        holds = [log_ground_population_alpha_closed(p, t * 10.0) > log_threshold for t in temps]
+        assert holds == [True, False, True, False]
+
+
 class TestNonFiniteInputs:
     """Energies and kT that are not finite floats are bad configurations."""
 
@@ -874,12 +905,14 @@ class TestNonFiniteInputs:
         ["dimer", "--oracles"],
         ["graph", "--edges", "ring6.edges", "--oracles"],
         ["toy", "--alpha", "0.5", "--D", "100", "--n", "4", "--oracles"],
+        ["toy", "--alpha", "0.5", "--D", "100", "--eR", "1", "--delta", "1e10"],
     ],
-    ids=["dimer", "graph", "toy"],
+    ids=["dimer", "graph", "toy", "toy-gamma-kt-over-delta-underflows"],
 )
 def test_subnormal_kt_rows_without_warning(tmp_path, monkeypatch, argv):
     # at kT = 1e-320 every gap over kT overflows to inf, the intended value:
-    # the rows read p = 1 and nothing is printed on stderr
+    # the rows read p = 1 and nothing is printed on stderr. With delta = 1e10
+    # the Gamma form's kT/delta underflows to 0, whose log it must not take.
     monkeypatch.chdir(tmp_path)
     write_edge_list(Graph.ring(6), tmp_path / "ring6.edges")
     with warnings.catch_warnings(record=True) as caught:
@@ -888,6 +921,7 @@ def test_subnormal_kt_rows_without_warning(tmp_path, monkeypatch, argv):
     assert code == 0 and err == ""
     assert [str(w.message) for w in caught] == []
     assert csv_column(out, "p")[:2] == ["1.0", "1.0"]
+    assert "nan" not in csv_column(out, "p")
 
 
 class TestNumericExitCode:

@@ -60,6 +60,21 @@ class TestSpectrum:
         assert s.gap == 1.5
         assert s.spread == 3.0
 
+    def test_level_arrays_are_read_only(self):
+        values = np.array([0.5, -1.0, 2.0])
+        for s in (Spectrum.from_values(values), Spectrum((-1.0, 0.5, 2.0), (1, 3, 2))):
+            assert s.energies.dtype == s.log_degeneracies.dtype == np.float64
+            assert not s.energies.flags.writeable
+            assert not s.log_degeneracies.flags.writeable
+            with pytest.raises(ValueError):
+                s.energies[0] = 0.0
+            with pytest.raises(ValueError):
+                s.log_degeneracies[0] = 0.0
+        # the caller's array is copied, not frozen
+        assert values.flags.writeable and values.tolist() == [0.5, -1.0, 2.0]
+        s = Spectrum((-1.0, 0.5, 2.0), (1, 3, 2))
+        assert s.log_degeneracies.tolist() == [0.0, math.log(3), math.log(2)]
+
     def test_from_values_merges_degenerate(self):
         s = Spectrum.from_values([0.0, 1.0, 1.0 + 1e-12, 2.0])
         assert s.degeneracies == (1, 2, 1)
@@ -134,12 +149,12 @@ class TestDimer:
 
     def test_zero_field_levels(self):
         s = dimer_spectrum(DimerParams(0.0, 1.0))
-        assert s.energies == (-3.0, 1.0)
+        assert s.energies.tolist() == [-3.0, 1.0]
         assert s.degeneracies == (1, 3)
 
     def test_field_splits_triplet(self):
         s = dimer_spectrum(DimerParams(1.0, 1.0))
-        assert s.energies == (-3.0, 0.0, 1.0, 2.0)
+        assert s.energies.tolist() == [-3.0, 0.0, 1.0, 2.0]
 
     def test_singlet_is_ground_below_crossover(self):
         h = build_dimer_hamiltonian(DimerParams(3.9, 1.0))
@@ -177,12 +192,12 @@ class TestDimer:
 class TestToySpectrum:
     def test_alpha_zero_collapses_ladder(self):
         s = toy_spectrum(ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=16))
-        assert s.energies == (0.0, 1.0)
+        assert s.energies.tolist() == [0.0, 1.0]
         assert s.degeneracies == (1, 15)
 
     def test_alpha_one_is_linear(self):
         s = toy_spectrum(ToySpectrumParams(e0=-2.0, delta=0.5, alpha=1.0, n_levels=5))
-        assert s.energies == (-2.0, -1.5, -1.0, -0.5, 0.0)
+        assert s.energies.tolist() == [-2.0, -1.5, -1.0, -0.5, 0.0]
         assert s.degeneracies == (1, 1, 1, 1, 1)
 
     def test_sublinear_spacing_compresses(self):
@@ -274,7 +289,7 @@ class TestGraphStates:
     def test_spectrum_degeneracies_are_binomials(self):
         s = stabilizer_spectrum(6, 1.0)
         assert s.degeneracies == (1, 6, 15, 20, 15, 6, 1)
-        assert s.energies == (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0)
+        assert s.energies.tolist() == [-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0]
 
     def test_site_count_caps(self):
         with pytest.raises(ThermwitError, match="graph on 13 vertices exceeds cap 12"):

@@ -16,6 +16,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import thermwit.thermal
 from thermwit.errors import ThermwitError
 from thermwit.systems import (
     DimerParams,
@@ -29,7 +30,6 @@ from thermwit.thermal import (
     EXP_TINY,
     EXP_ZERO,
     _ladder_levels,
-    _logsumexp,
     exp_or_inf,
     log_ground_population_alpha_closed,
     log_partition_function,
@@ -105,8 +105,8 @@ class TestPopulation:
 
 def _one_point_terms(s, kt):
     """Shifted log terms and their log-sum-exp as the scalar kernel summed them."""
-    e = s.energy_array()
-    a = s.log_degeneracy_array() - (e - e[0]) / kt
+    e = s.energies
+    a = s.log_degeneracies - (e - e[0]) / kt
     m = float(np.max(a))
     return m + math.log(float(np.sum(np.exp(a - m))))
 
@@ -334,6 +334,14 @@ class TestLadderClosedForms:
             p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=alpha, n_levels=2)
             assert log_partition_function_alpha_gamma(p, 1.0) == math.inf
 
+    def test_gamma_route_when_kt_over_delta_underflows(self):
+        # 1e-320 / 1e10 is 0.0 in floats: log kT - log delta stands in for its log
+        p = ToySpectrumParams(e0=0.0, delta=1e10, alpha=0.5, n_levels=100)
+        want = math.lgamma(2.0) - math.log(0.5) + 2.0 * (math.log(1e-320) - math.log(1e10))
+        assert log_partition_function_alpha_gamma(p, 1e-320) == pytest.approx(want, rel=1e-15)
+        # and in the Stirling branch for a tiny alpha
+        assert math.isfinite(log_partition_function_alpha_gamma(replace(p, alpha=5e-306), 1e-320))
+
     def test_gamma_route_rejects_alpha_zero(self):
         p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=100)
         with pytest.raises(ThermwitError, match="Gamma-integral form undefined at alpha = 0"):
@@ -441,8 +449,8 @@ def _random_spectrum(n_levels: int, seed: int, max_deg_exp: int) -> Spectrum:
 
 def _kt_at_depth(s: Spectrum, depth: float) -> float:
     """kT at which the lowest shifted log term sits depth below the highest."""
-    gap = s.energy_array() - s.ground_energy
-    log_g = s.log_degeneracy_array()
+    gap = s.energies - s.ground_energy
+    log_g = s.log_degeneracies
 
     def spread(beta: float) -> float:
         terms = log_g - gap * beta
@@ -461,11 +469,14 @@ class TestSpectrumKernelBits:
         assert np.exp(EXP_TINY + 0.01) >= np.finfo(float).tiny
 
     def test_nan_term_gives_nan(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert math.isnan(_logsumexp(np.array([0.0, np.nan, -800.0])))
-            got = _logsumexp(np.array([[0.0, -1.0, -720.0], [0.0, np.nan, -720.0]]))
-        assert not math.isnan(got[0]) and math.isnan(got[1])
+        # at kT = inf the infinite level's term is inf/inf = NaN: the kernel
+        # cuts nothing there, so the NaN reaches the sum; at kT = 1 that
+        # level's term is -inf and counts as 0
+        s = Spectrum((0.0, 1.0, math.inf), (1, 1, 1))
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(log_partition_function(s, math.inf))
+            got = log_partition_function(s, np.array([1.0, math.inf]))
+        assert got[0] == pytest.approx(math.log1p(math.exp(-1.0))) and math.isnan(got[1])
 
     @given(
         n_levels=st.integers(min_value=2, max_value=2000),
@@ -488,7 +499,7 @@ class TestSpectrumKernelBits:
         # points past the subnormal edge of exp, 708.4, and many past 745.13
         s = _random_spectrum(n_levels, seed, max_deg_exp)
         kts = _kt_at_depth(s, depth) * np.array([1.0, 0.8, 0.9, 1.1, 1.25])
-        e = s.energy_array()
+        e = s.energies
         kernels = {
             "log_p0": lambda t: log_population(s, t, 0),
             "log_p1": lambda t: log_population(s, t, 1),
@@ -502,12 +513,139 @@ class TestSpectrumKernelBits:
                 "log_p0": -(s.energies[0] - s.ground_energy) / kt - lse,
                 "log_p1": -(s.energies[1] - s.ground_energy) / kt - lse,
                 "log_z": -s.ground_energy / kt + lse,
-                "profile": np.exp(s.log_degeneracy_array() - (e - e[0]) / kt - lse),
+                "profile": np.exp(s.log_degeneracies - (e - e[0]) / kt - lse),
             }
             for name, f in kernels.items():
                 ref = np.asarray(want[name]).tobytes()
                 assert np.asarray(f(kt)).tobytes() == ref, (name, kt)
                 assert grid[name][i].tobytes() == ref, (name, kt)
+
+
+def _spectrum_of_size(n_levels: int, seed: int, max_deg_exp: int) -> Spectrum:
+    """Exactly n_levels ascending levels in about [-3, 3]; the ground level is
+    nondegenerate, the others log-uniform up to 10**max_deg_exp."""
+    rng = np.random.default_rng(seed)
+    energies = np.cumsum(rng.uniform(0.5, 1.5, n_levels)) * (6.0 / n_levels) - 3.0
+    degs = [1] + [int(10 ** rng.uniform(0.0, max_deg_exp)) for _ in range(n_levels - 1)]
+    return Spectrum(energies, tuple(degs))
+
+
+def _assert_every_term_bits(s: Spectrum, kts: np.ndarray) -> None:
+    """Grid and one-point calls against the sum that exponentiates every term.
+
+    At a subnormal kT the gap to level 1 over kT, and E0/kT, overflow to inf
+    in the kernels and the reference alike.
+    """
+    kernels = {
+        "log_p0": lambda t: log_population(s, t, 0),
+        "log_p1": lambda t: log_population(s, t, 1),
+        "log_z": lambda t: log_partition_function(s, t),
+    }
+    with np.errstate(over="ignore"):
+        grids = {name: f(kts) for name, f in kernels.items()}
+    for i, kt in enumerate(kts.tolist()):
+        with np.errstate(over="ignore"):
+            lse = _one_point_terms(s, kt)
+            points = {name: f(kt) for name, f in kernels.items()}
+            want = {
+                "log_p0": -((s.energies[0] - s.ground_energy) / kt) - lse,
+                "log_p1": -((s.energies[1] - s.ground_energy) / kt) - lse,
+                "log_z": -s.ground_energy / kt + lse,
+            }
+        for name, value in want.items():
+            assert float(grids[name][i]).hex() == value.hex(), (name, kt)
+            assert points[name].hex() == value.hex(), (name, kt)
+
+
+def _assert_cut_drops_only_tiny_terms(s: Spectrum, kt: float) -> None:
+    """Every term past the kernel's cut for kT, at kT and at smaller kT, is at
+    or below EXP_TINY in the every-term reference."""
+    cut = thermwit.thermal._cut(s, kt)
+    assert 1 <= cut <= s.n_levels
+    e = s.energies
+    for t in (kt, kt / 3.0, max(kt * 1e-9, 5e-324)):
+        with np.errstate(over="ignore"):
+            a = s.log_degeneracies - (e - e[0]) / t
+        assert np.all(a[cut:] - np.max(a) <= EXP_TINY), (kt, t)
+
+
+class TestSpectrumKernelBlocks:
+    """Row blocks and the sorted cut keep the bits of the every-term sum."""
+
+    @given(
+        block=st.sampled_from([7, 64, 1000]),
+        n_levels=st.sampled_from([2, 3, 6, 7, 8, 63, 64, 65, 300, 999, 1000, 1001, 2500]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        max_deg_exp=st.sampled_from([0, 3, 40]),
+        depth=st.floats(min_value=100.0, max_value=2000.0),
+    )
+    @example(block=64, n_levels=65, seed=0, max_deg_exp=40, depth=708.4)
+    @example(block=7, n_levels=8, seed=1, max_deg_exp=0, depth=745.2)
+    @settings(max_examples=120, deadline=None)
+    def test_blocks_and_cut_keep_the_bits(self, block, n_levels, seed, max_deg_exp, depth):
+        # 41 kT around the one that puts the deepest term at -depth, shuffled,
+        # so that rows of very different cuts share a block; with 7, 64 and
+        # 1000 terms a block, the grids split across block edges
+        s = _spectrum_of_size(n_levels, seed, max_deg_exp)
+        kts = _kt_at_depth(s, depth) * np.geomspace(0.02, 50.0, 41)
+        np.random.default_rng(seed).shuffle(kts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thermwit.thermal, "BLOCK_TERMS", block)
+            _assert_every_term_bits(s, kts)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_spectra_at_the_block_size(self, offset):
+        # one row a block, at the real block size and one level either side
+        s = _spectrum_of_size(thermwit.thermal.BLOCK_TERMS + offset, offset + 5, 40)
+        kts = np.array([1e-3, 0.01, 0.1, 1.0, 10.0, 1e3, 1e6])
+        _assert_every_term_bits(s, kts)
+
+    def test_loose_cut_bound_with_degeneracies_to_1e40(self):
+        # log g spans 0 to ln(1e40) = 92.1, so the cut sits 92 kT further out
+        # than a nondegenerate spectrum's; alternating degeneracies put huge
+        # weights just past levels that are tiny
+        n = 5000
+        energies = np.linspace(0.0, 50.0, n)
+        degs = (1,) + tuple(10**40 if i % 2 else 1 for i in range(1, n))
+        s = Spectrum(energies, degs)
+        assert s.log_degeneracies.max() == math.log(10**40)
+        kts = np.geomspace(1e-3, 10.0, 60)
+        _assert_every_term_bits(s, kts)
+        for kt in kts.tolist():
+            _assert_cut_drops_only_tiny_terms(s, kt)
+
+    def test_subnormal_kt(self):
+        s = _spectrum_of_size(300, 11, 40)
+        kts = np.array([5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0])
+        _assert_every_term_bits(s, kts)
+        assert log_population(s, 5e-324, 0) == 0.0
+
+    @given(
+        n_levels=st.integers(min_value=2, max_value=3000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        max_deg_exp=st.sampled_from([0, 3, 40, 300]),
+        log_kt=st.floats(min_value=-323.0, max_value=307.0),
+    )
+    @example(n_levels=3000, seed=0, max_deg_exp=300, log_kt=-323.0)
+    @example(n_levels=3000, seed=0, max_deg_exp=0, log_kt=-2.0)
+    @settings(max_examples=150, deadline=None)
+    def test_cut_drops_only_terms_the_mask_writes_as_zero(
+        self, n_levels, seed, max_deg_exp, log_kt
+    ):
+        # every term past the cut, at its kT and at smaller kT, is at or below
+        # EXP_TINY in the every-term reference
+        _assert_cut_drops_only_tiny_terms(
+            _spectrum_of_size(n_levels, seed, max_deg_exp), max(10.0**log_kt, 5e-324)
+        )
+
+    def test_rows_of_one_grid_call_need_no_common_cut(self):
+        # the block's cut follows its largest kT, so a row at a small kT gets
+        # terms computed past its own cut; they are still written as 0.0
+        s = _spectrum_of_size(2000, 3, 0)
+        kts = np.array([1e-4, 1e4, 1e-3, 5.0, 1e-4])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thermwit.thermal, "BLOCK_TERMS", 2 * 2000)
+            _assert_every_term_bits(s, kts)
 
 
 class TestLadderConcavity:
