@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -73,14 +73,22 @@ class RobustnessBound:
     # log of ``threshold``, one float up from the rounded log so it never sits
     # below the exact one: the witness holds where log p0 exceeds it.
     log_threshold: float = field(init=False, repr=False, compare=False)
+    # The exact 1 + R where a closed form knows it, so the threshold comes
+    # from 1 / exact rather than from the rounded-down float; not stored.
+    exact_one_plus_r: InitVar[Fraction | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, exact_one_plus_r: Fraction | None) -> None:
         if not 1.0 <= self.one_plus_r < math.inf:
             raise ThermwitError(f"1 + R must be finite and >= 1, got {self.one_plus_r}")
         if self.kind is BoundKind.EXACT and self.source not in _EXACT_SOURCES:
             raise ThermwitError(f"source {self.source} cannot claim an exact bound")
-        threshold = 1.0 / self.one_plus_r
-        if Fraction(threshold) * Fraction(self.one_plus_r) < 1:
+        if exact_one_plus_r is None:
+            exact_one_plus_r = Fraction(self.one_plus_r)
+        elif exact_one_plus_r < Fraction(self.one_plus_r):
+            raise ThermwitError(f"1 + R = {self.one_plus_r} lies above its exact value")
+        exact_threshold = 1 / exact_one_plus_r
+        threshold = float(exact_threshold)
+        if Fraction(threshold) < exact_threshold:
             threshold = math.nextafter(threshold, math.inf)
         object.__setattr__(self, "threshold", threshold)
         object.__setattr__(self, "log_threshold", math.nextafter(math.log(threshold), math.inf))
@@ -165,6 +173,7 @@ def dicke_robustness(n: int, k: int) -> RobustnessBound:
         raise ThermwitError(f"excitation count {k} outside 0..{n}")
     if k == 0 or k == n:
         raise ThermwitError("product state: robustness 0 is not a witness input")
+    exact = None
     if n <= _EXACT_DICKE_CUTOFF:
         exact = Fraction(n**n, math.comb(n, k) * k**k * (n - k) ** (n - k))
         value = float(exact)
@@ -179,7 +188,10 @@ def dicke_robustness(n: int, k: int) -> RobustnessBound:
         budget = 4.0 * sys.float_info.epsilon * (abs(log_value) + 1.0)
         value = math.nextafter(math.exp(log_value - budget), 0.0)
     return RobustnessBound(
-        one_plus_r=value, kind=BoundKind.EXACT, source=BoundSource.CLOSED_FORM_DICKE
+        one_plus_r=value,
+        kind=BoundKind.EXACT,
+        source=BoundSource.CLOSED_FORM_DICKE,
+        exact_one_plus_r=exact,
     )
 
 

@@ -282,16 +282,14 @@ def dicke_state(n: int, k: int) -> PureState:
         raise ThermwitError(f"site count {n} outside 1..{DICKE_SITE_CAP}")
     if not 0 <= k <= n:
         raise ThermwitError(f"excitation count {k} outside 0..{n}")
-    # One reused shift buffer: per-bit temporaries would allocate 2n arrays of 2^n.
-    idx = np.arange(2**n, dtype=np.uint32)
-    weight = np.zeros_like(idx)
-    bit_of = np.empty_like(idx)
-    for bit in range(n):
-        np.right_shift(idx, bit, out=bit_of)
-        np.bitwise_and(bit_of, 1, out=bit_of)
-        weight += bit_of
-    amps = (weight == k).astype(complex)
-    amps /= math.sqrt(math.comb(n, k))
+    # Hamming weights by doubling: the upper half of each 2^(j+1) block is the
+    # lower half plus one, so the table costs 2^n one-byte adds in total.
+    weight = np.zeros(2**n, dtype=np.uint8)
+    for j in range(n):
+        half = 1 << j
+        np.add(weight[:half], 1, out=weight[half : 2 * half])
+    amps = np.zeros(2**n, dtype=complex)
+    amps[weight == k] = 1.0 / math.sqrt(math.comb(n, k))
     return PureState(n_sites=n, amplitudes=amps)
 
 
@@ -368,11 +366,11 @@ def stabilizer_spectrum(n: int, B: float) -> Spectrum:
         raise ThermwitError(f"site count {n} outside 1..10^4")
     if not B > 0:
         raise ThermwitError(f"field B must be positive, got {B}")
-    energies = [B * (-n + 2 * i) for i in range(n + 1)]
     degs = [1]
-    for i in range(n):  # C(n, i+1) = C(n, i) (n - i) / (i + 1), exact in integers
+    for i in range(n // 2):  # C(n, i+1) = C(n, i) (n - i) / (i + 1), exact in integers
         degs.append(degs[-1] * (n - i) // (i + 1))
-    return Spectrum(energies=tuple(energies), degeneracies=tuple(degs))
+    degs += degs[: n + 1 - len(degs)][::-1]  # C(n, n - i) = C(n, i)
+    return Spectrum(energies=B * np.arange(-n, n + 1, 2, dtype=float), degeneracies=tuple(degs))
 
 
 def read_edge_list(path: str | Path) -> Graph:

@@ -358,6 +358,36 @@ class TestConcurrence:
         with pytest.raises(ThermwitError):
             concurrence_two_qubit(np.eye(4))  # trace 4
 
+    @pytest.mark.parametrize("b", [0.0, 1.3, 3.9, 4.5, 6.0])
+    def test_dimer_gibbs_states_match_x_state_form(self, b):
+        for kt in np.geomspace(0.5, 20.0, 40):
+            rho = thermal_density_matrix(build_dimer_hamiltonian(DimerParams(b, 1.0)), kt)
+            got = concurrence_signed(rho)
+            assert abs(got - _dimer_x_state_concurrence(b, 1.0, kt)) <= 1e-12, (b, kt)
+
+    def test_dimer_gibbs_state_far_below_the_gap(self):
+        # The point a dimer --B 1.3 --oracles sweep reaches at T = 0.155: the
+        # three small spin-flip eigenvalues sit near 0 with ~eps of noise and
+        # the oracle takes their square roots, so it is good to ~5e-9 here
+        # (0.99999996749 against 0.99999997276), not to eps.
+        rho = thermal_density_matrix(build_dimer_hamiltonian(DimerParams(1.3, 1.0)), 0.155)
+        exact = _dimer_x_state_concurrence(1.3, 1.0, 0.155)
+        assert abs(concurrence_signed(rho) - exact) <= 1e-8
+
+
+def _dimer_x_state_concurrence(b, j, kt):
+    """|p_s - p_t0| - 2 sqrt(p_00 p_11) from the four dimer populations.
+
+    The dimer's Gibbs state is an X-state: diagonal in |00>, |11> and a 2x2
+    block on |01>, |10> whose eigenvectors are the singlet and triplet zero.
+    """
+    levels = {"00": j - b, "s": -3.0 * j, "t0": j, "11": j + b}
+    ground = min(levels.values())
+    weights = {name: math.exp(-(e - ground) / kt) for name, e in levels.items()}
+    z = math.fsum(weights.values())
+    p = {name: w / z for name, w in weights.items()}
+    return abs(p["s"] - p["t0"]) - 2.0 * math.sqrt(p["00"] * p["11"])
+
 
 def _per_matrix(fn, stack, *args):
     return [fn(m, *args) for m in stack]
@@ -653,11 +683,30 @@ class TestDirectedRounding:
             assert mpmath.mpf(two_below) <= exact
 
     def test_threshold_steps_up_for_dicke(self):
-        # 1 + R(8, 4) = 128/35 rounds down, so the reciprocal of the float
-        # lies just above 35/128 and the threshold steps one float up
+        # 1 + R(8, 4) = 128/35 rounds down, so the reciprocal of that float
+        # lies just above 35/128 and a threshold from it steps one float up;
+        # the closed form hands over the exact value, whose reciprocal is
+        # the float 35/128 itself
         b = dicke_robustness(8, 4)
-        assert b.threshold == math.nextafter(35 / 128, 1.0)
+        from_float = RobustnessBound(b.one_plus_r, b.kind, b.source)
+        assert from_float.threshold == math.nextafter(35 / 128, 1.0)
+        assert b.threshold == 35 / 128
+        assert dicke_robustness(12, 6).threshold == 0.2255859375
         assert singlet_robustness().threshold == 0.5
+
+    def test_dicke_threshold_is_smallest_float_not_below_exact(self):
+        for n in range(2, 65):
+            for k in range(1, n):
+                b = dicke_robustness(n, k)
+                exact = Fraction(math.comb(n, k) * k**k * (n - k) ** (n - k), n**n)
+                assert Fraction(b.threshold) >= exact, (n, k)
+                assert Fraction(math.nextafter(b.threshold, 0.0)) < exact, (n, k)
+
+    def test_rejects_exact_value_below_the_float(self):
+        with pytest.raises(ThermwitError, match="lies above its exact value"):
+            RobustnessBound(
+                2.0, BoundKind.EXACT, BoundSource.CLOSED_FORM_DICKE, exact_one_plus_r=Fraction(199, 100)
+            )
 
     def test_rejects_infinite_one_plus_r(self):
         with pytest.raises(ThermwitError):

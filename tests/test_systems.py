@@ -1,5 +1,6 @@
 """Tests for model construction: spectra, states, Hamiltonians, graphs."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -371,14 +372,35 @@ class TestExactConstructions:
             assert degs[i] == math.comb(n, i), i
 
     def test_dicke_state_equals_popcount_reference(self):
-        for n in range(1, 11):
+        for n in range(1, 13):
+            popcount = [bin(b).count("1") for b in range(2**n)]
             for k in range(n + 1):
                 reference = np.zeros(2**n, dtype=complex)
-                for b in range(2**n):
-                    if bin(b).count("1") == k:
+                for b, w in enumerate(popcount):
+                    if w == k:
                         reference[b] = 1.0
                 reference /= math.sqrt(math.comb(n, k))
-                assert np.array_equal(dicke_state(n, k).amplitudes, reference), (n, k)
+                assert dicke_state(n, k).amplitudes.tobytes() == reference.tobytes(), (n, k)
+
+    @pytest.mark.parametrize("k", [0, 1, 10, 20])
+    def test_dicke_state_at_the_site_cap(self, k):
+        idx = np.arange(2**20, dtype=np.uint32)
+        weight = sum((idx >> bit) & 1 for bit in range(20))
+        reference = (weight == k).astype(complex)
+        reference /= math.sqrt(math.comb(20, k))
+        assert dicke_state(20, k).amplitudes.tobytes() == reference.tobytes()
+
+    def test_dicke_state_allocates_little_beside_its_vector(self):
+        # the complex vector is 16 bytes per basis index; the weight table
+        # and the mask add one byte each
+        dicke_state(16, 8)
+        tracemalloc.start()
+        try:
+            dicke_state(16, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**16 <= 19.0
 
 
 class TestEdgeList:
