@@ -705,7 +705,10 @@ class TestDirectedRounding:
     def test_rejects_exact_value_below_the_float(self):
         with pytest.raises(ThermwitError, match="lies above its exact value"):
             RobustnessBound(
-                2.0, BoundKind.EXACT, BoundSource.CLOSED_FORM_DICKE, exact_one_plus_r=Fraction(199, 100)
+                2.0,
+                BoundKind.EXACT,
+                BoundSource.CLOSED_FORM_DICKE,
+                exact_one_plus_r=Fraction(199, 100),
             )
 
     def test_rejects_infinite_one_plus_r(self):
