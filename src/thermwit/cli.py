@@ -71,7 +71,6 @@ from .witness import (
     gapping_rule_min_gap,
     ground_crossing,
     noise_threshold,
-    satisfying_intervals,
     stabilizer_t_trans,
     toy_t0,
     toy_t1,
@@ -241,12 +240,6 @@ def cmd_dimer(cfg: RunConfig) -> int:
         columns = {}
         out = [("phase", "singlet-ground" if singlet_phase else "product-ground")]
         out += _crossing_lines(t_trans)
-        if not singlet_phase:
-            level = int(np.argmin(np.abs(sp.energies + 3.0 * p.J)))  # the singlet
-            intervals = satisfying_intervals(
-                sp, singlet_robustness(), cfg.grid.values(), level, cfg.k_b
-            )
-            out.append(("singlet_level_intervals", repr(intervals)))
         if cfg.oracles:
             rho = thermal_density_matrix(build_dimer_hamiltonian(p), kts)
             columns["concurrence"] = concurrence_two_qubit(rho)
@@ -325,10 +318,8 @@ def cmd_toy(cfg: RunConfig) -> int:
         if cfg.oracles:
             columns["z_spectrum"] = [exp_or_inf(-p.e0 / kt - x) for x, kt in zip(log_p0_sp, kts)]
             # Z_sp / Z = p0 / p0_sp: compared without the -E0/kT both carry.
-            # np.maximum keeps a NaN, which then fails the gate below.
-            worst = 0.0
-            for x, y in zip(log_p0_sp, log_ps):
-                worst = float(np.maximum(worst, _rel_err(y, x)))
+            # np.max keeps a NaN, which then fails the gate below.
+            worst = float(np.max([_rel_err(y, x) for x, y in zip(log_p0_sp, log_ps)]))
             out.append(("z_spectrum_max_rel_err", _fmt(worst)))
             if not worst <= 1e-9:
                 raise MismatchError(f"spectrum re-sum disagrees with closed form by {worst:.3e}")
@@ -424,12 +415,11 @@ def _matrix_check(g: Graph, b: float, kts: np.ndarray) -> list[tuple[str, str]]:
     residual = float(
         np.linalg.norm(h @ psi.amplitudes - analytic.ground_energy * psi.amplitudes)
     )
-    z_err = 0.0
-    for kt in kts[:: max(1, len(kts) // 8)].tolist():
-        log_z_closed = log_stabilizer_partition_function(g.n, b, kt)
-        log_z_dense = log_partition_function(dense, kt)
-        # np.maximum keeps a NaN, which then fails the gate below
-        z_err = float(np.maximum(z_err, _rel_err(log_z_dense, log_z_closed)))
+    # np.max keeps a NaN, which then fails the gate below
+    z_err = float(np.max([
+        _rel_err(log_partition_function(dense, kt), log_stabilizer_partition_function(g.n, b, kt))
+        for kt in kts[:: max(1, len(kts) // 8)].tolist()
+    ]))
     if not levels_ok or residual > 1e-9 or not z_err <= 1e-9:
         raise MismatchError(
             f"dense matrix check failed: levels_ok={levels_ok} "
@@ -471,11 +461,12 @@ def cmd_graph(cfg: RunConfig) -> int:
             p_flip = [flip_probability_from_temperature(b, kt) for kt in kts.tolist()]
             p_from_flip = [(1.0 - x) ** g.n for x in p_flip]
             columns = {"p_flip": p_flip, "p_from_flip": p_from_flip}
-            worst = 0.0
-            for y, log_p0 in zip(p_from_flip, log_ps.tolist()):
-                worst = max(worst, abs(y - math.exp(log_p0)))
+            # np.max keeps a NaN, which then fails the gate below
+            worst = float(np.max(
+                [abs(y - math.exp(log_p0)) for y, log_p0 in zip(p_from_flip, log_ps.tolist())]
+            ))
             out.append(("flip_identity_max_err", _fmt(worst)))
-            if worst > 1e-12:
+            if not worst <= 1e-12:
                 raise MismatchError(
                     f"(1 - p_flip)^n disagrees with ground population by {worst:.3e}"
                 )

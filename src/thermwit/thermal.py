@@ -7,14 +7,14 @@ with kT around 1e-6 times the gap).
 
 Every kernel takes kT, the product of temperature and Boltzmann's constant;
 only the searches in ``witness`` take k_B and work in temperature. The
-spectrum kernel (``log_population``, ``log_partition_function``,
-``population_profile``) takes one kT, giving a float, or an array of kT
-values, giving an array, and each point gets the bits a one-kT call gives:
-every row is summed on its own along the contiguous level axis. It works
-in row blocks of at most BLOCK_TERMS = 2^17 terms, so each temporary stays
-within 1 MB (or one row, for a spectrum with more levels): a sweep's
-2,000 x 4 dimer grid is one block, and the `toy --oracles` re-sum of 10^5
-levels over its whole grid is one call of one row a block.
+spectrum kernel (``log_population``, ``log_partition_function``) takes one
+kT, giving a float, or an array of kT values, giving an array, and each
+point gets the bits a one-kT call gives: every row is summed on its own
+along the contiguous level axis. It works in row blocks of at most
+BLOCK_TERMS = 2^17 terms, so each temporary stays within 1 MB (or one
+row, for a spectrum with more levels): a sweep's 2,000 x 4 dimer grid is
+one block, and the `toy --oracles` re-sum of 10^5 levels over its whole
+grid is one call of one row a block.
 
 The spectrum kernel cuts its rows on the sorted levels. x_j = E_j - E_0
 ascends from x_0 = 0, and the largest shifted term m of a row is at least
@@ -144,18 +144,6 @@ def exp_or_inf(log_z: float) -> float:
         return math.exp(log_z)
     except OverflowError:
         return math.inf
-
-
-def population_profile(s: Spectrum, kt: float | np.ndarray) -> np.ndarray:
-    """Population of each level with its degeneracy multiplied in; sums to one.
-
-    Levels run along the last axis: shape (levels,) for one kT,
-    (..., levels) for an array of kT.
-    """
-    kt = _kt_array(kt)
-    with np.errstate(over="ignore"):
-        terms = s.log_degeneracies - s._excitations / kt[..., None]
-    return np.exp(terms - _log_sums(s, kt)[..., None])
 
 
 def log_population(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .thermal import (
     _kt_array,
     log_ground_population_alpha_closed,
     log_population,
-    population_profile,
     thermal_density_matrix,
 )
 
@@ -40,8 +39,8 @@ class TransitionResult:
     ``t_trans`` is None when the condition fails at every temperature in the
     bracket (reported as not-detected: the witness is silent, not a proof of
     separability), and inf when it holds at every temperature. Otherwise the
-    condition holds at ``t_trans`` and below it, and fails from the next
-    float up.
+    condition holds at ``t_trans`` and fails at the next float up. Where the
+    float margin is not monotone, floats further up may read either way.
     """
 
     t_trans: float | None
@@ -58,34 +57,6 @@ def _check_k_b(k_b: float) -> None:
         raise ThermwitError(f"k_b must be positive and finite, got {k_b}")
 
 
-def crossing_temperature(
-    margin: Callable[[float], float], lo: float, hi: float, settles: bool = False
-) -> float | None:
-    """Last temperature in [lo, hi] where a margin falling with T is positive.
-
-    Returns the inside end of ``root_bracket``: the margin is positive there
-    and not positive at the next float up. None when the margin is not
-    positive at ``lo`` (never satisfied), inf when it is still positive at
-    ``hi`` (satisfied across the bracket). With ``settles``, the caller knows
-    the margin ends non-positive as T grows (the infinite-temperature
-    population is at or below the threshold), so an upper end where it is
-    still positive is doubled until it is not; inf then comes back only if
-    no finite float gets there.
-    """
-    try:
-        inside, outside = root_bracket(margin, lo, hi)
-    except NoSignChange:
-        if not margin(lo) > 0.0:
-            return None
-        while settles and math.isfinite(2.0 * hi):
-            lo, hi = hi, 2.0 * hi
-            if not margin(hi) > 0.0:
-                return root_bracket(margin, lo, hi)[0]
-        return math.inf
-    # a margin rising across the bracket is not positive at lo
-    return inside if inside < outside else None
-
-
 def ground_crossing(
     log_p0: Callable[[float], float],
     bound: RobustnessBound,
@@ -99,18 +70,33 @@ def ground_crossing(
     ``log_p0(kt)`` falls with kT, for a spectrum with the given gap, spread
     and number of states. The search runs in temperature and evaluates at
     kT = temp * k_b, so the reported crossing is a temperature on the safe
-    side in its own unit. It starts on [1e-6 * gap, 1e4 * spread] / k_b;
-    while the condition still holds at the upper end and 1/dimension (the
-    population at infinite temperature) is at or below the threshold, that
-    end is doubled.
+    side in its own unit. It starts on [1e-6 * gap, 1e4 * spread] / k_b and
+    returns the inside end of ``root_bracket``: the condition holds there and
+    fails at the next float up. Where the float margin is not monotone,
+    floats further up may read either way. None when the condition fails at
+    the lower end; inf when it still holds at the upper end. While it does
+    and 1/dimension (the population at infinite temperature) is at or below
+    the threshold, so the margin ends non-positive as T grows, that end is
+    doubled until the condition fails; inf then comes back only if no finite
+    float gets there.
     """
     _check_k_b(k_b)
-    bracket = (BRACKET_GAP_FACTOR * gap / k_b, BRACKET_SPREAD_FACTOR * spread / k_b)
+    lo, hi = bracket = (BRACKET_GAP_FACTOR * gap / k_b, BRACKET_SPREAD_FACTOR * spread / k_b)
 
     def margin(temp: float) -> float:
         return log_p0(temp * k_b) - bound.log_threshold
 
-    t_star = crossing_temperature(margin, *bracket, settles=1 / dimension <= bound.threshold)
+    try:
+        inside, outside = root_bracket(margin, lo, hi)
+        # a margin rising across the bracket is not positive at lo
+        t_star = inside if inside < outside else None
+    except NoSignChange:
+        t_star = math.inf if margin(lo) > 0.0 else None
+        settles = 1 / dimension <= bound.threshold
+        while t_star == math.inf and settles and math.isfinite(2.0 * hi):
+            lo, hi = hi, 2.0 * hi
+            if not margin(hi) > 0.0:
+                t_star = root_bracket(margin, lo, hi)[0]
     return TransitionResult(t_trans=t_star, bracket=bracket)
 
 
@@ -138,49 +124,6 @@ def transition_temperature(
             "the infinite-temperature population"
         )
     return result
-
-
-def satisfying_intervals(
-    s: Spectrum,
-    bound: RobustnessBound,
-    grid: Sequence[float],
-    level_index: int = 0,
-    k_b: float = 1.0,
-) -> list[tuple[float, float]]:
-    """The temperature interval (within the grid span) where the condition holds.
-
-    log p_j is concave in beta = 1/kT (its second derivative is -Var E), so
-    the condition holds on at most one interval: at most one list entry comes
-    back. The population peaks where <E>(T) = E_j; from there one root
-    bracket on each side finds the ends, each reported where the condition
-    was evaluated as holding. Only the first and last grid points are used.
-    """
-    _check_k_b(k_b)
-    temps = np.asarray(list(grid), dtype=float)
-    if temps.size < 2:
-        raise ThermwitError(f"grid needs at least 2 points, got {temps.size}")
-    if not np.all(np.diff(temps) > 0):
-        raise ThermwitError("grid temperatures must be strictly ascending")
-    if not 0 <= level_index < s.n_levels:
-        raise ThermwitError(f"level {level_index} outside 0..{s.n_levels - 1}")
-    t_lo, t_hi = float(temps[0]), float(temps[-1])
-    energies = s.energies
-    e_j = energies[level_index]
-
-    def rising(temp: float) -> float:
-        # log p_j rises with T while E_j > <E>
-        return e_j - population_profile(s, temp * k_b) @ energies
-
-    def margin(temp: float) -> float:
-        return log_population(s, temp * k_b, level_index) - bound.log_threshold
-
-    peak = crossing_temperature(rising, t_lo, t_hi)
-    peak = t_lo if peak is None else min(peak, t_hi)
-    if not margin(peak) > 0.0:
-        return []
-    start = t_lo if margin(t_lo) > 0.0 else root_bracket(margin, t_lo, peak)[0]
-    end = crossing_temperature(margin, peak, t_hi)  # not None: margin(peak) > 0
-    return [(start, min(end, t_hi))]
 
 
 # --- spin-dimer closed forms -------------------------------------------------

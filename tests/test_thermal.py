@@ -36,7 +36,6 @@ from thermwit.thermal import (
     log_partition_function_alpha_gamma,
     log_stabilizer_partition_function,
     log_population,
-    population_profile,
     relative_entropy_ground_to_thermal,
     thermal_density_matrix,
 )
@@ -79,13 +78,17 @@ class TestPartitionFunction:
 class TestPopulation:
     def test_profile_sums_to_one(self):
         s = dimer_spectrum(DimerParams(1.0, 1.0))
-        prof = population_profile(s, 1.7)
-        assert np.sum(prof) == pytest.approx(1.0)
+        kts = np.geomspace(0.1, 10.0, 7)
+        total = sum(g * np.exp(log_population(s, kts, j)) for j, g in enumerate(s.degeneracies))
+        np.testing.assert_allclose(total, 1.0, rtol=1e-14)
 
     def test_per_state_vs_aggregated(self):
+        # the three excited states together hold 3 e^{-1/kT} / (1 + 3 e^{-1/kT})
         s = Spectrum((0.0, 1.0), (1, 3))
-        prof = population_profile(s, 2.0)
-        assert prof[1] == pytest.approx(3.0 * math.exp(log_population(s, 2.0, 1)))
+        kts = np.array([0.5, 2.0, 8.0])
+        w = 3.0 * np.exp(-1.0 / kts)
+        excited = 3.0 * np.exp(log_population(s, kts, 1))
+        np.testing.assert_allclose(excited, w / (1.0 + w), rtol=1e-14)
 
     def test_ground_population_monotone_in_temperature(self):
         rng = np.random.default_rng(9)
@@ -167,10 +170,6 @@ class TestGridKernel:
         s = dimer_spectrum(DimerParams(1.3, 1.0))
         kts = np.geomspace(0.1, 10.0, 6).reshape(2, 3)
         assert log_population(s, kts, 1).shape == (2, 3)
-        assert population_profile(s, kts).shape == (2, 3, s.n_levels)
-        np.testing.assert_array_equal(
-            population_profile(s, kts)[1, 2], population_profile(s, kts[1, 2])
-        )
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_kt(self, bad):
@@ -181,7 +180,6 @@ class TestGridKernel:
         grid_kernels = {
             "log_population": lambda kt: log_population(s, kt),
             "log_partition_function": lambda kt: log_partition_function(s, kt),
-            "population_profile": lambda kt: population_profile(s, kt),
             "thermal_density_matrix": lambda kt: thermal_density_matrix(h, kt),
             "relative_entropy_ground_to_thermal": (
                 lambda kt: relative_entropy_ground_to_thermal(s, kt)
@@ -499,12 +497,10 @@ class TestSpectrumKernelBits:
         # points past the subnormal edge of exp, 708.4, and many past 745.13
         s = _random_spectrum(n_levels, seed, max_deg_exp)
         kts = _kt_at_depth(s, depth) * np.array([1.0, 0.8, 0.9, 1.1, 1.25])
-        e = s.energies
         kernels = {
             "log_p0": lambda t: log_population(s, t, 0),
             "log_p1": lambda t: log_population(s, t, 1),
             "log_z": lambda t: log_partition_function(s, t),
-            "profile": lambda t: population_profile(s, t),
         }
         grid = {name: f(kts) for name, f in kernels.items()}
         for i, kt in enumerate(kts.tolist()):
@@ -513,7 +509,6 @@ class TestSpectrumKernelBits:
                 "log_p0": -(s.energies[0] - s.ground_energy) / kt - lse,
                 "log_p1": -(s.energies[1] - s.ground_energy) / kt - lse,
                 "log_z": -s.ground_energy / kt + lse,
-                "profile": np.exp(s.log_degeneracies - (e - e[0]) / kt - lse),
             }
             for name, f in kernels.items():
                 ref = np.asarray(want[name]).tobytes()

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,13 +16,11 @@ from thermwit.systems import DimerParams, Spectrum, ToySpectrumParams, dimer_spe
 from thermwit.thermal import log_ground_population_alpha_closed, log_population
 from thermwit.witness import (
     concurrence_vanishing_temperature,
-    crossing_temperature,
     dimer_condition_margin,
     flip_probability_from_temperature,
     gapping_rule_min_gap,
     ground_crossing,
     noise_threshold,
-    satisfying_intervals,
     stabilizer_t_trans,
     toy_t0,
     toy_t1,
@@ -149,7 +146,6 @@ def test_searches_reject_bad_boltzmann_constant(k_b):
     searches = [
         lambda: ground_crossing(lambda kt: log_population(s, kt, 0), bound, 4.0, 4.0, 4, k_b),
         lambda: transition_temperature(s, bound, k_b),
-        lambda: satisfying_intervals(s, bound, [0.1, 10.0], 0, k_b),
         lambda: concurrence_vanishing_temperature(DimerParams(0.0, 1.0), k_b),
     ]
     for search in searches:
@@ -158,89 +154,30 @@ def test_searches_reject_bad_boltzmann_constant(k_b):
 
 
 class TestCrossingTemperature:
+    """The search's ends on margins T -> log p0(T) - log threshold, from [1, 10]."""
+
+    BOUND = bound_from_relative_entropy(2.0)  # threshold 1/4
+
+    def crossing(self, margin, dimension):
+        # the gap and spread put the starting bracket at [1, 10]
+        result = ground_crossing(
+            lambda kt: margin(kt) + self.BOUND.log_threshold, self.BOUND, 1e6, 1e-3, dimension
+        )
+        assert result.bracket == (1.0, 10.0)
+        return result.t_trans
+
     def test_reports_inf_without_settles(self):
-        assert crossing_temperature(lambda t: 1e6 - t, 1.0, 10.0) == math.inf
+        # 1/2 of the population at infinite temperature is above the threshold
+        assert self.crossing(lambda t: 1e6 - t, 2) == math.inf
 
     def test_settles_extends_the_upper_end(self):
-        t = crossing_temperature(lambda t: 1e6 - t, 1.0, 10.0, settles=True)
-        assert t == math.nextafter(1e6, 0.0)
+        assert self.crossing(lambda t: 1e6 - t, 8) == math.nextafter(1e6, 0.0)
 
     def test_settles_gives_inf_when_no_float_gets_there(self):
-        assert crossing_temperature(lambda t: 1.0, 1.0, 10.0, settles=True) == math.inf
+        assert self.crossing(lambda t: 1.0, 8) == math.inf
 
     def test_never_satisfied_is_none(self):
-        assert crossing_temperature(lambda t: -1.0, 1.0, 10.0, settles=True) is None
-
-
-class TestSatisfyingIntervals:
-    def test_ground_interval_anchored_low(self):
-        s = dimer_spectrum(DimerParams(0.0, 1.0))
-        grid = np.linspace(0.1, 10.0, 400)
-        ivs = satisfying_intervals(s, singlet_robustness(), grid)
-        assert len(ivs) == 1
-        lo, hi = ivs[0]
-        assert lo == 0.1
-        assert hi == pytest.approx(T_ZERO_FIELD, rel=1e-6)
-
-    def test_empty_when_never_satisfied(self):
-        s = dimer_spectrum(DimerParams(5.0, 1.0))  # product ground state
-        grid = np.linspace(0.1, 10.0, 100)
-        # demand singlet-level weight above 1/2: impossible in this phase
-        level = list(s.energies).index(-3.0)
-        assert satisfying_intervals(s, singlet_robustness(), grid, level) == []
-
-    def test_excited_level_window(self):
-        # a nearly degenerate first excited level rises above the threshold
-        # at intermediate T, then a heavy band above pushes it back down
-        s = Spectrum((0.0, 0.01, 5.0), (1, 1, 40))
-        grid = np.geomspace(0.001, 50.0, 800)
-        ivs = satisfying_intervals(s, bound_from_relative_entropy(1.5), grid, 1)
-        assert len(ivs) == 1
-        lo, hi = ivs[0]
-        assert 0.001 < lo < hi < 50.0
-        inside = math.exp(log_population(s, math.sqrt(lo * hi), 1))
-        assert inside > 2.0 ** (-1.5)
-        assert math.exp(log_population(s, lo * 0.5, 1)) < 2.0 ** (-1.5)
-        assert math.exp(log_population(s, hi * 2.0, 1)) < 2.0 ** (-1.5)
-
-    def test_rejects_tiny_grid(self):
-        s = dimer_spectrum(DimerParams(0.0, 1.0))
-        with pytest.raises(ThermwitError, match="grid needs at least 2 points, got 1"):
-            satisfying_intervals(s, singlet_robustness(), [1.0])
-
-    @given(
-        st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=2, max_size=5),
-        st.lists(st.integers(min_value=1, max_value=10), min_size=6, max_size=6),
-        st.integers(min_value=0, max_value=5),
-        st.floats(min_value=0.05, max_value=6.0),
-        st.floats(min_value=-3.0, max_value=0.0),
-        st.floats(min_value=0.5, max_value=2.5),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_single_interval_matches_dense_scan(self, gaps, degs, level, e_r, log_lo, log_hi):
-        energies = np.concatenate([[0.0], np.cumsum(gaps)])
-        level %= energies.size
-        degs = degs[: energies.size]
-        degs[level] = 1
-        s = Spectrum(tuple(float(e) for e in energies), tuple(degs))
-        bound = bound_from_relative_entropy(e_r)
-        lo, hi = 10.0**log_lo, 10.0**log_hi
-        ivs = satisfying_intervals(s, bound, [lo, hi], level)
-        assert len(ivs) <= 1
-        for end in (e for iv in ivs for e in iv):
-            assert lo <= end <= hi
-            assert log_population(s, end, level) > bound.log_threshold
-        # independent dense scan: per-state populations by a direct log-sum
-        temps = np.geomspace(lo, hi, 2000)
-        x = -(energies[None, :] - energies[0]) / temps[:, None]
-        log_p = x[:, level] - scipy.special.logsumexp(x, axis=1, b=np.array(degs))
-        holds = log_p > math.log(bound.threshold)
-        inside = np.zeros(temps.size, dtype=bool)
-        near_end = np.zeros(temps.size, dtype=bool)
-        for iv in ivs:
-            inside = (temps >= iv[0]) & (temps <= iv[1])
-            near_end = np.any([np.abs(temps - e) <= 1e-9 * e for e in iv], axis=0)
-        assert np.array_equal(holds[~near_end], inside[~near_end])
+        assert self.crossing(lambda t: -1.0, 8) is None
 
 
 class TestDimerClosedForm:
