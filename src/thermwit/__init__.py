@@ -53,7 +53,6 @@ from .thermal import (
     log_partition_function_alpha_gamma,
     log_population,
     log_stabilizer_partition_function,
-    relative_entropy_ground_to_thermal,
     thermal_density_matrix,
 )
 from .witness import (
@@ -119,7 +118,6 @@ __all__ = [
     "partial_transpose",
     "ppt_min_eigenvalue",
     "read_edge_list",
-    "relative_entropy_ground_to_thermal",
     "root_bracket",
     "run_all",
     "serialize_config",

@@ -54,7 +54,6 @@ from .systems import (
     graph_state,
     read_edge_list,
     stabilizer_spectrum,
-    toy_spectrum,
 )
 from .thermal import (
     exp_or_inf,
@@ -265,6 +264,15 @@ def cmd_dimer(cfg: RunConfig) -> int:
 # --- power-law ladder ---------------------------------------------------------
 
 
+def _ladder_resum(excited: np.ndarray, kts: list[float]) -> list[float]:
+    """log p0 = -log1p(sum_m e^{-x_m/kT}) apart from the thermal kernel: every
+    term with x_m < 746 kT goes through exp, subnormals too, unshifted."""
+    return [
+        -math.log1p(float(np.sum(np.exp(-excited[:excited.searchsorted(746.0 * kt)] / kt))))
+        for kt in kts
+    ]
+
+
 def cmd_toy(cfg: RunConfig) -> int:
     p = ToySpectrumParams(
         e0=cfg.toy_e0, delta=cfg.toy_delta, alpha=cfg.toy_alpha, n_levels=cfg.toy_d
@@ -285,14 +293,13 @@ def cmd_toy(cfg: RunConfig) -> int:
             raise ThermwitError(
                 f"--oracles re-sums the spectrum and needs D <= {ORACLE_LEVEL_CAP}"
             )
-        # log p0 carries no E0, so the re-sum runs on the ladder at E0 = 0:
-        # stored as floats e0 + m**alpha delta, a large |E0| would round and
-        # merge its levels.
-        sp_oracle = toy_spectrum(replace(p, e0=0.0))
+        # log p0 carries no E0: the re-sum takes the levels above the ground
+        # one as m**alpha delta, which e0 + m**alpha delta rounds at large |E0|
+        excited = np.arange(1, p.n_levels, dtype=float) ** p.alpha * p.delta
 
     def extra(kts: np.ndarray, log_ps: np.ndarray, t_trans: float | None):
         if cfg.oracles:
-            log_p0_sp = log_population(sp_oracle, kts, 0).tolist()
+            log_p0_sp = _ladder_resum(excited, kts.tolist())
         # per point in Python floats, which overflow to inf without a warning
         kts, log_ps = kts.tolist(), log_ps.tolist()
         columns = {}
@@ -336,7 +343,7 @@ def cmd_toy(cfg: RunConfig) -> int:
         params.append(("n", str(cfg.toy_n)))
     return _sweep(
         cfg, "toy", params, bound, p.e0,
-        lambda kts: np.array([log_ground_population_alpha_closed(p, kt) for kt in kts.tolist()]),
+        lambda kts: log_ground_population_alpha_closed(p, kts),
         (p.delta, p.spread, p.n_levels), extra,
     )
 

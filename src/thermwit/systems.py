@@ -42,9 +42,9 @@ class Spectrum:
     energies: np.ndarray
     degeneracies: tuple[int, ...]
     log_degeneracies: np.ndarray = field(init=False, repr=False)
-    # for the thermal kernel: E_j - E_0, and max log g less log g_0
-    _excitations: np.ndarray = field(init=False, repr=False)
-    _log_degeneracy_span: float = field(init=False, repr=False)
+    # the thermal kernel's levels: E_j - E_0, log g (one float when all are
+    # equal), log g_max - min(log g_0, log g_1) and log g_max - log g_min
+    _levels: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         energy = np.array(self.energies, dtype=float)
@@ -56,21 +56,23 @@ class Spectrum:
             raise ThermwitError("degeneracies must be positive integers")
         if not np.all(energy[1:] > energy[:-1]):  # NaN compares false
             raise ThermwitError("energies must be strictly ascending")
+        excitations = energy - energy[0]
         if len(distinct) == 1:
-            log_deg = np.full(energy.size, math.log(int(degeneracies[0])))
+            log_g = math.log(int(degeneracies[0]))
+            log_deg = np.full(energy.size, log_g)
+            levels = (excitations, log_g, 0.0, 0.0)
         else:
             log_of = {g: math.log(int(g)) for g in distinct}
             log_deg = np.array([log_of[g] for g in degeneracies])
-        excitations = energy - energy[0]
+            top = max(log_of.values())
+            span = top - min(log_of[degeneracies[0]], log_of[degeneracies[1]])
+            levels = (excitations, log_deg, span, top - min(log_of.values()))
         for a in (energy, log_deg, excitations):
             a.setflags(write=False)
         object.__setattr__(self, "energies", energy)
         object.__setattr__(self, "degeneracies", degeneracies)
         object.__setattr__(self, "log_degeneracies", log_deg)
-        object.__setattr__(self, "_excitations", excitations)
-        object.__setattr__(
-            self, "_log_degeneracy_span", float(log_deg.max()) - float(log_deg[0])
-        )
+        object.__setattr__(self, "_levels", levels)
 
     @classmethod
     def from_values(cls, values: np.ndarray | Sequence[float]) -> "Spectrum":

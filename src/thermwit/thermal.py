@@ -7,48 +7,50 @@ with kT around 1e-6 times the gap).
 
 Every kernel takes kT, the product of temperature and Boltzmann's constant;
 only the searches in ``witness`` take k_B and work in temperature. The
-spectrum kernel (``log_population``, ``log_partition_function``) takes one
-kT, giving a float, or an array of kT values, giving an array, and each
-point gets the bits a one-kT call gives: every row is summed on its own
-along the contiguous level axis. It works in row blocks of at most
-BLOCK_TERMS = 2^17 terms, so each temporary stays within 1 MB (or one
-row, for a spectrum with more levels): a sweep's 2,000 x 4 dimer grid is
-one block, and the `toy --oracles` re-sum of 10^5 levels over its whole
-grid is one call of one row a block.
+population kernels take one kT, giving a float, or an array of kT values,
+giving an array with the bits of one-kT calls: each row is summed on its
+own, in row blocks of at most BLOCK_TERMS = 2^17 terms (1 MB a temporary).
 
-The spectrum kernel cuts its rows on the sorted levels. x_j = E_j - E_0
-ascends from x_0 = 0, and the largest shifted term m of a row is at least
-the j = 0 one, log g_0. So a level with x_j >= kT * (log g_max - log g_0
-- EXP_TINY + 1) has a_j - m <= log g_max - x_j/kT - log g_0 <= EXP_TINY - 1
-for its term a_j = log g_j - x_j/kT. The 1 covers the rounding of that
-product (half a subnormal ulp over kT, at most 1/2, at the smallest kT;
-about 1e-13 elsewhere) and of the divisions and subtractions. One binary
-search per block, at its largest kT, finds the first such level; the
-terms from there on are written 0.0 without being computed, as the
-EXP_TINY mask below would have written them, and the sum still runs over
-all levels, so its pairwise order and its bits are unchanged. At a kT that
-overflows the product nothing is cut, since x/kT is NaN where both are inf.
+They share one log-sum, ``_log_sums``, over levels x_j = E_j - E_0 that
+ascend from x_0 = 0: a Spectrum's (one log g if all are equal), or the
+ladder's cached x_m = m**alpha * delta with log g = 0 (at alpha = 0 the
+levels (0, delta) with degeneracies 1 and D-1), so no 10^6-level Spectrum
+is built. With a_j = log g_j - x_j/kT, m the largest term and m2 the
+largest of the others, a row is m + log1p(e^{m2-m} * S2). S2 sums
+e^{a_j - m2} over slots 1..n-1, where level 0's term takes the top's slot
+(for the ladder: its D-1 excited levels in order); e^{m2-m} comes from
+math.exp, and a zero factor returns m, also where m2 = -inf makes a_j - m2
+NaN. With one log g the top is level 0 and m2 level 1, so a row's terms
+are x_1/kT - x_j/kT in one pass. The tail goes through log1p because at a
+weak bound, 1 + R near 1, the crossing sits where the tail is about R,
+and m + log(1 + tail) rounds it to ~1e-16 absolute: that put crossings up
+to 1e-11 relative above the exact one (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., SIAM 2002, ch. 4).
 
-The closed-form ladder sum costs O(1) at alpha = 0, one excited level of
-degeneracy D-1. For alpha > 0 it keeps one cache entry: the read-only level
-array -m**alpha * delta of the last ladder it summed, so a sweep or a
-crossing search over one ladder builds it once. One entry bounds the memory
-to one ladder (8 MB at 10^6 levels). The levels are sorted, so a binary
-search finds the terms above EXP_TINY.
-
-Both kernels write 0.0 for every shifted term at or below EXP_TINY without
-calling exp: there exp is subnormal or zero, and a subnormal result costs
-~120-160 ns against ~1 ns for a normal one. Each dropped term is below
-2^-1022 and there are fewer than 2^20 of them, while each sum holds
-exp(0) = 1, so the dropped mass sits ~950 binades below half an ulp of the
-sum. That is not a proof that no bit moves: a rounding difference inside a
-subtree of tiny terms could still reach the last bit if every pairwise
-addition above it sat within that difference of a rounding tie. The tests
-compare both kernels hex for hex against sums that exponentiate every term.
+The level source precomputes D = log g_max - min(log g_0, log g_1) and
+W = log g_max - log g_min (0 for one log g). As m >= a_0, m2 >= min(a_0,
+a_1) >= min(log g_0, log g_1) - x_1/kT and a_j <= log g_max - x_j/kT:
+- Candidates: from x_j > x_1 + kT (D + 1) on, a_j < min(a_0, a_1) - 1,
+  so the top and m2 are looked for only below there. Where x_1/kT is so
+  large that rounding reaches that 1, only level 0 can be the top and
+  e^{m2-m} is 0.
+- Cut: from x_j >= x_1 + kT (D + 1 - EXP_TINY) on, a_j - m2 <= EXP_TINY - 1
+  at the block's largest kT and below, so those terms are written 0.0
+  without being computed (the 1 covers rounding: at most 1/2 at a
+  subnormal kT, ~1e-13 elsewhere). S2 still runs over every slot, so its
+  pairwise order is unchanged. Where the product overflows nothing is cut.
+- Mask: m2 <= log g_max, so a_j - m2 > EXP_TINY below x_j = kT (-EXP_TINY
+  - W - 1) at the block's smallest kT. From there to the cut, each a_j - m2
+  at or below EXP_TINY is written 0.0 without calling exp.
+Below EXP_TINY exp is subnormal (~120-160 ns against ~1 ns) or zero. Each
+dropped term is below 2^-1022, there are fewer than 2^20 of them, and S2
+holds e^0 = 1 for m2, so their mass sits ~950 binades below half an ulp of
+S2. That is not a proof that no bit moves (a subtree of tiny terms could
+still reach the last bit through a chain of near-ties), so the tests
+compare the kernel hex for hex with sums that exponentiate every term.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 
@@ -59,14 +61,11 @@ from .numerics import _float_or_array, hermitian_eigendecompose
 from .systems import Spectrum, ToySpectrumParams
 
 LN2 = math.log(2.0)
-# np.exp is exactly +0.0 at and below about -745.13: a ladder whose largest
-# shifted term is at or below this cut has a tail of exactly 0.
-EXP_ZERO = -746.0
 # Just below ln(2^-1022) = -708.3964..., so np.exp of any value at or below
-# it is subnormal or zero; the kernels write such terms as 0.0.
+# it is subnormal or zero; the kernel writes such terms as 0.0.
 EXP_TINY = -708.4
-# The spectrum kernel works in row blocks of at most this many terms (1 MB of
-# float64 per temporary); a spectrum with more levels takes one row a block.
+# The kernel works in row blocks of at most this many terms (1 MB of float64
+# per temporary); a level source with more levels takes one row a block.
 BLOCK_TERMS = 2**17
 
 
@@ -78,64 +77,73 @@ def _kt_array(kt: float | np.ndarray) -> np.ndarray:
     return kt
 
 
-def _cut(s: Spectrum, kt: float) -> int:
-    """First level whose shifted term is at or below EXP_TINY at kT or any smaller kT.
-
-    Every level from it on is, too (see the module docstring); at least 1.
-    """
+def _cut(levels: tuple, kt: float) -> int:
+    """The cut of the module docstring at kT: from this level (at least 2) on,
+    every a_j - m2 is at or below EXP_TINY at kT and any smaller kT."""
+    x, _, span, _ = levels
     # a Python float: inf where the product overflows
-    reach = kt * (s._log_degeneracy_span - EXP_TINY + 1.0)
+    reach = kt * (span + 1.0 - EXP_TINY)
     if not reach < math.inf:
-        return s.n_levels
-    return int(s._excitations[1:].searchsorted(reach)) + 1
+        return x.size
+    return max(2, int(x.searchsorted(float(x[1]) + reach)))
 
 
-# at a subnormal kT a gap over kT overflows to inf, as intended
-@np.errstate(over="ignore")
-def _log_sums(s: Spectrum, kt: np.ndarray) -> np.ndarray:
-    """log sum_j g_j exp(-(E_j - E0)/kT) for each kT, in kT's shape.
+# at a subnormal kT a gap over kT overflows to inf, and a row whose m2 is
+# -inf gets NaN terms; its factor e^{m2-m} is 0, so it returns m
+@np.errstate(over="ignore", invalid="ignore")
+def _log_sums(levels: tuple, kt: np.ndarray) -> np.ndarray:
+    """log sum_j g_j exp(-x_j/kT) for each kT, in kT's shape: the one log-sum.
 
-    The one log-sum behind the spectrum kernel. Each row holds the shifted
-    terms a_j = log g_j - (E_j - E0)/kT less their max m, exponentiated
-    where above EXP_TINY and 0.0 elsewhere, and returns m + log of their
-    sum. Levels from each block's cut on (see the module docstring) are
-    written 0.0 without being computed; the sum still runs over all
-    levels. The last log is math.log row by row, as in a one-point call:
-    numpy's log on the sums moved 203 of 350,000 log populations by an ulp
-    (7 dimer fields and 40 random spectra of 2-40 levels, j <= 2, kT from
-    1e-6 to 1e6).
+    ``levels`` is (x, log g, D, W) as in the module docstring. The last
+    log1p is math.log1p row by row, as in a one-point call.
     """
-    x, log_g = s._excitations, s.log_degeneracies
-    n = x.size
+    x, log_g, span, width = levels
+    if x.size == 1:
+        return np.full(kt.shape, log_g)
     flat = kt.reshape(-1)
-    rows = max(1, BLOCK_TERMS // n)
+    rows = max(1, BLOCK_TERMS // x.size)
     out = np.empty(flat.size)
-    block = np.zeros((min(rows, flat.size), n))
-    zero_from = 0  # every row of block is 0.0 from this column on
+    block = np.empty((min(rows, flat.size), x.size))
     for start in range(0, flat.size, rows):
         k = flat[start:start + rows, None]
-        cut = _cut(s, float(k.max()))
+        lo, hi = (float(k.min()), float(k.max())) if k.size > 1 else (k.item(),) * 2
         terms = block[:k.shape[0]]
-        if cut < zero_from:
-            terms[:, cut:zero_from] = 0.0
-        zero_from = cut
-        head = terms[:, :cut]
-        np.divide(x[:cut], k, out=head)
-        np.subtract(log_g[:cut], head, out=head)
-        m = head.max(axis=1)
-        head -= m[:, None]
-        # a NaN term is not <= EXP_TINY, so it goes through exp and stays NaN
-        np.putmask(head, head <= EXP_TINY, -np.inf)
-        np.exp(head, out=head)
-        sums = terms.sum(axis=1)
-        out[start:start + k.shape[0]] = m + [math.log(v) for v in sums.tolist()]
+        cut = _cut(levels, hi)
+        head, tail = terms[:, :cut], terms[:, 1:cut]
+        if isinstance(log_g, float):
+            np.divide(x[1:cut], k, out=tail)
+            t1 = tail[:, :1].copy()
+            np.subtract(t1, tail, out=tail)
+            m, diff = [log_g] * k.shape[0], (-t1[:, 0]).tolist()
+        else:
+            np.subtract(log_g[:cut], np.divide(x[:cut], k, out=head), out=head)
+            # the top and m2 are among the levels up to x_1 + kT (D + 1)
+            c = int(x.searchsorted(float(x[1]) + hi * (span + 1.0), "right"))
+            cand = head[:, :min(c, cut)]
+            at_top = (np.arange(k.shape[0]), cand.argmax(axis=1))
+            top = cand[at_top]
+            cand[at_top] = cand[:, 0]  # level 0's term takes the top's slot
+            m2 = cand[:, 1:].max(axis=1)
+            tail -= m2[:, None]
+            m, diff = top.tolist(), (m2 - top).tolist()
+        mask_from = max(1, int(x.searchsorted(lo * (-EXP_TINY - width - 1.0))))
+        if mask_from < cut:
+            # a NaN term is not <= EXP_TINY, so it goes through exp and stays NaN
+            tiny = head[:, mask_from:]
+            np.putmask(tiny, tiny <= EXP_TINY, -np.inf)
+        np.exp(tail, out=tail)
+        terms[:, cut:] = 0.0
+        sums = terms[:, 1:].sum(axis=1).tolist()
+        out[start:start + k.shape[0]] = [
+            t + math.log1p(f * s) if (f := math.exp(d)) else t for t, d, s in zip(m, diff, sums)
+        ]
     return out.reshape(kt.shape)
 
 
 def log_partition_function(s: Spectrum, kt: float | np.ndarray) -> float | np.ndarray:
     """log Z = -E0/kT + log sum_j g_j exp(-(E_j - E0)/kT)."""
     kt = _kt_array(kt)
-    return _float_or_array(-s.ground_energy / kt + _log_sums(s, kt))
+    return _float_or_array(-s.ground_energy / kt + _log_sums(s._levels, kt))
 
 
 def exp_or_inf(log_z: float) -> float:
@@ -149,7 +157,7 @@ def exp_or_inf(log_z: float) -> float:
 def log_population(
     s: Spectrum, kt: float | np.ndarray, level_index: int = 0
 ) -> float | np.ndarray:
-    """log e^{-E_j/kT} / Z of one state in level j: the one spectrum kernel.
+    """log e^{-E_j/kT} / Z of one state in level j.
 
     ``kt`` is one kT, giving a float, or an array of kT values, giving an
     array of their shape with the same bits per point.
@@ -158,7 +166,7 @@ def log_population(
         raise ThermwitError(f"level {level_index} outside 0..{s.n_levels - 1}")
     kt = _kt_array(kt)
     shift = (float(s.energies[level_index]) - s.ground_energy) / kt
-    return _float_or_array(-shift - _log_sums(s, kt))
+    return _float_or_array(-shift - _log_sums(s._levels, kt))
 
 
 def thermal_density_matrix(h: np.ndarray, kt: float | np.ndarray) -> np.ndarray:
@@ -178,69 +186,29 @@ def thermal_density_matrix(h: np.ndarray, kt: float | np.ndarray) -> np.ndarray:
     return (v * p[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def relative_entropy_ground_to_thermal(
-    s: Spectrum, kt: float | np.ndarray
-) -> float | np.ndarray:
-    """Relative entropy (bits) between the pure ground state and the Gibbs state.
-
-    For a nondegenerate ground level this is exactly -log2 p0, with p0 the
-    ground-state population; it needs a unique ground state to be meaningful.
-    ``kt`` is one kT or an array of them, as in log_population.
-    """
-    if s.degeneracies[0] != 1:
-        raise ThermwitError(f"ground level carries degeneracy {s.degeneracies[0]}; need 1")
-    return -log_population(s, kt, 0) / LN2
-
-
 @functools.lru_cache(maxsize=1)
-def _ladder_levels(p: ToySpectrumParams) -> np.ndarray:
-    """Read-only excited levels -m**alpha * delta, m = 1..D-1, relative to e0."""
-    levels = -np.power(np.arange(1, p.n_levels, dtype=float), p.alpha) * p.delta
-    levels.setflags(write=False)
-    return levels
+def _ladder_levels(p: ToySpectrumParams) -> tuple:
+    """The kernel's levels for a ladder, relative to e0: read-only x_m = m**alpha * delta,
+    m = 0..D-1, with one log g = 0; at alpha = 0 the two-level spectrum's."""
+    if p.alpha == 0.0:
+        return Spectrum((0.0, p.delta), (1, p.n_levels - 1))._levels
+    x = np.arange(p.n_levels, dtype=float)
+    np.power(x[1:], p.alpha, out=x[1:])
+    x *= p.delta
+    x.setflags(write=False)
+    return x, 0.0, 0.0, 0.0
 
 
-def log_ground_population_alpha_closed(p: ToySpectrumParams, kt: float) -> float:
+def log_ground_population_alpha_closed(
+    p: ToySpectrumParams, kt: float | np.ndarray
+) -> float | np.ndarray:
     """Exact finite sum log p0 = -log(1 + sum_m e^{-m^alpha delta/kT}).
 
-    The ground energy e0 drops out, so any e0 gives the same bits. The levels
-    are sorted, so the largest term is the m = 1 one and the shifted terms
-    fall with m: alpha = 0 (one level of degeneracy D-1) costs O(1), and for
-    alpha > 0 only the terms above EXP_TINY go through exp, found by binary
-    search.
+    The ground energy e0 drops out, so any e0 gives the same bits. ``kt`` is
+    one kT or an array of them, as in log_population.
     """
-    kt = float(_kt_array(kt))
-    # pow(1, alpha) is exactly 1, so the largest term is exactly -delta/kT
-    mx = -p.delta / kt
-    if mx <= EXP_ZERO:
-        # e^mx is exactly 0, so the tail is 0 whatever the sum; this also
-        # covers delta/kT overflowing to inf, where the shift would give NaN
-        return -0.0
-    if p.alpha == 0.0:
-        # every shifted term is exp(0) = 1, and numpy's pairwise sum of
-        # D-1 < 2^53 ones is exactly D-1
-        return -math.log1p(math.exp(mx) * float(p.n_levels - 1))
-    levels = _ladder_levels(p)
-    # First term at or below EXP_TINY: the computed terms fall with m up to
-    # an ulp-level wobble of pow (below 1e-12 here, since |mx| < 746 keeps the
-    # terms near the cut below ~1500 in size), and EXP_TINY sits 0.0036 below
-    # ln(2^-1022), so every term past the cut has a subnormal or zero exp.
-    # The m = 1 term is exp(0) = 1, so the sum is at least 1 and the fewer
-    # than 2^20 dropped terms, each below 2^-1022, lie ~950 binades below
-    # half its ulp (see the module docstring for why that is not a proof).
-    cut = bisect.bisect_left(
-        range(levels.size), True, key=lambda j: levels.item(j) / kt - mx <= EXP_TINY
-    )
-    terms = np.empty(levels.size)
-    head = np.divide(levels[:cut], kt, out=terms[:cut])
-    head -= mx
-    np.exp(head, out=head)
-    # the sum still runs over all D-1 terms, so its pairwise order is unchanged
-    terms[cut:] = 0.0
-    # log1p of the summed tail keeps accuracy when every term underflows the
-    # ground contribution.
-    tail = math.exp(mx) * float(np.sum(terms))
-    return -math.log1p(tail)
+    kt = _kt_array(kt)
+    return _float_or_array(-_log_sums(_ladder_levels(p), kt))
 
 
 def log_partition_function_alpha_gamma(p: ToySpectrumParams, kt: float) -> float:

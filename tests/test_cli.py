@@ -287,10 +287,11 @@ class TestToyCommand:
         assert code == 0
         assert set(csv_column(out, "Z")) == {"inf"}
         assert float(summary_value(out, "z_spectrum_max_rel_err")) <= 1e-9
-        exact = thermwit.cli.log_population
+        exact = thermwit.cli._ladder_resum
         for shift in (1e-6, math.nan):
             monkeypatch.setattr(
-                thermwit.cli, "log_population", lambda s, t, j, d=shift: exact(s, t, j) + d
+                thermwit.cli, "_ladder_resum",
+                lambda x, kts, d=shift: [v + d for v in exact(x, kts)],
             )
             code, _, err = run(capsys, *argv)
             assert code == 4 and "re-sum disagrees" in err

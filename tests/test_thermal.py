@@ -28,7 +28,6 @@ from thermwit.systems import (
 )
 from thermwit.thermal import (
     EXP_TINY,
-    EXP_ZERO,
     _ladder_levels,
     exp_or_inf,
     log_ground_population_alpha_closed,
@@ -36,7 +35,6 @@ from thermwit.thermal import (
     log_partition_function_alpha_gamma,
     log_stabilizer_partition_function,
     log_population,
-    relative_entropy_ground_to_thermal,
     thermal_density_matrix,
 )
 from thermwit.witness import dimer_condition_margin, flip_probability_from_temperature
@@ -106,12 +104,28 @@ class TestPopulation:
             log_population(s, 1.0, 2)
 
 
+def _top_and_others(a):
+    """The largest term m and the others, level 0's term in the top's slot."""
+    top = int(np.argmax(a))
+    others = a.copy()
+    others[top] = a[0]
+    return float(a[top]), others[1:]
+
+
 def _one_point_terms(s, kt):
-    """Shifted log terms and their log-sum-exp as the scalar kernel summed them."""
+    """log sum_j g_j e^{-(E_j - E0)/kT} in the kernel's form with every term
+    exponentiated, no cut and no block: m + log1p(e^{m2-m} * S2), with m2 the
+    largest of the others and S2 their sum of e^{a_j - m2}. With one log g
+    for all levels that log g comes out of the sum."""
     e = s.energies
-    a = s.log_degeneracies - (e - e[0]) / kt
-    m = float(np.max(a))
-    return m + math.log(float(np.sum(np.exp(a - m))))
+    log_g = s.log_degeneracies
+    one_log_g = bool(np.all(log_g == log_g[0]))
+    a = -((e - e[0]) / kt) if one_log_g else log_g - (e - e[0]) / kt
+    m, others = _top_and_others(a)
+    m2 = float(np.max(others))
+    f = math.exp(m2 - m)
+    lse = m + math.log1p(f * float(np.sum(np.exp(others - m2)))) if f else m
+    return float(log_g[0]) + lse if one_log_g else lse
 
 
 def _hex(values):
@@ -127,7 +141,7 @@ _KTS = st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=4
 
 class TestGridKernel:
     """An array of kT gives, point for point, the bits of a one-kT call, and
-    those are the bits of the one-point sum the kernel did before."""
+    those are the bits of the kernel's form with every term exponentiated."""
 
     @given(s=_SPECTRA, level=st.integers(0, 63), kts=_KTS)
     @example(s=dimer_spectrum(DimerParams(2.1, 1.0)), level=0, kts=[0.05])
@@ -154,6 +168,20 @@ class TestGridKernel:
             -s.ground_energy / kt + _one_point_terms(s, kt) for kt in kts
         )
 
+    @given(
+        alpha=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+        n_levels=st.integers(min_value=2, max_value=3000),
+        kts=_KTS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_log_ground_population_alpha_closed(self, alpha, n_levels, kts):
+        p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=alpha, n_levels=n_levels)
+        grid = log_ground_population_alpha_closed(p, np.array(kts))
+        points = [log_ground_population_alpha_closed(p, kt) for kt in kts]
+        assert isinstance(grid, np.ndarray) and grid.shape == (len(kts),)
+        assert all(type(x) is float for x in points)
+        assert _hex(grid) == _hex(points)
+
     @pytest.mark.parametrize("b", [0.0, 1.3, 1.7, 2.1, 3.0, 4.0, 5.3])
     def test_dimer_grid_keeps_the_one_point_bits(self, b):
         # numpy's log in place of math.log moves some of these by an ulp
@@ -177,22 +205,19 @@ class TestGridKernel:
         # an array of kT also with it inside one
         s = dimer_spectrum(DimerParams(1.0, 1.0))
         h = build_dimer_hamiltonian(DimerParams(1.0, 1.0))
+        ladders = [ToySpectrumParams(0.0, 1.0, alpha, 10) for alpha in (0.0, 0.5, 1.0)]
         grid_kernels = {
             "log_population": lambda kt: log_population(s, kt),
             "log_partition_function": lambda kt: log_partition_function(s, kt),
             "thermal_density_matrix": lambda kt: thermal_density_matrix(h, kt),
-            "relative_entropy_ground_to_thermal": (
-                lambda kt: relative_entropy_ground_to_thermal(s, kt)
-            ),
-        }
-        ladders = [ToySpectrumParams(0.0, 1.0, alpha, 10) for alpha in (0.0, 0.5, 1.0)]
-        scalar_kernels = {
             **{
                 f"log_ground_population_alpha_closed[alpha={p.alpha}]": (
                     lambda kt, p=p: log_ground_population_alpha_closed(p, kt)
                 )
                 for p in ladders
             },
+        }
+        scalar_kernels = {
             "log_partition_function_alpha_gamma": (
                 lambda kt: log_partition_function_alpha_gamma(ladders[1], kt)
             ),
@@ -266,27 +291,18 @@ class TestThermalDensityMatrix:
 
 
 class TestRelativeEntropy:
-    def test_equals_minus_log2_ground_population(self):
-        s = dimer_spectrum(DimerParams(1.5, 1.0))
-        d = relative_entropy_ground_to_thermal(s, 2.0)
-        assert d == pytest.approx(-math.log2(math.exp(log_population(s, 2.0, 0))), rel=1e-13)
-
-    def test_rejects_degenerate_ground(self):
-        s = Spectrum((0.0, 1.0), (2, 1))
-        with pytest.raises(ThermwitError, match="ground level carries degeneracy 2; need 1"):
-            relative_entropy_ground_to_thermal(s, 1.0)
-
     @given(
         st.floats(min_value=0.05, max_value=20.0),
         st.floats(min_value=0.1, max_value=5.0),
     )
     @settings(max_examples=100, deadline=None)
     def test_positive_and_decreasing_location_free(self, kt, shift):
-        # shifting all energies leaves the divergence unchanged
+        # the relative entropy of the pure ground state to the Gibbs state,
+        # -log p0, is positive, and shifting all energies leaves it unchanged
         s1 = Spectrum((0.0, 1.0, 2.5), (1, 2, 1))
         s2 = Spectrum((shift, 1.0 + shift, 2.5 + shift), (1, 2, 1))
-        d1 = relative_entropy_ground_to_thermal(s1, kt)
-        d2 = relative_entropy_ground_to_thermal(s2, kt)
+        d1 = -log_population(s1, kt, 0)
+        d2 = -log_population(s2, kt, 0)
         assert d1 >= 0.0
         assert d1 == pytest.approx(d2, rel=1e-10, abs=1e-12)
 
@@ -364,15 +380,9 @@ def _ladder_log1p_tail_reference(p, kt):
 
 
 class TestLadderKernelBits:
-    def test_exp_zero_cut_on_installed_numpy(self):
-        # the kernel writes 0.0 at or below EXP_ZERO instead of calling exp
-        assert np.exp(EXP_ZERO) == 0.0
-        assert np.all(np.exp(np.array([EXP_ZERO] * 16 + [-800.0, -1e300, -np.inf])) == 0.0)
-        assert np.exp(-745.0) > 0.0
-
     @given(
         n_levels=st.integers(min_value=2, max_value=2 * 10**5),
-        alpha=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+        alpha=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         delta=st.floats(min_value=1e-3, max_value=1e3),
         e0=st.floats(min_value=-10.0, max_value=10.0),
         depth=st.floats(min_value=1e-3, max_value=1e4),
@@ -380,14 +390,8 @@ class TestLadderKernelBits:
     @example(n_levels=2 * 10**5, alpha=0.5, delta=1.0, e0=0.0, depth=730.0)  # subnormal tail
     @example(n_levels=2 * 10**5, alpha=0.5, delta=1.0, e0=0.0, depth=3000.0)  # both bands
     @example(n_levels=2 * 10**5, alpha=1.0, delta=2.0, e0=1.0, depth=1e4)
-    # a million levels with the deepest term (alpha = 0: every term) on both
-    # sides of the subnormal edge of exp, its zero edge and EXP_ZERO
-    @example(n_levels=10**6, alpha=0.0, delta=1.0, e0=0.0, depth=708.3)
-    @example(n_levels=10**6, alpha=0.0, delta=1.0, e0=0.0, depth=708.5)
-    @example(n_levels=10**6, alpha=0.0, delta=1.0, e0=0.0, depth=745.1)
-    @example(n_levels=10**6, alpha=0.0, delta=1.0, e0=0.0, depth=745.2)
-    @example(n_levels=10**6, alpha=0.0, delta=1.0, e0=0.0, depth=745.9)
-    @example(n_levels=10**6, alpha=0.0, delta=1.0, e0=0.0, depth=746.1)
+    # a million levels with the deepest term on both sides of the subnormal
+    # edge of exp and of its zero edge, and at -746
     @example(n_levels=10**6, alpha=0.5, delta=1.0, e0=0.0, depth=708.3)
     @example(n_levels=10**6, alpha=0.5, delta=1.0, e0=0.0, depth=708.5)
     @example(n_levels=10**6, alpha=0.5, delta=1.0, e0=0.0, depth=745.1)
@@ -406,14 +410,19 @@ class TestLadderKernelBits:
         assert log_p0.hex() == (-_ladder_log1p_tail_reference(p, kt)).hex()
         assert log_p0.hex() == log_ground_population_alpha_closed(replace(p, e0=0.0), kt).hex()
 
-    @pytest.mark.parametrize("n_levels", [2, 10**6])
+    @pytest.mark.parametrize("n_levels", [2, 3, 10**6])
     def test_alpha_zero_same_bits_as_reference(self, n_levels):
-        # alpha = 0 is summed without any level array: one excited level of
-        # degeneracy D-1, at kT from deep below -delta/kT = EXP_ZERO to 1e7
+        # alpha = 0 is the two-level spectrum: one excited level of degeneracy
+        # D-1, at kT from deep below -delta/kT = -746 to 1e7, and with
+        # -delta/kT on both sides of the subnormal and zero edges of exp
         p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=n_levels)
-        for kt in np.geomspace(1e-4, 1e7, 45).tolist() + [-1.0 / EXP_ZERO, 1.0 / 745.2]:
+        s = toy_spectrum(p)
+        assert s.degeneracies == (1, n_levels - 1) and s.energies[1] == 1.0
+        depths = [708.3, 708.5, 745.1, 745.2, 745.9, 746.0, 746.1]
+        for kt in np.geomspace(1e-4, 1e7, 45).tolist() + [1.0 / d for d in depths]:
             got = log_ground_population_alpha_closed(p, kt)
-            assert got.hex() == (-_ladder_log1p_tail_reference(p, kt)).hex(), kt
+            assert got.hex() == (-_one_point_terms(s, kt)).hex(), kt
+            assert got.hex() == log_population(s, kt, 0).hex(), kt
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_overflowing_delta_over_kt_gives_p0_one(self, alpha):
@@ -434,7 +443,7 @@ class TestLadderKernelBits:
         assert [(-_ladder_log1p_tail_reference(p, 0.7)).hex() for p in (a, b)] == first
         assert _ladder_levels(b) is _ladder_levels(b)
         with pytest.raises(ValueError):
-            _ladder_levels(b)[0] = 0.0
+            _ladder_levels(b)[0][0] = 0.0
 
 
 def _random_spectrum(n_levels: int, seed: int, max_deg_exp: int) -> Spectrum:
@@ -554,14 +563,17 @@ def _assert_every_term_bits(s: Spectrum, kts: np.ndarray) -> None:
 
 def _assert_cut_drops_only_tiny_terms(s: Spectrum, kt: float) -> None:
     """Every term past the kernel's cut for kT, at kT and at smaller kT, is at
-    or below EXP_TINY in the every-term reference."""
-    cut = thermwit.thermal._cut(s, kt)
-    assert 1 <= cut <= s.n_levels
+    or below EXP_TINY against m2 in the every-term reference."""
+    cut = thermwit.thermal._cut(s._levels, kt)
+    assert 2 <= cut <= s.n_levels
     e = s.energies
     for t in (kt, kt / 3.0, max(kt * 1e-9, 5e-324)):
         with np.errstate(over="ignore"):
             a = s.log_degeneracies - (e - e[0]) / t
-        assert np.all(a[cut:] - np.max(a) <= EXP_TINY), (kt, t)
+        m2 = float(np.max(_top_and_others(a)[1]))
+        with np.errstate(invalid="ignore"):
+            # where m2 is -inf the kernel returns m without the sum
+            assert m2 == -math.inf or np.all(a[cut:] - m2 <= EXP_TINY), (kt, t)
 
 
 class TestSpectrumKernelBlocks:

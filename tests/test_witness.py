@@ -1,6 +1,7 @@
 """Tests for the certification condition, crossings, and closed-form limits."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -8,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermwit.entanglement import (
+    BoundKind,
+    BoundSource,
+    RobustnessBound,
     bound_from_relative_entropy,
     singlet_robustness,
 )
@@ -30,6 +34,31 @@ from thermwit.witness import (
 
 T_ZERO_FIELD = 4.0 / math.log(3.0)
 
+
+
+class TestWeakBoundCrossing:
+    """Near 1 + R = 1 the crossing sits where the thermal tail is about R,
+    far below the ulp of 1: the kernel must keep that tail's relative error."""
+
+    @given(log2_r=st.floats(min_value=-36.0, max_value=-19.0))
+    @settings(max_examples=100, deadline=None)
+    def test_within_four_ulps_of_mpmath(self, log2_r):
+        s = Spectrum((0.0, 1.0, 2.5), (1, 2, 3))
+        bound = RobustnessBound(
+            1.0 + 2.0**log2_r, BoundKind.LOWER_BOUND, BoundSource.RELATIVE_ENTROPY_INPUT
+        )
+        t = transition_temperature(s, bound).t_trans
+        with mpmath.workprec(300):
+            log_threshold = mpmath.mpf(bound.log_threshold)
+
+            def margin(temp):
+                beta = 1 / temp
+                z = 1 + 2 * mpmath.exp(-beta) + 3 * mpmath.exp(-mpmath.mpf(2.5) * beta)
+                return -mpmath.log(z) - log_threshold
+
+            exact = mpmath.findroot(margin, mpmath.mpf(t))
+            assert abs(margin(exact)) < mpmath.mpf(2) ** -280
+            assert abs(mpmath.mpf(t) - exact) <= 4 * math.ulp(t), (t, exact)
 
 class TestEvaluateCondition:
     """The condition itself: log p0 above the bound's log threshold."""
