@@ -37,8 +37,8 @@ a_1) >= min(log g_0, log g_1) - x_1/kT and a_j <= log g_max - x_j/kT:
 - Cut: from x_j >= x_1 + kT (D + 1 - EXP_TINY) on, a_j - m2 <= EXP_TINY - 1
   at the block's largest kT and below, so those terms are written 0.0
   without being computed (the 1 covers rounding: at most 1/2 at a
-  subnormal kT, ~1e-13 elsewhere). S2 still runs over every slot, so its
-  pairwise order is unchanged. Where the product overflows nothing is cut.
+  subnormal kT, ~1e-13 elsewhere). Where the product overflows nothing is
+  cut.
 - Mask: m2 <= log g_max, so a_j - m2 > EXP_TINY below x_j = kT (-EXP_TINY
   - W - 1) at the block's smallest kT. From there to the cut, each a_j - m2
   at or below EXP_TINY is written 0.0 without calling exp.
@@ -48,6 +48,23 @@ holds e^0 = 1 for m2, so their mass sits ~950 binades below half an ulp of
 S2. That is not a proof that no bit moves (a subtree of tiny terms could
 still reach the last bit through a chain of near-ties), so the tests
 compare the kernel hex for hex with sums that exponentiate every term.
+
+S2 keeps the pairwise order of np.sum over all slots 1..n-1, zeros
+included. A block of rows takes that one sum. A row of more than
+BLOCK_TERMS // 2 levels, a block on its own, walks numpy's pairwise tree
+itself (``_pairwise_sum``): a range of more than 128 slots splits at n/2
+rounded down to a multiple of 8, a leaf of at most LEAF slots is filled and
+summed with np.sum only when the walk reaches it, and each split adds
+L + R in Python floats. Before a right child from slot r on is filled, it
+is bounded by 2 (e - r) e^{y_r}, with y_r = x_1/kT - x_r/kT for one log g and
+log g_max - x_r/kT - m2 for a log g per level. The levels ascend and
+rounding is monotone, so no computed term of the child is above ~e^{y_r};
+each is 0.0 or exp of a value above EXP_TINY (by the mask), so the 2
+covers exp's few-ulp error and the fewer than 60 roundings in a pairwise
+sum. Where the bound is below half an ulp of L, fl(L + R) is L (Higham,
+section 4.2), and the walk returns L: the skip is proved, not tested. A NaN
+bound skips nothing, and neither does a child that starts among the
+candidates, where the top's slot holds level 0's term.
 """
 from __future__ import annotations
 
@@ -67,6 +84,9 @@ EXP_TINY = -708.4
 # The kernel works in row blocks of at most this many terms (1 MB of float64
 # per temporary); a level source with more levels takes one row a block.
 BLOCK_TERMS = 2**17
+# A row of more than BLOCK_TERMS // 2 levels is summed as numpy's pairwise
+# tree in leaves of at most this many slots; at least numpy's block of 128.
+LEAF = 2**15
 
 
 def _kt_array(kt: float | np.ndarray) -> np.ndarray:
@@ -88,6 +108,76 @@ def _cut(levels: tuple, kt: float) -> int:
     return max(2, int(x.searchsorted(float(x[1]) + reach)))
 
 
+def _fill_terms(src: tuple, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """The summed terms of slots start..stop-1, row by row, in out[:, :stop - start].
+
+    ``src`` is (x, log g, kT column, t1 or m2 column, candidate head or None,
+    cut, mask_from); the head holds a_j up to the candidates' end with level
+    0's term in the top's slot. Past the cut a term is 0.0 without being
+    computed, and from mask_from on so is any a_j - m2 at or below EXP_TINY.
+    """
+    x, log_g, k, shift, head, cut, mask_from = src
+    out = out[:, :stop - start]
+    end = max(start, min(stop, cut))
+    terms = out[:, :end - start]
+    if head is None:  # one log g: x_1/kT - x_j/kT
+        np.subtract(shift, np.divide(x[start:end], k, out=terms), out=terms)
+    else:
+        mid = max(start, min(head.shape[1], end))
+        np.subtract(head[:, start:mid], shift, out=terms[:, :mid - start])
+        if mid < end:
+            rest = terms[:, mid - start:]
+            np.subtract(log_g[mid:end], np.divide(x[mid:end], k, out=rest), out=rest)
+            rest -= shift
+    if mask_from < end:
+        # a NaN term is not <= EXP_TINY, so it goes through exp and stays NaN
+        tiny = terms[:, max(mask_from, start) - start:]
+        np.putmask(tiny, tiny <= EXP_TINY, -np.inf)
+    np.exp(terms, out=terms)
+    out[:, end - start:] = 0.0
+    return out
+
+
+def _pairwise_sum(leaf, start: int, stop: int, negligible) -> float:
+    """np.sum of slots start..stop-1 in numpy's own pairwise order.
+
+    Above LEAF slots a node splits at half its size rounded down to a multiple
+    of 8, as numpy's pairwise sum does; a leaf is ``leaf(s, e)``, np.sum of
+    those slots. A right child is left out where ``negligible(r, e, left)``
+    proves it below half an ulp of its left sibling, where fl(L + R) is L.
+    """
+    size = stop - start
+    if size <= LEAF:
+        return leaf(start, stop)
+    half = size // 2
+    mid = start + half - half % 8
+    left = _pairwise_sum(leaf, start, mid, negligible)
+    if negligible(mid, stop, left):
+        return left
+    return left + _pairwise_sum(leaf, mid, stop, negligible)
+
+
+def _walk(src: tuple, buf: np.ndarray) -> float:
+    """S2 of a block of one row, leaf by leaf in ``buf``, leaving out each
+    right child that the module docstring's bound puts below half an ulp."""
+    x, log_g, k, shift, head, _, _ = src
+    kt = k.item()
+    if head is None:
+        ceiling, m2, skip_from = float(shift[0, 0]), 0.0, 1
+    else:
+        ceiling, m2, skip_from = float(log_g.max()), float(shift[0, 0]), head.shape[1]
+
+    def negligible(r: int, stop: int, left: float) -> bool:
+        y = ceiling - float(x[r]) / kt - m2
+        # a NaN y, or one above 0, skips nothing
+        return r >= skip_from and y <= 0.0 and 2.0 * (stop - r) * math.exp(y) < math.ulp(left) / 2
+
+    def leaf(start: int, stop: int) -> float:
+        return float(np.sum(_fill_terms(src, start, stop, buf)[0]))
+
+    return _pairwise_sum(leaf, 1, x.size, negligible)
+
+
 # at a subnormal kT a gap over kT overflows to inf, and a row whose m2 is
 # -inf gets NaN terms; its factor e^{m2-m} is 0, so it returns m
 @np.errstate(over="ignore", invalid="ignore")
@@ -103,37 +193,31 @@ def _log_sums(levels: tuple, kt: np.ndarray) -> np.ndarray:
     flat = kt.reshape(-1)
     rows = max(1, BLOCK_TERMS // x.size)
     out = np.empty(flat.size)
-    block = np.empty((min(rows, flat.size), x.size))
+    # a block of rows is filled whole; a row alone, a leaf at a time
+    block = np.empty((min(rows, flat.size), x.size if rows > 1 else min(LEAF, x.size - 1)))
     for start in range(0, flat.size, rows):
         k = flat[start:start + rows, None]
         lo, hi = (float(k.min()), float(k.max())) if k.size > 1 else (k.item(),) * 2
-        terms = block[:k.shape[0]]
         cut = _cut(levels, hi)
-        head, tail = terms[:, :cut], terms[:, 1:cut]
         if isinstance(log_g, float):
-            np.divide(x[1:cut], k, out=tail)
-            t1 = tail[:, :1].copy()
-            np.subtract(t1, tail, out=tail)
-            m, diff = [log_g] * k.shape[0], (-t1[:, 0]).tolist()
+            shift, head = x[1] / k, None
+            m, diff = [log_g] * k.shape[0], (-shift[:, 0]).tolist()
         else:
-            np.subtract(log_g[:cut], np.divide(x[:cut], k, out=head), out=head)
             # the top and m2 are among the levels up to x_1 + kT (D + 1)
-            c = int(x.searchsorted(float(x[1]) + hi * (span + 1.0), "right"))
-            cand = head[:, :min(c, cut)]
-            at_top = (np.arange(k.shape[0]), cand.argmax(axis=1))
-            top = cand[at_top]
-            cand[at_top] = cand[:, 0]  # level 0's term takes the top's slot
-            m2 = cand[:, 1:].max(axis=1)
-            tail -= m2[:, None]
-            m, diff = top.tolist(), (m2 - top).tolist()
+            c = min(int(x.searchsorted(float(x[1]) + hi * (span + 1.0), "right")), cut)
+            head = block[:k.shape[0], :c] if rows > 1 else np.empty((1, c))
+            np.subtract(log_g[:c], np.divide(x[:c], k, out=head), out=head)
+            at_top = (np.arange(k.shape[0]), head.argmax(axis=1))
+            top = head[at_top]
+            head[at_top] = head[:, 0]  # level 0's term takes the top's slot
+            shift = head[:, 1:].max(axis=1, keepdims=True)  # m2
+            m, diff = top.tolist(), (shift[:, 0] - top).tolist()
         mask_from = max(1, int(x.searchsorted(lo * (-EXP_TINY - width - 1.0))))
-        if mask_from < cut:
-            # a NaN term is not <= EXP_TINY, so it goes through exp and stays NaN
-            tiny = head[:, mask_from:]
-            np.putmask(tiny, tiny <= EXP_TINY, -np.inf)
-        np.exp(tail, out=tail)
-        terms[:, cut:] = 0.0
-        sums = terms[:, 1:].sum(axis=1).tolist()
+        src = (x, log_g, k, shift, head, cut, mask_from)
+        if rows > 1:
+            sums = _fill_terms(src, 1, x.size, block[:k.shape[0], 1:]).sum(axis=1).tolist()
+        else:
+            sums = [_walk(src, block)]
         out[start:start + k.shape[0]] = [
             t + math.log1p(f * s) if (f := math.exp(d)) else t for t, d, s in zip(m, diff, sums)
         ]

@@ -5,6 +5,7 @@ exponential sums, scipy matrix exponentials, and quadrature of the
 continuum integral behind the Gamma-function approximation.
 """
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import thermwit.thermal
@@ -28,6 +29,7 @@ from thermwit.systems import (
 )
 from thermwit.thermal import (
     EXP_TINY,
+    LEAF,
     _ladder_levels,
     exp_or_inf,
     log_ground_population_alpha_closed,
@@ -379,6 +381,21 @@ def _ladder_log1p_tail_reference(p, kt):
     return math.log1p(tail)
 
 
+def _filled_slots(call) -> int:
+    """Slots that the kernel's leaves fill, computed or written as 0.0, during call()."""
+    fill = thermwit.thermal._fill_terms
+    filled = []
+
+    def counting(src, start, stop, out):
+        filled.append(stop - start)
+        return fill(src, start, stop, out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thermwit.thermal, "_fill_terms", counting)
+        call()
+    return sum(filled)
+
+
 class TestLadderKernelBits:
     @given(
         n_levels=st.integers(min_value=2, max_value=2 * 10**5),
@@ -409,6 +426,24 @@ class TestLadderKernelBits:
         log_p0 = log_ground_population_alpha_closed(p, kt)
         assert log_p0.hex() == (-_ladder_log1p_tail_reference(p, kt)).hex()
         assert log_p0.hex() == log_ground_population_alpha_closed(replace(p, e0=0.0), kt).hex()
+
+    def test_skipped_subtrees_keep_the_bits(self):
+        # the bench grid's kTs and the crossing's probes on the D = 10^6,
+        # alpha = 0.5 ladder, where the sum leaves out subtrees below half an
+        # ulp; one-point calls and one grid call
+        p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.5, n_levels=10**6)
+        kts = [1.0, 1.5, 3.0, 10.0, 1e-6, 282.6, 1e7]
+        grid = log_ground_population_alpha_closed(p, np.array(kts))
+        for kt, from_grid in zip(kts, grid.tolist()):
+            want = (-_ladder_log1p_tail_reference(p, kt)).hex()
+            assert log_ground_population_alpha_closed(p, kt).hex() == want, kt
+            assert from_grid.hex() == want, kt
+
+    @pytest.mark.parametrize("kt, most", [(1.5, 2**16), (10.0, 3 * 10**5)])
+    def test_one_point_call_fills_few_slots(self, kt, most):
+        # the D = 10^6 ladder computes only the head of its pairwise tree
+        p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.5, n_levels=10**6)
+        assert 0 < _filled_slots(lambda: log_ground_population_alpha_closed(p, kt)) < most
 
     @pytest.mark.parametrize("n_levels", [2, 3, 10**6])
     def test_alpha_zero_same_bits_as_reference(self, n_levels):
@@ -621,6 +656,18 @@ class TestSpectrumKernelBlocks:
         for kt in kts.tolist():
             _assert_cut_drops_only_tiny_terms(s, kt)
 
+    def test_skipped_subtrees_with_degeneracies_to_1e40(self):
+        # 3 * 10^5 levels take one row a block and the path with a log g per
+        # level; up to kT = 1 the top is a degenerate level, not level 0, and
+        # at kT = 1e-3 the sum leaves most of the tree out
+        s = _spectrum_of_size(3 * 10**5, 7, 40)
+        kts = np.array([1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0, 1e3])
+        x = s.energies - s.ground_energy
+        tops = [int(np.argmax(s.log_degeneracies - x / kt)) for kt in kts[:5].tolist()]
+        assert 0 not in tops
+        _assert_every_term_bits(s, kts)
+        assert _filled_slots(lambda: log_partition_function(s, 1e-3)) < s.n_levels // 2
+
     def test_subnormal_kt(self):
         s = _spectrum_of_size(300, 11, 40)
         kts = np.array([5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0])
@@ -653,6 +700,57 @@ class TestSpectrumKernelBlocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(thermwit.thermal, "BLOCK_TERMS", 2 * 2000)
             _assert_every_term_bits(s, kts)
+
+
+class TestPairwiseTree:
+    """The kernel's walk adds slot ranges in numpy's own pairwise order.
+
+    It relies on how numpy's pairwise sum (np.add.reduce along a contiguous
+    float64 axis) works: a range of at most 128 slots is summed with 8
+    accumulators, and a longer one splits at n/2 rounded down to a multiple
+    of 8. A numpy that changes any of this fails here first.
+    """
+
+    @given(
+        n=st.integers(min_value=1, max_value=3 * 10**5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        spread=st.sampled_from([0.0, 3.0, 40.0]),
+        leaf=st.sampled_from([128, LEAF]),
+    )
+    @example(n=127, seed=0, spread=3.0, leaf=128)
+    @example(n=128, seed=0, spread=3.0, leaf=128)
+    @example(n=129, seed=0, spread=3.0, leaf=128)
+    @example(n=136, seed=0, spread=3.0, leaf=128)
+    @example(n=LEAF - 1, seed=1, spread=0.0, leaf=LEAF)
+    @example(n=LEAF + 1, seed=1, spread=0.0, leaf=LEAF)
+    @example(n=2**17 - 1, seed=2, spread=40.0, leaf=LEAF)
+    @example(n=2**17 + 1, seed=2, spread=40.0, leaf=LEAF)
+    @example(n=10**6 - 1, seed=3, spread=3.0, leaf=LEAF)
+    @example(n=10**6 - 1, seed=3, spread=3.0, leaf=128)
+    @settings(max_examples=60, deadline=None)
+    def test_walk_without_skipping_is_np_sum(self, n, seed, spread, leaf):
+        # non-negative terms over up to 40 e-folds; the row of a 2-D block
+        # starts one slot in, as the kernel's slots 1..n-1 do
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.0, 1.0, n) * np.exp(rng.uniform(-spread, 0.0, n))
+        block = np.zeros((2, n + 1))
+        block[1, 1:] = a
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thermwit.thermal, "LEAF", leaf)
+            walk = thermwit.thermal._pairwise_sum(
+                lambda start, stop: float(np.sum(a[start:stop])), 0, n, lambda *_: False
+            )
+        assert walk.hex() == float(np.sum(a)).hex()
+        assert walk.hex() == float(block[:, 1:].sum(axis=1)[1]).hex()
+
+    @given(left=st.floats(min_value=0.0, max_value=sys.float_info.max), data=st.data())
+    @settings(max_examples=300)
+    def test_below_half_an_ulp_adds_nothing(self, left, data):
+        # the skip: fl(L + R) is L for 0 <= R < ulp(L)/2
+        half = math.ulp(left) / 2
+        right = data.draw(st.floats(min_value=0.0, max_value=half))
+        assume(right < half)
+        assert left + right == left
 
 
 class TestLadderConcavity:
