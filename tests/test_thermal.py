@@ -706,9 +706,10 @@ class TestPairwiseTree:
     """The kernel's walk adds slot ranges in numpy's own pairwise order.
 
     It relies on how numpy's pairwise sum (np.add.reduce along a contiguous
-    float64 axis) works: a range of at most 128 slots is summed with 8
-    accumulators, and a longer one splits at n/2 rounded down to a multiple
-    of 8. A numpy that changes any of this fails here first.
+    float64 axis) works: a range of at most 128 slots, its block size, is
+    summed in one pass with 8 accumulators, and a longer one splits at n/2
+    rounded down to a multiple of 8. A numpy that changes any of this fails
+    here first.
     """
 
     @given(
