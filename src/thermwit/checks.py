@@ -27,7 +27,7 @@ from .entanglement import (
     ppt_min_eigenvalue,
     singlet_robustness,
 )
-from .numerics import hermitian_eigendecompose, hermitian_eigenvalues
+from .numerics import chiral_eigenvalues, hermitian_eigendecompose
 from .systems import (
     DimerParams,
     Graph,
@@ -39,6 +39,7 @@ from .systems import (
     dicke_state,
     dimer_spectrum,
     graph_state,
+    odd_weight_mask,
     stabilizer_spectrum,
     toy_spectrum,
 )
@@ -262,7 +263,7 @@ def check_stabilizer_closed_forms(seed: int = 0) -> CheckResult:
     graphs += [Graph.complete(n) for n in range(2, 9)]
     for g in graphs:
         h = build_stabilizer_hamiltonian(g, 1.0)
-        merged = Spectrum.from_values(hermitian_eigenvalues(h))
+        merged = Spectrum.from_values(chiral_eigenvalues(h, odd_weight_mask(g.n)))
         analytic = stabilizer_spectrum(g.n, 1.0)
         if merged.degeneracies != analytic.degeneracies or np.max(
             np.abs(merged.energies - analytic.energies)

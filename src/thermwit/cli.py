@@ -40,7 +40,7 @@ from .entanglement import (
     singlet_robustness,
 )
 from .errors import NoSignChange, ThermwitError, ThresholdUnreachable
-from .numerics import hermitian_eigenvalues
+from .numerics import chiral_eigenvalues
 from .systems import (
     DimerParams,
     Graph,
@@ -52,6 +52,7 @@ from .systems import (
     dicke_state,
     dimer_spectrum,
     graph_state,
+    odd_weight_mask,
     read_edge_list,
     stabilizer_spectrum,
 )
@@ -408,11 +409,11 @@ def cmd_dicke(cfg: RunConfig) -> int:
 
 
 def _matrix_check(g: Graph, b: float, kts: np.ndarray) -> list[tuple[str, str]]:
-    """Dense diagonalization of the stabilizer Hamiltonian vs the closed forms."""
+    """Dense eigenvalues of the stabilizer Hamiltonian vs the closed forms."""
     if g.n > 12:
         raise ThermwitError("--matrix-check builds 2^n matrices and needs n <= 12")
     h = build_stabilizer_hamiltonian(g, b)
-    dense = Spectrum.from_values(hermitian_eigenvalues(h))
+    dense = Spectrum.from_values(chiral_eigenvalues(h, odd_weight_mask(g.n)))
     analytic = stabilizer_spectrum(g.n, b)
     levels_ok = dense.degeneracies == analytic.degeneracies and bool(
         np.max(np.abs(dense.energies - analytic.energies))

@@ -86,6 +86,46 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.nda
     return np.linalg.eigvalsh(_checked_hermitian(m, tol))
 
 
+def chiral_eigenvalues(
+    m: np.ndarray, odd: np.ndarray, tol: float = HERMITICITY_TOL
+) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix that is odd under a parity.
+
+    ``odd`` is a boolean mask over the basis, true on exactly half of it.
+    ``m`` must vanish exactly on the two diagonal blocks the mask and its
+    complement cut out, so that in the even/odd basis it is [[0, C], [C^H, 0]];
+    its eigenvalues are then exactly the singular values of C and their
+    negatives (Golub & Van Loan, *Matrix Computations*, section 8.6), found by
+    an SVD of half the dimension. The pair C, C^H must pass the rule of
+    ``hermitian_eigenvalues`` on the scale of all of ``m``, and the dimension
+    is capped at DIM_CAP.
+    """
+    a = np.asarray(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ThermwitError(f"expected one square matrix, got shape {a.shape}")
+    if a.shape[0] > DIM_CAP:
+        raise ThermwitError(f"dimension {a.shape[0]} exceeds cap {DIM_CAP}")
+    mask = np.asarray(odd, dtype=bool)
+    if mask.shape != a.shape[:1]:
+        raise ThermwitError(f"parity mask of shape {mask.shape} for dimension {a.shape[0]}")
+    even_idx, odd_idx = np.flatnonzero(~mask), np.flatnonzero(mask)
+    if even_idx.size != odd_idx.size:
+        raise ThermwitError(f"parity halves of {even_idx.size} and {odd_idx.size} are unequal")
+    c, c_back = a[np.ix_(even_idx, odd_idx)], a[np.ix_(odd_idx, even_idx)]
+    # the diagonal blocks are zero exactly when every nonzero (NaN included)
+    # lies in the two off-diagonal ones
+    if np.count_nonzero(a) != np.count_nonzero(c) + np.count_nonzero(c_back):
+        raise ThermwitError("matrix has a nonzero entry in a diagonal parity block")
+    if c.size == 0:
+        return np.zeros(0)
+    limit = tol * max(1.0, float(np.max(np.abs(c))), float(np.max(np.abs(c_back))))
+    dev = float(np.max(np.abs(c - c_back.conj().T)))
+    if dev > limit:
+        raise ThermwitError(f"max |m - m^dagger| = {dev:.3e} above {limit:.3e}")
+    s = np.linalg.svd(c, compute_uv=False)
+    return np.concatenate((-s, s[::-1]))
+
+
 def partial_transpose(
     rho: np.ndarray, local_dims: Sequence[int], subset: Sequence[int]
 ) -> np.ndarray:

@@ -34,8 +34,8 @@ class Spectrum:
     ``energies`` and ``log_degeneracies`` are read-only float64 arrays, one
     entry per level. ``degeneracies`` stays a tuple of exact Python ints, so
     binomial level counts stay exact; each log is ``math.log`` of that int
-    (not np.log, which may differ in the last ulp), taken once per distinct
-    value. Array fields have no hash or tuple equality, so a Spectrum
+    (not np.log, which may differ in the last ulp), taken once per level.
+    Array fields have no hash or tuple equality, so a Spectrum
     compares and hashes by identity: compare its fields instead.
     """
 
@@ -51,22 +51,22 @@ class Spectrum:
         degeneracies = tuple(self.degeneracies)
         if energy.ndim != 1 or energy.size != len(degeneracies) or not degeneracies:
             raise ThermwitError("energies and degeneracies must be equal-length and nonempty")
-        distinct = set(degeneracies)
-        if any(int(g) < 1 for g in distinct):
+        if min(degeneracies) < 1:
             raise ThermwitError("degeneracies must be positive integers")
         if not np.all(energy[1:] > energy[:-1]):  # NaN compares false
             raise ThermwitError("energies must be strictly ascending")
         excitations = energy - energy[0]
-        if len(distinct) == 1:
+        if degeneracies.count(degeneracies[0]) == len(degeneracies):
             log_g = math.log(int(degeneracies[0]))
             log_deg = np.full(energy.size, log_g)
             levels = (excitations, log_g, 0.0, 0.0)
         else:
-            log_of = {g: math.log(int(g)) for g in distinct}
-            log_deg = np.array([log_of[g] for g in degeneracies])
-            top = max(log_of.values())
-            span = top - min(log_of[degeneracies[0]], log_of[degeneracies[1]])
-            levels = (excitations, log_deg, span, top - min(log_of.values()))
+            # one log per level: hashing ~1,500-digit binomials into a set or
+            # dict to share logs costs more than the logs themselves
+            logs = list(map(math.log, map(int, degeneracies)))
+            log_deg = np.array(logs)
+            top = max(logs)
+            levels = (excitations, log_deg, top - min(logs[0], logs[1]), top - min(logs))
         for a in (energy, log_deg, excitations):
             a.setflags(write=False)
         object.__setattr__(self, "energies", energy)
@@ -132,12 +132,15 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.ascontiguousarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape[0] != 2**self.n_sites:
             raise ThermwitError(
                 f"amplitude vector length {amps.shape[0]} != 2^{self.n_sites}"
             )
-        norm = float(np.linalg.norm(amps))
+        # einsum's own loop, not the threaded BLAS nrm2 of np.linalg.norm:
+        # on 2^20 amplitudes it is several times faster and steadier
+        parts = amps.view(float)
+        norm = math.sqrt(float(np.einsum("i,i->", parts, parts)))
         if abs(norm - 1.0) > 1e-12:
             raise ThermwitError(f"state norm {norm} deviates from 1 beyond 1e-12")
         object.__setattr__(self, "amplitudes", amps)
@@ -284,15 +287,34 @@ def dicke_state(n: int, k: int) -> PureState:
         raise ThermwitError(f"site count {n} outside 1..{DICKE_SITE_CAP}")
     if not 0 <= k <= n:
         raise ThermwitError(f"excitation count {k} outside 0..{n}")
-    # Hamming weights by doubling: the upper half of each 2^(j+1) block is the
-    # lower half plus one, so the table costs 2^n one-byte adds in total.
+    amps = np.zeros(2**n, dtype=complex)
+    amps[_hamming_weights(n) == k] = 1.0 / math.sqrt(math.comb(n, k))
+    return PureState(n_sites=n, amplitudes=amps)
+
+
+def _hamming_weights(n: int) -> np.ndarray:
+    """The number of set bits of each basis index 0..2^n - 1, as uint8."""
+    # By doubling: the upper half of each 2^(j+1) block is the lower half
+    # plus one, so the table costs 2^n one-byte adds in total.
     weight = np.zeros(2**n, dtype=np.uint8)
     for j in range(n):
         half = 1 << j
         np.add(weight[:half], 1, out=weight[half : 2 * half])
-    amps = np.zeros(2**n, dtype=complex)
-    amps[weight == k] = 1.0 / math.sqrt(math.comb(n, k))
-    return PureState(n_sites=n, amplitudes=amps)
+    return weight
+
+
+def odd_weight_mask(n: int) -> np.ndarray:
+    """Boolean mask of the n-qubit basis indices with odd Hamming weight.
+
+    A stabilizer Hamiltonian is odd under this parity: each generator
+    K_i = X_i Z_N(i) flips exactly bit i, so -B * sum_i K_i maps even-weight
+    states to odd ones and back, and anticommutes with Z^(tensor n). In the
+    even/odd split its two diagonal blocks are zero, which is the shape
+    ``numerics.chiral_eigenvalues`` solves at half size.
+    """
+    if n < 1 or n > MATRIX_SITE_CAP:
+        raise ThermwitError(f"site count {n} outside 1..{MATRIX_SITE_CAP}")
+    return (_hamming_weights(n) & 1).astype(bool)
 
 
 def graph_state(g: Graph) -> PureState:

@@ -227,7 +227,10 @@ def _log_sums(levels: tuple, kt: np.ndarray) -> np.ndarray:
 def log_partition_function(s: Spectrum, kt: float | np.ndarray) -> float | np.ndarray:
     """log Z = -E0/kT + log sum_j g_j exp(-(E_j - E0)/kT)."""
     kt = _kt_array(kt)
-    return _float_or_array(-s.ground_energy / kt + _log_sums(s._levels, kt))
+    # at a subnormal kT, E0/kT overflows to +-inf, as log Z does
+    with np.errstate(over="ignore"):
+        shift = -s.ground_energy / kt
+    return _float_or_array(shift + _log_sums(s._levels, kt))
 
 
 def exp_or_inf(log_z: float) -> float:

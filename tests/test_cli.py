@@ -533,18 +533,16 @@ class TestGraphCommand:
             # a NaN error fails the gate instead of vanishing in a running max
             (6, "1e-320:1:3:log", "nan"),
             # a finite error gates as before
-            (10, "1e-5:1e-4:3:log", "1.513e-09"),
+            (6, "1e-7:1e-6:3:log", "1.490e-08"),
         ],
         ids=["nan", "finite"],
     )
     def test_trace_error_fails_the_check(self, tmp_path, n, grid, z_err):
         path = tmp_path / "ring.edges"
         write_edge_list(Graph.ring(n), path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the kernels warn at kT = 1e-320
-            code, out, err = run_quiet(
-                "graph", "--edges", str(path), "--matrix-check", "--grid", grid
-            )
+        code, out, err = run_quiet(
+            "graph", "--edges", str(path), "--matrix-check", "--grid", grid
+        )
         assert code == 4 and out == ""
         assert err.endswith(f"z_err={z_err}\n")
 

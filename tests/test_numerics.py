@@ -9,16 +9,47 @@ from hypothesis import strategies as st
 from thermwit.errors import NoSignChange, ThermwitError
 from thermwit.numerics import (
     DIM_CAP,
+    chiral_eigenvalues,
     hermitian_eigendecompose,
     hermitian_eigenvalues,
     partial_transpose,
     root_bracket,
+)
+from thermwit.systems import (
+    Graph,
+    Spectrum,
+    build_stabilizer_hamiltonian,
+    odd_weight_mask,
+    stabilizer_spectrum,
 )
 
 
 def random_hermitian(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (g + g.conj().T)
+
+
+def random_chiral(rng, half, complex_entries=True):
+    """A Hermitian [[0, C], [C^H, 0]] on a shuffled basis, and its odd-half mask."""
+    dim = 2 * half
+    odd = np.zeros(dim, dtype=bool)
+    odd[rng.permutation(dim)[:half]] = True
+    c = rng.standard_normal((half, half))
+    if complex_entries:
+        c = c + 1j * rng.standard_normal((half, half))
+    m = np.zeros((dim, dim), dtype=c.dtype)
+    even_idx, odd_idx = np.flatnonzero(~odd), np.flatnonzero(odd)
+    m[np.ix_(even_idx, odd_idx)] = c
+    m[np.ix_(odd_idx, even_idx)] = c.conj().T
+    return m, odd
+
+
+def assert_within_backward_error(values, reference):
+    """Two solvers of one matrix agree to a few dim * eps * ||m||_2."""
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    budget = 4.0 * reference.size * np.finfo(float).eps * scale
+    assert np.all(np.diff(values) >= 0)
+    assert np.max(np.abs(values - reference)) <= budget
 
 
 class TestEigendecompose:
@@ -138,6 +169,68 @@ class TestStackedEigendecompose:
         for solve in (hermitian_eigendecompose, hermitian_eigenvalues):
             with pytest.raises(ThermwitError, match=r"expected square matrices, got shape"):
                 solve(np.zeros(shape))
+
+
+class TestChiralEigenvalues:
+    GRAPHS = (
+        [Graph.path(n) for n in range(2, 9)]
+        + [Graph.ring(n) for n in range(3, 9)]
+        + [Graph.star(n) for n in range(2, 9)]
+        + [Graph.complete(n) for n in range(2, 9)]
+    )
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}-e{len(g.edges)}")
+    def test_matches_the_dense_solver_on_stabilizer_hamiltonians(self, g):
+        h = build_stabilizer_hamiltonian(g, 1.0)
+        values = chiral_eigenvalues(h, odd_weight_mask(g.n))
+        reference = hermitian_eigenvalues(h)
+        assert_within_backward_error(values, reference)
+        merged, dense = Spectrum.from_values(values), Spectrum.from_values(reference)
+        assert merged.degeneracies == dense.degeneracies == stabilizer_spectrum(g.n, 1.0).degeneracies
+
+    def test_matches_the_dense_solver_on_random_bipartite_matrices(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            half = int(rng.integers(1, 33))
+            m, odd = random_chiral(rng, half, complex_entries=bool(rng.integers(2)))
+            assert_within_backward_error(chiral_eigenvalues(m, odd), hermitian_eigenvalues(m))
+
+    def test_real_input_and_empty_matrix(self):
+        m, odd = random_chiral(np.random.default_rng(22), 3, complex_entries=False)
+        assert chiral_eigenvalues(m, odd).dtype == np.float64
+        assert chiral_eigenvalues(np.zeros((0, 0)), np.zeros(0, dtype=bool)).size == 0
+
+    def test_rejects_a_nonzero_diagonal_block(self):
+        m, odd = random_chiral(np.random.default_rng(23), 4)
+        for side in (odd, ~odd):
+            i = int(np.flatnonzero(side)[1])
+            bad = m.copy()
+            bad[i, i] = 1e-300  # exactly zero, not zero to a tolerance
+            with pytest.raises(ThermwitError, match="nonzero entry in a diagonal parity block"):
+                chiral_eigenvalues(bad, odd)
+
+    def test_rejects_a_non_hermitian_pair(self):
+        m, odd = random_chiral(np.random.default_rng(24), 4)
+        i, j = int(np.flatnonzero(~odd)[0]), int(np.flatnonzero(odd)[0])
+        m[i, j] += 1e-6 * max(1.0, float(np.max(np.abs(m))))
+        with pytest.raises(ThermwitError, match=r"max \|m - m\^dagger\| = .* above"):
+            chiral_eigenvalues(m, odd)
+        m[i, j] = m[j, i].conjugate() + 1e-13  # inside the rule on m's own scale
+        chiral_eigenvalues(m, odd)
+
+    def test_rejects_unequal_halves(self):
+        m = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(ThermwitError, match="parity halves of 2 and 1 are unequal"):
+            chiral_eigenvalues(m, np.array([True, False, False]))
+
+    def test_rejects_oversized_and_misshapen_input(self):
+        big = DIM_CAP + 2
+        with pytest.raises(ThermwitError, match=f"dimension {big} exceeds cap"):
+            chiral_eigenvalues(np.zeros((big, big)), np.arange(big) % 2 == 1)
+        with pytest.raises(ThermwitError, match="expected one square matrix"):
+            chiral_eigenvalues(np.zeros((2, 2, 2)), np.array([False, True]))
+        with pytest.raises(ThermwitError, match="parity mask of shape"):
+            chiral_eigenvalues(np.zeros((4, 4)), np.array([False, True]))
 
 
 class TestPartialTranspose:

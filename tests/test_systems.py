@@ -22,6 +22,7 @@ from thermwit.systems import (
     dicke_state,
     dimer_spectrum,
     graph_state,
+    odd_weight_mask,
     read_edge_list,
     stabilizer_spectrum,
     toy_spectrum,
@@ -390,6 +391,22 @@ class TestExactConstructions:
         reference /= math.sqrt(math.comb(20, k))
         assert dicke_state(20, k).amplitudes.tobytes() == reference.tobytes()
 
+    def test_odd_weight_mask_equals_popcount_parity(self):
+        for n in range(1, 13):
+            reference = [bin(b).count("1") % 2 == 1 for b in range(2**n)]
+            mask = odd_weight_mask(n)
+            assert mask.dtype == bool and mask.tolist() == reference, n
+        for n in (0, 13):
+            with pytest.raises(ThermwitError, match=r"site count .* outside 1\.\.12"):
+                odd_weight_mask(n)
+
+    def test_stabilizer_hamiltonian_is_odd_under_parity(self):
+        # Z^n H Z^n = -H: both diagonal parity blocks are exactly zero
+        for g in _exactness_graphs():
+            h = build_stabilizer_hamiltonian(g, 0.37)
+            z = 1.0 - 2.0 * odd_weight_mask(g.n)
+            assert np.array_equal(z[:, None] * h * z[None, :], -h), (g.n, sorted(g.edges))
+
     def test_dicke_state_allocates_little_beside_its_vector(self):
         # the complex vector is 16 bytes per basis index; the weight table
         # and the mask add one byte each
@@ -438,3 +455,13 @@ class TestPureState:
         with pytest.raises(ThermwitError):
             PureState(2, np.array([1.0, 0.0]))
 
+    def test_norm_gate_and_message(self):
+        PureState(1, np.array([math.sqrt(1.0 + 1e-12), 0.0]))
+        with pytest.raises(ThermwitError, match=r"state norm 1\.0000000000015.* deviates from 1 beyond 1e-12"):
+            PureState(1, np.array([math.sqrt(1.0 + 3e-12), 0.0]))
+
+    def test_strided_amplitudes_are_stored_contiguous(self):
+        strided = np.full(8, 0.5, dtype=complex)[::2]
+        psi = PureState(2, strided)
+        assert psi.amplitudes.flags.c_contiguous
+        assert np.array_equal(psi.amplitudes, strided)
