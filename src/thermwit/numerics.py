@@ -86,9 +86,7 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.nda
     return np.linalg.eigvalsh(_checked_hermitian(m, tol))
 
 
-def chiral_eigenvalues(
-    m: np.ndarray, odd: np.ndarray, tol: float = HERMITICITY_TOL
-) -> np.ndarray:
+def chiral_eigenvalues(m: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix that is odd under a parity.
 
     ``odd`` is a boolean mask over the basis, true on exactly half of it.
@@ -97,8 +95,8 @@ def chiral_eigenvalues(
     its eigenvalues are then exactly the singular values of C and their
     negatives (Golub & Van Loan, *Matrix Computations*, section 8.6), found by
     an SVD of half the dimension. The pair C, C^H must pass the rule of
-    ``hermitian_eigenvalues`` on the scale of all of ``m``, and the dimension
-    is capped at DIM_CAP.
+    ``hermitian_eigenvalues`` at HERMITICITY_TOL on the scale of all of
+    ``m``, and the dimension is capped at DIM_CAP.
     """
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -118,7 +116,7 @@ def chiral_eigenvalues(
         raise ThermwitError("matrix has a nonzero entry in a diagonal parity block")
     if c.size == 0:
         return np.zeros(0)
-    limit = tol * max(1.0, float(np.max(np.abs(c))), float(np.max(np.abs(c_back))))
+    limit = HERMITICITY_TOL * max(1.0, float(np.max(np.abs(c))), float(np.max(np.abs(c_back))))
     dev = float(np.max(np.abs(c - c_back.conj().T)))
     if dev > limit:
         raise ThermwitError(f"max |m - m^dagger| = {dev:.3e} above {limit:.3e}")

@@ -35,8 +35,8 @@ class Spectrum:
     entry per level. ``degeneracies`` stays a tuple of exact Python ints, so
     binomial level counts stay exact; each log is ``math.log`` of that int
     (not np.log, which may differ in the last ulp), taken once per level.
-    Array fields have no hash or tuple equality, so a Spectrum
-    compares and hashes by identity: compare its fields instead.
+    Array fields have no hash or tuple equality, so a Spectrum compares and
+    hashes by identity: compare its fields instead.
     """
 
     energies: np.ndarray
