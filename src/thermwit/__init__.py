@@ -3,7 +3,7 @@
 The condition is one-sided: a thermal state is entangled whenever the
 population of an entangled eigenstate exceeds 1/(1+R), with R the state's
 robustness of entanglement (any certified lower bound on R may be
-substituted). The package bundles analytic spectra and bounds for three
+substituted). The package bundles analytic spectra and bounds for four
 model systems, generic numerical routes to cross-check every closed form,
 and a CLI (`thermwit`) that sweeps temperature grids and emits CSV.
 """
@@ -11,8 +11,6 @@ from .checks import ALL_CHECKS, CheckResult, run_all
 from .config import DEFAULT_GRID, GridSpec, RunConfig, load_config, serialize_config
 from .entanglement import (
     BoundKind,
-    BoundSource,
-    Partition,
     RobustnessBound,
     bipartite_pure_robustness,
     bound_from_relative_entropy,
@@ -77,13 +75,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_CHECKS",
     "BoundKind",
-    "BoundSource",
     "CheckResult",
     "DEFAULT_GRID",
     "DimerParams",
     "Graph",
     "GridSpec",
-    "Partition",
     "PureState",
     "RobustnessBound",
     "RunConfig",

@@ -25,10 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .checks import run_all
+from .checks import dense_stabilizer_oracle, run_all
 from .config import SETTINGS, GridSpec, RunConfig, load_config
 from .entanglement import (
-    Partition,
     RobustnessBound,
     bipartite_pure_robustness,
     bound_from_relative_entropy,
@@ -40,19 +39,14 @@ from .entanglement import (
     singlet_robustness,
 )
 from .errors import NoSignChange, ThermwitError, ThresholdUnreachable
-from .numerics import chiral_eigenvalues
 from .systems import (
     DimerParams,
     Graph,
     PureState,
-    Spectrum,
     ToySpectrumParams,
     build_dimer_hamiltonian,
-    build_stabilizer_hamiltonian,
     dicke_state,
     dimer_spectrum,
-    graph_state,
-    odd_weight_mask,
     read_edge_list,
     stabilizer_spectrum,
 )
@@ -228,7 +222,7 @@ def _dimer_bound(p: DimerParams) -> RobustnessBound:
     if p.B < 4.0 * p.J:
         return singlet_robustness()
     product_ground = PureState(2, np.array([1.0, 0.0, 0.0, 0.0]))
-    return bipartite_pure_robustness(product_ground, Partition.bipartition([0], 2))
+    return bipartite_pure_robustness(product_ground, [0])
 
 
 def cmd_dimer(cfg: RunConfig) -> int:
@@ -392,9 +386,7 @@ def cmd_dicke(cfg: RunConfig) -> int:
                 f"search overlap {als_overlap!r} vs closed form {overlap!r}"
             )
         if n % 2 == 0 and k == n // 2:
-            half = bipartite_pure_robustness(
-                dicke_state(n, k), Partition.bipartition(range(n // 2), n)
-            )
+            half = bipartite_pure_robustness(dicke_state(n, k), range(n // 2))
             summaries.append(("half_cut_one_plus_r", _fmt(half.one_plus_r)))
             if abs(half.one_plus_r - bound.one_plus_r) > 1e-8 * bound.one_plus_r:
                 raise MismatchError(
@@ -412,17 +404,7 @@ def _matrix_check(g: Graph, b: float, kts: np.ndarray) -> list[tuple[str, str]]:
     """Dense eigenvalues of the stabilizer Hamiltonian vs the closed forms."""
     if g.n > 12:
         raise ThermwitError("--matrix-check builds 2^n matrices and needs n <= 12")
-    h = build_stabilizer_hamiltonian(g, b)
-    dense = Spectrum.from_values(chiral_eigenvalues(h, odd_weight_mask(g.n)))
-    analytic = stabilizer_spectrum(g.n, b)
-    levels_ok = dense.degeneracies == analytic.degeneracies and bool(
-        np.max(np.abs(dense.energies - analytic.energies))
-        <= 1e-9 * max(1.0, abs(b) * g.n)
-    )
-    psi = graph_state(g)
-    residual = float(
-        np.linalg.norm(h @ psi.amplitudes - analytic.ground_energy * psi.amplitudes)
-    )
+    dense, levels_ok, residual = dense_stabilizer_oracle(g, b)
     # np.max keeps a NaN, which then fails the gate below
     z_err = float(np.max([
         _rel_err(log_partition_function(dense, kt), log_stabilizer_partition_function(g.n, b, kt))
@@ -597,11 +579,10 @@ _COMMANDS: dict[str, Callable[[RunConfig], int]] = {
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     values = dict(vars(args))
-    command, path = values.pop("command"), values.pop("config", None)
+    del values["command"]
+    path = values.pop("config", None)
     base = load_config(path) if path is not None else RunConfig()
     overrides = {key: value for key, value in values.items() if value is not None}
-    if command != "verify":
-        overrides["system"] = command
     return replace(base, **overrides)
 
 

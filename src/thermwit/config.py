@@ -65,8 +65,6 @@ class GridSpec:
 
 DEFAULT_GRID = GridSpec(lo=0.1, hi=10.0, count=181, spacing="lin")
 
-_SYSTEMS = ("dimer", "toy", "dicke", "graph")
-
 
 def _setting(
     default, section: str, key: str, help: str | None = None, metavar: str | None = None
@@ -84,7 +82,6 @@ class RunConfig:
     be unset, written as an empty value where the default is set.
     """
 
-    system: str = _setting("dimer", "run", "system")
     seed: int = _setting(0, "run", "seed")
     k_b: float = _setting(1.0, "run", "kB")
     grid: GridSpec = _setting(DEFAULT_GRID, "grid", "")
@@ -114,8 +111,6 @@ class RunConfig:
     out: str | None = _setting(None, "output", "path")
 
     def __post_init__(self) -> None:
-        if self.system not in _SYSTEMS:
-            raise ThermwitError(f"unknown system {self.system!r}; pick one of {_SYSTEMS}")
         if not 0.0 < self.k_b < math.inf:
             raise ThermwitError(f"kB must be positive and finite, got {self.k_b}")
 

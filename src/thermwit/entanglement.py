@@ -38,26 +38,9 @@ class BoundKind(Enum):
     LOWER_BOUND = "lower_bound"
 
 
-class BoundSource(Enum):
-    CLOSED_FORM_DICKE = "closed_form_dicke"
-    SINGLET_KNOWN = "singlet_known"
-    BIPARTITE_PURE_SCHMIDT = "bipartite_pure_schmidt"
-    RELATIVE_ENTROPY_INPUT = "relative_entropy_input"
-    GEOMETRIC_INPUT = "geometric_input"
-
-
-_EXACT_SOURCES = frozenset(
-    {
-        BoundSource.CLOSED_FORM_DICKE,
-        BoundSource.SINGLET_KNOWN,
-        BoundSource.BIPARTITE_PURE_SCHMIDT,
-    }
-)
-
-
 @dataclass(frozen=True)
 class RobustnessBound:
-    """1 + R for a candidate ground state, with provenance.
+    """1 + R for a candidate ground state.
 
     ``kind`` records whether the number is the exact robustness or a
     certified lower bound; substituting a smaller lower bound can only make
@@ -66,7 +49,6 @@ class RobustnessBound:
 
     one_plus_r: float
     kind: BoundKind
-    source: BoundSource
     # Population the ground state must exceed: the smallest float not below
     # 1 / (1 + R), so rounding never lowers the bar.
     threshold: float = field(init=False, repr=False, compare=False)
@@ -80,8 +62,6 @@ class RobustnessBound:
     def __post_init__(self, exact_one_plus_r: Fraction | None) -> None:
         if not 1.0 <= self.one_plus_r < math.inf:
             raise ThermwitError(f"1 + R must be finite and >= 1, got {self.one_plus_r}")
-        if self.kind is BoundKind.EXACT and self.source not in _EXACT_SOURCES:
-            raise ThermwitError(f"source {self.source} cannot claim an exact bound")
         if exact_one_plus_r is None:
             exact_one_plus_r = Fraction(self.one_plus_r)
         elif exact_one_plus_r < Fraction(self.one_plus_r):
@@ -98,64 +78,34 @@ class RobustnessBound:
         return math.log2(self.one_plus_r)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint nonempty blocks covering sites 0..n_sites-1.
-
-    Blocks are stored as sorted tuples regardless of the input ordering.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    n_sites: int
-
-    def __post_init__(self) -> None:
-        norm = tuple(tuple(sorted(int(i) for i in block)) for block in self.blocks)
-        object.__setattr__(self, "blocks", norm)
-        if len(norm) < 2:
-            raise ThermwitError("need at least two blocks")
-        seen: set[int] = set()
-        for block in norm:
-            if not block:
-                raise ThermwitError("empty block")
-            if len(set(block)) != len(block) or seen & set(block):
-                raise ThermwitError("blocks overlap")
-            seen |= set(block)
-        if seen != set(range(self.n_sites)):
-            raise ThermwitError(f"blocks must cover exactly sites 0..{self.n_sites - 1}")
-
-    @classmethod
-    def bipartition(cls, block: Sequence[int], n_sites: int) -> "Partition":
-        a = tuple(sorted(int(i) for i in block))
-        b = tuple(i for i in range(n_sites) if i not in set(a))
-        return cls(blocks=(a, b), n_sites=n_sites)
-
-
-def _bipartite_singular_values(psi: PureState, cut: Partition) -> np.ndarray:
-    if len(cut.blocks) != 2 or cut.n_sites != psi.n_sites:
-        raise ThermwitError("need a two-block partition of the state's sites")
-    a = list(cut.blocks[0])
-    b = list(cut.blocks[1])
-    tensor = psi.as_tensor().transpose(a + b)
-    matrix = tensor.reshape(2 ** len(a), 2 ** len(b))
+def _bipartite_singular_values(psi: PureState, block: Sequence[int]) -> np.ndarray:
+    """Singular values of ``psi`` across the cut between the sites in ``block``
+    and the rest; ``block`` must be a nonempty proper subset of 0..n-1."""
+    n = psi.n_sites
+    cut = tuple(int(i) for i in block)
+    if not all(0 <= i < n for i in cut):
+        raise ThermwitError(f"cut {cut} names a site outside 0..{n - 1}")
+    if len(set(cut)) != len(cut):
+        raise ThermwitError(f"cut {cut} repeats a site")
+    if not 0 < len(cut) < n:
+        raise ThermwitError(f"cut {cut} leaves no site on one side of {n}")
+    a = sorted(cut)
+    b = [i for i in range(n) if i not in cut]
+    matrix = psi.as_tensor().transpose(a + b).reshape(2 ** len(a), 2 ** len(b))
     return np.linalg.svd(matrix, compute_uv=False)
 
 
-def bipartite_pure_robustness(psi: PureState, cut: Partition) -> RobustnessBound:
-    """Exact bipartite robustness of a pure state: (sum_i sqrt(lambda_i))^2."""
-    s = _bipartite_singular_values(psi, cut)
+def bipartite_pure_robustness(psi: PureState, block: Sequence[int]) -> RobustnessBound:
+    """Exact robustness of a pure state across the cut between the sites in
+    ``block`` and the rest: (sum_i sqrt(lambda_i))^2."""
+    s = _bipartite_singular_values(psi, block)
     value = float(np.sum(np.maximum(s, 0.0)) ** 2)
-    return RobustnessBound(
-        one_plus_r=max(1.0, value),
-        kind=BoundKind.EXACT,
-        source=BoundSource.BIPARTITE_PURE_SCHMIDT,
-    )
+    return RobustnessBound(one_plus_r=max(1.0, value), kind=BoundKind.EXACT)
 
 
 def singlet_robustness() -> RobustnessBound:
     """The two-qubit singlet has robustness R = 1 exactly."""
-    return RobustnessBound(
-        one_plus_r=2.0, kind=BoundKind.EXACT, source=BoundSource.SINGLET_KNOWN
-    )
+    return RobustnessBound(one_plus_r=2.0, kind=BoundKind.EXACT)
 
 
 def dicke_robustness(n: int, k: int) -> RobustnessBound:
@@ -187,12 +137,7 @@ def dicke_robustness(n: int, k: int) -> RobustnessBound:
         # of |log|, then one float down for the exp's own rounding.
         budget = 4.0 * sys.float_info.epsilon * (abs(log_value) + 1.0)
         value = math.nextafter(math.exp(log_value - budget), 0.0)
-    return RobustnessBound(
-        one_plus_r=value,
-        kind=BoundKind.EXACT,
-        source=BoundSource.CLOSED_FORM_DICKE,
-        exact_one_plus_r=exact,
-    )
+    return RobustnessBound(one_plus_r=value, kind=BoundKind.EXACT, exact_one_plus_r=exact)
 
 
 # log m! - ((m + 1/2) log m - m + log sqrt(2 pi)) for m = 1..15, rounded to
@@ -256,9 +201,7 @@ def dicke_overlap_closed(n: int, k: int) -> float:
     return math.exp(0.5 * _dicke_log_overlap_sq(n, k))
 
 
-def bound_from_relative_entropy(
-    e_r: float, source: BoundSource = BoundSource.RELATIVE_ENTROPY_INPUT
-) -> RobustnessBound:
+def bound_from_relative_entropy(e_r: float) -> RobustnessBound:
     """Certified lower bound 1 + R >= 2^{e_r} from relative-entropy input.
 
     Also accepts geometric-measure input, which lower-bounds the relative
@@ -266,8 +209,6 @@ def bound_from_relative_entropy(
     """
     if e_r < 0:
         raise ThermwitError(f"entanglement input must be >= 0, got {e_r}")
-    if source not in (BoundSource.RELATIVE_ENTROPY_INPUT, BoundSource.GEOMETRIC_INPUT):
-        raise ThermwitError(f"source {source} is not an entanglement-input route")
     if e_r > 1000:
         raise ThermwitError(f"2^{e_r} not representable; rescale the input")
     if float(e_r).is_integer():
@@ -278,7 +219,7 @@ def bound_from_relative_entropy(
         value = math.nextafter(2.0**e_r, 0.0)
         if value < 1.0:
             value = 1.0
-    return RobustnessBound(one_plus_r=value, kind=BoundKind.LOWER_BOUND, source=source)
+    return RobustnessBound(one_plus_r=value, kind=BoundKind.LOWER_BOUND)
 
 
 def _validate_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarray:

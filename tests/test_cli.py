@@ -18,11 +18,19 @@ from hypothesis import strategies as st
 
 import thermwit.cli
 import thermwit.entanglement
+from thermwit.checks import dense_stabilizer_oracle
 from thermwit.cli import main
 from thermwit.config import RunConfig, serialize_config
 from thermwit.entanglement import bound_from_relative_entropy
 from thermwit.errors import NoSignChange
-from thermwit.systems import Graph, ToySpectrumParams, write_edge_list
+from thermwit.systems import (
+    Graph,
+    ToySpectrumParams,
+    build_stabilizer_hamiltonian,
+    graph_state,
+    stabilizer_spectrum,
+    write_edge_list,
+)
 from thermwit.thermal import log_ground_population_alpha_closed
 from thermwit.witness import ground_crossing, toy_t0
 
@@ -526,6 +534,33 @@ class TestGraphCommand:
         assert code == 0 and err == ""
         assert float(summary_value(out, "z_trace_max_rel_err")) <= 1e-9
 
+    @pytest.mark.parametrize("b", [1e-3, 1.0, 2.5, 1e5])
+    @pytest.mark.parametrize(
+        "g", [Graph.path(5), Graph.ring(6), Graph.star(7), Graph.complete(4)],
+        ids=["path5", "ring6", "star7", "complete4"],
+    )
+    def test_dense_oracle_matches_closed_forms(self, g, b):
+        # --matrix-check and verify's stabilizer check share this oracle; its
+        # residual, on the real amplitudes, matches the complex matvec's
+        dense, levels_ok, residual = dense_stabilizer_oracle(g, b)
+        assert levels_ok and dense.dimension == 2**g.n
+        psi = graph_state(g).amplitudes
+        h = build_stabilizer_hamiltonian(g, b)
+        assert residual <= 1e-9
+        assert residual == pytest.approx(
+            np.linalg.norm(h @ psi + g.n * b * psi), abs=1e-15 * max(1.0, b)
+        )
+
+    @pytest.mark.parametrize("shift, ok", [(1e-11, True), (1e-9, False)])
+    def test_dense_oracle_level_tolerance(self, monkeypatch, shift, ok):
+        # the levels agree within 1e-9 * max(1, |B|): a 6-site top level moved
+        # by 6e-11 passes, one moved by 6e-9 fails
+        monkeypatch.setattr(
+            "thermwit.checks.stabilizer_spectrum",
+            lambda n, b: stabilizer_spectrum(n, b * (1.0 + shift)),
+        )
+        assert dense_stabilizer_oracle(Graph.ring(6), 1.0)[1] is ok
+
     @pytest.mark.parametrize(
         "n, grid, z_err",
         [
@@ -657,7 +692,7 @@ class TestVerifyCommand:
 
 class TestConfigPlumbing:
     def test_config_file_round_trip(self, capsys, tmp_path):
-        cfg = RunConfig(system="toy", toy_alpha=0.5, toy_d=64, toy_e_r=2.0, seed=9)
+        cfg = RunConfig(toy_alpha=0.5, toy_d=64, toy_e_r=2.0, seed=9)
         path = tmp_path / "run.cfg"
         path.write_text(serialize_config(cfg))
         code, out, _ = run(capsys, "toy", "--config", str(path))
@@ -666,7 +701,7 @@ class TestConfigPlumbing:
         assert "# D = 64" in out
 
     def test_flags_override_config(self, capsys, tmp_path):
-        cfg = RunConfig(system="toy", toy_alpha=0.5, toy_d=64, toy_e_r=2.0)
+        cfg = RunConfig(toy_alpha=0.5, toy_d=64, toy_e_r=2.0)
         path = tmp_path / "run.cfg"
         path.write_text(serialize_config(cfg))
         code, out, _ = run(capsys, "toy", "--config", str(path), "--D", "128")

@@ -35,9 +35,7 @@ _KINDS = {
 
 
 def _values(s):
-    if s.name == "system":
-        values = st.sampled_from(MODELS)
-    elif s.name == "k_b":  # kB must be positive and finite
+    if s.name == "k_b":  # kB must be positive and finite
         values = _positive
     else:
         values = _KINDS[s.kind]
@@ -63,7 +61,7 @@ class TestRoundTrip:
 
     def test_default_text(self):
         assert serialize_config(RunConfig()) == (
-            "[run]\nsystem = dimer\nseed = 0\nkb = 1.0\n\n"
+            "[run]\nseed = 0\nkb = 1.0\n\n"
             "[grid]\nlo = 0.1\nhi = 10.0\ncount = 181\nspacing = lin\n\n"
             "[dimer]\nb = 0.0\nj = 1.0\n\n"
             "[toy]\ne0 = 0.0\ndelta = 1.0\nalpha = 0.0\nd = 4\ner = 1.0\n\n"
@@ -129,7 +127,7 @@ class TestFlagsMatchConfig:
         path = tmp_path / "run.cfg"
         path.write_text(text)
         by_flag = _from_argv([command, *flags])
-        assert by_flag != RunConfig(system=command)
+        assert by_flag != RunConfig()
         assert by_flag == _from_argv([command, "--config", str(path)])
 
 
@@ -212,6 +210,13 @@ class TestUnknownSettings:
         path.write_text(f"[{section}]\nalpha = 0.5\n")
         assert main(["toy", "--config", str(path)]) == 2
         assert f"unknown section [{section}]" in capsys.readouterr().err
+
+    def test_system_is_not_a_setting(self, capsys, tmp_path):
+        # the subcommand names the model; a file cannot
+        path = tmp_path / "old.cfg"
+        path.write_text("[run]\nsystem = toy\n")
+        assert main(["dimer", "--config", str(path)]) == 2
+        assert "unknown key [run] system" in capsys.readouterr().err
 
     def test_key_case_is_still_ignored(self):
         assert parse_config_text("[toy]\nALPHA = 0.5\n").toy_alpha == 0.5

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from thermwit.entanglement import (
     BoundKind,
-    BoundSource,
-    Partition,
     RobustnessBound,
     bipartite_pure_robustness,
     bound_from_relative_entropy,
@@ -62,9 +60,10 @@ def random_density_matrix(dim, rng):
     return rho / np.trace(rho).real
 
 
-def schmidt_coefficients(psi, cut):
-    """Squared Schmidt coefficients across a bipartition, descending; they sum to one."""
-    lam = _bipartite_singular_values(psi, cut) ** 2
+def schmidt_coefficients(psi, block):
+    """Squared Schmidt coefficients across the cut between ``block`` and the
+    rest, descending; they sum to one."""
+    lam = _bipartite_singular_values(psi, block) ** 2
     return np.sort(lam / lam.sum())[::-1]
 
 
@@ -77,19 +76,19 @@ def sweep_overlaps(psi, seed=0, tol=1e-12, max_sweeps=100):
 
 class TestSchmidt:
     def test_singlet_coefficients(self):
-        lam = schmidt_coefficients(SINGLET, Partition.bipartition([0], 2))
+        lam = schmidt_coefficients(SINGLET, [0])
         assert np.allclose(lam, [0.5, 0.5])
 
     def test_product_state_is_rank_one(self):
         amp = np.kron([1.0, 0.0], [math.sqrt(0.3), math.sqrt(0.7)])
-        lam = schmidt_coefficients(PureState(2, amp), Partition.bipartition([1], 2))
+        lam = schmidt_coefficients(PureState(2, amp), [1])
         assert lam[0] == pytest.approx(1.0)
         assert np.all(lam[1:] < 1e-15)
 
     def test_against_direct_svd_with_site_permutation(self):
         rng = np.random.default_rng(21)
         psi = random_pure(3, rng)
-        lam = schmidt_coefficients(psi, Partition.bipartition([1], 3))
+        lam = schmidt_coefficients(psi, [1])
         tensor = psi.amplitudes.reshape(2, 2, 2)
         mat = np.moveaxis(tensor, 1, 0).reshape(2, 4)
         s = scipy.linalg.svd(mat, compute_uv=False)
@@ -99,26 +98,32 @@ class TestSchmidt:
         rng = np.random.default_rng(22)
         for _ in range(20):
             psi = random_pure(4, rng)
-            lam = schmidt_coefficients(psi, Partition.bipartition([0, 2], 4))
+            lam = schmidt_coefficients(psi, [0, 2])
             assert np.sum(lam) == pytest.approx(1.0)
 
 
-class TestPartition:
-    def test_bipartition_blocks(self):
-        cut = Partition.bipartition([0, 2], 4)
-        assert cut.blocks == ((0, 2), (1, 3))
+class TestCut:
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ([], r"cut \(\) leaves no site on one side of 3"),
+            ([0, 1, 2], r"cut \(0, 1, 2\) leaves no site on one side of 3"),
+            ([2, 0, 1], r"cut \(2, 0, 1\) leaves no site on one side of 3"),
+            ([0, 0], r"cut \(0, 0\) repeats a site"),
+            ([1, 3], r"cut \(1, 3\) names a site outside 0\.\.2"),
+            ([-1], r"cut \(-1,\) names a site outside 0\.\.2"),
+        ],
+        ids=["empty", "all-sites", "all-sites-unsorted", "repeat", "too-high", "negative"],
+    )
+    def test_rejects_bad_block(self, block, message):
+        with pytest.raises(ThermwitError, match=message):
+            bipartite_pure_robustness(random_pure(3, np.random.default_rng(5)), block)
 
-    def test_rejects_bad_blocks(self):
-        with pytest.raises(ThermwitError, match="need at least two blocks"):
-            Partition(((0, 1),), 2)
-        with pytest.raises(ThermwitError, match="blocks overlap"):
-            Partition(((0,), (0, 1)), 2)
-        with pytest.raises(ThermwitError, match=r"blocks must cover exactly sites 0\.\.1"):
-            Partition(((0,), (2,)), 2)
-        with pytest.raises(ThermwitError, match="empty block"):
-            Partition.bipartition([], 3)
-        with pytest.raises(ThermwitError, match="empty block"):
-            Partition.bipartition([0, 1, 2], 3)
+    def test_block_order_does_not_matter(self):
+        psi = random_pure(4, np.random.default_rng(6))
+        assert np.array_equal(
+            _bipartite_singular_values(psi, [2, 0]), _bipartite_singular_values(psi, (0, 2))
+        )
 
 
 class TestRobustnessBounds:
@@ -129,14 +134,12 @@ class TestRobustnessBounds:
         assert b.threshold == 0.5
 
     def test_bipartite_singlet_matches_known(self):
-        b = bipartite_pure_robustness(SINGLET, Partition.bipartition([0], 2))
+        b = bipartite_pure_robustness(SINGLET, [0])
         assert b.one_plus_r == pytest.approx(2.0, rel=1e-14)
 
     def test_ghz_half_cut(self):
         for n in (2, 4, 6):
-            b = bipartite_pure_robustness(
-                ghz(n), Partition.bipartition(range(n // 2), n)
-            )
+            b = bipartite_pure_robustness(ghz(n), range(n // 2))
             assert b.one_plus_r == pytest.approx(2.0, rel=1e-13)
 
     def test_exact_small_dicke_fractions(self):
@@ -197,29 +200,28 @@ class TestRobustnessBounds:
             bound_from_relative_entropy(-0.1)
         with pytest.raises(ThermwitError):
             bound_from_relative_entropy(2000.0)
-        with pytest.raises(ThermwitError):
-            bound_from_relative_entropy(1.0, source=BoundSource.SINGLET_KNOWN)
-
-    def test_exact_kind_needs_exact_source(self):
-        with pytest.raises(ThermwitError):
-            RobustnessBound(2.0, BoundKind.EXACT, BoundSource.RELATIVE_ENTROPY_INPUT)
-        with pytest.raises(ThermwitError):
-            RobustnessBound(0.5, BoundKind.EXACT, BoundSource.SINGLET_KNOWN)
 
     def test_one_site_cut_is_strictly_weaker_for_w_states(self):
         for n in (3, 4, 5):
             w = dicke_state(n, 1)
-            bip = bipartite_pure_robustness(w, Partition.bipartition([0], n))
+            bip = bipartite_pure_robustness(w, [0])
             multi = dicke_robustness(n, 1)
             assert bip.one_plus_r < multi.one_plus_r - 1e-6
 
     def test_half_cut_equals_full_for_half_filling(self):
         for n in (4, 6, 8, 10):
-            half = bipartite_pure_robustness(
-                dicke_state(n, n // 2), Partition.bipartition(range(n // 2), n)
-            )
+            half = bipartite_pure_robustness(dicke_state(n, n // 2), range(n // 2))
             full = dicke_robustness(n, n // 2)
             assert half.one_plus_r == pytest.approx(full.one_plus_r, rel=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the exact-labelled half-cut 1 + R is the rounded square of a float "
+        "sum; for the (6, 3) state it reads 3.2000000000000006 against 16/5",
+    )
+    def test_exact_half_cut_never_rounds_up(self):
+        half = bipartite_pure_robustness(dicke_state(6, 3), (0, 1, 2))
+        assert Fraction(half.one_plus_r) <= Fraction(16, 5)
 
 
 class TestDickeOverlapLargeN:
@@ -666,7 +668,7 @@ class TestDirectedRounding:
     @given(st.floats(min_value=1.0, max_value=1e300))
     @settings(max_examples=500, deadline=None)
     def test_threshold_is_smallest_float_not_below_reciprocal(self, one_plus_r):
-        b = RobustnessBound(one_plus_r, BoundKind.LOWER_BOUND, BoundSource.RELATIVE_ENTROPY_INPUT)
+        b = RobustnessBound(one_plus_r, BoundKind.LOWER_BOUND)
         exact = 1 / Fraction(one_plus_r)
         assert Fraction(b.threshold) >= exact
         assert Fraction(math.nextafter(b.threshold, 0.0)) < exact
@@ -674,7 +676,7 @@ class TestDirectedRounding:
     @given(st.floats(min_value=1.0, max_value=1e300))
     @settings(max_examples=500, deadline=None)
     def test_log_threshold_never_below_exact_log(self, one_plus_r):
-        b = RobustnessBound(one_plus_r, BoundKind.LOWER_BOUND, BoundSource.RELATIVE_ENTROPY_INPUT)
+        b = RobustnessBound(one_plus_r, BoundKind.LOWER_BOUND)
         with mpmath.workprec(200):
             exact = mpmath.log(mpmath.mpf(b.threshold))
             assert mpmath.mpf(b.log_threshold) >= exact
@@ -688,7 +690,7 @@ class TestDirectedRounding:
         # the closed form hands over the exact value, whose reciprocal is
         # the float 35/128 itself
         b = dicke_robustness(8, 4)
-        from_float = RobustnessBound(b.one_plus_r, b.kind, b.source)
+        from_float = RobustnessBound(b.one_plus_r, b.kind)
         assert from_float.threshold == math.nextafter(35 / 128, 1.0)
         assert b.threshold == 35 / 128
         assert dicke_robustness(12, 6).threshold == 0.2255859375
@@ -704,16 +706,15 @@ class TestDirectedRounding:
 
     def test_rejects_exact_value_below_the_float(self):
         with pytest.raises(ThermwitError, match="lies above its exact value"):
-            RobustnessBound(
-                2.0,
-                BoundKind.EXACT,
-                BoundSource.CLOSED_FORM_DICKE,
-                exact_one_plus_r=Fraction(199, 100),
-            )
+            RobustnessBound(2.0, BoundKind.EXACT, exact_one_plus_r=Fraction(199, 100))
 
     def test_rejects_infinite_one_plus_r(self):
         with pytest.raises(ThermwitError):
-            RobustnessBound(math.inf, BoundKind.LOWER_BOUND, BoundSource.RELATIVE_ENTROPY_INPUT)
+            RobustnessBound(math.inf, BoundKind.LOWER_BOUND)
+
+    def test_rejects_one_plus_r_below_one(self):
+        with pytest.raises(ThermwitError, match="1 \\+ R must be finite and >= 1, got 0.5"):
+            RobustnessBound(0.5, BoundKind.EXACT)
 
 
 class TestBoundSubstitution:
@@ -728,7 +729,7 @@ class TestBoundSubstitution:
     def test_geometric_input_reproduces_dicke_bound(self):
         # for symmetric states the geometric measure saturates the chain
         overlap, eg = geometric_measure_als(dicke_state(4, 2), seed=7)
-        via_eg = bound_from_relative_entropy(eg, source=BoundSource.GEOMETRIC_INPUT)
+        via_eg = bound_from_relative_entropy(eg)
         assert via_eg.one_plus_r == pytest.approx(
             dicke_robustness(4, 2).one_plus_r, rel=1e-9
         )

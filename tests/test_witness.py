@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from thermwit.entanglement import (
     BoundKind,
-    BoundSource,
     RobustnessBound,
     bound_from_relative_entropy,
     singlet_robustness,
@@ -44,9 +43,7 @@ class TestWeakBoundCrossing:
     @settings(max_examples=100, deadline=None)
     def test_within_four_ulps_of_mpmath(self, log2_r):
         s = Spectrum((0.0, 1.0, 2.5), (1, 2, 3))
-        bound = RobustnessBound(
-            1.0 + 2.0**log2_r, BoundKind.LOWER_BOUND, BoundSource.RELATIVE_ENTROPY_INPUT
-        )
+        bound = RobustnessBound(1.0 + 2.0**log2_r, BoundKind.LOWER_BOUND)
         t = transition_temperature(s, bound).t_trans
         with mpmath.workprec(300):
             log_threshold = mpmath.mpf(bound.log_threshold)
@@ -114,11 +111,7 @@ class TestTransitionTemperature:
         assert p == pytest.approx(bound.threshold, rel=1e-8)
 
     def test_trivial_bound_never_detected(self):
-        from thermwit.entanglement import BoundKind, BoundSource, RobustnessBound
-
-        trivial = RobustnessBound(
-            1.0, BoundKind.EXACT, BoundSource.BIPARTITE_PURE_SCHMIDT
-        )
+        trivial = RobustnessBound(1.0, BoundKind.EXACT)
         tr = transition_temperature(dimer_spectrum(DimerParams(0.0, 1.0)), trivial)
         assert not tr.detected
         assert tr.t_trans is None
