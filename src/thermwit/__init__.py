@@ -60,12 +60,10 @@ from .witness import (
     concurrence_vanishing_temperature,
     dimer_condition_margin,
     flip_probability_from_temperature,
-    gapping_rule_min_gap,
     ground_crossing,
     noise_threshold,
     stabilizer_t_trans,
     toy_t0,
-    toy_t1,
     toy_t_alpha,
     transition_temperature,
 )
@@ -101,7 +99,6 @@ __all__ = [
     "dimer_spectrum",
     "exp_or_inf",
     "flip_probability_from_temperature",
-    "gapping_rule_min_gap",
     "geometric_measure_als",
     "graph_state",
     "ground_crossing",
@@ -127,7 +124,6 @@ __all__ = [
     "thermal_density_matrix",
     "toy_spectrum",
     "toy_t0",
-    "toy_t1",
     "toy_t_alpha",
     "transition_temperature",
     "write_edge_list",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -54,6 +55,7 @@ from .witness import (
     concurrence_vanishing_temperature,
     dimer_condition_margin,
     flip_probability_from_temperature,
+    ground_crossing,
     noise_threshold,
     stabilizer_t_trans,
     toy_t0,
@@ -312,28 +314,35 @@ def check_relative_entropy_identity(seed: int = 0) -> CheckResult:
     100 random spectra in random eigenbases, 20 temperatures each: the
     ground-to-thermal relative entropy computed from the dense Gibbs matrix
     (fresh eigensystem, spectral logarithm) must match the population form.
+    All draws come first, in one fixed order; the dense work then runs as
+    one stack per dimension.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    draws: dict[int, list] = {}
     for _ in range(100):
         d = int(rng.integers(2, 13))
         e = np.sort(rng.uniform(0.0, 8.0, size=d))
         for i in range(1, d):
             e[i] = max(e[i], e[i - 1] + 0.05)
         gauss = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        basis, _ = np.linalg.qr(gauss)
-        h = (basis * e) @ basis.conj().T
-        h = 0.5 * (h + h.conj().T)
         sp = Spectrum.from_values(e)
         if sp.n_levels != d:
             continue
-        ground = basis[:, 0]
-        temps = rng.uniform(0.8, 6.0, size=20)
-        # the spectra are nondegenerate, so the relative entropy is -log2 p0
-        stat = -log_population(sp, temps, 0) / LN2
-        w, v = hermitian_eigendecompose(thermal_density_matrix(h, temps))
-        weights = np.abs(np.swapaxes(v.conj(), -1, -2) @ ground) ** 2
+        draws.setdefault(d, []).append((sp, e, gauss, rng.uniform(0.8, 6.0, size=20)))
+    worst = 0.0
+    for group in draws.values():
+        sps, e, gauss, temps = zip(*group)
+        temps = np.array(temps)
+        basis, _ = np.linalg.qr(np.array(gauss))
+        h = (basis * np.array(e)[:, None, :]) @ np.swapaxes(basis.conj(), -1, -2)
+        h = 0.5 * (h + np.swapaxes(h.conj(), -1, -2))
+        w, v = hermitian_eigendecompose(thermal_density_matrix(h[:, None], temps))
+        # the ground state of each draw, once per temperature
+        ground = basis[:, None, :, 0, None]
+        weights = np.abs(np.swapaxes(v.conj(), -1, -2) @ ground)[..., 0] ** 2
         mat = -np.sum(weights * np.log2(np.maximum(w, 1e-300)), axis=-1)
+        # the spectra are nondegenerate, so the relative entropy is -log2 p0
+        stat = np.array([-log_population(sp, t, 0) / LN2 for sp, t in zip(sps, temps)])
         worst = max(worst, float(np.max(np.abs(mat - stat))))
     ok = worst <= 1e-12
     return _result(
@@ -367,21 +376,32 @@ def check_asymptotic_monotonicity(seed: int = 0) -> CheckResult:
     """Finite-size scans behind the limit claims move the right way.
 
     The degenerate-ladder crossing falls as the level count grows at fixed
-    entanglement; the power-law crossing rises with the site count for each
-    spacing exponent.
+    entanglement. For each spacing exponent, the continuum crossing with the
+    exact half-filled Dicke R closes in on the kernel's crossing on a
+    10^4-level ladder as the site count grows.
     """
     issues = []
     t0s = [toy_t0(d, 1.0, 1.0) for d in (4, 16, 256, 4096, 10**6)]
     if not all(a > b for a, b in zip(t0s, t0s[1:])):
         issues.append(f"t0 not decreasing in D: {t0s}")
+    errs = {}
     for alpha in (0.25, 0.5, 1.0):
-        ts = [toy_t_alpha(alpha, n, 1.0) for n in (4, 16, 64, 256, 1024)]
-        if not all(a < b for a, b in zip(ts, ts[1:])):
-            issues.append(f"t_alpha not increasing in n at alpha={alpha}: {ts}")
+        ladder = ToySpectrumParams(e0=0.0, delta=1.0, alpha=alpha, n_levels=10**4)
+        errs[alpha] = []
+        for n in (4, 16, 64):
+            bound = ent.dicke_robustness(n, n // 2)
+            t_star = ground_crossing(
+                partial(log_ground_population_alpha_closed, ladder),
+                bound, ladder.delta, ladder.spread, ladder.n_levels,
+            ).t_trans
+            t_alpha = toy_t_alpha(alpha, bound.one_plus_r - 1.0, 1.0)
+            errs[alpha].append(abs(t_alpha / t_star - 1.0))
+        if not all(a > b for a, b in zip(errs[alpha], errs[alpha][1:])):
+            issues.append(f"t_alpha error not falling in n at alpha={alpha}: {errs[alpha]}")
     ok = not issues
     detail = "; ".join(issues) if issues else (
-        f"t0(D): {t0s[0]:.4g} .. {t0s[-1]:.4g} decreasing; "
-        "t_alpha(n) increasing for alpha in {0.25, 0.5, 1}"
+        f"t0(D): {t0s[0]:.4g} .. {t0s[-1]:.4g} decreasing; t_alpha rel err, n = 4 .. 64: "
+        + ", ".join(f"alpha={a}: {e[0]:.4f} .. {e[-1]:.4f}" for a, e in errs.items())
     )
     return _result("asymptotic-monotonicity", ok, detail)
 

@@ -62,12 +62,10 @@ from .thermal import (
 from .witness import (
     concurrence_vanishing_temperature,
     flip_probability_from_temperature,
-    gapping_rule_min_gap,
     ground_crossing,
     noise_threshold,
     stabilizer_t_trans,
     toy_t0,
-    toy_t1,
     toy_t_alpha,
     transition_temperature,
 )
@@ -275,14 +273,15 @@ def cmd_toy(cfg: RunConfig) -> int:
     if cfg.toy_n is not None:
         if cfg.toy_n < 2 or cfg.toy_n % 2:
             raise ThermwitError(f"--n must be even and >= 2, got {cfg.toy_n}")
-        e_r = math.log2(dicke_robustness(cfg.toy_n, cfg.toy_n // 2).one_plus_r)
+        bound = dicke_robustness(cfg.toy_n, cfg.toy_n // 2)
+        e_r = bound.relative_entropy_bits
     elif cfg.toy_e_r is not None:
         e_r = cfg.toy_e_r
+        if not e_r > 0.0:
+            raise ThermwitError(f"entanglement input must be positive, got {e_r}")
+        bound = bound_from_relative_entropy(e_r)
     else:
         raise ThermwitError("toy needs --eR or --n")
-    if not e_r > 0.0:
-        raise ThermwitError(f"entanglement input must be positive, got {e_r}")
-    bound = bound_from_relative_entropy(e_r)
     if cfg.oracles:
         if p.n_levels > ORACLE_LEVEL_CAP:
             raise ThermwitError(
@@ -298,8 +297,7 @@ def cmd_toy(cfg: RunConfig) -> int:
         # per point in Python floats, which overflow to inf without a warning
         kts, log_ps = kts.tolist(), log_ps.tolist()
         columns = {}
-        out = [("min_gap_rule", _fmt(gapping_rule_min_gap(e_r)))]
-        out += _crossing_lines(t_trans)
+        out = _crossing_lines(t_trans)
         if p.alpha > 0.0:
             log_zg = [log_partition_function_alpha_gamma(p, kt) for kt in kts]
             columns["z_gamma"] = [exp_or_inf(x) for x in log_zg]
@@ -307,16 +305,13 @@ def cmd_toy(cfg: RunConfig) -> int:
                 _rel_err(x, -p.e0 / kt - y) for x, kt, y in zip(log_zg, kts, log_ps)
             ]
             if cfg.toy_n is not None:
-                t_alpha = toy_t_alpha(p.alpha, cfg.toy_n, p.delta)
+                t_alpha = toy_t_alpha(p.alpha, bound.one_plus_r - 1.0, p.delta)
                 out.append(("t_alpha_formula", _fmt(t_alpha / cfg.k_b)))
         else:
             try:
                 out.append(("t0_closed_form", _fmt(toy_t0(p.n_levels, e_r, p.delta) / cfg.k_b)))
             except ThresholdUnreachable:
                 out.append(("t0_closed_form", "unreachable"))
-            t1 = toy_t1(e_r, p.delta)
-            out.append(("t1_exact", _fmt(t1.exact / cfg.k_b)))
-            out.append(("t1_low_t", _fmt(t1.low_t / cfg.k_b)))
         if cfg.oracles:
             columns["z_spectrum"] = [exp_or_inf(-p.e0 / kt - x) for x, kt in zip(log_p0_sp, kts)]
             # Z_sp / Z = p0 / p0_sp: compared without the -E0/kT both carry.

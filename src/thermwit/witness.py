@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -205,52 +205,21 @@ def toy_t0(n_levels: int, e_r: float, delta: float = 1.0) -> float:
     return root_bracket(margin, below, t0)[0]
 
 
-class ToyT1(NamedTuple):
-    exact: float
-    low_t: float
+def toy_t_alpha(alpha: float, r: float, delta: float = 1.0) -> float:
+    """Power-law ladder crossing in the continuum limit, for robustness R = r.
 
-
-def toy_t1(e_r: float, delta: float = 1.0) -> ToyT1:
-    """Equally spaced ladder, infinite depth: exact crossing and low-T form.
-
-    exact: kT = delta / log(2^e_r / (2^e_r - 1)); low_t: kT ~= delta * 2^e_r,
-    the expansion of the same expression for large 2^e_r. The exact value
-    always sits below the expansion.
-    """
-    if not delta > 0:
-        raise ThermwitError(f"delta must be positive, got {delta}")
-    if not e_r > 0:
-        raise ThermwitError(f"need e_r > 0, got {e_r}")
-    if e_r > 900:
-        raise ThermwitError(f"2^{e_r} not representable; rescale the input")
-    x = 2.0**e_r
-    exact = delta / (-math.log1p(-1.0 / x))
-    return ToyT1(exact=exact, low_t=delta * x)
-
-
-def toy_t_alpha(alpha: float, n: int, delta: float = 1.0) -> float:
-    """Power-law ladder crossing for a half-filled symmetric ground state.
-
-    Uses the sqrt(n) robustness growth and the Gamma-integral partition
-    form: kT = delta * (alpha * sqrt(n) / Gamma(1/alpha))^alpha.
+    The Gamma integral sums the excited weights to (kT/delta)^{1/alpha}
+    Gamma(1/alpha) / alpha; setting that equal to R gives
+    kT = delta * (alpha * R / Gamma(1/alpha))^alpha.
     """
     if not 0.0 < alpha <= 1.0:
         raise ThermwitError(f"alpha must lie in (0, 1], got {alpha}")
-    if n < 2:
-        raise ThermwitError(f"need n >= 2, got {n}")
-    if n % 2 != 0:
-        raise ThermwitError(f"half filling needs even n, got {n}")
+    if not 0.0 < r < math.inf:
+        raise ThermwitError(f"R must be positive and finite, got {r}")
     if not delta > 0:
         raise ThermwitError(f"delta must be positive, got {delta}")
-    log_val = alpha * (math.log(alpha) + 0.5 * math.log(n) - math.lgamma(1.0 / alpha))
+    log_val = alpha * (math.log(alpha) + math.log(r) - math.lgamma(1.0 / alpha))
     return delta * math.exp(log_val)
-
-
-def gapping_rule_min_gap(e_r: float) -> float:
-    """Smallest gap (in kT = 1 units) keeping the witness open: 2^{-e_r}."""
-    if e_r < 0:
-        raise ThermwitError(f"need e_r >= 0, got {e_r}")
-    return 2.0**-e_r
 
 
 # --- stabilizer closed forms --------------------------------------------------

@@ -21,12 +21,10 @@ from thermwit.witness import (
     concurrence_vanishing_temperature,
     dimer_condition_margin,
     flip_probability_from_temperature,
-    gapping_rule_min_gap,
     ground_crossing,
     noise_threshold,
     stabilizer_t_trans,
     toy_t0,
-    toy_t1,
     toy_t_alpha,
     transition_temperature,
 )
@@ -289,52 +287,34 @@ class TestToyClosedForms:
         with pytest.raises(ThermwitError, match="need e_r > 0, got 0.0"):
             toy_t0(4, 0.0, 1.0)
 
-    def test_t1_exact_crossing(self):
-        for e_r in (0.5, 1.0, 2.0, 6.0):
-            t1 = toy_t1(e_r, 1.0)
-            # infinitely deep equally spaced ladder: p0 = 1 - e^{-delta/kT}
-            p0 = -math.expm1(-1.0 / t1.exact)
-            assert p0 == pytest.approx(2.0 ** (-e_r), rel=1e-12)
-
     def test_t1_is_deep_ladder_limit_of_alpha_one(self):
         # a depth-10^6 linear ladder reproduces the infinite-depth crossing
-        t1 = toy_t1(2.0, 1.0).exact
+        # p0 = 1 - e^{-delta/kT} = 1/4, at kT = delta / ln(4/3)
+        t1 = 1.0 / math.log(4.0 / 3.0)
         p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=1.0, n_levels=10**6)
         log_p0 = log_ground_population_alpha_closed(p, t1)
         assert math.exp(log_p0) == pytest.approx(0.25, rel=1e-12)
 
-    def test_t1_low_temperature_form(self):
-        t1 = toy_t1(1.0, 1.0)
-        assert t1.low_t == 2.0
-        # the low-T form overshoots the exact crossing and converges as eR grows
-        for e_r in (2.0, 5.0, 10.0):
-            t = toy_t1(e_r, 1.0)
-            assert t.low_t > t.exact
-            assert t.low_t / t.exact == pytest.approx(1.0, abs=2.0 ** (-e_r + 1))
-
     def test_t_alpha_closed_form_values(self):
-        # alpha = 1: T = delta * sqrt(n); alpha = 1/2: T = delta * sqrt(n)/2... no:
-        # T_alpha = delta (alpha sqrt(n) / Gamma(1/alpha))^alpha
-        assert toy_t_alpha(1.0, 16, 1.0) == pytest.approx(4.0, rel=1e-12)
-        assert toy_t_alpha(0.5, 16, 1.0) == pytest.approx(
-            (0.5 * 4.0 / 1.0) ** 0.5, rel=1e-12
+        # T_alpha = delta (alpha R / Gamma(1/alpha))^alpha; the n = 4 Dicke
+        # state has R = 5/3
+        r = 5.0 / 3.0
+        assert toy_t_alpha(1.0, r, 1.0) == pytest.approx(r, rel=1e-12)
+        assert toy_t_alpha(0.5, r, 1.0) == pytest.approx(math.sqrt(0.5 * r), rel=1e-12)
+        assert toy_t_alpha(1.0, r, 2.0) == pytest.approx(2.0 * r, rel=1e-12)
+        assert toy_t_alpha(0.25, r, 1.0) == pytest.approx(
+            (0.25 * r / math.gamma(4.0)) ** 0.25, rel=1e-12
         )
-        assert toy_t_alpha(1.0, 100, 2.0) == pytest.approx(20.0, rel=1e-12)
 
     def test_t_alpha_rejects_bad_inputs(self):
         with pytest.raises(ThermwitError, match=r"alpha must lie in \(0, 1\], got 0.0"):
-            toy_t_alpha(0.0, 16, 1.0)
+            toy_t_alpha(0.0, 1.0, 1.0)
         with pytest.raises(ThermwitError, match=r"alpha must lie in \(0, 1\], got 1.2"):
-            toy_t_alpha(1.2, 16, 1.0)
-        with pytest.raises(ThermwitError, match="half filling needs even n, got 15"):
-            toy_t_alpha(0.5, 15, 1.0)
-
-    def test_gapping_rule(self):
-        assert gapping_rule_min_gap(1.0) == 0.5
-        assert gapping_rule_min_gap(3.0) == 0.125
-        assert gapping_rule_min_gap(0.0) == 1.0
-        with pytest.raises(ThermwitError, match="need e_r >= 0, got -1.0"):
-            gapping_rule_min_gap(-1.0)
+            toy_t_alpha(1.2, 1.0, 1.0)
+        with pytest.raises(ThermwitError, match="R must be positive and finite, got 0.0"):
+            toy_t_alpha(0.5, 0.0, 1.0)
+        with pytest.raises(ThermwitError, match="R must be positive and finite, got inf"):
+            toy_t_alpha(0.5, math.inf, 1.0)
 
     @given(st.floats(min_value=0.05, max_value=1.9), st.integers(min_value=5, max_value=10**5))
     @settings(max_examples=200, deadline=None)
