@@ -9,7 +9,7 @@ small n against the alternating product-state search.
 import argparse
 import math
 
-from thermwit import dicke_robustness, dicke_state, geometric_measure_als
+from thermwit import dicke_overlap_closed, dicke_robustness, dicke_state, geometric_measure_als
 
 
 def main() -> None:
@@ -44,7 +44,7 @@ def main() -> None:
     if args.als_max >= 2:
         print("\nsearch cross-check (32 restarts each):")
         for n in range(2, args.als_max + 1, 2):
-            closed = 1.0 / math.sqrt(dicke_robustness(n, n // 2).one_plus_r)
+            closed = dicke_overlap_closed(n, n // 2)
             found, _ = geometric_measure_als(dicke_state(n, n // 2), seed=0)
             print(
                 f"  n={n}: closed overlap {closed:.12f}, "

@@ -221,7 +221,7 @@ def check_ladder_closed_forms(seed: int = 0) -> CheckResult:
     issues = []
     sp = toy_spectrum(ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=4))
     tr = transition_temperature(sp, bound_from_relative_entropy(1.0))
-    t0 = toy_t0(4, 1.0, 1.0)
+    t0 = toy_t0(4, bound_from_relative_entropy(1.0), 1.0)
     if not tr.detected or abs(tr.t_trans - t0) > 1e-6 * t0:
         issues.append(f"bisection {tr.t_trans!r} vs closed form {t0!r}")
     kts = np.geomspace(0.05, 20.0, 20)
@@ -381,7 +381,8 @@ def check_asymptotic_monotonicity(seed: int = 0) -> CheckResult:
     10^4-level ladder as the site count grows.
     """
     issues = []
-    t0s = [toy_t0(d, 1.0, 1.0) for d in (4, 16, 256, 4096, 10**6)]
+    one_bit = bound_from_relative_entropy(1.0)
+    t0s = [toy_t0(d, one_bit, 1.0) for d in (4, 16, 256, 4096, 10**6)]
     if not all(a > b for a, b in zip(t0s, t0s[1:])):
         issues.append(f"t0 not decreasing in D: {t0s}")
     errs = {}

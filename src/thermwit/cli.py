@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -28,6 +28,7 @@ import numpy as np
 from .checks import dense_stabilizer_oracle, run_all
 from .config import SETTINGS, GridSpec, RunConfig, load_config
 from .entanglement import (
+    BoundKind,
     RobustnessBound,
     bipartite_pure_robustness,
     bound_from_relative_entropy,
@@ -42,7 +43,6 @@ from .errors import NoSignChange, ThermwitError, ThresholdUnreachable
 from .systems import (
     DimerParams,
     Graph,
-    PureState,
     ToySpectrumParams,
     build_dimer_hamiltonian,
     dicke_state,
@@ -91,69 +91,85 @@ def _fb(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _emit(
-    config_pairs: Sequence[tuple[str, str]],
-    columns: Sequence[str],
-    rows: Sequence[Sequence[str]],
-    summaries: Sequence[tuple[str, str]],
-) -> str:
-    lines = ["# thermwit-csv v1"]
-    lines.extend(f"# {k} = {v}" for k, v in config_pairs)
-    if columns:
-        lines.append(",".join(columns))
-        lines.extend(",".join(row) for row in rows)
-    lines.extend(f"## {k} = {v}" for k, v in summaries)
-    return "\n".join(lines) + "\n"
-
-
-def _deliver(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
-    Path(out).write_text(text, encoding="utf-8")
-    for line in text.splitlines():
-        if line.startswith("## "):
-            sys.stdout.write(line[3:] + "\n")
-
-
 # --- shared sweep driver --------------------------------------------------------
 
 
-def _sweep(
-    cfg: RunConfig,
-    system: str,
-    params: Sequence[tuple[str, str]],
-    bound: RobustnessBound,
-    e0: float,
-    log_p0: Callable[[np.ndarray], np.ndarray],
-    shape: tuple[float, float, int],
-    extra: Callable[[np.ndarray, np.ndarray, float | None], tuple[dict, Sequence]],
-    tail: Sequence[tuple[str, str]] = (),
-) -> int:
-    """Sweep the temperature grid and emit the CSV for one model.
+@dataclass(frozen=True)
+class Model:
+    """One model command's record: ``_write`` reads ``system``, ``params``
+    and ``tail`` (the config echo around the common settings) and ``bound``;
+    ``_sweep`` reads the rest. ``dicke`` has no temperature axis and leaves
+    ``e0``, ``log_p0``, ``shape`` and ``extra`` at their defaults.
+    """
 
-    ``log_p0(kts)`` is the model's one input, an array of log p0 for an
-    array of kT: called once with the whole grid, it gives each row's Z =
-    e^{-e0/kT} / p0, p and the verdict log p0 > log threshold, derived here
-    alone. The one ``ground_crossing`` search then runs on its one-point
-    view over ``shape`` = (gap, spread, dimension). Last,
-    ``extra(kts, log_ps, t_trans)`` is called once with the grid's kT and
-    log p0 arrays and the crossing; it returns ``(columns, summaries)``: a
-    dict from each extra column's name to its values, one per row, in CSV
+    system: str
+    params: Sequence[tuple[str, str]]
+    bound: RobustnessBound
+    e0: float = 0.0
+    log_p0: Callable[[np.ndarray], np.ndarray] | None = None
+    shape: tuple[float, float, int] = (0.0, 0.0, 0)
+    extra: Callable[[np.ndarray, np.ndarray, float | None], tuple[dict, Sequence]] | None = None
+    tail: Sequence[tuple[str, str]] = ()
+
+
+def _write(
+    cfg: RunConfig,
+    model: Model,
+    table: Sequence[Sequence[str]],
+    summaries: Sequence[tuple[str, str]],
+) -> int:
+    """Write one model's CSV, the only place that knows its layout.
+
+    The format tag; the echo of ``system``, the model's params, ``kB`` and
+    ``grid`` only when there is a ``table`` (a header, then its rows),
+    ``seed``, ``oracles`` and the model's tail; the table; then the bound's
+    ``one_plus_r``, ``threshold`` and ``bound_kind`` and ``summaries``. With
+    ``--out`` the file gets all of it and stdout only the result lines.
+    """
+    grid = [("kB", _fmt(cfg.k_b)), ("grid", cfg.grid.spec_string())] if table else []
+    echo = [
+        ("system", model.system),
+        *model.params,
+        *grid,
+        ("seed", str(cfg.seed)),
+        ("oracles", _fb(cfg.oracles)),
+        *model.tail,
+    ]
+    bound = model.bound
+    results = [
+        f"{k} = {v}\n"
+        for k, v in [
+            ("one_plus_r", _fmt(bound.one_plus_r)),
+            ("threshold", _fmt(bound.threshold)),
+            ("bound_kind", bound.kind.value),
+            *summaries,
+        ]
+    ]
+    head = ["# thermwit-csv v1", *(f"# {k} = {v}" for k, v in echo), *map(",".join, table)]
+    text = "".join(f"{line}\n" for line in head) + "".join(f"## {r}" for r in results)
+    if cfg.out is not None:
+        Path(cfg.out).write_text(text, encoding="utf-8")
+        text = "".join(results)
+    sys.stdout.write(text)
+    return EXIT_OK
+
+
+def _sweep(cfg: RunConfig, model: Model) -> int:
+    """Sweep the temperature grid and write the CSV for one model.
+
+    ``model.log_p0(kts)`` is the model's one input: called once with the
+    whole grid, it gives each row's Z = e^{-e0/kT} / p0, p and the verdict
+    log p0 > log threshold, derived here alone. The one ``ground_crossing``
+    search then runs on its one-point view over ``model.shape``. Last,
+    ``model.extra(kts, log_ps, t_trans)`` is called once with the grid's kT
+    and log p0 arrays and the crossing; it returns ``(columns, summaries)``:
+    a dict from each extra column's name to its values, one per row, in CSV
     order, and the model's ``(key, value)`` summary lines. It may raise
     MismatchError. Non-finite e0, gap, spread or kT, and a kT that
     underflows to 0, are rejected before anything is evaluated.
     """
-    config_pairs = [
-        ("system", system),
-        *params,
-        ("kB", _fmt(cfg.k_b)),
-        ("grid", cfg.grid.spec_string()),
-        ("seed", str(cfg.seed)),
-        ("oracles", _fb(cfg.oracles)),
-        *tail,
-    ]
-    gap, spread, _ = shape
+    e0, log_p0, bound = model.e0, model.log_p0, model.bound
+    gap, spread, _ = model.shape
     if not all(math.isfinite(x) for x in (e0, gap, spread)):
         raise ThermwitError(
             f"energies must be finite: E0 = {e0!r}, gap = {gap!r}, spread = {spread!r}"
@@ -169,9 +185,9 @@ def _sweep(
         raise ThermwitError(f"kT = T * kB must be positive; kB = {cfg.k_b!r} underflows it")
     log_ps = log_p0(kts)
     t_trans = ground_crossing(
-        lambda kt: float(log_p0(np.array([kt]))[0]), bound, *shape, cfg.k_b
+        lambda kt: float(log_p0(np.array([kt]))[0]), bound, *model.shape, cfg.k_b
     ).t_trans
-    columns, summaries = extra(kts, log_ps, t_trans)
+    columns, summaries = model.extra(kts, log_ps, t_trans)
     threshold, kind, log_threshold = _fmt(bound.threshold), bound.kind.value, bound.log_threshold
     rows = [
         [
@@ -186,14 +202,7 @@ def _sweep(
         for i, (temp, kt, log_p) in enumerate(zip(temps.tolist(), kts.tolist(), log_ps.tolist()))
     ]
     header = ["T", "Z", "p", "threshold", "satisfied", "bound_kind", *columns]
-    results = [
-        ("one_plus_r", _fmt(bound.one_plus_r)),
-        ("threshold", _fmt(bound.threshold)),
-        ("bound_kind", bound.kind.value),
-        *summaries,
-    ]
-    _deliver(_emit(config_pairs, header, rows, results), cfg.out)
-    return EXIT_OK
+    return _write(cfg, model, [header, *rows], summaries)
 
 
 def _rel_err(log_a: float, log_b: float) -> float:
@@ -214,13 +223,6 @@ def _crossing_lines(t_star: float | None) -> list[tuple[str, str]]:
 
 
 # --- spin dimer ---------------------------------------------------------------
-
-
-def _dimer_bound(p: DimerParams) -> RobustnessBound:
-    if p.B < 4.0 * p.J:
-        return singlet_robustness()
-    product_ground = PureState(2, np.array([1.0, 0.0, 0.0, 0.0]))
-    return bipartite_pure_robustness(product_ground, [0])
 
 
 def cmd_dimer(cfg: RunConfig) -> int:
@@ -248,10 +250,12 @@ def cmd_dimer(cfg: RunConfig) -> int:
         return columns, out
 
     params = [("B", _fmt(p.B)), ("J", _fmt(p.J))]
-    return _sweep(
-        cfg, "dimer", params, _dimer_bound(p), sp.ground_energy,
+    # the product ground state |00> of the field phase has R = 0
+    bound = singlet_robustness() if singlet_phase else RobustnessBound(1.0, BoundKind.EXACT)
+    return _sweep(cfg, Model(
+        "dimer", params, bound, sp.ground_energy,
         lambda kts: log_population(sp, kts, 0), (sp.gap, sp.spread, sp.dimension), extra,
-    )
+    ))
 
 
 # --- power-law ladder ---------------------------------------------------------
@@ -309,7 +313,7 @@ def cmd_toy(cfg: RunConfig) -> int:
                 out.append(("t_alpha_formula", _fmt(t_alpha / cfg.k_b)))
         else:
             try:
-                out.append(("t0_closed_form", _fmt(toy_t0(p.n_levels, e_r, p.delta) / cfg.k_b)))
+                out.append(("t0_closed_form", _fmt(toy_t0(p.n_levels, bound, p.delta) / cfg.k_b)))
             except ThresholdUnreachable:
                 out.append(("t0_closed_form", "unreachable"))
         if cfg.oracles:
@@ -331,11 +335,11 @@ def cmd_toy(cfg: RunConfig) -> int:
     ]
     if cfg.toy_n is not None:
         params.append(("n", str(cfg.toy_n)))
-    return _sweep(
-        cfg, "toy", params, bound, p.e0,
+    return _sweep(cfg, Model(
+        "toy", params, bound, p.e0,
         lambda kts: log_ground_population_alpha_closed(p, kts),
         (p.delta, p.spread, p.n_levels), extra,
-    )
+    ))
 
 
 # --- symmetric (Dicke) bound report -------------------------------------------
@@ -347,17 +351,7 @@ def cmd_dicke(cfg: RunConfig) -> int:
     bound = dicke_robustness(n, k)
     overlap = dicke_overlap_closed(n, k)
 
-    config_pairs = [
-        ("system", "dicke"),
-        ("n", str(n)),
-        ("k", str(k)),
-        ("seed", str(cfg.seed)),
-        ("oracles", _fb(cfg.oracles)),
-    ]
     summaries = [
-        ("one_plus_r", _fmt(bound.one_plus_r)),
-        ("threshold", _fmt(bound.threshold)),
-        ("bound_kind", bound.kind.value),
         ("e_r_bits", _fmt(bound.relative_entropy_bits)),
         ("max_product_overlap", _fmt(overlap)),
         ("max_product_overlap_sq", _fmt(overlap**2)),
@@ -388,8 +382,7 @@ def cmd_dicke(cfg: RunConfig) -> int:
                     f"half-cut bound {half.one_plus_r!r} vs closed {bound.one_plus_r!r}"
                 )
 
-    _deliver(_emit(config_pairs, [], [], summaries), cfg.out)
-    return EXIT_OK
+    return _write(cfg, Model("dicke", [("n", str(n)), ("k", str(k))], bound), [], summaries)
 
 
 # --- stabilizer graph ----------------------------------------------------------
@@ -478,11 +471,11 @@ def cmd_graph(cfg: RunConfig) -> int:
         ("B", _fmt(b)),
         ("eR_per_site", _fmt(ratio)),
     ]
-    return _sweep(
-        cfg, "graph", params, bound, -g.n * b,
+    return _sweep(cfg, Model(
+        "graph", params, bound, -g.n * b,
         log_p0_closed, (2.0 * b, 2.0 * g.n * b, 2**g.n),
         extra, [("matrix_check", _fb(cfg.matrix_check))],
-    )
+    ))
 
 
 # --- verification --------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .entanglement import RobustnessBound, bound_from_relative_entropy, concurrence_signed
+from .entanglement import RobustnessBound, concurrence_signed
 from .errors import NoSignChange, ThermwitError, ThresholdUnreachable
 from .numerics import root_bracket
 from .systems import DimerParams, Spectrum, ToySpectrumParams, build_dimer_hamiltonian
@@ -166,38 +166,38 @@ def concurrence_vanishing_temperature(p: DimerParams, k_b: float = 1.0) -> float
 # --- power-law ladder closed forms -------------------------------------------
 
 
-def toy_t0(n_levels: int, e_r: float, delta: float = 1.0) -> float:
+def toy_t0(n_levels: int, bound: RobustnessBound, delta: float = 1.0) -> float:
     """Crossing temperature for the fully degenerate (alpha = 0) ladder.
 
-    kT = delta / log((D-1) / (2^e_r - 1)) on the safe side: where the rows'
-    condition (log p0 of the alpha = 0 ladder above the bound's log
-    threshold; D up to SPECTRUM_LEVEL_CAP) fails at that float, the last
-    float below it where the condition holds. Once 2^e_r - 1 reaches D - 1
-    the threshold 2^{-e_r} is at or below the infinite-temperature
-    population, the condition holds at every temperature, and there is no
-    crossing.
+    kT = delta / log((D-1) / R) on the safe side, for R = one_plus_r - 1 of
+    ``bound``: where the rows' condition (log p0 of the alpha = 0 ladder
+    above the bound's log threshold; D up to SPECTRUM_LEVEL_CAP) fails at
+    that float, the last float below it where the condition holds. Once
+    1 + R reaches D the threshold 1/(1+R) is at or below the
+    infinite-temperature population, the condition holds at every
+    temperature, and there is no crossing.
     """
     if n_levels < 2:
         raise ThermwitError(f"need at least 2 levels, got {n_levels}")
     if not delta > 0:
         raise ThermwitError(f"delta must be positive, got {delta}")
-    if not e_r > 0:
-        raise ThermwitError(f"need e_r > 0, got {e_r}")
-    if e_r >= math.log2(n_levels):
+    r = bound.one_plus_r - 1.0
+    if not r > 0:
+        raise ThermwitError(f"need R > 0, got {r}")
+    if bound.one_plus_r >= n_levels:
         raise ThresholdUnreachable(
-            f"2^{e_r} - 1 >= D - 1 = {n_levels - 1}: condition holds at all T"
+            f"1 + R = {bound.one_plus_r} >= D = {n_levels}: condition holds at all T"
         )
-    t0 = delta / (math.log(n_levels - 1) - math.log(math.expm1(e_r * LN2)))
+    t0 = delta / (math.log(n_levels - 1) - math.log(r))
     ladder = ToySpectrumParams(e0=0.0, delta=delta, alpha=0.0, n_levels=n_levels)
-    log_threshold = bound_from_relative_entropy(e_r).log_threshold
 
     def margin(kt: float) -> float:
-        return log_ground_population_alpha_closed(ladder, kt) - log_threshold
+        return log_ground_population_alpha_closed(ladder, kt) - bound.log_threshold
 
     if margin(t0) > 0.0:
         return t0
     # step down one float, then twice as far each time the condition still
-    # fails; near D = 2^e_r the closed form is off by up to ~1e5 floats
+    # fails; near D = 1 + R the closed form is off by up to ~1e5 floats
     step, below = math.ulp(t0), math.nextafter(t0, 0.0)
     while not margin(below) > 0.0:
         t0, step = below, 2.0 * step

@@ -101,7 +101,8 @@ class TestFrozenNumbers:
         assert got == pytest.approx(expected, abs=1e-6)
 
     def test_ladder_crossings(self):
-        assert toy_t0(4, 1.0, 1.0) == pytest.approx(1.0 / math.log(3.0), rel=1e-12)
+        t0 = toy_t0(4, bound_from_relative_entropy(1.0), 1.0)
+        assert t0 == pytest.approx(1.0 / math.log(3.0), rel=1e-12)
 
     def test_stabilizer_constants(self):
         assert stabilizer_t_trans(6, 1.0, 3.0) == pytest.approx(

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -73,19 +74,19 @@ def _graph_log_p0(n, b, kt):
 def log_p0_calls(monkeypatch):
     """Record each model's log_p0 and the kT arrays _sweep calls it with.
 
-    Yields ``(models, calls)``: the log_p0 each _sweep call received, and
-    every kT array handed to it, in call order.
+    Yields ``(models, calls)``: the log_p0 of each model _sweep received,
+    and every kT array handed to it, in call order.
     """
     models, calls = [], []
     real = thermwit.cli._sweep
 
-    def sweep(cfg, system, params, bound, e0, log_p0, *rest):
+    def sweep(cfg, model):
         def counted(kts):
             calls.append(np.array(kts))
-            return log_p0(kts)
+            return model.log_p0(kts)
 
-        models.append(log_p0)
-        return real(cfg, system, params, bound, e0, counted, *rest)
+        models.append(model.log_p0)
+        return real(cfg, replace(model, log_p0=counted))
 
     monkeypatch.setattr(thermwit.cli, "_sweep", sweep)
     return models, calls
@@ -255,7 +256,7 @@ class TestToyCommand:
         )
         assert code == 0
         t_trans = float(summary_value(out, "t_trans"))
-        t0 = toy_t0(10**6, 4.0)
+        t0 = toy_t0(10**6, bound_from_relative_entropy(4.0))
         assert t_trans <= t0
         assert t0 - t_trans <= 4 * math.ulp(t0)
 
@@ -278,6 +279,14 @@ class TestToyCommand:
 
         assert holds(t_trans)
         assert not holds(math.nextafter(t_trans, math.inf))
+
+    @pytest.mark.parametrize("n, d", [(4, 4), (4, 100), (8, 1000), (16, 10**6), (64, 10**4)])
+    def test_t0_closed_form_meets_t_trans_under_n(self, capsys, n, d):
+        # with --n the closed form steps against the exact Dicke threshold
+        # the rows use, so it lands on the crossing the rows report
+        code, out, _ = run(capsys, "toy", "--alpha", "0", "--D", str(d), "--n", str(n))
+        assert code == 0
+        assert summary_value(out, "t0_closed_form") == summary_value(out, "t_trans")
 
     def test_oracle_resum_agrees(self, capsys):
         code, out, _ = run(
@@ -790,10 +799,13 @@ class TestConfigPlumbing:
                 ["matrix_check"],
                 ["p_flip", "p_from_flip"],
             ),
+            # no temperature axis: no kB or grid in the echo, and no table
+            (["dicke", "--n", "6"], ["n", "k"], [], None),
+            (["dicke", "--n", "8", "--k", "3", "--oracles"], ["n", "k"], [], None),
         ],
         ids=[
             "dimer", "dimer-oracles", "toy", "toy-oracles", "toy-alpha", "toy-alpha-oracles",
-            "graph", "graph-oracles",
+            "graph", "graph-oracles", "dicke", "dicke-oracles",
         ],
     )
     def test_shared_sweep_format(
@@ -806,12 +818,16 @@ class TestConfigPlumbing:
         lines = out.splitlines()
         assert lines[0] == "# thermwit-csv v1"
         echo = [l[2:].split(" = ", 1)[0] for l in lines[1:] if l.startswith("# ")]
-        assert echo == ["system", *params, "kB", "grid", "seed", "oracles", *tail]
-        header = lines[len(echo) + 1].split(",")
-        assert header == ["T", "Z", "p", "threshold", "satisfied", "bound_kind", *columns]
-        rows = [l.split(",") for l in lines[len(echo) + 2 :] if not l.startswith("#")]
-        assert len(rows) == 181
-        assert all(len(row) == len(header) for row in rows)
+        table = [l.split(",") for l in lines if not l.startswith("#")]
+        if columns is None:
+            assert echo == ["system", *params, "seed", "oracles", *tail]
+            assert table == []
+        else:
+            assert echo == ["system", *params, "kB", "grid", "seed", "oracles", *tail]
+            header = lines[len(echo) + 1].split(",")
+            assert header == ["T", "Z", "p", "threshold", "satisfied", "bound_kind", *columns]
+            assert table[0] == header and len(table) == 182
+            assert all(len(row) == len(header) for row in table)
         results = [l[3:].split(" = ", 1)[0] for l in lines if l.startswith("## ")]
         assert results[:3] == ["one_plus_r", "threshold", "bound_kind"]
 

@@ -252,7 +252,7 @@ def _toy_rows_hold(d, e_r, kt):
 class TestToyClosedForms:
     def test_t0_against_direct_root(self):
         for d, e_r in [(4, 1.0), (16, 2.0), (1000, 3.3)]:
-            t0 = toy_t0(d, e_r, 1.0)
+            t0 = toy_t0(d, bound_from_relative_entropy(e_r), 1.0)
             # at the crossing, p0 = 1/(1 + (D-1) e^{-delta/kT}) = 2^{-eR}
             p0 = 1.0 / (1.0 + (d - 1) * math.exp(-1.0 / t0))
             assert p0 == pytest.approx(2.0 ** (-e_r), rel=1e-12)
@@ -264,28 +264,28 @@ class TestToyClosedForms:
         # float, which sits at most a few floats below the closed form
         if e_r >= math.log2(d):
             with pytest.raises(ThresholdUnreachable):
-                toy_t0(d, e_r, 1.0)
+                toy_t0(d, bound_from_relative_entropy(e_r), 1.0)
             return
-        t0 = toy_t0(d, e_r, 1.0)
+        t0 = toy_t0(d, bound_from_relative_entropy(e_r), 1.0)
         closed = 1.0 / (math.log(d - 1) - math.log(math.expm1(e_r * math.log(2.0))))
         assert _toy_rows_hold(d, e_r, t0)
         assert closed - 4 * math.ulp(closed) <= t0 <= closed
 
     def test_t0_near_log_dim_is_last_holding_float(self):
         # D = 4, eR just below 2: the closed form lands ~1e5 floats too high
-        t0 = toy_t0(4, 1.99999, 1.0)
+        t0 = toy_t0(4, bound_from_relative_entropy(1.99999), 1.0)
         assert _toy_rows_hold(4, 1.99999, t0)
         assert not _toy_rows_hold(4, 1.99999, math.nextafter(t0, math.inf))
 
     def test_t0_unreachable_when_entanglement_exceeds_log_dim(self):
         with pytest.raises(ThresholdUnreachable):
-            toy_t0(4, 2.0, 1.0)
+            toy_t0(4, bound_from_relative_entropy(2.0), 1.0)
         with pytest.raises(ThresholdUnreachable):
-            toy_t0(4, 2.5, 1.0)
+            toy_t0(4, bound_from_relative_entropy(2.5), 1.0)
 
     def test_t0_rejects_nonpositive_entanglement(self):
-        with pytest.raises(ThermwitError, match="need e_r > 0, got 0.0"):
-            toy_t0(4, 0.0, 1.0)
+        with pytest.raises(ThermwitError, match="need R > 0, got 0.0"):
+            toy_t0(4, bound_from_relative_entropy(0.0), 1.0)
 
     def test_t1_is_deep_ladder_limit_of_alpha_one(self):
         # a depth-10^6 linear ladder reproduces the infinite-depth crossing
@@ -323,9 +323,9 @@ class TestToyClosedForms:
         # keeps the condition open to higher temperature
         if e_r >= math.log2(d) - 0.1:
             return
-        t = toy_t0(d, e_r, 1.0)
-        assert toy_t0(d + 5, e_r, 1.0) < t
-        assert toy_t0(d, e_r + 0.05, 1.0) > t
+        t = toy_t0(d, bound_from_relative_entropy(e_r), 1.0)
+        assert toy_t0(d + 5, bound_from_relative_entropy(e_r), 1.0) < t
+        assert toy_t0(d, bound_from_relative_entropy(e_r + 0.05), 1.0) > t
 
 
 class TestStabilizerClosedForms:
@@ -385,7 +385,8 @@ class TestToySpectrumTransitionAgreement:
     def test_spectrum_bisection_matches_t0(self):
         p = ToySpectrumParams(e0=0.5, delta=1.3, alpha=0.0, n_levels=32)
         tr = transition_temperature(toy_spectrum(p), bound_from_relative_entropy(2.0))
-        assert tr.t_trans == pytest.approx(toy_t0(32, 2.0, 1.3), rel=1e-9)
+        t0 = toy_t0(32, bound_from_relative_entropy(2.0), 1.3)
+        assert tr.t_trans == pytest.approx(t0, rel=1e-9)
 
     def test_ground_energy_location_irrelevant(self):
         a = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.7, n_levels=64)
