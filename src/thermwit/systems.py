@@ -15,13 +15,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ThermwitError
+from .numerics import DIM_CAP
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
-MATRIX_SITE_CAP = 12       # 2^12 = 4096, matching the dense-matrix cap
+MATRIX_SITE_CAP = DIM_CAP.bit_length() - 1  # the largest n with 2^n <= DIM_CAP
 DICKE_SITE_CAP = 20
 SPECTRUM_LEVEL_CAP = 10**6
 MERGE_TOL_SCALE = 1e-9

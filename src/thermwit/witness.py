@@ -11,19 +11,19 @@ systems and are cross-checked against the generic root bracket in tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .entanglement import RobustnessBound, concurrence_signed
-from .errors import NoSignChange, ThermwitError, ThresholdUnreachable
+from .errors import NoSignChange, ThermwitError
 from .numerics import root_bracket
-from .systems import DimerParams, Spectrum, ToySpectrumParams, build_dimer_hamiltonian
+from .systems import DimerParams, Spectrum, build_dimer_hamiltonian
 from .thermal import (
     LN2,
     _kt_array,
-    log_ground_population_alpha_closed,
     log_population,
     thermal_density_matrix,
 )
@@ -167,15 +167,13 @@ def concurrence_vanishing_temperature(p: DimerParams, k_b: float = 1.0) -> float
 
 
 def toy_t0(n_levels: int, bound: RobustnessBound, delta: float = 1.0) -> float:
-    """Crossing temperature for the fully degenerate (alpha = 0) ladder.
+    """Crossing of the fully degenerate (alpha = 0) ladder: kT = delta / log((D-1) / R).
 
-    kT = delta / log((D-1) / R) on the safe side, for R = one_plus_r - 1 of
-    ``bound``: where the rows' condition (log p0 of the alpha = 0 ladder
-    above the bound's log threshold; D up to SPECTRUM_LEVEL_CAP) fails at
-    that float, the last float below it where the condition holds. Once
-    1 + R reaches D the threshold 1/(1+R) is at or below the
-    infinite-temperature population, the condition holds at every
-    temperature, and there is no crossing.
+    The ladder has p0 = 1 / (1 + (D-1) e^{-delta/kT}); setting that equal to
+    1/(1+R), for R = one_plus_r - 1 of ``bound``, gives the formula. It is
+    not a certificate: it meets the rows' crossing within ``toy_t0_rel_tol``.
+    Once 1 + R reaches D the threshold is at or below the infinite-temperature
+    population, the condition holds at every temperature, and this is inf.
     """
     if n_levels < 2:
         raise ThermwitError(f"need at least 2 levels, got {n_levels}")
@@ -184,25 +182,28 @@ def toy_t0(n_levels: int, bound: RobustnessBound, delta: float = 1.0) -> float:
     r = bound.one_plus_r - 1.0
     if not r > 0:
         raise ThermwitError(f"need R > 0, got {r}")
-    if bound.one_plus_r >= n_levels:
-        raise ThresholdUnreachable(
-            f"1 + R = {bound.one_plus_r} >= D = {n_levels}: condition holds at all T"
-        )
-    t0 = delta / (math.log(n_levels - 1) - math.log(r))
-    ladder = ToySpectrumParams(e0=0.0, delta=delta, alpha=0.0, n_levels=n_levels)
+    # 0 or below once 1 + R reaches D, and where the two logs round together
+    log_ratio = math.log(n_levels - 1) - math.log(r)
+    return delta / log_ratio if log_ratio > 0.0 else math.inf
 
-    def margin(kt: float) -> float:
-        return log_ground_population_alpha_closed(ladder, kt) - bound.log_threshold
 
-    if margin(t0) > 0.0:
-        return t0
-    # step down one float, then twice as far each time the condition still
-    # fails; near D = 1 + R the closed form is off by up to ~1e5 floats
-    step, below = math.ulp(t0), math.nextafter(t0, 0.0)
-    while not margin(below) > 0.0:
-        t0, step = below, 2.0 * step
-        below = max(below - step, 0.5 * below)
-    return root_bracket(margin, below, t0)[0]
+def toy_t0_rel_tol(n_levels: int, bound: RobustnessBound) -> float:
+    """Relative distance within which a finite ``toy_t0`` meets the rows' crossing.
+
+    First-order rounding, doubled. L = log(D-1) - log R loses one rounding
+    of each log. The rows' log threshold and log p0 each sit a few roundings
+    of (1 + log(1+R)) off -log(1+R), which moves log R by (1+R)/R times as
+    much. Both are relative to L; the divisions, kT = T * kB and the last
+    holding float add a few roundings more.
+    """
+    one_plus_r = bound.one_plus_r
+    r = one_plus_r - 1.0
+    log_ratio = math.log(n_levels - 1) - math.log(r)
+    log_terms = (
+        math.log(n_levels - 1) + abs(math.log(r))
+        + 3.0 * one_plus_r / r * (1.0 + math.log(one_plus_r))
+    )
+    return 2.0 * sys.float_info.epsilon * (log_terms / log_ratio + 4.0)
 
 
 def toy_t_alpha(alpha: float, r: float, delta: float = 1.0) -> float:

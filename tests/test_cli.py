@@ -14,7 +14,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import thermwit.cli
@@ -22,7 +22,7 @@ import thermwit.entanglement
 from thermwit.checks import dense_stabilizer_oracle
 from thermwit.cli import main
 from thermwit.config import RunConfig, serialize_config
-from thermwit.entanglement import bound_from_relative_entropy
+from thermwit.entanglement import bound_from_relative_entropy, dicke_robustness
 from thermwit.errors import NoSignChange
 from thermwit.systems import (
     Graph,
@@ -33,7 +33,7 @@ from thermwit.systems import (
     write_edge_list,
 )
 from thermwit.thermal import log_ground_population_alpha_closed
-from thermwit.witness import ground_crossing, toy_t0
+from thermwit.witness import ground_crossing, toy_t0, toy_t0_rel_tol
 
 T_ZERO_FIELD = 4.0 / math.log(3.0)
 
@@ -243,11 +243,14 @@ class TestToyCommand:
         assert code == 2
         assert "even" in err
 
-    def test_unreachable_threshold_reports_inf(self, capsys):
-        code, out, _ = run(capsys, "toy", "--alpha", "0", "--D", "4", "--eR", "2.5")
+    @pytest.mark.parametrize("e_r, t_trans", [("2", "1801439850948198.5"), ("2.5", "inf")])
+    def test_closed_form_inf_once_one_plus_r_reaches_d(self, capsys, e_r, t_trans):
+        # at 1 + R = D = 4 the formula has no crossing, while the rows' threshold,
+        # rounded up, still gives the search one far out
+        code, out, _ = run(capsys, "toy", "--alpha", "0", "--D", "4", "--eR", e_r)
         assert code == 0
-        assert summary_value(out, "t_trans") == "inf"
-        assert summary_value(out, "t0_closed_form") == "unreachable"
+        assert summary_value(out, "t_trans") == t_trans
+        assert summary_value(out, "t0_closed_form") == "inf"
 
     def test_million_level_crossing_on_the_safe_side(self, capsys):
         code, out, _ = run(
@@ -281,12 +284,39 @@ class TestToyCommand:
         assert not holds(math.nextafter(t_trans, math.inf))
 
     @pytest.mark.parametrize("n, d", [(4, 4), (4, 100), (8, 1000), (16, 10**6), (64, 10**4)])
-    def test_t0_closed_form_meets_t_trans_under_n(self, capsys, n, d):
-        # with --n the closed form steps against the exact Dicke threshold
-        # the rows use, so it lands on the crossing the rows report
+    def test_t0_closed_form_near_t_trans_under_n(self, capsys, n, d):
         code, out, _ = run(capsys, "toy", "--alpha", "0", "--D", str(d), "--n", str(n))
         assert code == 0
-        assert summary_value(out, "t0_closed_form") == summary_value(out, "t_trans")
+        t_trans = float(summary_value(out, "t_trans"))
+        t0 = float(summary_value(out, "t0_closed_form"))
+        assert abs(t0 - t_trans) <= toy_t0_rel_tol(d, dicke_robustness(n, n // 2)) * t_trans
+
+    @given(
+        st.sampled_from([2, 3, 4, 10, 1000, 10**6]) | st.integers(2, 10**6),
+        st.floats(0.01, 20.0),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-5, 1e5),
+    )
+    @example(4, 1.99999, 1.0, 1.0)  # 6.0e-11 apart
+    @example(10, 0.4387785509725452, 0.28141327879927447, 10.157593107086836)
+    @settings(max_examples=200, deadline=None)
+    def test_t0_closed_form_near_t_trans(self, d, e_r, delta, k_b):
+        # the formula is no certificate; it meets the rows' crossing within
+        # its own rounding, in any temperature unit
+        code, out, _ = run_quiet(
+            "toy", "--alpha", "0", f"--D={d}", f"--eR={e_r!r}", f"--delta={delta!r}",
+            f"--kB={k_b!r}", "--grid", "1:2:2:lin",
+        )
+        assert code == 0
+        bound = bound_from_relative_entropy(e_r)
+        t0 = float(summary_value(out, "t0_closed_form"))
+        if bound.one_plus_r >= d:
+            assert t0 == math.inf
+            return
+        # 1 + R within a float or two of D: the log ratio rounds to 0
+        assume(math.isfinite(t0))
+        t_trans = float(summary_value(out, "t_trans"))
+        assert abs(t0 - t_trans) <= toy_t0_rel_tol(d, bound) * t_trans
 
     def test_oracle_resum_agrees(self, capsys):
         code, out, _ = run(

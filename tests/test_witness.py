@@ -1,5 +1,6 @@
 """Tests for the certification condition, crossings, and closed-form limits."""
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -14,7 +15,7 @@ from thermwit.entanglement import (
     bound_from_relative_entropy,
     singlet_robustness,
 )
-from thermwit.errors import NoSignChange, ThermwitError, ThresholdUnreachable
+from thermwit.errors import NoSignChange, ThermwitError
 from thermwit.systems import DimerParams, Spectrum, ToySpectrumParams, dimer_spectrum, toy_spectrum
 from thermwit.thermal import log_ground_population_alpha_closed, log_population
 from thermwit.witness import (
@@ -25,6 +26,7 @@ from thermwit.witness import (
     noise_threshold,
     stabilizer_t_trans,
     toy_t0,
+    toy_t0_rel_tol,
     toy_t_alpha,
     transition_temperature,
 )
@@ -242,13 +244,6 @@ class TestConcurrenceVanishing:
         assert t == pytest.approx(2.0 * T_ZERO_FIELD, rel=1e-9)
 
 
-def _toy_rows_hold(d, e_r, kt):
-    """The toy rows' condition log p0 > log threshold on the alpha = 0 ladder."""
-    p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=d)
-    log_p0 = log_ground_population_alpha_closed(p, kt)
-    return log_p0 > bound_from_relative_entropy(e_r).log_threshold
-
-
 class TestToyClosedForms:
     def test_t0_against_direct_root(self):
         for d, e_r in [(4, 1.0), (16, 2.0), (1000, 3.3)]:
@@ -259,29 +254,23 @@ class TestToyClosedForms:
 
     @pytest.mark.parametrize("d", [4, 100, 10**4, 10**6])
     @pytest.mark.parametrize("e_r", [0.5, 1.0, 2.0, 4.0])
-    def test_t0_on_the_safe_side(self, d, e_r):
-        # the rows' condition on the alpha = 0 ladder holds at the returned
-        # float, which sits at most a few floats below the closed form
-        if e_r >= math.log2(d):
-            with pytest.raises(ThresholdUnreachable):
-                toy_t0(d, bound_from_relative_entropy(e_r), 1.0)
+    def test_t0_near_ladder_crossing(self, d, e_r):
+        # the formula meets the crossing the generic search finds on the
+        # alpha = 0 ladder within its own rounding; inf once 1 + R reaches D
+        bound = bound_from_relative_entropy(e_r)
+        t0 = toy_t0(d, bound, 1.0)
+        if bound.one_plus_r >= d:
+            assert t0 == math.inf
             return
-        t0 = toy_t0(d, bound_from_relative_entropy(e_r), 1.0)
-        closed = 1.0 / (math.log(d - 1) - math.log(math.expm1(e_r * math.log(2.0))))
-        assert _toy_rows_hold(d, e_r, t0)
-        assert closed - 4 * math.ulp(closed) <= t0 <= closed
+        p = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=d)
+        log_p0 = partial(log_ground_population_alpha_closed, p)
+        t_star = ground_crossing(log_p0, bound, p.delta, p.spread, d).t_trans
+        assert abs(t0 - t_star) <= toy_t0_rel_tol(d, bound) * t_star
 
-    def test_t0_near_log_dim_is_last_holding_float(self):
-        # D = 4, eR just below 2: the closed form lands ~1e5 floats too high
-        t0 = toy_t0(4, bound_from_relative_entropy(1.99999), 1.0)
-        assert _toy_rows_hold(4, 1.99999, t0)
-        assert not _toy_rows_hold(4, 1.99999, math.nextafter(t0, math.inf))
-
-    def test_t0_unreachable_when_entanglement_exceeds_log_dim(self):
-        with pytest.raises(ThresholdUnreachable):
-            toy_t0(4, bound_from_relative_entropy(2.0), 1.0)
-        with pytest.raises(ThresholdUnreachable):
-            toy_t0(4, bound_from_relative_entropy(2.5), 1.0)
+    def test_t0_inf_where_log_ratio_rounds_to_zero(self):
+        # 1 + R one float below D = 10^6: log(D-1) - log R rounds to 0
+        bound = RobustnessBound(math.nextafter(1e6, 0.0), BoundKind.LOWER_BOUND)
+        assert toy_t0(10**6, bound, 1.0) == math.inf
 
     def test_t0_rejects_nonpositive_entanglement(self):
         with pytest.raises(ThermwitError, match="need R > 0, got 0.0"):
@@ -384,9 +373,10 @@ class TestStabilizerClosedForms:
 class TestToySpectrumTransitionAgreement:
     def test_spectrum_bisection_matches_t0(self):
         p = ToySpectrumParams(e0=0.5, delta=1.3, alpha=0.0, n_levels=32)
-        tr = transition_temperature(toy_spectrum(p), bound_from_relative_entropy(2.0))
-        t0 = toy_t0(32, bound_from_relative_entropy(2.0), 1.3)
-        assert tr.t_trans == pytest.approx(t0, rel=1e-9)
+        bound = bound_from_relative_entropy(2.0)
+        tr = transition_temperature(toy_spectrum(p), bound)
+        t0 = toy_t0(32, bound, 1.3)
+        assert abs(tr.t_trans - t0) <= toy_t0_rel_tol(32, bound) * t0
 
     def test_ground_energy_location_irrelevant(self):
         a = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.7, n_levels=64)
