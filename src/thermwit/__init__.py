@@ -52,7 +52,6 @@ from .thermal import (
     log_ground_population_alpha_closed,
     log_partition_function_alpha_gamma,
     log_population,
-    log_stabilizer_partition_function,
     thermal_density_matrix,
 )
 from .witness import (
@@ -109,7 +108,6 @@ __all__ = [
     "log_partition_function",
     "log_partition_function_alpha_gamma",
     "log_population",
-    "log_stabilizer_partition_function",
     "noise_threshold",
     "odd_weight_mask",
     "partial_transpose",

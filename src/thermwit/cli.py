@@ -57,7 +57,6 @@ from .thermal import (
     log_partition_function,
     log_partition_function_alpha_gamma,
     log_population,
-    log_stabilizer_partition_function,
     thermal_density_matrix,
 )
 from .witness import (
@@ -84,8 +83,8 @@ class MismatchError(ThermwitError):
     """An oracle cross-check disagreed beyond tolerance."""
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x: float | None) -> str:
+    return "none" if x is None else repr(float(x))
 
 
 def _fb(b: bool) -> str:
@@ -216,9 +215,7 @@ def _rel_err(log_a: float, log_b: float) -> float:
 
 def _crossing_lines(t_star: float | None) -> list[tuple[str, str]]:
     """The ``t_trans`` summary of a ground_crossing result."""
-    if t_star is None:
-        return [("t_trans", "none")]
-    if math.isinf(t_star):
+    if t_star == math.inf:
         return [("t_trans", "inf"), ("t_trans_note", "condition holds at every temperature")]
     return [("t_trans", _fmt(t_star))]
 
@@ -313,7 +310,9 @@ def cmd_toy(cfg: RunConfig) -> int:
                 t_alpha = toy_t_alpha(p.alpha, bound.one_plus_r - 1.0, p.delta)
                 out.append(("t_alpha_formula", _fmt(t_alpha / cfg.k_b)))
         else:
-            out.append(("t0_closed_form", _fmt(toy_t0(p.n_levels, bound, p.delta) / cfg.k_b)))
+            # none at 1 + R = 1, a threshold no population exceeds
+            t0 = toy_t0(p.n_levels, bound, p.delta) / cfg.k_b if bound.one_plus_r > 1.0 else None
+            out.append(("t0_closed_form", _fmt(t0)))
         if cfg.oracles:
             columns["z_spectrum"] = [exp_or_inf(-p.e0 / kt - x) for x, kt in zip(log_p0_sp, kts)]
             # Z_sp / Z = p0 / p0_sp: compared without the -E0/kT both carry.
@@ -386,15 +385,18 @@ def cmd_dicke(cfg: RunConfig) -> int:
 # --- stabilizer graph ----------------------------------------------------------
 
 
-def _matrix_check(g: Graph, b: float, kts: np.ndarray) -> list[tuple[str, str]]:
-    """Dense eigenvalues of the stabilizer Hamiltonian vs the closed forms."""
+def _matrix_check(
+    g: Graph, b: float, kts: np.ndarray, log_ps: np.ndarray
+) -> list[tuple[str, str]]:
+    """Dense eigenvalues of the stabilizer Hamiltonian vs the closed forms,
+    and the dense log Z vs the Z column's own, n B/kT - log p0, on every row."""
     if g.n > MATRIX_SITE_CAP:
         raise ThermwitError(f"--matrix-check builds 2^n matrices and needs n <= {MATRIX_SITE_CAP}")
     dense, levels_ok, residual = dense_stabilizer_oracle(g, b)
-    # np.max keeps a NaN, which then fails the gate below
+    log_zs = log_partition_function(dense, kts).tolist()
+    # in Python floats, as the Z column; np.max keeps a NaN, which then fails the gate
     z_err = float(np.max([
-        _rel_err(log_partition_function(dense, kt), log_stabilizer_partition_function(g.n, b, kt))
-        for kt in kts[:: max(1, len(kts) // 8)].tolist()
+        _rel_err(z, g.n * b / kt - p) for z, kt, p in zip(log_zs, kts.tolist(), log_ps.tolist())
     ]))
     if not levels_ok or residual > 1e-9 or not z_err <= 1e-9:
         raise MismatchError(
@@ -431,7 +433,9 @@ def cmd_graph(cfg: RunConfig) -> int:
         out = [
             *_crossing_lines(t_trans),
             ("p_flip_threshold", _fmt(noise_threshold(e_r, g.n))),
-            ("p_flip_at_t_trans", _fmt(flip_probability_from_temperature(b, t_trans * cfg.k_b))),
+            ("p_flip_at_t_trans", _fmt(None if t_trans is None else (
+                flip_probability_from_temperature(b, t_trans * cfg.k_b)
+            ))),
         ]
         if cfg.oracles:
             p_flip = [flip_probability_from_temperature(b, kt) for kt in kts.tolist()]
@@ -446,15 +450,19 @@ def cmd_graph(cfg: RunConfig) -> int:
                 raise MismatchError(
                     f"(1 - p_flip)^n disagrees with ground population by {worst:.3e}"
                 )
-            t_closed = stabilizer_t_trans(g.n, b, e_r) / cfg.k_b
+            # the closed form on the bound the search used; at 1 + R = 1 both are none
+            bits = bound.relative_entropy_bits
+            t_closed = stabilizer_t_trans(g.n, b, bits) / cfg.k_b if bits > 0.0 else None
             tr = transition_temperature(stabilizer_spectrum(g.n, b), bound, cfg.k_b)
-            out.append(("t_trans_bisect", _fmt(tr.t_trans) if tr.detected else "none"))
-            if not tr.detected or abs(tr.t_trans - t_closed) > 1e-8 * t_closed:
+            out.append(("t_trans_bisect", _fmt(tr.t_trans)))
+            if tr.detected != (t_closed is not None) or (
+                tr.detected and abs(tr.t_trans - t_closed) > 1e-8 * t_closed
+            ):
                 raise MismatchError(
                     f"generic-solver crossing {tr.t_trans!r} vs closed form {t_closed!r}"
                 )
         if cfg.matrix_check:
-            out += _matrix_check(g, b, kts)
+            out += _matrix_check(g, b, kts, log_ps)
         return columns, out
 
     def log_p0_closed(kts: np.ndarray) -> np.ndarray:

@@ -79,27 +79,18 @@ class Spectrum:
     def from_values(cls, values: np.ndarray | Sequence[float]) -> "Spectrum":
         """Sort raw eigenvalues and merge near-coincident ones into levels.
 
-        Two values merge when they differ by less than
-        ``MERGE_TOL_SCALE * max(|E|, 1)``; merged levels use the averaged
-        energy so eigensolver jitter does not bias level positions.
+        One tolerance, ``MERGE_TOL_SCALE * max |E|``, serves the whole spectrum
+        (an eigensolver's error scales with ||H||), so no level depends on the
+        energy unit. A level starts where a gap exceeds it, at its values' mean.
         """
-        ordered = np.sort(np.asarray(values, dtype=float), kind="stable")
-        # The loop below merges first where two raw neighbours are closer than
-        # the tolerance; with no such pair it merges nothing.
-        gaps = ordered[1:] - ordered[:-1]
-        if np.all(gaps >= MERGE_TOL_SCALE * np.maximum(np.abs(ordered[1:]), 1.0)):
-            return cls(energies=ordered, degeneracies=(1,) * ordered.size)
-        energies: list[float] = []
-        counts: list[int] = []
-        for e in ordered.tolist():
-            if energies and e - energies[-1] < MERGE_TOL_SCALE * max(abs(e), 1.0):
-                total = counts[-1] + 1
-                energies[-1] = (energies[-1] * counts[-1] + e) / total
-                counts[-1] = total
-            else:
-                energies.append(e)
-                counts.append(1)
-        return cls(energies=np.array(energies), degeneracies=tuple(counts))
+        ordered = np.sort(np.asarray(values, dtype=float))
+        tol = MERGE_TOL_SCALE * np.max(np.abs(ordered), initial=0.0)
+        if tol == math.inf:
+            raise ThermwitError("energies must be finite")
+        # a NaN makes tol NaN: each value starts a level, and NaN fails the order check
+        starts = np.flatnonzero(~(np.diff(ordered, prepend=-math.inf) <= tol))
+        counts = np.diff(starts, append=ordered.size)
+        return cls(np.add.reduceat(ordered, starts) / counts, tuple(counts.tolist()))
 
     @property
     def dimension(self) -> int:

@@ -324,13 +324,3 @@ def log_partition_function_alpha_gamma(p: ToySpectrumParams, kt: float) -> float
         + inv * (log_inv - 1.0 + log_ratio)
         + 0.5 * (log_inv + math.log(2.0 * math.pi))
     )
-
-
-def log_stabilizer_partition_function(n: int, B: float, kt: float) -> float:
-    """Closed form log Z = n * (log(1 + e^{2B/kT}) - B/kT) for n generators."""
-    if n < 1:
-        raise ThermwitError(f"need n >= 1 generators, got {n}")
-    if not B > 0:
-        raise ThermwitError(f"field B must be positive, got {B}")
-    x = 2.0 * B / float(_kt_array(kt))
-    return n * (float(np.logaddexp(0.0, x)) - 0.5 * x)

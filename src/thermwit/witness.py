@@ -70,18 +70,20 @@ def ground_crossing(
     ``log_p0(kt)`` falls with kT, for a spectrum with the given gap, spread
     and number of states. The search runs in temperature and evaluates at
     kT = temp * k_b, so the reported crossing is a temperature on the safe
-    side in its own unit. It starts on [1e-6 * gap, 1e4 * spread] / k_b and
-    returns the inside end of ``root_bracket``: the condition holds there and
-    fails at the next float up. Where the float margin is not monotone,
-    floats further up may read either way. None when the condition fails at
-    the lower end; inf when it still holds at the upper end. While it does
-    and 1/dimension (the population at infinite temperature) is at or below
-    the threshold, so the margin ends non-positive as T grows, that end is
-    doubled until the condition fails; inf then comes back only if no finite
-    float gets there.
+    side in its own unit. It starts on [1e-6 * gap, 1e4 * spread] / k_b, the
+    lower end raised to keep kT above 0, and returns the inside end of
+    ``root_bracket``: the condition holds there and fails at the next float
+    up. Where the float margin is not monotone, floats further up may read
+    either way. None when the condition fails at the lower end; inf when it
+    still holds at the upper end. While it does and 1/dimension (the
+    population at infinite temperature) is at or below the threshold, so the
+    margin ends non-positive as T grows, that end is doubled until the
+    condition fails; inf then comes back only if no finite float gets there.
     """
     _check_k_b(k_b)
-    lo, hi = bracket = (BRACKET_GAP_FACTOR * gap / k_b, BRACKET_SPREAD_FACTOR * spread / k_b)
+    # 1e-6 * gap rounds to 0 below a gap of ~5e-318, and kT = temp * k_b must not
+    lo = max(BRACKET_GAP_FACTOR * gap / k_b, math.ulp(0.0) / min(k_b, 1.0))
+    lo, hi = bracket = (lo, BRACKET_SPREAD_FACTOR * spread / k_b)
 
     def margin(temp: float) -> float:
         return log_p0(temp * k_b) - bound.log_threshold

@@ -131,6 +131,28 @@ class TestDimerCommand:
         assert summary_value(out, "t_trans") == "none"
         assert "singlet_level_intervals" not in out
 
+    def test_nano_dimer_crossing_on_the_certified_side(self, capsys):
+        # the field splits the triplet by 5e-10, half of J: the levels must
+        # stay apart, and the crossing must sit where the exact singlet
+        # population still exceeds 1/2
+        code, out, err = run(
+            capsys, "dimer", "--J", "1e-9", "--B", "5e-10", "--grid", "1e-10:1e-8:3:log"
+        )
+        assert code == 0 and err == ""
+        t_trans = float(summary_value(out, "t_trans"))
+        with mpmath.workdps(50):
+            j = mpmath.mpf(1e-9)
+
+            def margin(u):
+                # singlet population minus 1/2 at T = u J, the other levels
+                # 4J - B, 4J and 4J + B above the singlet's -3J, B = J / 2
+                z = 1 + sum(mpmath.exp(-(4 + d) / u) for d in (-0.5, 0, 0.5))
+                return 1 / z - mpmath.mpf(1) / 2
+
+            exact = mpmath.findroot(margin, 3.62) * j
+            assert margin(t_trans / j) > 0
+            assert exact * (1 - mpmath.mpf(1e-12)) < t_trans <= exact
+
     def test_zero_field_concurrence_zero_not_below_crossing(self, capsys):
         # both crossings sit at 4J/ln 3; the oracle's may not land below the witness's
         code, out, _ = run(capsys, "dimer", "--B", "0", "--oracles")
@@ -611,6 +633,18 @@ class TestGraphCommand:
         assert code == 0 and err == ""
         assert float(summary_value(out, "z_trace_max_rel_err")) <= 1e-9
 
+    def test_matrix_check_at_large_field(self, capsys, tmp_path):
+        # the dense values of ring(8)'s 70-fold zero level spread ~3e-9 at
+        # B = 1e6: one tolerance on the spectrum's scale keeps them one level
+        path = tmp_path / "ring8.edges"
+        write_edge_list(Graph.ring(8), path)
+        code, out, err = run(
+            capsys, "graph", "--edges", str(path), "--B", "1e6", "--matrix-check",
+            "--grid", "1e5:1e7:20:log",
+        )
+        assert code == 0 and err == ""
+        assert summary_value(out, "matrix_levels_match") == "true"
+
     @pytest.mark.parametrize("b", [1e-3, 1.0, 2.5, 1e5])
     @pytest.mark.parametrize(
         "g", [Graph.path(5), Graph.ring(6), Graph.star(7), Graph.complete(4)],
@@ -1040,6 +1074,84 @@ def test_subnormal_kt_rows_without_warning(tmp_path, monkeypatch, argv):
     assert [str(w.message) for w in caught] == []
     assert csv_column(out, "p")[:2] == ["1.0", "1.0"]
     assert "nan" not in csv_column(out, "p")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["graph", "--edges", "ring6.edges", "--eR", "1e-17"], "p_flip_at_t_trans = none"),
+        (["graph", "--edges", "ring6.edges", "--eR", "1e-17", "--oracles"],
+         "t_trans_bisect = none"),
+        (["toy", "--alpha", "0", "--D", "10", "--eR", "1e-17"], "t0_closed_form = none"),
+    ],
+    ids=["graph", "graph-oracles", "toy-alpha-0"],
+)
+def test_bound_rounding_to_one_is_a_silent_witness(tmp_path, monkeypatch, argv, line):
+    # 2^(eR) rounds to 1 + R = 1 at eR ~ 1e-16 bits: the threshold is 1,
+    # which no population exceeds, so every crossing and closed form is none
+    monkeypatch.chdir(tmp_path)
+    write_edge_list(Graph.ring(6), tmp_path / "ring6.edges")
+    code, out, err = run_quiet(*argv, "--grid", "1:2:2:lin")
+    assert code == 0 and err == ""
+    assert summary_value(out, "one_plus_r") == "1.0"
+    assert summary_value(out, "t_trans") == "none"
+    assert f"## {line}\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["toy", "--alpha", "0.5", "--D", "10", "--delta", "1e-320"],
+        ["graph", "--edges", "ring6.edges", "--B", "1e-320"],
+        ["dimer", "--J", "1e-320"],
+        ["dimer", "--J", "1e-10"],
+    ],
+    ids=["toy-delta-1e-320", "graph-B-1e-320", "dimer-J-1e-320", "dimer-J-1e-10"],
+)
+def test_tiny_energy_scales_run_without_warning(tmp_path, monkeypatch, argv):
+    # 1e-6 * gap underflows to 0 below a gap of ~5e-318: the crossing search
+    # still never evaluates at kT = 0, and a dimer at J = 1e-10 keeps its two
+    # levels
+    monkeypatch.chdir(tmp_path)
+    write_edge_list(Graph.ring(6), tmp_path / "ring6.edges")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_quiet(*argv, "--grid", "1:2:2:lin")
+    assert code == 0 and err == ""
+    assert [str(w.message) for w in caught] == []
+    assert 0.0 < float(summary_value(out, "t_trans")) < math.inf
+
+
+class TestUnitFree:
+    """Scaling every energy and temperature by 2^k is exact in floats, and
+    so is each run: the same p bits and 2^k times the crossing."""
+
+    @given(
+        model=st.sampled_from(["toy-0", "toy-0.5", "toy-1", "graph"]),
+        k=st.integers(min_value=-60, max_value=60),
+    )
+    @example(model="graph", k=-60)
+    @example(model="toy-0.5", k=60)
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_run_scales_the_crossing(self, tmp_path_factory, model, k):
+        path = tmp_path_factory.mktemp("unit") / "ring6.edges"
+        write_edge_list(Graph.ring(6), path)
+
+        def run_at(scale):
+            grid = f"{0.05 * scale!r}:{10.0 * scale!r}:9:lin"
+            if model == "graph":
+                argv = ["graph", "--edges", str(path), "--B", repr(scale)]
+            else:
+                argv = ["toy", "--alpha", model[4:], "--D", "50", "--eR", "1.5",
+                        "--delta", repr(scale)]
+            code, out, err = run_quiet(*argv, "--grid", grid)
+            assert code == 0 and err == ""
+            return csv_column(out, "p"), float(summary_value(out, "t_trans"))
+
+        p_one, t_one = run_at(1.0)
+        p_k, t_k = run_at(math.ldexp(1.0, k))
+        assert p_k == p_one
+        assert t_k == math.ldexp(t_one, k)
 
 
 class TestNumericExitCode:

@@ -40,17 +40,21 @@ def _generator(g, i):
 
 
 def _merge_loop_reference(values):
-    """Level merging one value at a time, in ascending order."""
-    energies, counts = [], []
-    for e in sorted(float(v) for v in values):
-        if energies and e - energies[-1] < MERGE_TOL_SCALE * max(abs(e), 1.0):
-            total = counts[-1] + 1
-            energies[-1] = (energies[-1] * counts[-1] + e) / total
-            counts[-1] = total
+    """Level merging one value at a time, in ascending order: a value joins
+    the last level when its gap to the previous value is at most one
+    tolerance, MERGE_TOL_SCALE times the largest |value|; each level is the
+    mean of its values, summed as np.add.reduceat sums a segment: its first
+    value plus numpy's pairwise sum of the rest."""
+    ordered = sorted(float(v) for v in values)
+    tol = MERGE_TOL_SCALE * max(abs(v) for v in ordered)
+    groups = [[ordered[0]]]
+    for prev, e in zip(ordered, ordered[1:]):
+        if e - prev <= tol:
+            groups[-1].append(e)
         else:
-            energies.append(e)
-            counts.append(1)
-    return tuple(energies), tuple(counts)
+            groups.append([e])
+    means = tuple((g[0] + float(np.sum(g[1:]))) / len(g) for g in groups)
+    return means, tuple(map(len, groups))
 
 
 class TestSpectrum:
@@ -117,13 +121,35 @@ class TestSpectrum:
     @example([(1000.0, 0.0), (1000.0, 9.99e-10), (1001.0, 0.0), (1001.0, 1.001e-9)])
     @settings(max_examples=300, deadline=None)
     def test_from_values_matches_merge_loop(self, draws):
-        # values cluster within a few tolerances of each other, so draws take
-        # both the no-merge shortcut and the merge loop
-        values = [v + dv * max(abs(v), 1.0) for v, dv in draws]
+        # values cluster within a few tolerances of each other, so gaps fall
+        # on both sides of it
+        top = max(abs(v) for v, _ in draws)
+        values = [v + dv * top for v, dv in draws]
         energies, counts = _merge_loop_reference(values)
         got = Spectrum.from_values(values)
         assert [e.hex() for e in got.energies] == [e.hex() for e in energies]
         assert got.degeneracies == counts
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-2000, max_value=2000),
+                st.sampled_from([0.0, 1e-12, 5e-10, 9.99e-10, 1.001e-9, 1e-6]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.integers(min_value=-900, max_value=900),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_from_values_is_unit_free(self, draws, k):
+        # 2^k scales the values, the one tolerance and each level's mean
+        # exactly, so the levels scale and the degeneracies stay
+        values = [v + dv * 2000.0 for v, dv in draws]
+        plain = Spectrum.from_values(values)
+        scaled = Spectrum.from_values(np.ldexp(values, k))
+        assert scaled.degeneracies == plain.degeneracies
+        assert scaled.energies.tolist() == np.ldexp(plain.energies, k).tolist()
 
     @given(
         st.lists(

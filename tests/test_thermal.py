@@ -25,6 +25,7 @@ from thermwit.systems import (
     ToySpectrumParams,
     build_dimer_hamiltonian,
     dimer_spectrum,
+    stabilizer_spectrum,
     toy_spectrum,
 )
 from thermwit.thermal import (
@@ -35,7 +36,6 @@ from thermwit.thermal import (
     log_ground_population_alpha_closed,
     log_partition_function,
     log_partition_function_alpha_gamma,
-    log_stabilizer_partition_function,
     log_population,
     thermal_density_matrix,
 )
@@ -222,9 +222,6 @@ class TestGridKernel:
         scalar_kernels = {
             "log_partition_function_alpha_gamma": (
                 lambda kt: log_partition_function_alpha_gamma(ladders[1], kt)
-            ),
-            "log_stabilizer_partition_function": (
-                lambda kt: log_stabilizer_partition_function(3, 1.0, kt)
             ),
             "dimer_condition_margin": lambda kt: dimer_condition_margin(1.0, 1.0, kt),
             "flip_probability_from_temperature": (
@@ -801,17 +798,20 @@ class TestPopulationConcavity:
             assert f[k - 1] - 2.0 * f[k] + f[k + 1] <= 64 * np.finfo(float).eps * scale
 
 
+def _stabilizer_log_z(n, b, kt):
+    """Closed form log Z = n (log(1 + e^{2B/kT}) - B/kT) of n independent generators."""
+    x = 2.0 * b / kt
+    return n * (float(np.logaddexp(0.0, x)) - 0.5 * x)
+
+
 class TestStabilizerPartition:
     def test_matches_spectrum_route(self):
-        from thermwit.systems import stabilizer_spectrum
-
         for n, b, kt in [(3, 1.0, 0.5), (8, 2.0, 3.0), (200, 0.5, 1.1)]:
-            lz = log_stabilizer_partition_function(n, b, kt)
-            assert lz == pytest.approx(
-                log_partition_function(stabilizer_spectrum(n, b), kt), rel=1e-12
+            assert log_partition_function(stabilizer_spectrum(n, b), kt) == pytest.approx(
+                _stabilizer_log_z(n, b, kt), rel=1e-12
             )
 
     def test_factorizes_over_sites(self):
-        one = log_stabilizer_partition_function(1, 1.0, 1.3)
-        ten = log_stabilizer_partition_function(10, 1.0, 1.3)
+        one = log_partition_function(stabilizer_spectrum(1, 1.0), 1.3)
+        ten = log_partition_function(stabilizer_spectrum(10, 1.0), 1.3)
         assert ten == pytest.approx(10.0 * one, rel=1e-13)

@@ -201,6 +201,33 @@ class TestCrossingTemperature:
     def test_never_satisfied_is_none(self):
         assert self.crossing(lambda t: -1.0, 8) is None
 
+    @pytest.mark.parametrize("k_b", [1e-10, 0.3, 0.5, 1.0, 3.0, 1e10])
+    @pytest.mark.parametrize("gap", [0.0, 5e-324, 1e-320, 4e-318])
+    def test_never_evaluates_at_zero_kt(self, gap, k_b):
+        # 1e-6 * gap / k_b rounds to 0 for these gaps: the lower end is
+        # raised so that kT = temp * k_b stays a positive float
+        seen = []
+
+        def log_p0(kt):
+            seen.append(kt)
+            return 0.0 if kt < 1e-300 else -1.0
+
+        ground_crossing(log_p0, self.BOUND, gap, 1e-300, 8, k_b)
+        assert seen and min(seen) > 0.0
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.3, 0.5, 1.3, 2.0, 3.9])
+def test_dimer_crossing_is_unit_free(ratio):
+    # B and J scaled by 2^k scale the levels, the merge tolerance and every
+    # probe of the search exactly, so the crossing scales bit for bit
+    def crossing(j):
+        s = dimer_spectrum(DimerParams(ratio * j, j))
+        return transition_temperature(s, singlet_robustness()).t_trans
+
+    base = crossing(1.0)
+    for k in range(-100, 101, 5):
+        assert crossing(math.ldexp(1.0, k)) == math.ldexp(base, k), k
+
 
 class TestDimerClosedForm:
     def test_margin_sign_matches_population_route(self):
