@@ -10,6 +10,7 @@ import argparse
 import math
 
 from thermwit import dicke_overlap_closed, dicke_robustness, dicke_state, geometric_measure_als
+from thermwit.entanglement import ALS_RESTARTS
 
 
 def main() -> None:
@@ -42,7 +43,7 @@ def main() -> None:
         )
 
     if args.als_max >= 2:
-        print("\nsearch cross-check (32 restarts each):")
+        print(f"\nsearch cross-check ({ALS_RESTARTS} restarts each):")
         for n in range(2, args.als_max + 1, 2):
             closed = dicke_overlap_closed(n, n // 2)
             found, _ = geometric_measure_als(dicke_state(n, n // 2), seed=0)

@@ -8,7 +8,7 @@ model systems, generic numerical routes to cross-check every closed form,
 and a CLI (`thermwit`) that sweeps temperature grids and emits CSV.
 """
 from .checks import ALL_CHECKS, CheckResult, run_all
-from .config import DEFAULT_GRID, GridSpec, RunConfig, load_config, serialize_config
+from .config import DEFAULT_GRID, GridSpec, RunConfig, load_config
 from .entanglement import (
     BoundKind,
     RobustnessBound,
@@ -115,7 +115,6 @@ __all__ = [
     "read_edge_list",
     "root_bracket",
     "run_all",
-    "serialize_config",
     "singlet_robustness",
     "stabilizer_spectrum",
     "stabilizer_t_trans",

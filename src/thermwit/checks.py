@@ -4,7 +4,8 @@ Each check re-derives a headline claim two independent ways (closed form vs
 generic solver, analytic spectrum vs dense matrix, witness vs concurrence)
 and passes only when they agree at the stated tolerance. The acceptance
 test suite runs the same registry, so `thermwit verify` and `pytest` cannot
-drift apart.
+drift apart. A check returns ``(passed, detail)``; ``run_all`` names it by
+its key in ALL_CHECKS.
 
 All randomness is seeded; a fixed seed gives byte-identical reports.
 """
@@ -76,11 +77,7 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
-def check_dimer_zero_field_coincidence(seed: int = 0) -> CheckResult:
+def check_dimer_zero_field_coincidence(seed: int = 0) -> tuple[bool, str]:
     """Witness crossing at B=0 equals 4J/ln3 and the concurrence zero, 1e-6."""
     p = DimerParams(B=0.0, J=1.0)
     tr = transition_temperature(dimer_spectrum(p), singlet_robustness())
@@ -88,29 +85,25 @@ def check_dimer_zero_field_coincidence(seed: int = 0) -> CheckResult:
     rel_formula = abs(tr.t_trans - T_DIMER_ZERO_FIELD) / T_DIMER_ZERO_FIELD
     rel_conc = abs(tr.t_trans - t_conc) / T_DIMER_ZERO_FIELD
     ok = tr.detected and rel_formula <= 1e-6 and rel_conc <= 1e-6
-    return _result(
-        "dimer-zero-field-coincidence",
-        ok,
+    return ok, (
         f"t_trans={tr.t_trans:.10g} formula={T_DIMER_ZERO_FIELD:.10g} "
-        f"concurrence_zero={t_conc:.10g} rel_err=({rel_formula:.2e},{rel_conc:.2e})",
+        f"concurrence_zero={t_conc:.10g} rel_err=({rel_formula:.2e},{rel_conc:.2e})"
     )
 
 
-def check_dimer_field_conservative(seed: int = 0) -> CheckResult:
+def check_dimer_field_conservative(seed: int = 0) -> tuple[bool, str]:
     """At B=J the witness crossing sits strictly below the concurrence zero."""
     p = DimerParams(B=1.0, J=1.0)
     tr = transition_temperature(dimer_spectrum(p), singlet_robustness())
     t_conc = concurrence_vanishing_temperature(p)
     gap = t_conc - (tr.t_trans if tr.detected else math.inf)
     ok = tr.detected and gap > 1e-3
-    return _result(
-        "dimer-field-conservative",
-        ok,
-        f"t_witness={tr.t_trans:.10g} t_concurrence={t_conc:.10g} gap={gap:.6g}",
+    return ok, (
+        f"t_witness={tr.t_trans:.10g} t_concurrence={t_conc:.10g} gap={gap:.6g}"
     )
 
 
-def check_dimer_high_field_phase(seed: int = 0) -> CheckResult:
+def check_dimer_high_field_phase(seed: int = 0) -> tuple[bool, str]:
     """B=5, J=1: product ground state, witness silent, concurrence still fires."""
     p = DimerParams(B=5.0, J=1.0)
     h = build_dimer_hamiltonian(p)
@@ -133,15 +126,13 @@ def check_dimer_high_field_phase(seed: int = 0) -> CheckResult:
         and singlet_rows == 0
         and conc > 1e-3
     )
-    return _result(
-        "dimer-high-field-phase",
-        ok,
+    return ok, (
         f"ground=|00> {ground_is_00}, detected={tr.detected}, "
-        f"singlet_rows={singlet_rows}, max_concurrence={conc:.4f}",
+        f"singlet_rows={singlet_rows}, max_concurrence={conc:.4f}"
     )
 
 
-def check_witness_soundness_sample(seed: int = 0) -> CheckResult:
+def check_witness_soundness_sample(seed: int = 0) -> tuple[bool, str]:
     """Whenever the condition holds, concurrence and partial transpose concur.
 
     200 random (B, T) points inside the singlet-ground phase: every sample
@@ -166,15 +157,13 @@ def check_witness_soundness_sample(seed: int = 0) -> CheckResult:
     min_conc = float(np.min(c, initial=math.inf))
     max_pt = float(np.max(pt, initial=-math.inf))
     ok = found == 200 and violations == 0
-    return _result(
-        "witness-soundness-sample",
-        ok,
+    return ok, (
         f"satisfied_samples={found} violations={violations} "
-        f"min_concurrence={min_conc:.3e} max_pt_eig={max_pt:.3e}",
+        f"min_concurrence={min_conc:.3e} max_pt_eig={max_pt:.3e}"
     )
 
 
-def check_dicke_bound_chain(seed: int = 0) -> CheckResult:
+def check_dicke_bound_chain(seed: int = 0) -> tuple[bool, str]:
     """Closed-form 1+R, overlap route, and alternating search all agree.
 
     For even n <= 8 at half filling the three expressions of the same bound
@@ -208,10 +197,10 @@ def check_dicke_bound_chain(seed: int = 0) -> CheckResult:
         f"n<=8 identities pass; log-ratio sequence "
         + ",".join(f"{r:.5f}" for r in ratios)
     )
-    return _result("dicke-bound-chain", ok, detail)
+    return ok, detail
 
 
-def check_ladder_closed_forms(seed: int = 0) -> CheckResult:
+def check_ladder_closed_forms(seed: int = 0) -> tuple[bool, str]:
     """Ladder partition identities: generic solver vs formula, ordering, Gamma form.
 
     The alpha=0 crossing from the generic solver must match the closed form
@@ -253,7 +242,7 @@ def check_ladder_closed_forms(seed: int = 0) -> CheckResult:
         f"t0={t0:.10g} bisect={tr.t_trans:.10g}; worst log-Gamma err "
         f"{worst_log:.4%}; linear err at 10delta {lin_err:.4%}"
     )
-    return _result("ladder-closed-forms", ok, detail)
+    return ok, detail
 
 
 def dense_stabilizer_oracle(g: Graph, b: float) -> tuple[Spectrum, bool, float]:
@@ -261,21 +250,21 @@ def dense_stabilizer_oracle(g: Graph, b: float) -> tuple[Spectrum, bool, float]:
 
     Returns the merged levels of the solved matrix; whether they match
     ``stabilizer_spectrum`` (the same degeneracies, energies within
-    1e-9 * max(1, |b|)); and the graph state's residual |H psi - E0 psi|,
+    1e-9 * |b|, which the dense solve meets at every scale); and the graph state's residual |H psi - E0 psi|,
     taken on the real amplitudes so H is never cast to complex.
     """
     h = build_stabilizer_hamiltonian(g, b)
     dense = Spectrum.from_values(chiral_eigenvalues(h, odd_weight_mask(g.n)))
     analytic = stabilizer_spectrum(g.n, b)
     levels_ok = dense.degeneracies == analytic.degeneracies and bool(
-        np.max(np.abs(dense.energies - analytic.energies)) <= 1e-9 * max(1.0, abs(b))
+        np.max(np.abs(dense.energies - analytic.energies)) <= 1e-9 * abs(b)
     )
     a = graph_state(g).amplitudes.real
     residual = float(np.linalg.norm(h @ a - analytic.ground_energy * a))
     return dense, levels_ok, residual
 
 
-def check_stabilizer_closed_forms(seed: int = 0) -> CheckResult:
+def check_stabilizer_closed_forms(seed: int = 0) -> tuple[bool, str]:
     """Analytic stabilizer levels vs dense matrices, crossing and flip numbers."""
     issues = []
     graphs = [Graph.path(n) for n in range(2, 9)]
@@ -308,10 +297,10 @@ def check_stabilizer_closed_forms(seed: int = 0) -> CheckResult:
         f"{len(graphs)} graphs match analytic levels; "
         f"t_trans/B={T_STAB_PER_B:.10g}, P_trans={P_TRANS_HALF:.12g}"
     )
-    return _result("stabilizer-closed-forms", ok, detail)
+    return ok, detail
 
 
-def check_relative_entropy_identity(seed: int = 0) -> CheckResult:
+def check_relative_entropy_identity(seed: int = 0) -> tuple[bool, str]:
     """Matrix-route relative entropy equals -log2 p0 to 1e-12.
 
     100 random spectra in random eigenbases, 20 temperatures each: the
@@ -348,12 +337,10 @@ def check_relative_entropy_identity(seed: int = 0) -> CheckResult:
         stat = np.array([-log_population(sp, t, 0) / LN2 for sp, t in zip(sps, temps)])
         worst = max(worst, float(np.max(np.abs(mat - stat))))
     ok = worst <= 1e-12
-    return _result(
-        "relative-entropy-identity", ok, f"max |D_matrix - (-log2 p0)| = {worst:.3e}"
-    )
+    return ok, f"max |D_matrix - (-log2 p0)| = {worst:.3e}"
 
 
-def check_partial_bound_ordering(seed: int = 0) -> CheckResult:
+def check_partial_bound_ordering(seed: int = 0) -> tuple[bool, str]:
     """Half-cut bipartite input never raises the crossing above the full bound."""
     issues = []
     pairs = []
@@ -372,10 +359,10 @@ def check_partial_bound_ordering(seed: int = 0) -> CheckResult:
     detail = "; ".join(issues) if issues else ", ".join(
         f"n={n}: t_half={a:.8g} <= t_full={b:.8g}" for n, a, b in pairs
     )
-    return _result("partial-bound-ordering", ok, detail)
+    return ok, detail
 
 
-def check_asymptotic_monotonicity(seed: int = 0) -> CheckResult:
+def check_asymptotic_monotonicity(seed: int = 0) -> tuple[bool, str]:
     """Finite-size scans behind the limit claims move the right way.
 
     The degenerate-ladder crossing falls as the level count grows at fixed
@@ -407,10 +394,10 @@ def check_asymptotic_monotonicity(seed: int = 0) -> CheckResult:
         f"t0(D): {t0s[0]:.4g} .. {t0s[-1]:.4g} decreasing; t_alpha rel err, n = 4 .. 64: "
         + ", ".join(f"alpha={a}: {e[0]:.4f} .. {e[-1]:.4f}" for a, e in errs.items())
     )
-    return _result("asymptotic-monotonicity", ok, detail)
+    return ok, detail
 
 
-ALL_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = (
+ALL_CHECKS: tuple[tuple[str, Callable[[int], tuple[bool, str]]], ...] = (
     ("dimer-zero-field-coincidence", check_dimer_zero_field_coincidence),
     ("dimer-field-conservative", check_dimer_field_conservative),
     ("dimer-high-field-phase", check_dimer_high_field_phase),
@@ -425,4 +412,8 @@ ALL_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = (
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:
-    return [fn(seed) for _, fn in ALL_CHECKS]
+    results = []
+    for name, fn in ALL_CHECKS:
+        passed, detail = fn(seed)
+        results.append(CheckResult(name, bool(passed), detail))
+    return results

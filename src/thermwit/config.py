@@ -7,7 +7,6 @@ their section. Command-line flags override file values, which override defaults.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -136,23 +135,6 @@ def _declared():
 
 
 SETTINGS = tuple(_declared())
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Render a config as sectioned key = value text. Inverse of parse_config_text."""
-    parser = configparser.ConfigParser(interpolation=None)
-    for s in SETTINGS:
-        value = getattr(cfg, s.name)
-        if not parser.has_section(s.section):
-            parser.add_section(s.section)
-        if s.kind is GridSpec:
-            parser[s.section].update({key: str(v) for key, v in asdict(value).items()})
-        elif value is not None or s.default is not None:
-            text = "" if value is None else str(value)
-            parser[s.section][s.key] = text.lower() if s.kind is bool else text
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
 
 
 def _reject_unknown(parser: configparser.ConfigParser) -> None:

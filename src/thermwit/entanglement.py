@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ThermwitError
 from .numerics import (
-    HERMITICITY_TOL,
     _checked_hermitian,
     _float_or_array,
     first_failure,
@@ -31,6 +30,11 @@ from .numerics import (
 from .systems import SIGMA_Y, PureState
 
 _EXACT_DICKE_CUTOFF = 2000
+# The alternating search: restarts per call, the overlap gain below which a
+# restart stops, and a cap on its sweeps.
+ALS_RESTARTS = 32
+ALS_TOL = 1e-12
+ALS_MAX_SWEEPS = 500
 
 
 class BoundKind(Enum):
@@ -96,11 +100,25 @@ def _bipartite_singular_values(psi: PureState, block: Sequence[int]) -> np.ndarr
 
 
 def bipartite_pure_robustness(psi: PureState, block: Sequence[int]) -> RobustnessBound:
-    """Exact robustness of a pure state across the cut between the sites in
-    ``block`` and the rest: (sum_i sqrt(lambda_i))^2."""
+    """1 + R of a pure state across the cut between the sites in ``block`` and
+    the rest, (sum_i sigma_i)^2 over its singular values, rounded down.
+
+    LAPACK's SVD is backward stable: the computed sigma_i are the singular
+    values of some M + dM with ||dM||_2 <= p eps ||M||_2 for a modest p
+    (Golub & Van Loan, *Matrix Computations*, section 8.6), and by Weyl's
+    inequality each sigma_i is then off by at most ||dM||_2. Taking p as
+    r = min(d_A, d_B), the number of values, each is off by at most
+    delta = r eps sigma_max; the sum less r delta, squared and stepped one
+    float down, stays at or below the exact value on every cut of every
+    Dicke state on 2..12 sites (tested against mpmath). On two sites the cut
+    is the whole state; on more it bounds the multipartite 1 + R from below.
+    """
     s = _bipartite_singular_values(psi, block)
-    value = float(np.sum(np.maximum(s, 0.0)) ** 2)
-    return RobustnessBound(one_plus_r=max(1.0, value), kind=BoundKind.EXACT)
+    r = s.size
+    delta = r * sys.float_info.epsilon * float(s[0])
+    value = math.nextafter((float(np.sum(s)) - r * delta) ** 2, 0.0)
+    kind = BoundKind.EXACT if psi.n_sites == 2 else BoundKind.LOWER_BOUND
+    return RobustnessBound(one_plus_r=max(1.0, value), kind=kind)
 
 
 def singlet_robustness() -> RobustnessBound:
@@ -226,7 +244,7 @@ def _validate_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndar
     """``rho`` as complex, once each matrix of it (one, or a stack of shape
     (..., d, d)) passes ``hermitian_eigendecompose``'s Hermiticity check and
     has unit trace within 1e-9."""
-    a = _checked_hermitian(np.asarray(rho, dtype=complex), HERMITICITY_TOL)
+    a = _checked_hermitian(np.asarray(rho, dtype=complex))
     if dim is not None and a.shape[-1] != dim:
         raise ThermwitError(f"expected dimension {dim}, got {a.shape[-1]}")
     trace = np.trace(a, axis1=-2, axis2=-1).real
@@ -281,8 +299,8 @@ def _random_unit_qubit(rng: np.random.Generator) -> np.ndarray:
 def _als(
     tensor: np.ndarray,
     starts: np.ndarray,
-    tol: float,
-    max_sweeps: int,
+    tol: float = ALS_TOL,
+    max_sweeps: int = ALS_MAX_SWEEPS,
     trace: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Alternating single-site updates for a stack of restarts at once.
@@ -296,10 +314,6 @@ def _als(
     is returned. ``trace``, when given, receives the active restarts'
     overlaps after every site update.
     """
-    if max_sweeps < 1:
-        raise ThermwitError(f"need at least one sweep, got {max_sweeps}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ThermwitError(f"tolerance must be finite and >= 0, got {tol}")
     r, n, _ = starts.shape
     vecs = starts.copy()
     flat = tensor.reshape(2, -1)
@@ -340,14 +354,9 @@ def _als_starts(n: int, restarts: int, seed: int) -> np.ndarray:
     return np.array([[_random_unit_qubit(rng) for _ in range(n)] for _ in range(restarts)])
 
 
-def geometric_measure_als(
-    psi: PureState,
-    restarts: int = 32,
-    tol: float = 1e-12,
-    max_sweeps: int = 500,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Best product-state overlap found by alternating single-site updates.
+def geometric_measure_als(psi: PureState, seed: int) -> tuple[float, float]:
+    """Best product-state overlap found by ALS_RESTARTS runs of alternating
+    single-site updates from random starts drawn with ``seed``.
 
     Returns (overlap_estimate, eg_upper) with eg_upper = -log2(overlap^2).
     Each restart only ever increases the overlap it reports, so the estimate
@@ -355,9 +364,7 @@ def geometric_measure_als(
     bound on the geometric measure. Upper bounds must not enter the witness,
     which is why this returns a bare tuple rather than a RobustnessBound.
     """
-    if restarts < 1:
-        raise ThermwitError(f"need at least one restart, got {restarts}")
-    starts = _als_starts(psi.n_sites, restarts, seed)
-    best = min(float(np.max(_als(psi.as_tensor(), starts, tol, max_sweeps))), 1.0)
+    starts = _als_starts(psi.n_sites, ALS_RESTARTS, seed)
+    best = min(float(np.max(_als(psi.as_tensor(), starts))), 1.0)
     eg_upper = -2.0 * math.log2(best) if best > 0 else math.inf
     return best, max(0.0, eg_upper)

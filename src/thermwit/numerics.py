@@ -44,7 +44,7 @@ def first_failure(flags: np.ndarray) -> str:
     return f" at index {tuple(int(i) for i in first)}"
 
 
-def _checked_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
+def _checked_hermitian(m: np.ndarray) -> np.ndarray:
     """``m`` as an array, unconverted, once it is one square matrix or a stack
     of them, no larger than DIM_CAP, and each is Hermitian on its own scale."""
     a = _as_square_stack(m)
@@ -52,7 +52,7 @@ def _checked_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
         raise ThermwitError(f"dimension {a.shape[-1]} exceeds cap {DIM_CAP}")
     if a.size == 0:
         return a
-    limit = tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    limit = HERMITICITY_TOL * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
     dev = np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), axis=(-2, -1))
     bad = dev > limit
     if np.any(bad):
@@ -63,27 +63,25 @@ def _checked_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
     return a
 
 
-def hermitian_eigendecompose(
-    m: np.ndarray, tol: float = HERMITICITY_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigendecompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem of a Hermitian matrix, or of each in a stack (..., d, d).
 
     Returns ``np.linalg.eigh``'s pair ``(w, v)``: eigenvalues ascending,
     ``v[..., :, j]`` the unit eigenvector for ``w[..., j]``. Each matrix
-    must pass ``max|m - m^dagger| <= tol * max(1, max|m|)`` on its own scale
-    and have dimension at most DIM_CAP; a stack's results have the bits each
-    matrix gives alone.
+    must pass ``max|m - m^dagger| <= HERMITICITY_TOL * max(1, max|m|)`` on
+    its own scale and have dimension at most DIM_CAP; a stack's results have
+    the bits each matrix gives alone.
     """
-    return np.linalg.eigh(_checked_hermitian(m, tol).astype(complex))
+    return np.linalg.eigh(_checked_hermitian(m).astype(complex))
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix or stack, without eigenvectors.
 
     Same checks as ``hermitian_eigendecompose``; a real symmetric matrix is
     solved in real arithmetic, not promoted to complex.
     """
-    return np.linalg.eigvalsh(_checked_hermitian(m, tol))
+    return np.linalg.eigvalsh(_checked_hermitian(m))
 
 
 def chiral_eigenvalues(m: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -95,8 +93,8 @@ def chiral_eigenvalues(m: np.ndarray, odd: np.ndarray) -> np.ndarray:
     its eigenvalues are then exactly the singular values of C and their
     negatives (Golub & Van Loan, *Matrix Computations*, section 8.6), found by
     an SVD of half the dimension. The pair C, C^H must pass the rule of
-    ``hermitian_eigenvalues`` at HERMITICITY_TOL on the scale of all of
-    ``m``, and the dimension is capped at DIM_CAP.
+    ``hermitian_eigenvalues`` on the scale of all of ``m``, and the
+    dimension is capped at DIM_CAP.
     """
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

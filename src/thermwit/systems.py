@@ -30,11 +30,11 @@ MERGE_TOL_SCALE = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Energy levels with integer degeneracies, strictly ascending.
+    """Finite energy levels with integer degeneracies, strictly ascending.
 
-    ``energies`` and ``log_degeneracies`` are read-only float64 arrays, one
-    entry per level. ``degeneracies`` stays a tuple of exact Python ints, so
-    binomial level counts stay exact; each log is ``math.log`` of that int
+    ``energies`` is a read-only float64 array, one entry per level.
+    ``degeneracies`` stays a tuple of exact Python ints, so binomial level
+    counts stay exact; the kernel's log of each is ``math.log`` of that int
     (not np.log, which may differ in the last ulp), taken once per level.
     Array fields have no hash or tuple equality, so a Spectrum compares and
     hashes by identity: compare its fields instead.
@@ -42,7 +42,6 @@ class Spectrum:
 
     energies: np.ndarray
     degeneracies: tuple[int, ...]
-    log_degeneracies: np.ndarray = field(init=False, repr=False)
     # the thermal kernel's levels: E_j - E_0, log g (one float when all are
     # equal), log g_max - min(log g_0, log g_1) and log g_max - log g_min
     _levels: tuple = field(init=False, repr=False)
@@ -54,25 +53,25 @@ class Spectrum:
             raise ThermwitError("energies and degeneracies must be equal-length and nonempty")
         if min(degeneracies) < 1:
             raise ThermwitError("degeneracies must be positive integers")
-        if not np.all(energy[1:] > energy[:-1]):  # NaN compares false
+        if not np.all(np.isfinite(energy)):
+            raise ThermwitError("energies must be finite")
+        if not np.all(energy[1:] > energy[:-1]):
             raise ThermwitError("energies must be strictly ascending")
         excitations = energy - energy[0]
         if degeneracies.count(degeneracies[0]) == len(degeneracies):
-            log_g = math.log(int(degeneracies[0]))
-            log_deg = np.full(energy.size, log_g)
-            levels = (excitations, log_g, 0.0, 0.0)
+            levels = (excitations, math.log(int(degeneracies[0])), 0.0, 0.0)
         else:
             # one log per level: hashing ~1,500-digit binomials into a set or
             # dict to share logs costs more than the logs themselves
             logs = list(map(math.log, map(int, degeneracies)))
             log_deg = np.array(logs)
+            log_deg.setflags(write=False)
             top = max(logs)
             levels = (excitations, log_deg, top - min(logs[0], logs[1]), top - min(logs))
-        for a in (energy, log_deg, excitations):
+        for a in (energy, excitations):
             a.setflags(write=False)
         object.__setattr__(self, "energies", energy)
         object.__setattr__(self, "degeneracies", degeneracies)
-        object.__setattr__(self, "log_degeneracies", log_deg)
         object.__setattr__(self, "_levels", levels)
 
     @classmethod
@@ -87,7 +86,7 @@ class Spectrum:
         tol = MERGE_TOL_SCALE * np.max(np.abs(ordered), initial=0.0)
         if tol == math.inf:
             raise ThermwitError("energies must be finite")
-        # a NaN makes tol NaN: each value starts a level, and NaN fails the order check
+        # a NaN makes tol NaN: each value starts a level, and NaN fails the finite check
         starts = np.flatnonzero(~(np.diff(ordered, prepend=-math.inf) <= tol))
         counts = np.diff(starts, append=ordered.size)
         return cls(np.add.reduceat(ordered, starts) / counts, tuple(counts.tolist()))

@@ -4,9 +4,11 @@ A thermal state is certifiably entangled once the population of an entangled
 eigenstate exceeds 1/(1+R) for that state's robustness R (or any certified
 lower bound on it). The condition is one-sided: failing it proves nothing.
 
-Everything here works on per-level populations of a Spectrum; the closed
-forms at the bottom specialize the crossing temperature to the example
-systems and are cross-checked against the generic root bracket in tests.
+``ground_crossing`` finds where a log ground population, given as a
+callable of kT, meets the threshold; ``transition_temperature`` feeds it a
+Spectrum's populations. The closed forms at the bottom specialize the
+crossing temperature to the example systems and are cross-checked against
+the generic root bracket in tests.
 """
 from __future__ import annotations
 

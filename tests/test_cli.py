@@ -21,7 +21,6 @@ import thermwit.cli
 import thermwit.entanglement
 from thermwit.checks import dense_stabilizer_oracle
 from thermwit.cli import main
-from thermwit.config import RunConfig, serialize_config
 from thermwit.entanglement import bound_from_relative_entropy, dicke_robustness
 from thermwit.errors import NoSignChange
 from thermwit.systems import (
@@ -645,7 +644,7 @@ class TestGraphCommand:
         assert code == 0 and err == ""
         assert summary_value(out, "matrix_levels_match") == "true"
 
-    @pytest.mark.parametrize("b", [1e-3, 1.0, 2.5, 1e5])
+    @pytest.mark.parametrize("b", [1e-320, 1e-12, 1e-3, 1.0, 2.5, 1e5])
     @pytest.mark.parametrize(
         "g", [Graph.path(5), Graph.ring(6), Graph.star(7), Graph.complete(4)],
         ids=["path5", "ring6", "star7", "complete4"],
@@ -662,15 +661,18 @@ class TestGraphCommand:
             np.linalg.norm(h @ psi + g.n * b * psi), abs=1e-15 * max(1.0, b)
         )
 
-    @pytest.mark.parametrize("shift, ok", [(1e-11, True), (1e-9, False)])
-    def test_dense_oracle_level_tolerance(self, monkeypatch, shift, ok):
-        # the levels agree within 1e-9 * max(1, |B|): a 6-site top level moved
-        # by 6e-11 passes, one moved by 6e-9 fails
+    @pytest.mark.parametrize(
+        "field, shift, ok", [(1.0, 1e-11, True), (1.0, 1e-9, False), (1e-12, 0.5, False)]
+    )
+    def test_dense_oracle_level_tolerance(self, monkeypatch, field, shift, ok):
+        # the levels agree within 1e-9 * |B|: at B = 1 a 6-site top level
+        # moved by 6e-11 passes, one moved by 6e-9 fails; at B = 1e-12 levels
+        # 50% off fail too
         monkeypatch.setattr(
             "thermwit.checks.stabilizer_spectrum",
             lambda n, b: stabilizer_spectrum(n, b * (1.0 + shift)),
         )
-        assert dense_stabilizer_oracle(Graph.ring(6), 1.0)[1] is ok
+        assert dense_stabilizer_oracle(Graph.ring(6), field)[1] is ok
 
     @pytest.mark.parametrize(
         "n, grid, z_err",
@@ -802,19 +804,17 @@ class TestVerifyCommand:
 
 
 class TestConfigPlumbing:
-    def test_config_file_round_trip(self, capsys, tmp_path):
-        cfg = RunConfig(toy_alpha=0.5, toy_d=64, toy_e_r=2.0, seed=9)
+    def test_config_file(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text(serialize_config(cfg))
+        path.write_text("[run]\nseed = 9\n\n[toy]\nalpha = 0.5\nD = 64\neR = 2.0\n")
         code, out, _ = run(capsys, "toy", "--config", str(path))
         assert code == 0
         assert "# alpha = 0.5" in out
         assert "# D = 64" in out
 
     def test_flags_override_config(self, capsys, tmp_path):
-        cfg = RunConfig(toy_alpha=0.5, toy_d=64, toy_e_r=2.0)
         path = tmp_path / "run.cfg"
-        path.write_text(serialize_config(cfg))
+        path.write_text("[toy]\nalpha = 0.5\nD = 64\neR = 2.0\n")
         code, out, _ = run(capsys, "toy", "--config", str(path), "--D", "128")
         assert code == 0
         assert "# D = 128" in out

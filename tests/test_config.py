@@ -1,87 +1,81 @@
-"""Config files, serialize_config and the subcommand flags, all driven by the
-one declaration of settings in thermwit.config."""
+"""Config files and the subcommand flags, all driven by the one declaration
+of settings in thermwit.config."""
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from thermwit.cli import _build_parser, _config_from_args, main
-from thermwit.config import (
-    SETTINGS,
-    GridSpec,
-    RunConfig,
-    parse_config_text,
-    serialize_config,
-)
+from thermwit.config import SETTINGS, GridSpec, RunConfig, parse_config_text
 
 MODELS = ("dimer", "toy", "dicke", "graph")
 
-_text = st.text(
-    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1
-).filter(lambda s: s == s.strip())
-_positive = st.floats(min_value=1e-300, max_value=1e300)
-_grids = st.builds(
-    lambda ends, count, spacing: GridSpec(min(ends), max(ends), count, spacing),
-    st.tuples(_positive, _positive).filter(lambda ends: ends[0] != ends[1]),
-    st.integers(2, 10**6),
-    st.sampled_from(["lin", "log"]),
+# Config text that moves every setting off its default, and what it reads as.
+_EVERY_SETTING_TEXT = """\
+[run]
+seed = 7
+kB = 0.5
+
+[grid]
+lo = 0.5
+hi = 2.0
+count = 5
+spacing = log
+
+[dimer]
+B = 1.5
+J = 2.0
+
+[toy]
+E0 = -1.0
+delta = 0.25
+alpha = 0.5
+D = 64
+eR = 2.0
+n = 8
+
+[dicke]
+n = 6
+k = 2
+
+[graph]
+B = 3.0
+eR = 0.25
+edges = g.edges
+
+[output]
+oracles = true
+matrix_check = true
+path = r.csv
+"""
+_EVERY_SETTING = RunConfig(
+    seed=7, k_b=0.5, grid=GridSpec(0.5, 2.0, 5, "log"),
+    dimer_b=1.5, dimer_j=2.0,
+    toy_e0=-1.0, toy_delta=0.25, toy_alpha=0.5, toy_d=64, toy_e_r=2.0, toy_n=8,
+    dicke_n=6, dicke_k=2,
+    graph_b=3.0, graph_e_r_per_site=0.25, graph_edges="g.edges",
+    oracles=True, matrix_check=True, out="r.csv",
 )
-_KINDS = {
-    float: st.floats(allow_nan=False),
-    int: st.integers(),
-    bool: st.booleans(),
-    str: _text,
-    GridSpec: _grids,
-}
 
 
-def _values(s):
-    if s.name == "k_b":  # kB must be positive and finite
-        values = _positive
-    else:
-        values = _KINDS[s.kind]
-    return st.none() | values if s.optional else values
+class TestParseText:
+    def test_every_setting(self):
+        assert parse_config_text(_EVERY_SETTING_TEXT) == _EVERY_SETTING
+        for s in SETTINGS:
+            assert getattr(_EVERY_SETTING, s.name) != s.default, s.name
 
-
-CONFIGS = st.fixed_dictionaries({s.name: _values(s) for s in SETTINGS}).map(
-    lambda values: RunConfig(**values)
-)
-OPTIONAL = [s.name for s in SETTINGS if s.optional]
-
-
-class TestRoundTrip:
-    @given(CONFIGS)
-    @example(RunConfig(toy_e_r=None))
-    def test_parse_inverts_serialize(self, cfg):
-        assert parse_config_text(serialize_config(cfg)) == cfg
-
-    @pytest.mark.parametrize("name", OPTIONAL)
-    def test_unset_optional_setting(self, name):
-        cfg = RunConfig(**{name: None})
-        assert parse_config_text(serialize_config(cfg)) == cfg
-
-    def test_default_text(self):
-        assert serialize_config(RunConfig()) == (
-            "[run]\nseed = 0\nkb = 1.0\n\n"
-            "[grid]\nlo = 0.1\nhi = 10.0\ncount = 181\nspacing = lin\n\n"
-            "[dimer]\nb = 0.0\nj = 1.0\n\n"
-            "[toy]\ne0 = 0.0\ndelta = 1.0\nalpha = 0.0\nd = 4\ner = 1.0\n\n"
-            "[dicke]\nn = 4\n\n"
-            "[graph]\nb = 1.0\ner = 0.5\n\n"
-            "[output]\noracles = false\nmatrix_check = false\n\n"
-        )
-
-    def test_unset_toy_entanglement_is_an_empty_value(self):
-        text = serialize_config(RunConfig(toy_e_r=None))
-        assert "\ner = \n\n[dicke]" in text
+    @pytest.mark.parametrize(
+        "s", [s for s in SETTINGS if s.optional], ids=lambda s: f"{s.section}-{s.key}"
+    )
+    def test_empty_optional_value_is_unset(self, s):
+        assert getattr(parse_config_text(f"[{s.section}]\n{s.key} =\n"), s.name) is None
 
     def test_missing_keys_keep_defaults(self):
+        assert parse_config_text("") == RunConfig()
         assert parse_config_text("[toy]\nD = 64\n") == RunConfig(toy_d=64)
 
 
 class TestPercentInValues:
-    def test_serialize_round_trip(self):
-        cfg = RunConfig(graph_edges="runs/50%/g.edges")
-        assert parse_config_text(serialize_config(cfg)) == cfg
+    def test_percent_is_literal(self):
+        cfg = parse_config_text("[graph]\nedges = runs/50%/g.edges\n")
+        assert cfg == RunConfig(graph_edges="runs/50%/g.edges")
 
     def test_output_path_from_config(self, capsys, tmp_path):
         target = tmp_path / "out_50%.csv"

@@ -97,38 +97,39 @@ class TestEigenvalues:
         assert hermitian_eigenvalues(np.array([[1.0, 2.0], [2.0, -1.0]])).dtype == np.float64
 
     @pytest.mark.parametrize(
-        "m, tol, match",
+        "m, match",
         [
-            (np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-12, r"m\^dagger\| = 1\.000e\+00"),
-            (np.array([[0.0, 1j], [1j, 0.0]]), 1e-12, r"m\^dagger\| = 2\.000e\+00"),
-            (np.array([[1.0, 1e-13], [0.0, 1.0]]), 1e-12, None),
-            (np.array([[1.0, 1e-13], [0.0, 1.0]]), 1e-14, r"above 1\.000e-14"),
-            (np.array([[1.0, 2.0], [2.0 + 1e-9, 1.0]]), 1e-8, None),
-            (np.zeros((DIM_CAP + 1, DIM_CAP + 1)), 1e-12, "exceeds cap"),
-            (np.zeros((2, 3)), 1e-12, "expected square matrices"),
-            (np.zeros(4), 1e-12, "expected square matrices"),
-            (np.zeros((0, 0)), 1e-12, None),
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), r"m\^dagger\| = 1\.000e\+00"),
+            (np.array([[0.0, 1j], [1j, 0.0]]), r"m\^dagger\| = 2\.000e\+00"),
+            (np.array([[1.0, 1e-13], [0.0, 1.0]]), None),
+            (np.array([[1.0, 2e-12], [0.0, 1.0]]), r"above 1\.000e-12"),
+            # HERMITICITY_TOL applies on the matrix's own scale
+            (np.array([[1e4, 2.0], [2.0 + 1e-9, 1e4]]), None),
+            (np.zeros((DIM_CAP + 1, DIM_CAP + 1)), "exceeds cap"),
+            (np.zeros((2, 3)), "expected square matrices"),
+            (np.zeros(4), "expected square matrices"),
+            (np.zeros((0, 0)), None),
         ],
         # each id names the kind of failure its row provokes
         ids=[
-            "m0-1e-12-NotHermitian",
-            "m1-1e-12-NotHermitian",
-            "m2-1e-12-None",
-            "m3-1e-14-NotHermitian",
-            "m4-1e-08-None",
-            "m5-1e-12-DimensionTooLarge",
-            "m6-1e-12-BadDimensionFactorization",
-            "m7-1e-12-BadDimensionFactorization",
-            "m9-1e-12-None",
+            "m0-NotHermitian",
+            "m1-NotHermitian",
+            "m2-None",
+            "m3-NotHermitian",
+            "m4-None",
+            "m5-DimensionTooLarge",
+            "m6-BadDimensionFactorization",
+            "m7-BadDimensionFactorization",
+            "m9-None",
         ],
     )
-    def test_raises_where_eigendecompose_does(self, m, tol, match):
+    def test_raises_where_eigendecompose_does(self, m, match):
         for solve in (hermitian_eigendecompose, hermitian_eigenvalues):
             if match is None:
-                solve(m, tol=tol)
+                solve(m)
             else:
                 with pytest.raises(ThermwitError, match=match):
-                    solve(m, tol=tol)
+                    solve(m)
 
 
 class TestStackedEigendecompose:

@@ -69,17 +69,16 @@ class TestSpectrum:
     def test_level_arrays_are_read_only(self):
         values = np.array([0.5, -1.0, 2.0])
         for s in (Spectrum.from_values(values), Spectrum((-1.0, 0.5, 2.0), (1, 3, 2))):
-            assert s.energies.dtype == s.log_degeneracies.dtype == np.float64
+            assert s.energies.dtype == np.float64
             assert not s.energies.flags.writeable
-            assert not s.log_degeneracies.flags.writeable
             with pytest.raises(ValueError):
                 s.energies[0] = 0.0
-            with pytest.raises(ValueError):
-                s.log_degeneracies[0] = 0.0
         # the caller's array is copied, not frozen
         assert values.flags.writeable and values.tolist() == [0.5, -1.0, 2.0]
-        s = Spectrum((-1.0, 0.5, 2.0), (1, 3, 2))
-        assert s.log_degeneracies.tolist() == [0.0, math.log(3), math.log(2)]
+        # the kernel's per-level logs are math.log of each int, also frozen
+        log_g = Spectrum((-1.0, 0.5, 2.0), (1, 3, 2))._levels[1]
+        assert log_g.tolist() == [0.0, math.log(3), math.log(2)]
+        assert not log_g.flags.writeable
 
     def test_from_values_merges_degenerate(self):
         s = Spectrum.from_values([0.0, 1.0, 1.0 + 1e-12, 2.0])
@@ -98,12 +97,19 @@ class TestSpectrum:
         with pytest.raises(ThermwitError):
             Spectrum(energies=(0.0,), degeneracies=(0,))
 
-    def test_rejects_equal_and_nan_energies(self):
-        for energies in [(0.0, 0.0), (0.0, math.nan, 1.0), (math.nan, 0.0)]:
-            with pytest.raises(ThermwitError, match="strictly ascending"):
-                Spectrum(energies=energies, degeneracies=(1,) * len(energies))
+    def test_rejects_equal_energies(self):
         with pytest.raises(ThermwitError, match="strictly ascending"):
-            Spectrum.from_values([0.0, math.nan, 1.0])
+            Spectrum(energies=(0.0, 0.0), degeneracies=(1, 1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_energies(self, bad):
+        # one level has no order to check, so finiteness is checked on its own;
+        # a RuntimeWarning on the way would be an error here
+        for energies in [(bad,), (0.0, bad, 1.0), (bad, 0.0), (0.0, bad)]:
+            with pytest.raises(ThermwitError, match="finite"):
+                Spectrum(energies=energies, degeneracies=(1,) * len(energies))
+            with pytest.raises(ThermwitError, match="finite"):
+                Spectrum.from_values(list(energies))
 
     @given(
         st.lists(
