@@ -20,6 +20,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -115,16 +116,17 @@ class Model:
 def _write(
     cfg: RunConfig,
     model: Model,
-    table: Sequence[Sequence[str]],
+    table: Sequence[str],
     summaries: Sequence[tuple[str, str]],
 ) -> int:
     """Write one model's CSV, the only place that knows its layout.
 
     The format tag; the echo of ``system``, the model's params, ``kB`` and
-    ``grid`` only when there is a ``table`` (a header, then its rows),
-    ``seed``, ``oracles`` and the model's tail; the table; then the bound's
-    ``one_plus_r``, ``threshold`` and ``bound_kind`` and ``summaries``. With
-    ``--out`` the file gets all of it and stdout only the result lines.
+    ``grid`` only when there is a ``table`` (its CSV lines: a header, then
+    its rows), ``seed``, ``oracles`` and the model's tail; the table; then
+    the bound's ``one_plus_r``, ``threshold`` and ``bound_kind`` and
+    ``summaries``. With ``--out`` the file gets all of it and stdout only
+    the result lines.
     """
     grid = [("kB", _fmt(cfg.k_b)), ("grid", cfg.grid.spec_string())] if table else []
     echo = [
@@ -145,8 +147,8 @@ def _write(
             *summaries,
         ]
     ]
-    head = ["# thermwit-csv v1", *(f"# {k} = {v}" for k, v in echo), *map(",".join, table)]
-    text = "".join(f"{line}\n" for line in head) + "".join(f"## {r}" for r in results)
+    head = ["# thermwit-csv v1", *(f"# {k} = {v}" for k, v in echo), *table]
+    text = "\n".join(head) + "\n" + "".join(f"## {r}" for r in results)
     if cfg.out is not None:
         Path(cfg.out).write_text(text, encoding="utf-8")
         text = "".join(results)
@@ -163,10 +165,12 @@ def _sweep(cfg: RunConfig, model: Model) -> int:
     search then runs on its one-point view over ``model.shape``. Last,
     ``model.extra(kts, log_ps, t_trans)`` is called once with the grid's kT
     and log p0 arrays and the crossing; it returns ``(columns, summaries)``:
-    a dict from each extra column's name to its values, one per row, in CSV
-    order, and the model's ``(key, value)`` summary lines. It may raise
-    MismatchError. Non-finite e0, gap, spread or kT, and a kT that
-    underflows to 0, are rejected before anything is evaluated.
+    a dict from each extra column's name to its float values (a sequence or
+    array, one per row) in CSV order, and the model's ``(key, value)``
+    summary lines. It may raise MismatchError. Non-finite e0, gap, spread or
+    kT, and a kT that underflows to 0, are rejected before anything is
+    evaluated. The table is built a column at a time: each column becomes
+    Python floats once and each cell their repr, as ``_fmt`` gives one.
     """
     e0, log_p0, bound = model.e0, model.log_p0, model.bound
     gap, spread, _ = model.shape
@@ -188,20 +192,20 @@ def _sweep(cfg: RunConfig, model: Model) -> int:
         lambda kt: float(log_p0(np.array([kt]))[0]), bound, *model.shape, cfg.k_b
     ).t_trans
     columns, summaries = model.extra(kts, log_ps, t_trans)
-    threshold, kind, log_threshold = _fmt(bound.threshold), bound.kind.value, bound.log_threshold
-    rows = [
-        [
-            _fmt(temp),
-            _fmt(exp_or_inf(-e0 / kt - log_p)),
-            _fmt(math.exp(log_p)),
-            threshold,
-            _fb(log_p > log_threshold),
-            kind,
-            *(_fmt(column[i]) for column in columns.values()),
-        ]
-        for i, (temp, kt, log_p) in enumerate(zip(temps.tolist(), kts.tolist(), log_ps.tolist()))
-    ]
-    header = ["T", "Z", "p", "threshold", "satisfied", "bound_kind", *columns]
+    # at a subnormal kT, E0/kT overflows to +-inf and Z reads inf or 0
+    with np.errstate(over="ignore"):
+        log_zs = -e0 / kts - log_ps
+    rows = map(",".join, zip(
+        map(repr, temps.tolist()),
+        map(repr, map(exp_or_inf, log_zs.tolist())),
+        # libm exp per row, not np.exp, which may differ in the last bit
+        map(repr, map(math.exp, log_ps.tolist())),
+        repeat(_fmt(bound.threshold)),
+        map(_fb, (log_ps > bound.log_threshold).tolist()),
+        repeat(bound.kind.value),
+        *(map(repr, np.asarray(column, dtype=float).tolist()) for column in columns.values()),
+    ))
+    header = ",".join(["T", "Z", "p", "threshold", "satisfied", "bound_kind", *columns])
     return _write(cfg, model, [header, *rows], summaries)
 
 
@@ -438,13 +442,13 @@ def cmd_graph(cfg: RunConfig) -> int:
             ))),
         ]
         if cfg.oracles:
-            p_flip = [flip_probability_from_temperature(b, kt) for kt in kts.tolist()]
-            p_from_flip = [(1.0 - x) ** g.n for x in p_flip]
+            p_flip = flip_probability_from_temperature(b, kts)
+            p_from_flip = [(1.0 - x) ** g.n for x in p_flip.tolist()]
             columns = {"p_flip": p_flip, "p_from_flip": p_from_flip}
             # np.max keeps a NaN, which then fails the gate below
-            worst = float(np.max(
-                [abs(y - math.exp(log_p0)) for y, log_p0 in zip(p_from_flip, log_ps.tolist())]
-            ))
+            worst = float(np.max(np.abs(
+                np.subtract(p_from_flip, list(map(math.exp, log_ps.tolist())))
+            )))
             out.append(("flip_identity_max_err", _fmt(worst)))
             if not worst <= 1e-12:
                 raise MismatchError(

@@ -27,7 +27,7 @@ from .numerics import (
     hermitian_eigendecompose,
     partial_transpose,
 )
-from .systems import SIGMA_Y, PureState
+from .systems import PureState
 
 _EXACT_DICKE_CUTOFF = 2000
 # The alternating search: restarts per call, the overlap gain below which a
@@ -255,7 +255,8 @@ def _validate_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndar
     return a
 
 
-_YY = np.kron(SIGMA_Y, SIGMA_Y)
+# Y x Y is a signed reversal: (M @ (Y x Y))[..., j] = s_j M[..., 3 - j] for these s_j
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 def concurrence_signed(rho: np.ndarray) -> float | np.ndarray:
@@ -272,7 +273,8 @@ def concurrence_signed(rho: np.ndarray) -> float | np.ndarray:
     a = _validate_density_matrix(rho, dim=4)
     w, v = np.linalg.eigh(a)
     root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    ev = np.linalg.eigvalsh(root @ _YY @ a.conj() @ _YY @ root)
+    flipped = (root[..., ::-1] * _YY_SIGNS) @ a.conj()
+    ev = np.linalg.eigvalsh((flipped[..., ::-1] * _YY_SIGNS) @ root)
     mu = np.sqrt(np.clip(ev, 0.0, None))[..., ::-1]
     return _float_or_array(mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
 

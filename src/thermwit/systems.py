@@ -57,6 +57,9 @@ class Spectrum:
             raise ThermwitError("energies must be finite")
         if not np.all(energy[1:] > energy[:-1]):
             raise ThermwitError("energies must be strictly ascending")
+        # in Python floats, which overflow to inf without a warning
+        if math.isinf(float(energy[-1]) - float(energy[0])):
+            raise ThermwitError("energies span more than a float holds")
         excitations = energy - energy[0]
         if degeneracies.count(degeneracies[0]) == len(degeneracies):
             levels = (excitations, math.log(int(degeneracies[0])), 0.0, 0.0)
@@ -86,8 +89,10 @@ class Spectrum:
         tol = MERGE_TOL_SCALE * np.max(np.abs(ordered), initial=0.0)
         if tol == math.inf:
             raise ThermwitError("energies must be finite")
-        # a NaN makes tol NaN: each value starts a level, and NaN fails the finite check
-        starts = np.flatnonzero(~(np.diff(ordered, prepend=-math.inf) <= tol))
+        # a NaN makes tol NaN: each value starts a level, and NaN fails the finite
+        # check; a gap that overflows starts one, and the span check then fails
+        with np.errstate(over="ignore"):
+            starts = np.flatnonzero(~(np.diff(ordered, prepend=-math.inf) <= tol))
         counts = np.diff(starts, append=ordered.size)
         return cls(np.add.reduceat(ordered, starts) / counts, tuple(counts.tolist()))
 

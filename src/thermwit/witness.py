@@ -21,7 +21,7 @@ import numpy as np
 
 from .entanglement import RobustnessBound, concurrence_signed
 from .errors import NoSignChange, ThermwitError
-from .numerics import root_bracket
+from .numerics import _float_or_array, root_bracket
 from .systems import DimerParams, Spectrum, build_dimer_hamiltonian
 from .thermal import (
     LN2,
@@ -246,15 +246,25 @@ def stabilizer_t_trans(n: int, B: float, e_r: float) -> float:
     return -2.0 * B / math.log(math.expm1(ratio * LN2))
 
 
-def flip_probability_from_temperature(B: float, kt: float) -> float:
+def flip_probability_from_temperature(
+    B: float, kt: float | np.ndarray
+) -> float | np.ndarray:
     """Independent per-site flip probability matching the Gibbs weights.
 
     P = 1 / (1 + e^{2B/kT}): vanishes at zero temperature and saturates at
     1/2, mapping the thermal ensemble onto a local spin-flip noise channel.
+    ``kt`` is one kT, giving a float, or an array of kT values, giving an
+    array of their shape with the bits of one-point calls: the log-sum runs
+    on the array and libm's exp on each point.
     """
     if not B > 0:
         raise ThermwitError(f"field B must be positive, got {B}")
-    return math.exp(-float(np.logaddexp(0.0, 2.0 * B / float(_kt_array(kt)))))
+    kt = _kt_array(kt)
+    # at a subnormal kT, 2B/kT overflows to inf and P is 0, as intended
+    with np.errstate(over="ignore"):
+        log_odds = np.logaddexp(0.0, 2.0 * B / kt)
+    p = np.array(list(map(math.exp, (-log_odds).ravel().tolist())))
+    return _float_or_array(p.reshape(kt.shape))
 
 
 def noise_threshold(e_r: float, n: int) -> float:

@@ -21,18 +21,39 @@ import thermwit.cli
 import thermwit.entanglement
 from thermwit.checks import dense_stabilizer_oracle
 from thermwit.cli import main
-from thermwit.entanglement import bound_from_relative_entropy, dicke_robustness
+from thermwit.entanglement import (
+    BoundKind,
+    RobustnessBound,
+    bound_from_relative_entropy,
+    concurrence_two_qubit,
+    dicke_robustness,
+    ppt_min_eigenvalue,
+    singlet_robustness,
+)
 from thermwit.errors import NoSignChange
 from thermwit.systems import (
+    DimerParams,
     Graph,
     ToySpectrumParams,
+    build_dimer_hamiltonian,
     build_stabilizer_hamiltonian,
+    dimer_spectrum,
     graph_state,
     stabilizer_spectrum,
     write_edge_list,
 )
-from thermwit.thermal import log_ground_population_alpha_closed
-from thermwit.witness import ground_crossing, toy_t0, toy_t0_rel_tol
+from thermwit.thermal import (
+    exp_or_inf,
+    log_ground_population_alpha_closed,
+    log_population,
+    thermal_density_matrix,
+)
+from thermwit.witness import (
+    flip_probability_from_temperature,
+    ground_crossing,
+    toy_t0,
+    toy_t0_rel_tol,
+)
 
 T_ZERO_FIELD = 4.0 / math.log(3.0)
 
@@ -698,7 +719,7 @@ class TestGraphCommand:
         # corrupt the flip-probability map; the identity column must catch it
         monkeypatch.setattr(
             "thermwit.cli.flip_probability_from_temperature",
-            lambda b, t: 0.123,
+            lambda b, t: np.full(np.shape(t), 0.123),
         )
         code, _, err = run(capsys, "graph", "--edges", edges_file, "--oracles")
         assert code == 4
@@ -968,6 +989,62 @@ class TestGridNativeSweep:
         assert [x.hex() for x in grid.tolist()] == [
             _graph_log_p0(n, b, kt).hex() for kt in kts.tolist()
         ]
+
+    @pytest.mark.parametrize("b", [0.0, 1.3, 5.1])
+    def test_dimer_cells_are_one_point_values(self, b):
+        # the table is built a column at a time; each cell must still be the
+        # repr of what the library gives at that row's kT alone
+        code, out, err = run_quiet(
+            "dimer", "--J", "1", "--B", repr(b), "--grid", "0.05:10:2000:lin", "--oracles"
+        )
+        assert code == 0, err
+        p = DimerParams(b, 1.0)
+        sp, h = dimer_spectrum(p), build_dimer_hamiltonian(p)
+        bound = singlet_robustness() if b < 4.0 else RobustnessBound(1.0, BoundKind.EXACT)
+        kts = [float(t) for t in csv_column(out, "T")]
+        assert len(kts) == 2000
+        log_ps = [log_population(sp, kt, 0) for kt in kts]
+        rhos = [thermal_density_matrix(h, kt) for kt in kts]
+        expected = {
+            "Z": [exp_or_inf(-sp.ground_energy / kt - x) for kt, x in zip(kts, log_ps)],
+            "p": [math.exp(x) for x in log_ps],
+            "threshold": [bound.threshold] * len(kts),
+            "concurrence": [concurrence_two_qubit(rho) for rho in rhos],
+            "min_pt_eig": [ppt_min_eigenvalue(rho, (2, 2), (0,)) for rho in rhos],
+        }
+        for name, values in expected.items():
+            assert csv_column(out, name) == [repr(float(x)) for x in values], name
+        assert csv_column(out, "satisfied") == [
+            "true" if x > bound.log_threshold else "false" for x in log_ps
+        ]
+        assert set(csv_column(out, "bound_kind")) == {bound.kind.value}
+
+    def test_graph_cells_are_one_point_values(self, tmp_path):
+        n, b = 400, 1.0
+        path = tmp_path / "ring400.edges"
+        write_edge_list(Graph.ring(n), path)
+        code, out, err = run_quiet(
+            "graph", "--edges", str(path), "--grid", "1:10:2000:lin", "--oracles"
+        )
+        assert code == 0, err
+        bound = bound_from_relative_entropy(0.5 * n)
+        kts = [float(t) for t in csv_column(out, "T")]
+        assert len(kts) == 2000
+        log_ps = [_graph_log_p0(n, b, kt) for kt in kts]
+        p_flip = [flip_probability_from_temperature(b, kt) for kt in kts]
+        expected = {
+            "Z": [exp_or_inf(n * b / kt - x) for kt, x in zip(kts, log_ps)],
+            "p": [math.exp(x) for x in log_ps],
+            "threshold": [bound.threshold] * len(kts),
+            "p_flip": p_flip,
+            "p_from_flip": [(1.0 - x) ** n for x in p_flip],
+        }
+        for name, values in expected.items():
+            assert csv_column(out, name) == [repr(float(x)) for x in values], name
+        assert csv_column(out, "satisfied") == [
+            "true" if x > bound.log_threshold else "false" for x in log_ps
+        ]
+        assert set(csv_column(out, "bound_kind")) == {bound.kind.value}
 
     def test_underflowing_kt_rejected(self, capsys):
         # T = 1e-300 at kB = 1e-300 gives kT = 0, which no kernel can divide by

@@ -35,7 +35,13 @@ from thermwit.entanglement import (
     _stirling_remainder,
 )
 from thermwit.errors import ThermwitError
-from thermwit.systems import DimerParams, PureState, build_dimer_hamiltonian, dicke_state
+from thermwit.systems import (
+    SIGMA_Y,
+    DimerParams,
+    PureState,
+    build_dimer_hamiltonian,
+    dicke_state,
+)
 from thermwit.thermal import thermal_density_matrix
 
 SINGLET = PureState(2, np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0))
@@ -412,6 +418,21 @@ def _per_matrix(fn, stack, *args):
     return [fn(m, *args) for m in stack]
 
 
+def _concurrence_signed_kron(rho):
+    """concurrence_signed with the spin flip as two matrix products by Y x Y."""
+    yy = np.kron(SIGMA_Y, SIGMA_Y)
+    a = np.asarray(rho, dtype=complex)
+    w, v = np.linalg.eigh(a)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    ev = np.linalg.eigvalsh(root @ yy @ a.conj() @ yy @ root)
+    mu = np.sqrt(np.clip(ev, 0.0, None))[..., ::-1]
+    return mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3]
+
+
+def _hex(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
 class TestStackedOracles:
     """A stack (..., d, d) gives, bit for bit, what each matrix gives alone."""
 
@@ -443,6 +464,21 @@ class TestStackedOracles:
         assert list(ppt_min_eigenvalue(stack, (2, 2), (0,))) == _per_matrix(
             ppt_min_eigenvalue, stack, (2, 2), (0,)
         )
+
+    def test_concurrence_matches_the_kron_reference(self):
+        # the spin flip is a signed reversal of columns, not two matmuls by Y x Y
+        stacks = [
+            thermal_density_matrix(
+                build_dimer_hamiltonian(DimerParams(b, 1.0)), np.linspace(0.05, 10.0, 2000)
+            )
+            for b in (0.0, 1.3, 5.1)
+        ]
+        rng = np.random.default_rng(53)
+        stacks.append(np.array([random_density_matrix(4, rng) for _ in range(200)]))
+        for stack in stacks:
+            assert _hex(concurrence_signed(stack)) == _hex(_concurrence_signed_kron(stack))
+        for rho in stacks[-1][:20]:
+            assert _hex(concurrence_signed(rho)) == _hex(_concurrence_signed_kron(rho))
 
     def test_one_matrix_gives_a_float(self):
         rho = random_density_matrix(4, np.random.default_rng(50))

@@ -111,6 +111,14 @@ class TestSpectrum:
             with pytest.raises(ThermwitError, match="finite"):
                 Spectrum.from_values(list(energies))
 
+    def test_rejects_a_span_that_overflows(self):
+        # both energies are finite, but E_1 - E_0 is not; a RuntimeWarning on
+        # the way would be an error here
+        with pytest.raises(ThermwitError, match="span more than a float holds"):
+            Spectrum(energies=(-1e308, 1e308), degeneracies=(1, 1))
+        with pytest.raises(ThermwitError, match="span more than a float holds"):
+            Spectrum.from_values([-1e308, 1e308])
+
     @given(
         st.lists(
             st.tuples(

@@ -223,15 +223,15 @@ class TestGridKernel:
                 )
                 for p in ladders
             },
+            "flip_probability_from_temperature": (
+                lambda kt: flip_probability_from_temperature(1.0, kt)
+            ),
         }
         scalar_kernels = {
             "log_partition_function_alpha_gamma": (
                 lambda kt: log_partition_function_alpha_gamma(ladders[1], kt)
             ),
             "dimer_condition_margin": lambda kt: dimer_condition_margin(1.0, 1.0, kt),
-            "flip_probability_from_temperature": (
-                lambda kt: flip_probability_from_temperature(1.0, kt)
-            ),
         }
         calls = [(name, call, bad) for name, call in {**grid_kernels, **scalar_kernels}.items()]
         calls += [(name, call, np.array([1.0, bad])) for name, call in grid_kernels.items()]

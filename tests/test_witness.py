@@ -392,6 +392,18 @@ class TestStabilizerClosedForms:
         p = flip_probability_from_temperature(b, kt)
         assert p == pytest.approx(noise_threshold(ratio * n, n), rel=1e-12)
 
+    @pytest.mark.parametrize("b", [1e-300, 1e-3, 1.0, 2.5, 1e5])
+    def test_flip_probability_array_is_one_point_calls(self, b):
+        # 2B/kT overflows at the low end and underflows at the high end; a
+        # RuntimeWarning on the way would be an error here. The linear part
+        # puts every point where libm and numpy's exp could round apart.
+        kts = np.concatenate([np.logspace(-320.0, 300.0, 2001), np.linspace(0.05, 50.0, 2000) * b])
+        expected = [flip_probability_from_temperature(b, kt).hex() for kt in kts.tolist()]
+        got = flip_probability_from_temperature(b, kts)
+        assert [x.hex() for x in got.tolist()] == expected
+        assert flip_probability_from_temperature(b, kts[1:].reshape(2, 2000)).shape == (2, 2000)
+        assert type(flip_probability_from_temperature(b, np.float64(1.0))) is float
+
     def test_noise_threshold_monotone_in_ratio(self):
         values = [noise_threshold(r * 10, 10) for r in np.linspace(0.05, 1.0, 30)]
         assert all(a < b for a, b in zip(values, values[1:]))
