@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 verification failure, 2 bad configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -532,6 +533,7 @@ def _grid_flag(text: str) -> GridSpec:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermwit",

@@ -24,7 +24,6 @@ from .numerics import (
     _checked_hermitian,
     _float_or_array,
     first_failure,
-    hermitian_eigendecompose,
     partial_transpose,
 )
 from .systems import PureState
@@ -290,12 +289,11 @@ def ppt_min_eigenvalue(
     """Smallest eigenvalue of the partial transpose; negative certifies
     entanglement across the cut. A stack of states gives an array."""
     pt = partial_transpose(_validate_density_matrix(rho), local_dims, subset)
-    return _float_or_array(hermitian_eigendecompose(pt)[0][..., 0])
-
-
-def _random_unit_qubit(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return v / np.linalg.norm(v)
+    # No second Hermiticity check: a partial transpose only permutes entries
+    # and maps each conjugate pair onto a conjugate pair, so it keeps both
+    # max|M - M^dagger| and max|M| of the matrix just checked. eigh, not
+    # eigvalsh, whose values differ from it in the last bit on ~30% of states.
+    return _float_or_array(np.linalg.eigh(pt)[0][..., 0])
 
 
 def _als(
@@ -351,9 +349,17 @@ def _als(
 
 
 def _als_starts(n: int, restarts: int, seed: int) -> np.ndarray:
-    """Random start vectors, drawn restart by restart and site by site."""
-    rng = np.random.default_rng(seed)
-    return np.array([[_random_unit_qubit(rng) for _ in range(n)] for _ in range(restarts)])
+    """Random unit start vectors, shape (restarts, n, 2), in one draw.
+
+    Restart by restart and site by site, the stream gives two real parts,
+    then two imaginary parts. Each stacked 1x2 @ 2x1 product is one BLAS dot,
+    the sum ``np.linalg.norm`` forms for one vector, so every start has the
+    bits that normalizing it on its own gives.
+    """
+    x = np.random.default_rng(seed).standard_normal((restarts, n, 2, 2))
+    re, im = x[..., 0, :], x[..., 1, :]
+    sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return (re + 1j * im) / np.sqrt(sq[..., 0])
 
 
 def geometric_measure_als(psi: PureState, seed: int) -> tuple[float, float]:

@@ -72,7 +72,7 @@ def hermitian_eigendecompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its own scale and have dimension at most DIM_CAP; a stack's results have
     the bits each matrix gives alone.
     """
-    return np.linalg.eigh(_checked_hermitian(m).astype(complex))
+    return np.linalg.eigh(_checked_hermitian(m).astype(complex, copy=False))
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

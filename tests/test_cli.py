@@ -4,6 +4,7 @@ Everything runs in-process through cli.main(argv) so exit codes and stdout
 can be asserted directly; one test goes through the installed entry point.
 """
 import io
+import json
 import math
 import subprocess
 import sys
@@ -1251,3 +1252,39 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "# thermwit-csv v1" in proc.stdout
+
+    def test_repeated_main_calls_match_fresh_processes(self, tmp_path):
+        # main() builds its parser once per process; later calls must not see
+        # anything an earlier call (a good run, a bad flag) left behind
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[toy]\nalpha = 0.5\nD = 64\neR = 2.0\n")
+        runs = [
+            ["toy"],
+            ["dimer", "--oracles"],
+            ["dimer", "--no-such-flag"],
+            ["toy", "--config", str(cfg)],
+            ["verify"],
+        ]
+        script = (
+            "import io, json, sys\n"
+            "from contextlib import redirect_stderr, redirect_stdout\n"
+            "from thermwit.cli import main\n"
+            "results = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with redirect_stdout(out), redirect_stderr(err):\n"
+            "        code = main(argv)\n"
+            "    results.append([code, out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(results))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        in_one_process = json.loads(proc.stdout)
+        for argv, (code, out, err) in zip(runs, in_one_process):
+            alone = subprocess.run(
+                [sys.executable, "-m", "thermwit.cli", *argv], capture_output=True, text=True
+            )
+            assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
+        assert [code for code, _, _ in in_one_process] == [0, 0, 2, 0, 0]

@@ -31,10 +31,10 @@ from thermwit.entanglement import (
     _als_starts,
     _bipartite_singular_values,
     _dicke_log_overlap_sq,
-    _random_unit_qubit,
     _stirling_remainder,
 )
 from thermwit.errors import ThermwitError
+from thermwit.numerics import partial_transpose
 from thermwit.systems import (
     SIGMA_Y,
     DimerParams,
@@ -528,6 +528,24 @@ class TestStackedOracles:
 
 
 class TestPPT:
+    @pytest.mark.parametrize("dims, subset", [((2, 2), (0,)), ((2, 3), (1,)), ((2, 2, 2), (0, 2))])
+    def test_partial_transpose_keeps_the_hermiticity_measures(self, dims, subset):
+        # why ppt_min_eigenvalue checks rho and not its partial transpose again
+        rng = np.random.default_rng(56)
+        d = math.prod(dims)
+        for _ in range(20):
+            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            pt = partial_transpose(m, dims, subset)
+            assert np.max(np.abs(pt - pt.conj().T)) == np.max(np.abs(m - m.conj().T))
+            assert np.max(np.abs(pt)) == np.max(np.abs(m))
+
+    def test_non_hermitian_state_raises(self):
+        rho = random_density_matrix(6, np.random.default_rng(57))
+        rho[1, 4] += 1e-9  # an entry the transpose of the second factor moves
+        for subset in ((0,), (1,)):
+            with pytest.raises(ThermwitError, match=r"max \|m - m\^dagger\| = 1\.000e-09"):
+                ppt_min_eigenvalue(rho, (2, 3), subset)
+
     def test_isotropic_threshold(self):
         # 2x2 isotropic states are entangled exactly above fidelity 1/2
         phi = projector(ghz(2))
@@ -583,6 +601,26 @@ class TestGeometricMeasureALS:
         history = sweep_overlaps(dicke_state(5, 2), seed=6, max_sweeps=40)
         arr = np.array(history)
         assert np.all(np.diff(arr) >= -1e-13)
+
+
+def _random_unit_qubit(rng):
+    """One start vector as the search first drew them, one site at a time."""
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return v / np.linalg.norm(v)
+
+
+class TestALSStarts:
+    @pytest.mark.parametrize("restarts", [1, 32])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 12])
+    def test_bits_of_the_site_by_site_draw(self, n, restarts):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            expected = [[_random_unit_qubit(rng) for _ in range(n)] for _ in range(restarts)]
+            got = _als_starts(n, restarts, seed)
+            assert got.shape == (restarts, n, 2)
+            assert [z.hex() for z in got.view(float).ravel().tolist()] == [
+                z.hex() for z in np.array(expected).view(float).ravel().tolist()
+            ]
 
 
 def _reference_als_run(tensor, n, rng, tol, max_sweeps):

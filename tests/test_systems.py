@@ -387,6 +387,17 @@ class TestExactConstructions:
             assert h.dtype == np.float64
             assert np.array_equal(h, reference), (g.n, sorted(g.edges))
 
+    @pytest.mark.parametrize("b", [1.0, 0.37, 1e-320])
+    def test_hamiltonian_entries_are_written_once(self, b):
+        # each generator assigns -B * sign to its own n-th of the entries,
+        # and every entry it does not reach stays the map's +0.0
+        for g in _exactness_graphs():
+            h = build_stabilizer_hamiltonian(g, b)
+            nonzero = h != 0.0
+            assert np.all(np.count_nonzero(nonzero, axis=0) == g.n), (g.n, sorted(g.edges))
+            assert np.all(np.abs(h[nonzero]) == b), (g.n, sorted(g.edges))
+            assert not np.any(np.signbit(h[~nonzero])), (g.n, sorted(g.edges))
+
     def test_generators_equal_kron_chain(self):
         for g in _exactness_graphs():
             for i in range(g.n):
