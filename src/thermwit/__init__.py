@@ -7,7 +7,7 @@ substituted). The package bundles analytic spectra and bounds for four
 model systems, generic numerical routes to cross-check every closed form,
 and a CLI (`thermwit`) that sweeps temperature grids and emits CSV.
 """
-from .checks import ALL_CHECKS, CheckResult, run_all
+from .checks import ALL_CHECKS
 from .config import DEFAULT_GRID, GridSpec, RunConfig, load_config
 from .entanglement import (
     BoundKind,
@@ -48,7 +48,6 @@ from .systems import (
 )
 from .thermal import (
     exp_or_inf,
-    log_partition_function,
     log_ground_population_alpha_closed,
     log_partition_function_alpha_gamma,
     log_population,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_CHECKS",
     "BoundKind",
-    "CheckResult",
     "DEFAULT_GRID",
     "DimerParams",
     "Graph",
@@ -105,7 +103,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "load_config",
     "log_ground_population_alpha_closed",
-    "log_partition_function",
     "log_partition_function_alpha_gamma",
     "log_population",
     "noise_threshold",
@@ -114,7 +111,6 @@ __all__ = [
     "ppt_min_eigenvalue",
     "read_edge_list",
     "root_bracket",
-    "run_all",
     "singlet_robustness",
     "stabilizer_spectrum",
     "stabilizer_t_trans",

@@ -4,15 +4,15 @@ Each check re-derives a headline claim two independent ways (closed form vs
 generic solver, analytic spectrum vs dense matrix, witness vs concurrence)
 and passes only when they agree at the stated tolerance. The acceptance
 test suite runs the same registry, so `thermwit verify` and `pytest` cannot
-drift apart. A check returns ``(passed, detail)``; ``run_all`` names it by
-its key in ALL_CHECKS.
+drift apart. A check takes a seed and returns ``(passed, detail)``;
+ALL_CHECKS pairs each with its name, in report order, and ``thermwit
+verify`` reads those pairs directly.
 
 All randomness is seeded; a fixed seed gives byte-identical reports.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -68,13 +68,6 @@ from .witness import (
 T_DIMER_ZERO_FIELD = 4.0 / math.log(3.0)          # 3.6409569065073493
 T_STAB_PER_B = -2.0 / math.log(math.sqrt(2.0) - 1.0)  # 2.2691853142130225
 P_TRANS_HALF = 1.0 - 1.0 / math.sqrt(2.0)         # 0.29289321881345254
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
 
 
 def check_dimer_zero_field_coincidence(seed: int = 0) -> tuple[bool, str]:
@@ -409,11 +402,3 @@ ALL_CHECKS: tuple[tuple[str, Callable[[int], tuple[bool, str]]], ...] = (
     ("partial-bound-ordering", check_partial_bound_ordering),
     ("asymptotic-monotonicity", check_asymptotic_monotonicity),
 )
-
-
-def run_all(seed: int = 0) -> list[CheckResult]:
-    results = []
-    for name, fn in ALL_CHECKS:
-        passed, detail = fn(seed)
-        results.append(CheckResult(name, bool(passed), detail))
-    return results

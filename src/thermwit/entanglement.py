@@ -125,14 +125,19 @@ def singlet_robustness() -> RobustnessBound:
     return RobustnessBound(one_plus_r=2.0, kind=BoundKind.EXACT)
 
 
+def _dicke_one_plus_r(n: int, k: int) -> Fraction:
+    """1 + R = n^n / (C(n, k) k^k (n-k)^(n-k)) for the (n, k) symmetric state, exactly."""
+    return Fraction(n**n, math.comb(n, k) * k**k * (n - k) ** (n - k))
+
+
 def dicke_robustness(n: int, k: int) -> RobustnessBound:
     """Closed-form 1 + R for the symmetric state with k excitations on n sites.
 
-    1 + R = (1/C(n,k)) (n/k)^k (n/(n-k))^{n-k}. Small n goes through exact
-    integer arithmetic and returns the largest float not above the exact
-    value. Large n takes log(1 + R) from Stirling's formula, as
-    ``dicke_overlap_closed`` does, and exponentiates it below an error
-    budget, so the value still does not round up.
+    1 + R = (1/C(n,k)) (n/k)^k (n/(n-k))^{n-k}, in the two regimes that
+    ``dicke_overlap_closed`` shares. Up to _EXACT_DICKE_CUTOFF sites it is
+    the exact fraction, and the value is the largest float not above it.
+    Above, log(1 + R) comes from Stirling's formula and is exponentiated
+    below an error budget, so the value still does not round up.
     """
     if n < 2:
         raise ThermwitError(f"need n >= 2 sites, got {n}")
@@ -142,7 +147,7 @@ def dicke_robustness(n: int, k: int) -> RobustnessBound:
         raise ThermwitError("product state: robustness 0 is not a witness input")
     exact = None
     if n <= _EXACT_DICKE_CUTOFF:
-        exact = Fraction(n**n, math.comb(n, k) * k**k * (n - k) ** (n - k))
+        exact = _dicke_one_plus_r(n, k)
         value = float(exact)
         if Fraction(value) > exact:
             value = math.nextafter(value, 0.0)
@@ -198,23 +203,19 @@ def _dicke_log_overlap_sq(n: int, k: int) -> float:
 def dicke_overlap_closed(n: int, k: int) -> float:
     """Largest product-state overlap of the (n, k) symmetric state.
 
-    The square of this overlap is exactly 1 / (1 + R), so the geometric and
-    robustness routes agree for these states. Where C(n, k) exceeds float
-    range, log overlap^2 = log C(n, k) + k log(k/n) + (n-k) log((n-k)/n) is
-    summed from Stirling's formula, in which the m log m terms cancel exactly,
-    so the result keeps ~1e-14 relative accuracy at any n.
+    Its square is exactly 1 / (1 + R) (Wei & Goldbart, PRA 68, 042307, 2003),
+    so it takes ``dicke_robustness``'s two regimes. Up to _EXACT_DICKE_CUTOFF
+    sites it is the square root of the correctly rounded 1 / (1 + R), from
+    the exact fraction, within an ulp. Above, building the fraction takes
+    seconds from n ~ 1e6 on, and log overlap^2 = log C(n, k) + k log(k/n)
+    + (n-k) log((n-k)/n) comes from Stirling's formula, in which the m log m
+    terms cancel exactly, so it keeps a few ulps of relative accuracy at
+    any n.
     """
     if n < 2 or k <= 0 or k >= n:
         raise ThermwitError(f"need n >= 2 and 0 < k < n, got n={n}, k={k}")
-    # Building C(n, k) exactly takes seconds from n ~ 1e6 on. Above ~1030
-    # bits (lgamma puts log2 C(n, k) within far less than a bit) it would
-    # overflow float range anyway, so skip it there.
-    log_comb = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    if log_comb <= 1030.0 * math.log(2.0):
-        try:
-            return math.sqrt(math.comb(n, k) * (k / n) ** k * ((n - k) / n) ** (n - k))
-        except OverflowError:  # C(n, k) beyond float range
-            pass
+    if n <= _EXACT_DICKE_CUTOFF:
+        return math.sqrt(float(1 / _dicke_one_plus_r(n, k)))
     return math.exp(0.5 * _dicke_log_overlap_sq(n, k))
 
 

@@ -1,7 +1,9 @@
 """Dense linear-algebra and scalar primitives used by the rest of the package.
 
-Matrices are plain numpy arrays: real symmetric input stays real (the
-Hamiltonians built in ``systems`` are real), complex input stays complex.
+Matrices are plain numpy arrays. The Hamiltonians built in ``systems`` are
+real; ``hermitian_eigendecompose`` promotes its input to complex, so its
+eigenvectors are complex, while ``hermitian_eigenvalues`` and
+``chiral_eigenvalues`` solve real symmetric input in real arithmetic.
 Dimensions are capped at ``DIM_CAP`` (12 qubit sites) because everything
 here is meant for small exact diagonalisation, not for large-scale
 simulation.

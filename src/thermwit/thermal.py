@@ -1,9 +1,10 @@
 """Gibbs-state quantities over discrete spectra.
 
 Everything is computed in the log domain after shifting by the ground
-energy, so populations and log partition functions stay finite at any
-temperature the package accepts (T = 0 itself is excluded; probe the limit
-with kT around 1e-6 times the gap).
+energy, so log populations stay finite at any temperature the package
+accepts (T = 0 itself is excluded; probe the limit with kT around 1e-6
+times the gap). A Spectrum's log Z follows from its ground level as
+-E0/kT - log p0.
 
 Every kernel takes kT, the product of temperature and Boltzmann's constant;
 only the searches in ``witness`` take k_B and work in temperature. The
@@ -224,15 +225,6 @@ def _log_sums(levels: tuple, kt: np.ndarray) -> np.ndarray:
     return out.reshape(kt.shape)
 
 
-def log_partition_function(s: Spectrum, kt: float | np.ndarray) -> float | np.ndarray:
-    """log Z = -E0/kT + log sum_j g_j exp(-(E_j - E0)/kT)."""
-    kt = _kt_array(kt)
-    # at a subnormal kT, E0/kT overflows to +-inf, as log Z does
-    with np.errstate(over="ignore"):
-        shift = -s.ground_energy / kt
-    return _float_or_array(shift + _log_sums(s._levels, kt))
-
-
 def exp_or_inf(log_z: float) -> float:
     """Z from log Z; inf only when log Z exceeds float range."""
     try:
@@ -252,7 +244,9 @@ def log_population(
     if not 0 <= level_index < s.n_levels:
         raise ThermwitError(f"level {level_index} outside 0..{s.n_levels - 1}")
     kt = _kt_array(kt)
-    shift = (float(s.energies[level_index]) - s.ground_energy) / kt
+    # at a subnormal kT an excited level's shift overflows to inf: log p is -inf
+    with np.errstate(over="ignore"):
+        shift = (float(s.energies[level_index]) - s.ground_energy) / kt
     return _float_or_array(-shift - _log_sums(s._levels, kt))
 
 

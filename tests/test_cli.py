@@ -1243,6 +1243,109 @@ class TestNumericExitCode:
         assert "numerical failure" in err
 
 
+
+class TestConfigurationExits:
+    """Each rejected input exits 2 with its own message."""
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("0:1:3:lin", "grid lo must be positive, got 0.0"),
+            ("2:1:3:lin", "grid needs lo < hi, got 2.0:1.0"),
+            ("1:2:1:lin", "grid needs at least 2 points, got 1"),
+            ("1:2:3:cubic", "grid spacing must be lin or log, got 'cubic'"),
+            ("1:2:3", "grid spec must be lo:hi:count:spacing, got '1:2:3'"),
+        ],
+    )
+    def test_bad_grid(self, capsys, grid, message):
+        code, out, err = run(capsys, "dimer", "--grid", grid)
+        assert code == 2 and out == ""
+        assert "error: argument --grid: " in err and err.endswith(f"{message}\n")
+
+    def test_malformed_section_header(self, capsys, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[toy\nalpha = 0.5\n")
+        code, out, err = run(capsys, "toy", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(
+            "thermwit: configuration error: bad config: File contains no section headers."
+        )
+
+    def test_toy_zero_entanglement(self, capsys):
+        code, out, err = run(capsys, "toy", "--eR", "0")
+        assert code == 2 and out == ""
+        assert err == "thermwit: configuration error: entanglement input must be positive, got 0.0\n"
+
+    def test_toy_without_entanglement_input(self, capsys, tmp_path):
+        # an empty eR unsets the default, and no --n stands in for it
+        path = tmp_path / "toy.cfg"
+        path.write_text("[toy]\neR =\n")
+        code, out, err = run(capsys, "toy", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err == "thermwit: configuration error: toy needs --eR or --n\n"
+
+    def test_graph_zero_coupling(self, capsys, tmp_path):
+        path = tmp_path / "ring6.edges"
+        write_edge_list(Graph.ring(6), path)
+        code, out, err = run(capsys, "graph", "--edges", str(path), "--B", "0")
+        assert code == 2 and out == ""
+        assert err == "thermwit: configuration error: coupling B must be positive, got 0.0\n"
+
+    def test_graph_total_entanglement_beyond_float_range(self, capsys, tmp_path):
+        # 2001 sites at the default 1/2 bit each: 1000.5 bits
+        path = tmp_path / "path2001.edges"
+        write_edge_list(Graph.path(2001), path)
+        code, out, err = run(capsys, "graph", "--edges", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(
+            "thermwit: configuration error: total eR = 1000.5 bits makes the population "
+            "threshold underflow"
+        )
+
+
+class TestMismatchExits:
+    """Each oracle gate exits 4 when its oracle is stubbed to disagree."""
+
+    def test_dimer_crossing_above_concurrence_zero(self, capsys, monkeypatch):
+        # the zero-field crossing is 4/ln 3 ~ 3.64; a concurrence zero at 1
+        monkeypatch.setattr(
+            "thermwit.cli.concurrence_vanishing_temperature", lambda p, k_b: 1.0
+        )
+        code, out, err = run(capsys, "dimer", "--oracles")
+        assert code == 4 and out == ""
+        assert err.startswith("thermwit: cross-check mismatch: witness crossing ")
+        assert err.endswith(" above concurrence zero 1.0\n")
+
+    def test_dicke_search_overlap(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "thermwit.cli.geometric_measure_als", lambda psi, seed: (0.5, 1.0)
+        )
+        code, out, err = run(capsys, "dicke", "--n", "6", "--oracles")
+        assert code == 4 and out == ""
+        assert err.startswith("thermwit: cross-check mismatch: search overlap 0.5 vs closed form ")
+
+    def test_dicke_half_cut_bound(self, capsys, monkeypatch):
+        # D(6, 3) has 1 + R = 16/5, rounded down
+        monkeypatch.setattr(
+            "thermwit.cli.bipartite_pure_robustness",
+            lambda psi, block: RobustnessBound(3.0, BoundKind.LOWER_BOUND),
+        )
+        code, out, err = run(capsys, "dicke", "--n", "6", "--oracles")
+        assert code == 4 and out == ""
+        assert err == (
+            "thermwit: cross-check mismatch: half-cut bound 3.0 vs closed 3.1999999999999997\n"
+        )
+
+    def test_graph_generic_solver_vs_closed_form(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "ring6.edges"
+        write_edge_list(Graph.ring(6), path)
+        monkeypatch.setattr("thermwit.cli.stabilizer_t_trans", lambda n, b, bits: 1.0)
+        code, out, err = run(capsys, "graph", "--edges", str(path), "--oracles")
+        assert code == 4 and out == ""
+        assert err.startswith("thermwit: cross-check mismatch: generic-solver crossing ")
+        assert err.endswith(" vs closed form 1.0\n")
+
+
 class TestEntryPoint:
     def test_installed_script(self):
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 """Tests for robustness bounds, entanglement monotones, and the ALS search."""
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -30,7 +31,6 @@ from thermwit.entanglement import (
     _als,
     _als_starts,
     _bipartite_singular_values,
-    _dicke_log_overlap_sq,
     _stirling_remainder,
 )
 from thermwit.errors import ThermwitError
@@ -248,11 +248,37 @@ class TestRobustnessBounds:
 
 
 class TestDickeOverlapLargeN:
-    def test_direct_product_kept_where_finite(self):
-        for n in (2, 7, 100, 1000, 1029):
-            for k in {1, max(1, n // 3), n // 2}:
-                direct = math.sqrt(math.comb(n, k) * (k / n) ** k * ((n - k) / n) ** (n - k))
-                assert dicke_overlap_closed(n, k).hex() == direct.hex()
+    def test_within_an_ulp_of_mpmath_up_to_the_cutoff(self):
+        # the square root of the correctly rounded 1 / (1 + R): every k below
+        # 80 sites, sampled k above; a float product of C(n, k), (k/n)^k and
+        # ((n-k)/n)^(n-k) is 463 ulps off at (2000, 3)
+        cases = [(n, k) for n in range(2, 80) for k in range(1, n)]
+        cases += [
+            (n, k) for n in range(80, 2001, 41) for k in {1, 2, 3, n // 3, n // 2, n - 1}
+        ]
+        cases += [(2000, 3), (2000, 1000)]
+        for n, k in cases:
+            got = dicke_overlap_closed(n, k)
+            exact = _exact_dicke_one_plus_r(n, k) ** -0.5
+            with mpmath.workprec(200):
+                assert abs(mpmath.mpf(got) - exact) <= math.ulp(got), (n, k)
+
+    @pytest.mark.parametrize("n", [2001, 10**4, 10**6, 10**9])
+    def test_within_8_ulps_of_mpmath_above_the_cutoff(self, n):
+        # Stirling's log; the float product is 1.3e8 ulps off at (10^9, 2)
+        for k in (1, 2, 3, 5, 16, 50, n // 2):
+            got = dicke_overlap_closed(n, k)
+            exact = _exact_dicke_one_plus_r(n, k) ** -0.5
+            with mpmath.workprec(200):
+                assert abs(mpmath.mpf(got) - exact) <= 8 * math.ulp(got), (n, k)
+
+    @pytest.mark.parametrize("n, k", [(10**9, 10**9 // 2), (10**9, 2), (2000, 3), (7, 2)])
+    def test_square_is_the_threshold_within_its_budget(self, n, k):
+        # both come from one route, so they agree within the robustness's own
+        # rounding budget, 8 eps (1 + |ln threshold|)
+        threshold = dicke_robustness(n, k).threshold
+        budget = 8 * sys.float_info.epsilon * (1.0 + abs(math.log(threshold)))
+        assert abs(dicke_overlap_closed(n, k) ** 2 / threshold - 1.0) <= budget
 
     @pytest.mark.parametrize("n", [1030, 3000, 10**5])
     def test_matches_mpmath_beyond_float_binomials(self, n):
@@ -264,17 +290,6 @@ class TestDickeOverlapLargeN:
                     * (mpmath.mpf(n - k) / n) ** (n - k)
                 )
             assert abs(dicke_overlap_closed(n, k) - float(exact)) <= 1e-12 * float(exact)
-
-    def test_same_bits_as_binomial_first_route(self):
-        # C(n, k) is only built below ~1030 bits; around that edge the value
-        # is the one the route that always tries it first gives
-        for n in range(1020, 1060):
-            for k in (n // 2, n // 3, n // 4):
-                try:
-                    old = math.sqrt(math.comb(n, k) * (k / n) ** k * ((n - k) / n) ** (n - k))
-                except OverflowError:
-                    old = math.exp(0.5 * _dicke_log_overlap_sq(n, k))
-                assert dicke_overlap_closed(n, k).hex() == old.hex(), (n, k)
 
     @pytest.mark.parametrize("n", [10**6, 10**7, 10**9])
     def test_half_filling_at_huge_n_is_fast_and_accurate(self, n):

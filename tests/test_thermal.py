@@ -34,12 +34,17 @@ from thermwit.thermal import (
     _ladder_levels,
     exp_or_inf,
     log_ground_population_alpha_closed,
-    log_partition_function,
     log_partition_function_alpha_gamma,
     log_population,
     thermal_density_matrix,
 )
 from thermwit.witness import dimer_condition_margin, flip_probability_from_temperature
+
+
+def _log_z(s, kt):
+    """log Z by the Z column's rule, -E0/kT - log p0, as ``graph --matrix-check``
+    derives the dense one."""
+    return -s.ground_energy / kt - log_population(s, kt)
 
 
 class TestPartitionFunction:
@@ -54,24 +59,24 @@ class TestPartitionFunction:
             s = Spectrum(tuple(energies), tuple(int(d) for d in degs))
             kt = float(rng.uniform(0.1, 10.0))
             direct = float(np.sum(degs * np.exp(-energies / kt)))
-            assert exp_or_inf(log_partition_function(s, kt)) == pytest.approx(direct, rel=1e-12)
+            assert exp_or_inf(_log_z(s, kt)) == pytest.approx(direct, rel=1e-12)
 
     def test_against_matrix_trace(self):
         for b, j, kt in [(0.0, 1.0, 1.0), (1.0, 1.0, 2.5), (3.0, 0.8, 0.7)]:
             h = build_dimer_hamiltonian(DimerParams(b, j))
             z_trace = float(np.trace(scipy.linalg.expm(-h / kt)).real)
-            z_closed = exp_or_inf(log_partition_function(dimer_spectrum(DimerParams(b, j)), kt))
+            z_closed = exp_or_inf(_log_z(dimer_spectrum(DimerParams(b, j)), kt))
             assert z_closed == pytest.approx(z_trace, rel=1e-9)
 
     def test_deep_spectrum_no_overflow(self):
         s = Spectrum((-2000.0, 0.0), (1, 1))
-        assert math.isinf(exp_or_inf(log_partition_function(s, 1.0)))
-        assert log_partition_function(s, 1.0) == pytest.approx(2000.0)
+        assert math.isinf(exp_or_inf(_log_z(s, 1.0)))
+        assert _log_z(s, 1.0) == pytest.approx(2000.0)
         assert math.exp(log_population(s, 1.0, 0)) == pytest.approx(1.0)
 
     def test_infinite_temperature_limit(self):
         s = Spectrum((0.0, 1.0), (1, 3))
-        z = exp_or_inf(log_partition_function(s, 1e8))
+        z = exp_or_inf(_log_z(s, 1e8))
         assert z == pytest.approx(4.0, rel=1e-6)
 
 
@@ -165,9 +170,9 @@ class TestGridKernel:
 
     @given(s=_SPECTRA, kts=_KTS)
     @settings(max_examples=300, deadline=None)
-    def test_log_partition_function(self, s, kts):
-        grid = log_partition_function(s, np.array(kts))
-        points = [log_partition_function(s, kt) for kt in kts]
+    def test_log_z_from_log_population(self, s, kts):
+        grid = _log_z(s, np.array(kts))
+        points = [_log_z(s, kt) for kt in kts]
         assert isinstance(grid, np.ndarray) and grid.shape == (len(kts),)
         assert all(type(x) is float for x in points)
         assert _hex(grid) == _hex(points)
@@ -215,7 +220,6 @@ class TestGridKernel:
         ladders = [ToySpectrumParams(0.0, 1.0, alpha, 10) for alpha in (0.0, 0.5, 1.0)]
         grid_kernels = {
             "log_population": lambda kt: log_population(s, kt),
-            "log_partition_function": lambda kt: log_partition_function(s, kt),
             "thermal_density_matrix": lambda kt: thermal_density_matrix(h, kt),
             **{
                 f"log_ground_population_alpha_closed[alpha={p.alpha}]": (
@@ -546,7 +550,7 @@ class TestSpectrumKernelBits:
         kernels = {
             "log_p0": lambda t: log_population(s, t, 0),
             "log_p1": lambda t: log_population(s, t, 1),
-            "log_z": lambda t: log_partition_function(s, t),
+            "log_z": lambda t: _log_z(s, t),
         }
         grid = {name: f(kts) for name, f in kernels.items()}
         for i, kt in enumerate(kts.tolist()):
@@ -580,7 +584,7 @@ def _assert_every_term_bits(s: Spectrum, kts: np.ndarray) -> None:
     kernels = {
         "log_p0": lambda t: log_population(s, t, 0),
         "log_p1": lambda t: log_population(s, t, 1),
-        "log_z": lambda t: log_partition_function(s, t),
+        "log_z": lambda t: _log_z(s, t),
     }
     with np.errstate(over="ignore"):
         grids = {name: f(kts) for name, f in kernels.items()}
@@ -668,13 +672,23 @@ class TestSpectrumKernelBlocks:
         tops = [int(np.argmax(_log_g(s) - x / kt)) for kt in kts[:5].tolist()]
         assert 0 not in tops
         _assert_every_term_bits(s, kts)
-        assert _filled_slots(lambda: log_partition_function(s, 1e-3)) < s.n_levels // 2
+        assert _filled_slots(lambda: log_population(s, 1e-3)) < s.n_levels // 2
 
     def test_subnormal_kt(self):
         s = _spectrum_of_size(300, 11, 40)
         kts = np.array([5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0])
         _assert_every_term_bits(s, kts)
         assert log_population(s, 5e-324, 0) == 0.0
+
+    def test_excited_levels_at_subnormal_kt(self):
+        # each excited level's shift overflows to inf: log p is -inf, with no
+        # overflow warning, at one kT and in a grid
+        s = _spectrum_of_size(300, 11, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in range(1, s.n_levels):
+                assert log_population(s, 1e-320, j) == -math.inf, j
+                assert log_population(s, np.array([1e-320, 1.0]), j)[0] == -math.inf, j
 
     @given(
         n_levels=st.integers(min_value=2, max_value=3000),
@@ -812,11 +826,11 @@ def _stabilizer_log_z(n, b, kt):
 class TestStabilizerPartition:
     def test_matches_spectrum_route(self):
         for n, b, kt in [(3, 1.0, 0.5), (8, 2.0, 3.0), (200, 0.5, 1.1)]:
-            assert log_partition_function(stabilizer_spectrum(n, b), kt) == pytest.approx(
+            assert _log_z(stabilizer_spectrum(n, b), kt) == pytest.approx(
                 _stabilizer_log_z(n, b, kt), rel=1e-12
             )
 
     def test_factorizes_over_sites(self):
-        one = log_partition_function(stabilizer_spectrum(1, 1.0), 1.3)
-        ten = log_partition_function(stabilizer_spectrum(10, 1.0), 1.3)
+        one = _log_z(stabilizer_spectrum(1, 1.0), 1.3)
+        ten = _log_z(stabilizer_spectrum(10, 1.0), 1.3)
         assert ten == pytest.approx(10.0 * one, rel=1e-13)
