@@ -56,7 +56,6 @@ from .thermal import (
 from .witness import (
     TransitionResult,
     concurrence_vanishing_temperature,
-    dimer_condition_margin,
     flip_probability_from_temperature,
     ground_crossing,
     noise_threshold,
@@ -92,7 +91,6 @@ __all__ = [
     "dicke_overlap_closed",
     "dicke_robustness",
     "dicke_state",
-    "dimer_condition_margin",
     "dimer_spectrum",
     "exp_or_inf",
     "flip_probability_from_temperature",

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import entanglement as ent
 from .entanglement import (
+    RobustnessBound,
     bipartite_pure_robustness,
     bound_from_relative_entropy,
     concurrence_two_qubit,
@@ -42,7 +43,6 @@ from .systems import (
     graph_state,
     odd_weight_mask,
     stabilizer_spectrum,
-    toy_spectrum,
 )
 from .thermal import (
     LN2,
@@ -53,8 +53,8 @@ from .thermal import (
     thermal_density_matrix,
 )
 from .witness import (
+    TransitionResult,
     concurrence_vanishing_temperature,
-    dimer_condition_margin,
     flip_probability_from_temperature,
     ground_crossing,
     noise_threshold,
@@ -128,19 +128,24 @@ def check_dimer_high_field_phase(seed: int = 0) -> tuple[bool, str]:
 def check_witness_soundness_sample(seed: int = 0) -> tuple[bool, str]:
     """Whenever the condition holds, concurrence and partial transpose concur.
 
-    200 random (B, T) points inside the singlet-ground phase: every sample
-    the witness accepts must have positive concurrence and a negative
+    200 random (B, T) points inside the singlet-ground phase, decided by the
+    rule of the ``satisfied`` column: log p0 > log(1/(1+R)) on the dimer's
+    spectrum. Each field B ~ U(0, 3.99) takes 12 temperatures in one kernel
+    call, and the first 200 accepted points in draw order are kept (at most
+    400 fields). Every one must have positive concurrence and a negative
     partial-transpose eigenvalue.
     """
     rng = np.random.default_rng(seed)
-    accepted = []
-    attempts = 0
-    while len(accepted) < 200 and attempts < 5000:
-        attempts += 1
+    log_threshold = singlet_robustness().log_threshold
+    accepted: list[tuple[float, float]] = []
+    for _ in range(400):
         b = float(rng.uniform(0.0, 3.99))
-        kt = float(rng.uniform(0.05, 1.2 * T_DIMER_ZERO_FIELD))
-        if dimer_condition_margin(b, 1.0, kt) > 0.0:
-            accepted.append((b, kt))
+        kts = rng.uniform(0.05, 1.2 * T_DIMER_ZERO_FIELD, size=12)
+        held = log_population(dimer_spectrum(DimerParams(b, 1.0)), kts, 0) > log_threshold
+        accepted += [(b, kt) for kt in kts[held].tolist()]
+        if len(accepted) >= 200:
+            break
+    accepted = accepted[:200]
     found = len(accepted)
     h = np.array([build_dimer_hamiltonian(DimerParams(b, 1.0)) for b, _ in accepted])
     rho = thermal_density_matrix(h.reshape(-1, 4, 4), np.array([kt for _, kt in accepted]))
@@ -193,6 +198,13 @@ def check_dicke_bound_chain(seed: int = 0) -> tuple[bool, str]:
     return ok, detail
 
 
+def _ladder_crossing(p: ToySpectrumParams, bound: RobustnessBound) -> TransitionResult:
+    """The crossing ``toy`` prints: the ladder's level source, never a Spectrum."""
+    return ground_crossing(
+        partial(log_ground_population_alpha_closed, p), bound, p.delta, p.spread, p.n_levels
+    )
+
+
 def check_ladder_closed_forms(seed: int = 0) -> tuple[bool, str]:
     """Ladder partition identities: generic solver vs formula, ordering, Gamma form.
 
@@ -203,9 +215,9 @@ def check_ladder_closed_forms(seed: int = 0) -> tuple[bool, str]:
     D = 10^6 (4.9% linear at kT = 10 delta).
     """
     issues = []
-    sp = toy_spectrum(ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=4))
+    ladder = ToySpectrumParams(e0=0.0, delta=1.0, alpha=0.0, n_levels=4)
     one_bit = bound_from_relative_entropy(1.0)
-    tr = transition_temperature(sp, one_bit)
+    tr = _ladder_crossing(ladder, one_bit)
     t0 = toy_t0(4, one_bit, 1.0)
     if not tr.detected or abs(tr.t_trans - t0) > toy_t0_rel_tol(4, one_bit) * t0:
         issues.append(f"bisection {tr.t_trans!r} vs closed form {t0!r}")
@@ -338,13 +350,13 @@ def check_partial_bound_ordering(seed: int = 0) -> tuple[bool, str]:
     issues = []
     pairs = []
     for n in (4, 6, 8):
-        sp = toy_spectrum(ToySpectrumParams(e0=0.0, delta=1.0, alpha=1.0, n_levels=2**n))
+        ladder = ToySpectrumParams(e0=0.0, delta=1.0, alpha=1.0, n_levels=2**n)
         full = ent.dicke_robustness(n, n // 2)
         half = bipartite_pure_robustness(dicke_state(n, n // 2), range(n // 2))
         if half.one_plus_r > full.one_plus_r * (1.0 + 1e-12):
             issues.append(f"bipartite 1+R exceeds full bound at n={n}")
-        t_full = transition_temperature(sp, full).t_trans
-        t_half = transition_temperature(sp, half).t_trans
+        t_full = _ladder_crossing(ladder, full).t_trans
+        t_half = _ladder_crossing(ladder, half).t_trans
         pairs.append((n, t_half, t_full))
         if t_half > t_full * (1.0 + 1e-8):
             issues.append(f"ordering violated at n={n}: {t_half!r} > {t_full!r}")
@@ -374,10 +386,7 @@ def check_asymptotic_monotonicity(seed: int = 0) -> tuple[bool, str]:
         errs[alpha] = []
         for n in (4, 16, 64):
             bound = ent.dicke_robustness(n, n // 2)
-            t_star = ground_crossing(
-                partial(log_ground_population_alpha_closed, ladder),
-                bound, ladder.delta, ladder.spread, ladder.n_levels,
-            ).t_trans
+            t_star = _ladder_crossing(ladder, bound).t_trans
             t_alpha = toy_t_alpha(alpha, bound.one_plus_r - 1.0, 1.0)
             errs[alpha].append(abs(t_alpha / t_star - 1.0))
         if not all(a > b for a, b in zip(errs[alpha], errs[alpha][1:])):

@@ -117,7 +117,12 @@ def chiral_eigenvalues(m: np.ndarray, odd: np.ndarray) -> np.ndarray:
     if c.size == 0:
         return np.zeros(0)
     limit = HERMITICITY_TOL * max(1.0, float(np.max(np.abs(c))), float(np.max(np.abs(c_back))))
-    dev = float(np.max(np.abs(c - c_back.conj().T)))
+    # |c - c_back^H| is |conj(c_back) - c^T| transposed: built in c_back's
+    # own buffer, which then goes before the SVD
+    np.conjugate(c_back, out=c_back)
+    np.subtract(c_back, c.T, out=c_back)
+    dev = float(np.max(np.abs(c_back, out=c_back).real))
+    del c_back
     if dev > limit:
         raise ThermwitError(f"max |m - m^dagger| = {dev:.3e} above {limit:.3e}")
     s = np.linalg.svd(c, compute_uv=False)

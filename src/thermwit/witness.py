@@ -6,9 +6,12 @@ lower bound on it). The condition is one-sided: failing it proves nothing.
 
 ``ground_crossing`` finds where a log ground population, given as a
 callable of kT, meets the threshold; ``transition_temperature`` feeds it a
-Spectrum's populations. The closed forms at the bottom specialize the
-crossing temperature to the example systems and are cross-checked against
-the generic root bracket in tests.
+Spectrum's populations. The condition at one kT is decided one way only, as
+the CLI's ``satisfied`` column decides it: log p0 > the bound's
+``log_threshold``. No model has a verdict of its own. The closed forms at
+the bottom specialize the crossing temperature to the example systems and
+are cross-checked against the generic root bracket in tests; the dimer's
+concurrence zero is an independent oracle.
 """
 from __future__ import annotations
 
@@ -23,12 +26,7 @@ from .entanglement import RobustnessBound, concurrence_signed
 from .errors import NoSignChange, ThermwitError
 from .numerics import _float_or_array, root_bracket
 from .systems import DimerParams, Spectrum, build_dimer_hamiltonian
-from .thermal import (
-    LN2,
-    _kt_array,
-    log_population,
-    thermal_density_matrix,
-)
+from .thermal import LN2, _kt_array, log_population, thermal_density_matrix
 
 BRACKET_GAP_FACTOR = 1e-6
 BRACKET_SPREAD_FACTOR = 1e4
@@ -130,22 +128,7 @@ def transition_temperature(
     return result
 
 
-# --- spin-dimer closed forms -------------------------------------------------
-
-
-def dimer_condition_margin(B: float, J: float, kt: float) -> float:
-    """Log-domain margin of the dimer condition; positive means satisfied.
-
-    The singlet-ground condition e^{-4J/kT} (e^{B/kT} + e^{-B/kT} + 1) < 1
-    becomes 4J/kT - log(e^{B/kT} + e^{-B/kT} + 1) > 0, which is safe to
-    evaluate at any temperature.
-    """
-    if B < 0 or J < 0:
-        raise ThermwitError("dimer condition needs B >= 0 and J >= 0")
-    kt = float(_kt_array(kt))
-    x = B / kt
-    log_field_sum = float(np.logaddexp(np.logaddexp(x, -x), 0.0))
-    return 4.0 * J / kt - log_field_sum
+# --- spin-dimer oracle --------------------------------------------------------
 
 
 def concurrence_vanishing_temperature(p: DimerParams, k_b: float = 1.0) -> float:

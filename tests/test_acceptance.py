@@ -7,14 +7,21 @@ The second half pins the key closed-form numbers directly, so a bug in the
 registry itself cannot silently weaken the suite.
 """
 import math
+import re
 
 import numpy as np
 import pytest
 
 from thermwit.checks import ALL_CHECKS, check_relative_entropy_identity
-from thermwit.entanglement import bound_from_relative_entropy, dicke_robustness, singlet_robustness
+from thermwit.entanglement import (
+    bound_from_relative_entropy,
+    concurrence_two_qubit,
+    dicke_robustness,
+    ppt_min_eigenvalue,
+    singlet_robustness,
+)
 from thermwit.numerics import hermitian_eigendecompose
-from thermwit.systems import DimerParams, Spectrum, dimer_spectrum
+from thermwit.systems import DimerParams, Spectrum, build_dimer_hamiltonian, dimer_spectrum
 from thermwit.thermal import LN2, log_population, thermal_density_matrix
 from thermwit.witness import (
     concurrence_vanishing_temperature,
@@ -32,6 +39,49 @@ def test_cross_check(name, acceptance_recorder):
     passed, detail = CHECKS[name](0)
     acceptance_recorder(name, passed, detail)
     assert passed, f"{name}: {detail}"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_soundness_sample_matches_per_draw_loop(seed):
+    # the check decides 12 temperatures per field in one kernel call; one
+    # call per draw must accept the same points, and so must the dimer's own
+    # inequality 4J/kT > log(e^{B/kT} + e^{-B/kT} + 1), decided in closed form
+    rng = np.random.default_rng(seed)
+    log_threshold = singlet_robustness().log_threshold
+    accepted = []
+    for _ in range(400):
+        b = float(rng.uniform(0.0, 3.99))
+        s = dimer_spectrum(DimerParams(b, 1.0))
+        for kt in rng.uniform(0.05, 1.2 * 4.0 / math.log(3.0), size=12).tolist():
+            held = log_population(s, kt, 0) > log_threshold
+            x = b / kt
+            assert held == (4.0 / kt > float(np.logaddexp(np.logaddexp(x, -x), 0.0))), (b, kt)
+            if held:
+                accepted.append((b, kt))
+        if len(accepted) >= 200:
+            break
+    b, kt = np.array(accepted[:200]).T
+    rho = thermal_density_matrix(
+        np.array([build_dimer_hamiltonian(DimerParams(x, 1.0)) for x in b.tolist()]), kt
+    )
+    c = concurrence_two_qubit(rho)
+    pt = ppt_min_eigenvalue(rho, (2, 2), (0,))
+    violations = int(np.count_nonzero(~((c > 0.0) & (pt < 0.0))))
+    _, detail = CHECKS["witness-soundness-sample"](seed)
+    assert detail == (
+        f"satisfied_samples=200 violations={violations} "
+        f"min_concurrence={np.min(c):.3e} max_pt_eig={np.max(pt):.3e}"
+    )
+
+
+def test_soundness_sample_fails_when_every_draw_is_accepted(monkeypatch):
+    # a rule that accepts every draw lets in points above the concurrence
+    # zero, and the oracles must flag them
+    monkeypatch.setattr("thermwit.checks.log_population", lambda s, kts, j: np.zeros_like(kts))
+    passed, detail = CHECKS["witness-soundness-sample"](0)
+    assert not passed
+    assert detail.startswith("satisfied_samples=200 violations=")
+    assert int(re.search(r"violations=(\d+)", detail).group(1)) > 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3])

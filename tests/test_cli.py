@@ -1302,6 +1302,43 @@ class TestConfigurationExits:
             "threshold underflow"
         )
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 4\n0 1\n", "{path}: first content line must be the vertex count"),
+            ("x\n0 1\n", "{path}: bad vertex count 'x'"),
+            ("3\n0 a\n", "{path}: bad edge line '0 a'"),
+            ("0\n", "graph needs at least one vertex"),
+        ],
+        ids=["two-field-count", "word-count", "word-vertex", "zero-vertices"],
+    )
+    def test_bad_edge_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_quiet("graph", "--edges", str(path))
+        assert code == 2 and out == ""
+        assert err == f"thermwit: configuration error: {message.format(path=path)}\n"
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["toy", "--D", "1000001"], "level count 1000001 exceeds cap 1000000"),
+            (["dicke", "--n", "1"], "need n >= 2 sites, got 1"),
+            (["dicke", "--n", "4", "--k", "7"], "excitation count 7 outside 0..4"),
+        ],
+        ids=["toy-level-cap", "dicke-one-site", "dicke-k-above-n"],
+    )
+    def test_size_out_of_range(self, argv, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_quiet(*argv)
+        assert code == 2 and out == ""
+        assert err == f"thermwit: configuration error: {message}\n"
+        assert [str(w.message) for w in caught] == []
+
 
 class TestMismatchExits:
     """Each oracle gate exits 4 when its oracle is stubbed to disagree."""

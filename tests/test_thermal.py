@@ -38,7 +38,7 @@ from thermwit.thermal import (
     log_population,
     thermal_density_matrix,
 )
-from thermwit.witness import dimer_condition_margin, flip_probability_from_temperature
+from thermwit.witness import flip_probability_from_temperature
 
 
 def _log_z(s, kt):
@@ -235,7 +235,6 @@ class TestGridKernel:
             "log_partition_function_alpha_gamma": (
                 lambda kt: log_partition_function_alpha_gamma(ladders[1], kt)
             ),
-            "dimer_condition_margin": lambda kt: dimer_condition_margin(1.0, 1.0, kt),
         }
         calls = [(name, call, bad) for name, call in {**grid_kernels, **scalar_kernels}.items()]
         calls += [(name, call, np.array([1.0, bad])) for name, call in grid_kernels.items()]

@@ -20,7 +20,6 @@ from thermwit.systems import DimerParams, Spectrum, ToySpectrumParams, dimer_spe
 from thermwit.thermal import log_ground_population_alpha_closed, log_population
 from thermwit.witness import (
     concurrence_vanishing_temperature,
-    dimer_condition_margin,
     flip_probability_from_temperature,
     ground_crossing,
     noise_threshold,
@@ -227,29 +226,6 @@ def test_dimer_crossing_is_unit_free(ratio):
     base = crossing(1.0)
     for k in range(-100, 101, 5):
         assert crossing(math.ldexp(1.0, k)) == math.ldexp(base, k), k
-
-
-class TestDimerClosedForm:
-    def test_margin_sign_matches_population_route(self):
-        rng = np.random.default_rng(17)
-        s_cache = {}
-        for _ in range(300):
-            b = float(rng.uniform(0.0, 3.9))
-            kt = float(rng.uniform(0.05, 8.0))
-            margin = dimer_condition_margin(b, 1.0, kt)
-            s = s_cache.setdefault(b, dimer_spectrum(DimerParams(b, 1.0)))
-            satisfied = log_population(s, kt, 0) > singlet_robustness().log_threshold
-            if abs(margin) > 1e-9:
-                assert (margin > 0) == satisfied
-
-    def test_condition_boundary_is_zero_field_transition(self):
-        assert abs(dimer_condition_margin(0.0, 1.0, T_ZERO_FIELD)) < 1e-12
-        assert dimer_condition_margin(0.0, 1.0, T_ZERO_FIELD - 1e-6) > 0.0
-        assert not dimer_condition_margin(0.0, 1.0, T_ZERO_FIELD + 1e-6) > 0.0
-
-    def test_field_lowers_satisfied_region(self):
-        assert dimer_condition_margin(0.0, 1.0, 3.6) > 0.0
-        assert not dimer_condition_margin(2.0, 1.0, 3.6) > 0.0
 
 
 class TestConcurrenceVanishing:
